@@ -217,7 +217,7 @@ class Runtime:
         if opts.scheduler == LocalityWorkStealing.name:
             return LocalityWorkStealing(n)
         if opts.scheduler == DmdaScheduler.name:
-            return DmdaScheduler(n, self.platform)
+            return DmdaScheduler(n)
         if opts.scheduler == OwnerComputesScheduler.name:
             return OwnerComputesScheduler(n, distribution=opts.distribution)
         if opts.scheduler == RoundRobinScheduler.name:

@@ -47,6 +47,8 @@ class SchedulerContext:
     #: (flops, dim, regularity) shapes across thousands of pushes, and the
     #: efficiency-curve arithmetic is pure per device.
     _kernel_time_cache: dict = dataclasses.field(default_factory=dict)
+    #: memoized :meth:`kernel_estimates` rows, one per task shape.
+    _kernel_rows: dict = dataclasses.field(default_factory=dict)
 
     def kernel_estimate(self, task: Task, device: int) -> float:
         key = (device, task.flops, task.dim, task.regularity)
@@ -58,31 +60,16 @@ class SchedulerContext:
             )
         return est
 
-    def locality_bytes(self, task: Task, device: int) -> int:
-        """Bytes of ``task``'s inputs already valid (or in flight) on ``device``."""
-        total = 0
-        for access in task.accesses:
-            if not access.reads:
-                continue
-            key = access.tile.key
-            if self.directory.is_valid(key, device):
-                total += access.tile.nbytes
-            elif self.directory.in_flight_to(key, device) is not None:
-                total += access.tile.nbytes
-        return total
-
-    def missing_bytes(self, task: Task, device: int) -> int:
-        """Bytes that would have to be transferred to run ``task`` on ``device``."""
-        return task.input_bytes - self.locality_bytes(task, device)
-
-    def best_locality_device(self, task: Task) -> int | None:
-        """Device holding the most input bytes, or ``None`` if nothing is placed."""
-        best_dev, best_bytes = None, 0
-        for dev in self.platform.device_ids():
-            b = self.locality_bytes(task, dev)
-            if b > best_bytes:
-                best_dev, best_bytes = dev, b
-        return best_dev
+    def kernel_estimates(self, task: Task) -> tuple[float, ...]:
+        """:meth:`kernel_estimate` of ``task`` on every device, memoized per
+        ``(flops, dim, regularity)`` shape."""
+        shape = (task.flops, task.dim, task.regularity)
+        row: tuple[float, ...] | None = self._kernel_rows.get(shape)
+        if row is None:
+            row = self._kernel_rows[shape] = tuple(
+                self.kernel_estimate(task, dev) for dev in self.platform.device_ids()
+            )
+        return row
 
 
 class Scheduler(abc.ABC):

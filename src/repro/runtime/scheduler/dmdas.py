@@ -28,7 +28,6 @@ import itertools
 
 from repro.runtime.scheduler.base import Scheduler, SchedulerContext
 from repro.runtime.task import Task
-from repro.topology.platform import Platform
 
 
 class DmdaScheduler(Scheduler):
@@ -38,9 +37,8 @@ class DmdaScheduler(Scheduler):
     #: assigns — streaming submission materializes eagerly for this policy.
     needs_priorities = True
 
-    def __init__(self, num_devices: int, platform: Platform) -> None:
+    def __init__(self, num_devices: int) -> None:
         super().__init__(num_devices)
-        self.platform = platform
         self._seq = itertools.count()
         #: per-worker priority queues: (-priority, seq, task)
         self._queues: list[list[tuple[int, int, Task]]] = [
@@ -54,33 +52,20 @@ class DmdaScheduler(Scheduler):
 
     # -------------------------------------------------------------- placing
 
-    def _transfer_estimate(self, task: Task, device: int, ctx: SchedulerContext) -> float:
-        """Predicted input-transfer time, per tile, from the source the data
-        manager would actually use (StarPU's calibrated bus model)."""
-        total = 0.0
-        for access in task.accesses:
-            if not access.reads:
-                continue
-            key = access.tile.key
-            if ctx.directory.in_flight_to(key, device) is not None:
-                continue
-            _, bw = ctx.transfer.preview_source(key, device)
-            if bw != float("inf"):
-                total += access.tile.nbytes / bw
-        return total
-
-    def _kernel_estimate(self, task: Task, device: int) -> float:
-        spec = self.platform.gpus[device]
-        return spec.kernel_time(task.flops, task.dim, regularity=task.regularity)
-
     def push(self, task: Task, ctx: SchedulerContext) -> None:
+        # Every device is priced from one sweep of the task's directory state
+        # (TransferManager.estimate_transfers) and one memoized kernel row.
+        transfer = ctx.transfer.estimate_transfers(task.accesses)
+        kernel = ctx.kernel_estimates(task)
+        avail = self._avail
+        now = self._now
         best_dev, best_ect = 0, float("inf")
         for dev in range(self.num_devices):
-            ect = (
-                max(self._avail[dev], self._now)
-                + self._transfer_estimate(task, dev, ctx)
-                + self._kernel_estimate(task, dev)
-            )
+            # max(avail[dev], now), inlined: keeps avail[dev] on ties.
+            start = avail[dev]
+            if now > start:
+                start = now
+            ect = start + transfer[dev] + kernel[dev]
             if ect < best_ect:
                 best_dev, best_ect = dev, ect
         self._avail[best_dev] = best_ect

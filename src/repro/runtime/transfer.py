@@ -47,10 +47,14 @@ bit-identical by construction.
 
 from __future__ import annotations
 
+from operator import add
+from typing import Iterable, Sequence
+
 from repro.errors import CoherenceError
 from repro.memory.cache import DeviceCache, EvictionPolicy
 from repro.memory.coherence import CoherenceDirectory
 from repro.memory.tile import Tile, TileKey
+from repro.runtime.access import Access
 from repro.runtime.datastore import DataStore
 from repro.runtime.fabric import Fabric
 from repro.runtime.policies import SourcePolicy
@@ -140,6 +144,11 @@ class TransferManager:
         self._link_bandwidth = fabric.link_bandwidth
         self._best_by_mask = fabric.best_source_by_mask
         self._mask_members = fabric.mask_members
+        #: per-device estimate rows of :meth:`estimate_transfers`, filled on
+        #: first use per ``(nbytes, valid mask, zero mask)``; a hashing pick
+        #: (ANY_VALID) depends on the tile as well, so it keeps none.
+        self._cost_rows: dict[tuple[int, int, int], tuple[float, ...]] = {}
+        self._pick_hashes = policy.uses_device_sources and not policy.topology_aware
         # statistics
         self.h2d_transfers = 0
         self.d2h_transfers = 0
@@ -379,41 +388,7 @@ class TransferManager:
         dmask = (self._dir_valid[tid] >> 1) & ~(1 << dst)
         policy = self.policy
         if dmask and policy.uses_device_sources:
-            if policy.topology_aware:
-                table = self._best_by_mask
-                if table is not None:
-                    # Equivalent to Platform.peers_by_rank(dst, candidates)[0]
-                    # (min over the same (rank, device-id) key), precomputed
-                    # for every candidate mask — one list index per pick.
-                    best = table[dst][dmask]
-                else:  # platform too large for mask tables: walk the bitmask
-                    rank = self._rank_key[dst]
-                    best = -1
-                    best_rank: tuple[int, int] | None = None
-                    m = dmask
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        d = low.bit_length() - 1
-                        r = rank[d]
-                        if best_rank is None or r < best_rank:
-                            best, best_rank = d, r
-            else:
-                # "No ranking" = whichever replica the runtime happens to find
-                # first; modelled as a deterministic pseudo-random pick so no
-                # artificial hot source emerges (the paper's no-topo variant
-                # is link-class-blind, not systematically biased).
-                members = self._mask_members
-                if members is not None:
-                    candidates = members[dmask]
-                else:
-                    candidates = []
-                    m = dmask
-                    while m:
-                        low = m & -m
-                        m ^= low
-                        candidates.append(low.bit_length() - 1)
-                best = candidates[self._tile_mix(key, dst) % len(candidates)]
+            best = self._device_source(key, dst, dmask)
             self.caches[best].touch(key, now)
             return best, now
         fmask = self._dir_fmask[tid]
@@ -448,6 +423,30 @@ class TransferManager:
         if fmask & _HOST_BIT:
             return HOST, self._dir_flights[tid][HOST].completes_at
         return HOST, self.ensure_host_valid(self.datastore.tile(key), now)
+
+    def _device_source(self, key: TileKey, dst: int, dmask: int) -> int:
+        """The device replica a transfer of ``key`` to ``dst`` reads from,
+        among the non-empty candidate bitmask ``dmask`` (``dst`` excluded).
+
+        The one home of the device pick: the transfer path and the
+        schedulers' estimates (:meth:`estimate_transfers`) both call it.
+        """
+        if self.policy.topology_aware:
+            table = self._best_by_mask
+            if table is not None:
+                # Equivalent to Platform.peers_by_rank(dst, candidates)[0]
+                # (min over the same (rank, device-id) key), precomputed for
+                # every candidate mask — one list index per pick.
+                return table[dst][dmask]
+            # Platform too large for mask tables: walk the bitmask.
+            return min(self._mask_walk(dmask), key=self._rank_key[dst].__getitem__)
+        # "No ranking" = whichever replica the runtime happens to find first;
+        # modelled as a deterministic pseudo-random pick so no artificial hot
+        # source emerges (the paper's no-topo variant is link-class-blind, not
+        # systematically biased).
+        members = self._mask_members
+        candidates = members[dmask] if members is not None else self._mask_walk(dmask)
+        return candidates[self._tile_mix(key, dst) % len(candidates)]
 
     def _ensure_pinned(self, tile: Tile, now: float) -> float:
         """First host DMA touching a matrix pays its page-locking time.
@@ -491,34 +490,73 @@ class TransferManager:
             if idx < len(ready) and ready[idx] >= 0.0
         }
 
-    def preview_source(self, key: TileKey, dst: int) -> tuple[int, float]:
-        """Where would a transfer to ``dst`` come from, and at what bandwidth?
+    # ----------------------------------------------------------- estimating
 
-        A read-only estimate used by cost-model schedulers (DMDAS); mirrors
-        :meth:`_select_source` without touching any state.
+    def estimate_transfers(self, accesses: Iterable[Access]) -> Sequence[float]:
+        """Estimated input-transfer time of one task on every device.
+
+        Entry ``d`` sums, in access order, ``nbytes / bandwidth`` over the
+        read tiles neither valid nor in flight on device ``d``, the bandwidth
+        being that of the link from the source :meth:`_select_source` would
+        pick without its optimistic forward (the host when no device may
+        serve) — StarPU's calibrated bus model, as DMDAS consults it.
+        Read-only apart from interning first-seen keys.
+
+        One pass over the accesses: each key is interned once, its valid and
+        in-flight masks read once, and its per-device costs come as one row
+        of :meth:`_cost_row`, memoized per ``(nbytes, valid mask, zero
+        mask)`` — except under a hashing pick (ANY_VALID), whose rows depend
+        on the tile and are built per access.  Per-device sums keep access
+        order and a free tile adds exactly ``0.0``, so each entry is the float
+        that summing one device's costs tile by tile gives.
         """
-        directory = self.directory
-        tid = directory.lookup(key)
-        if directory.is_valid_id(tid, dst):
-            return dst, float("inf")
-        dmask = directory.device_valid_mask(tid) & ~(1 << dst)
-        if dmask and self.policy.uses_device_sources:
-            if self.policy.topology_aware:
-                table = self._best_by_mask
-                if table is not None:
-                    src = table[dst][dmask]
-                else:
-                    src = min(
-                        self._mask_walk(dmask), key=self._rank_key[dst].__getitem__
-                    )
+        total: Sequence[float] | None = None
+        ids_get = self._dir_ids.get
+        valid = self._dir_valid
+        fmask = self._dir_fmask
+        rows = self._cost_rows
+        for access in accesses:
+            if not access.reads:
+                continue
+            tile = access.tile
+            key = tile.key
+            tid = ids_get(key)
+            if tid is None:
+                tid = self.directory.lookup(key)
+            vmask = valid[tid] >> 1
+            row_key = (tile.nbytes, vmask, vmask | (fmask[tid] >> 1))
+            row = rows.get(row_key)
+            if row is None:
+                row = self._cost_row(key, *row_key)
+                if not self._pick_hashes:
+                    rows[row_key] = row
+            # The first row is the sum itself (0.0 + c == c for every c).
+            total = row if total is None else list(map(add, total, row))
+        if total is None:
+            return (0.0,) * self.platform.num_gpus
+        return total
+
+    def _cost_row(
+        self, key: TileKey, nbytes: int, vmask: int, zmask: int
+    ) -> tuple[float, ...]:
+        """Estimated time to bring one ``nbytes`` tile to each device.
+
+        ``0.0`` on the devices of ``zmask`` (valid or in flight there), else
+        ``nbytes`` over the bandwidth from the device replica in ``vmask``
+        the policy picks, or from the host when it may not pick one.
+        """
+        from_devices = vmask and self.policy.uses_device_sources
+        host_cost = nbytes / self.platform.host_bandwidth
+        row = []
+        for dst in range(self.platform.num_gpus):
+            if zmask >> dst & 1:
+                row.append(0.0)
+            elif from_devices:
+                src = self._device_source(key, dst, vmask)
+                row.append(nbytes / self._link_bandwidth[(src, dst)])
             else:
-                members = self._mask_members
-                candidates = (
-                    members[dmask] if members is not None else self._mask_walk(dmask)
-                )
-                src = candidates[self._tile_mix(key, dst) % len(candidates)]
-            return src, self._link_bandwidth[(src, dst)]
-        return HOST, self.platform.host_bandwidth
+                row.append(host_cost)
+        return tuple(row)
 
     @staticmethod
     def _mask_walk(dmask: int) -> list[int]:

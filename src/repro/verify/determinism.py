@@ -80,7 +80,7 @@ DECISION_ROOTS = [
     # transfer-manager source selection and residency
     "TransferManager.ensure_resident",
     "TransferManager._select_source",
-    "TransferManager.preview_source",
+    "TransferManager.estimate_transfers",
     "TransferManager.ensure_host_valid",
     # the executor's dispatch loop
     "Executor._wake_all",

@@ -21,48 +21,23 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import run_point
+from repro.blas.params import Uplo
 from repro.blas.tiled.gemm import build_gemm
+from repro.lapack.potrf import build_potrf
+from repro.lapack.solve import build_potrs
+from repro.libraries.registry import LIBRARIES
 from repro.memory.layout import BlockCyclicDistribution
 from repro.memory.matrix import Matrix
 from repro.runtime.api import Runtime, RuntimeOptions
+from repro.runtime.policies import SourcePolicy
 from repro.topology.dgx1 import make_dgx1
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_makespans.json"
 
-
-def _observe(routine: str, n: int, nb: int) -> dict:
-    res = run_point(
-        library="xkblas", routine=routine, n=n, nb=nb, keep_runtime=True
-    )
-    rt = res.runtime
-    assert rt is not None
-    return {
-        "makespan": res.seconds,
-        "makespan_hex": res.seconds.hex(),
-        "events_fired": rt.sim.events_fired,
-        "transfers": rt.transfer.stats(),
-        "tasks": rt.executor.completed_tasks,
-    }
+_RECORDED = ("makespan", "makespan_hex", "events_fired", "transfers", "tasks")
 
 
-def _observe_with_scheduler(scheduler: str, n: int, nb: int) -> dict:
-    """One GEMM point under a specific scheduling policy.
-
-    Mirrors the recording script for ``scheduler_points``: owner-computes
-    needs a distribution to derive owners from, every other policy runs with
-    its defaults.  Priorities are assigned exactly as ``Session.sync`` does.
-    """
-    opts: dict = {"scheduler": scheduler}
-    if scheduler == "owner-computes":
-        opts["distribution"] = BlockCyclicDistribution(2, 4)
-    rt = Runtime(make_dgx1(8), RuntimeOptions(**opts))
-    a, b, c = (Matrix.meta(n, n) for _ in range(3))
-    pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
-    for task in build_gemm(1.0, pa, pb, 0.5, pc):
-        rt.submit(task)
-    rt.memory_coherent_async(c, nb)
-    rt.executor.graph.critical_path_priorities()
-    makespan = rt.sync()
+def _outcome(rt: Runtime, makespan: float) -> dict:
     return {
         "makespan": makespan,
         "makespan_hex": makespan.hex(),
@@ -72,12 +47,62 @@ def _observe_with_scheduler(scheduler: str, n: int, nb: int) -> dict:
     }
 
 
-def _golden_points() -> dict:
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["points"]
+def _observe(routine: str, n: int, nb: int) -> dict:
+    res = run_point(
+        library="xkblas", routine=routine, n=n, nb=nb, keep_runtime=True
+    )
+    rt = res.runtime
+    assert rt is not None
+    return _outcome(rt, res.seconds)
 
 
-def _golden_scheduler_points() -> dict:
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["scheduler_points"]
+def _observe_with_scheduler(
+    scheduler: str,
+    n: int,
+    nb: int,
+    source_policy: SourcePolicy = SourcePolicy.TOPOLOGY_OPTIMISTIC,
+) -> dict:
+    """One GEMM point under a specific scheduling and source policy.
+
+    Mirrors the recording script for ``scheduler_points``: owner-computes
+    needs a distribution to derive owners from, every other policy runs with
+    its defaults.  Priorities are assigned exactly as ``Session.sync`` does.
+    """
+    opts: dict = {"scheduler": scheduler, "source_policy": source_policy}
+    if scheduler == "owner-computes":
+        opts["distribution"] = BlockCyclicDistribution(2, 4)
+    rt = Runtime(make_dgx1(8), RuntimeOptions(**opts))
+    a, b, c = (Matrix.meta(n, n) for _ in range(3))
+    pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
+    for task in build_gemm(1.0, pa, pb, 0.5, pc):
+        rt.submit(task)
+    rt.memory_coherent_async(c, nb)
+    rt.executor.graph.critical_path_priorities()
+    return _outcome(rt, rt.sync())
+
+
+def _observe_posv(library: str, uplo: str, n: int, nb: int) -> dict:
+    """POTRF then POTRS composed on one runtime in ``library``'s production
+    configuration (event recorder off, i.e. the fused dispatch path), both
+    operands flushed back to the host."""
+    platform = make_dgx1(8)
+    opts = LIBRARIES[library](platform).runtime_options()
+    opts.trace = False
+    rt = Runtime(platform, opts)
+    a, b = Matrix.meta(n, n, name="A"), Matrix.meta(n, n, name="B")
+    pa, pb = rt.partition(a, nb), rt.partition(b, nb)
+    for task in build_potrf(Uplo(uplo), pa):
+        rt.submit(task)
+    for task in build_potrs(Uplo(uplo), pa, pb):
+        rt.submit(task)
+    rt.memory_coherent_async(a, nb)
+    rt.memory_coherent_async(b, nb)
+    rt.executor.graph.critical_path_priorities()
+    return _outcome(rt, rt.sync())
+
+
+def _golden(section: str) -> dict:
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[section]
 
 
 @pytest.mark.parametrize("routine", ["gemm", "trsm"])
@@ -87,24 +112,18 @@ def test_two_fresh_runs_are_bit_identical(routine):
     assert first == second
 
 
-@pytest.mark.parametrize("name", sorted(_golden_points()))
+@pytest.mark.parametrize("name", sorted(_golden("points")))
 def test_makespans_match_recorded_goldens(name):
-    rec = _golden_points()[name]
+    rec = _golden("points")[name]
     got = _observe(rec["routine"], rec["n"], rec["nb"])
-    expected = {
-        "makespan": rec["makespan"],
-        "makespan_hex": rec["makespan_hex"],
-        "events_fired": rec["events_fired"],
-        "transfers": rec["transfers"],
-        "tasks": rec["tasks"],
-    }
+    expected = {k: rec[k] for k in _RECORDED}
     assert got == expected, (
         f"{name} drifted from the recorded golden — simulated behaviour "
         "changed; if deliberate, re-record tests/data/golden_makespans.json"
     )
 
 
-@pytest.mark.parametrize("name", sorted(_golden_scheduler_points()))
+@pytest.mark.parametrize("name", sorted(_golden("scheduler_points")))
 def test_scheduler_parity_goldens(name):
     """One recorded GEMM point per scheduling policy.
 
@@ -113,16 +132,43 @@ def test_scheduler_parity_goldens(name):
     each policy's pop/steal order, not just the default one the macro points
     exercise.
     """
-    rec = _golden_scheduler_points()[name]
+    rec = _golden("scheduler_points")[name]
     got = _observe_with_scheduler(rec["scheduler"], rec["n"], rec["nb"])
-    expected = {
-        "makespan": rec["makespan"],
-        "makespan_hex": rec["makespan_hex"],
-        "events_fired": rec["events_fired"],
-        "transfers": rec["transfers"],
-        "tasks": rec["tasks"],
-    }
+    expected = {k: rec[k] for k in _RECORDED}
     assert got == expected, (
         f"{name} drifted from the recorded golden — scheduler behaviour "
+        "changed; if deliberate, re-record tests/data/golden_makespans.json"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_golden("dmdas_policy_points")))
+def test_dmdas_source_policy_goldens(name):
+    """One recorded DMDAS GEMM point per source policy, on ragged tiles.
+
+    DMDAS prices every candidate device with the transfer manager's read-only
+    source estimate, which branches on the policy; these goldens pin its
+    placements under each of the four, not just the default one.
+    """
+    rec = _golden("dmdas_policy_points")[name]
+    got = _observe_with_scheduler(
+        rec["scheduler"], rec["n"], rec["nb"], SourcePolicy(rec["source_policy"])
+    )
+    expected = {k: rec[k] for k in _RECORDED}
+    assert got == expected, (
+        f"{name} drifted from the recorded golden — DMDAS placement "
+        "changed; if deliberate, re-record tests/data/golden_makespans.json"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_golden("posv_points")))
+def test_posv_production_goldens(name):
+    """POTRF+POTRS composed on one runtime, as Chameleon runs it in the
+    paper's composition study: DMDAS, TOPOLOGY sources, two kernel streams
+    per GPU and transfer/compute overlap."""
+    rec = _golden("posv_points")[name]
+    got = _observe_posv(rec["library"], rec["uplo"], rec["n"], rec["nb"])
+    expected = {k: rec[k] for k in _RECORDED}
+    assert got == expected, (
+        f"{name} drifted from the recorded golden — simulated behaviour "
         "changed; if deliberate, re-record tests/data/golden_makespans.json"
     )

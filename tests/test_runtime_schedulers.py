@@ -116,7 +116,7 @@ def test_dmda_prefers_device_with_resident_data(ctx):
     for tile in reads:
         rt.directory.seed_device(tile.key, 3, exclusive=False)
         rt.caches[3].insert(tile.key, tile.nbytes)
-    dmda = DmdaScheduler(4, rt.platform)
+    dmda = DmdaScheduler(4)
     dmda.push(make_task(part, 0, 0, reads=reads), c)
     assert dmda.pop(3, c) is not None
     assert all(dmda.pop(d, c) is None for d in (0, 1, 2))
@@ -124,7 +124,7 @@ def test_dmda_prefers_device_with_resident_data(ctx):
 
 def test_dmda_balances_queue_lengths(ctx):
     rt, part, c = ctx
-    dmda = DmdaScheduler(4, rt.platform)
+    dmda = DmdaScheduler(4)
     for j in range(4):
         dmda.push(make_task(part, 0, j), c)
     served = sum(dmda.pop(d, c) is not None for d in range(4))
@@ -133,7 +133,7 @@ def test_dmda_balances_queue_lengths(ctx):
 
 def test_dmda_pop_respects_priority(ctx):
     rt, part, c = ctx
-    dmda = DmdaScheduler(1, rt.platform)
+    dmda = DmdaScheduler(1)
     low = make_task(part, 0, 0)
     high = make_task(part, 0, 1)
     low.priority, high.priority = 1, 10
@@ -191,18 +191,3 @@ def test_round_robin_respects_hint(ctx):
     t = make_task(part, 0, 0, hint=2)
     rr.push(t, c)
     assert rr.pop(2, c) is t
-
-
-# -------------------------------------------------------------- context
-
-
-def test_context_locality_and_missing_bytes(ctx):
-    rt, part, c = ctx
-    reads = [part[(1, 0)], part[(1, 1)]]
-    rt.directory.seed_device(reads[0].key, 2, exclusive=False)
-    t = make_task(part, 0, 0, reads=reads)
-    assert c.locality_bytes(t, 2) == reads[0].nbytes
-    # missing = the other read tile + the RW output tile (it is read too)
-    assert c.missing_bytes(t, 2) == reads[1].nbytes + part[(0, 0)].nbytes
-    assert c.best_locality_device(t) == 2
-    assert c.best_locality_device(make_task(part, 2, 2)) is None

@@ -4,7 +4,6 @@ from repro import Runtime, RuntimeOptions
 from repro.memory.matrix import Matrix
 from repro.runtime.policies import SourcePolicy
 from repro.topology.dgx1 import make_dgx1
-from repro.topology.link import HOST
 
 
 def setup(policy=SourcePolicy.TOPOLOGY_OPTIMISTIC, num_gpus=8):
@@ -55,8 +54,8 @@ def test_topology_policy_picks_best_ranked_source():
     rt.caches[3].insert(tile.key, tile.nbytes)
     rt.directory.seed_device(tile.key, 5, exclusive=False)
     rt.caches[5].insert(tile.key, tile.nbytes)
-    src, _ = rt.transfer.preview_source(tile.key, 0)
-    assert src == 3
+    estimate = rt.transfer.estimate_transfers([tile.read_access])[0]
+    assert estimate == tile.nbytes / rt.fabric.link_bandwidth[(3, 0)]
     rt.transfer.ensure_resident(tile, dst=0)
     rt.sim.run()
     assert rt.transfer.stats()["p2p"] == 1
@@ -69,8 +68,8 @@ def test_host_only_policy_ignores_device_replicas():
     tile = part[(0, 0)]
     rt.directory.seed_device(tile.key, 3, exclusive=False)
     rt.caches[3].insert(tile.key, tile.nbytes)
-    src, bw = rt.transfer.preview_source(tile.key, 0)
-    assert src == HOST
+    estimate = rt.transfer.estimate_transfers([tile.read_access])[0]
+    assert estimate == tile.nbytes / rt.platform.host_bandwidth
     rt.transfer.ensure_resident(tile, dst=0)
     rt.sim.run()
     assert rt.transfer.stats()["p2p"] == 0

@@ -1,10 +1,11 @@
 """The batched transfer path: ``ensure_resident_batch``, ``_make_room``
-eviction corner cases, and ``preview_source`` / ``_select_source`` agreement.
+eviction corner cases, and ``estimate_transfers`` / ``_select_source``
+agreement.
 
 These pin the bit-identity contract of the array-backed transfer overhaul:
 the batch entry points must be op-for-op equivalent to the sequential calls
-they replaced, and the read-only preview must never disagree with the
-stateful pick.
+they replaced, and the read-only estimate must never price a different
+source than the stateful pick.
 """
 
 import pytest
@@ -232,7 +233,7 @@ def test_make_room_dirty_victim_with_host_copy_needs_no_writeback():
     assert rt.transfer.stats()["d2h"] == d2h_before
 
 
-# -------------------------------------- preview_source vs _select_source
+# ---------------------------------- estimate_transfers vs _select_source
 
 
 _POLICIES = [
@@ -253,8 +254,8 @@ _POLICIES = [
 @settings(max_examples=50, deadline=None)
 def test_property_preview_agrees_with_select(replicas, dst, ti, tj, policy):
     """Over random directory states (and no in-flight transfers) the
-    read-only ``preview_source`` and the stateful ``_select_source`` must
-    name the same source."""
+    read-only estimate prices a transfer to ``dst`` over the link from the
+    source the stateful ``_select_source`` picks."""
     rt = Runtime(make_dgx1(8), RuntimeOptions(source_policy=policy))
     mat = Matrix.meta(4096, 4096, name="A")
     part = rt.partition(mat, 1024)
@@ -263,17 +264,18 @@ def test_property_preview_agrees_with_select(replicas, dst, ti, tj, policy):
         rt.directory.seed_device(tile.key, d, exclusive=False)
         rt.caches[d].insert(tile.key, tile.nbytes)
 
-    src_prev, bw = rt.transfer.preview_source(tile.key, dst)
-    assert bw > 0
+    row = rt.transfer.estimate_transfers([tile.read_access])
     if dst in replicas:
-        # Already valid at the destination: preview reports a free local hit;
-        # the launch path never consults _select_source in this state.
-        assert src_prev == dst
+        # Already valid at the destination: a free local hit; the launch
+        # path never consults _select_source in this state.
+        assert row[dst] == 0.0
         return
     tid = rt.directory.lookup(tile.key)
     src_sel, _ = rt.transfer._select_source(tile.key, dst, rt.sim.now, tid)
-    assert src_sel == src_prev
     if not replicas or not policy.uses_device_sources:
         assert src_sel == HOST
+        bw = rt.platform.host_bandwidth
     else:
         assert src_sel in replicas
+        bw = rt.fabric.link_bandwidth[(src_sel, dst)]
+    assert row[dst] == tile.nbytes / bw
