@@ -11,9 +11,9 @@ boards, and every pair is reachable in at most one NVLink hop.
 from __future__ import annotations
 
 from repro.bench.harness import ExperimentResult
-from repro.topology.dgx1 import DGX1_DOUBLE_PAIRS, DGX1_SINGLE_PAIRS, make_dgx1
+from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import LinkKind
-from repro.topology.platform import Platform
+from repro.topology.platform import Platform, hop_distances
 
 
 def ascii_wiring(plat: Platform) -> list[str]:
@@ -68,19 +68,18 @@ def run(platform: Platform | None = None, fast: bool = False) -> ExperimentResul
         == 1
         for d in range(plat.num_gpus)
     )
-    one_hop = all(
-        (plat.nvlink_hops(i, j) or 0) <= 1
-        for i in plat.device_ids()
-        for j in plat.device_ids()
-    )
+    hops = [plat.nvlink_hops(i, j) for i in plat.device_ids() for j in plat.device_ids()]
+    one_hop = all(h is not None and h <= 1 for h in hops)
     rings = _board_rings_connected(plat)
+    inventory = plat.link_inventory()
     checks = {
         "every GPU: exactly 2 double + 2 single NVLink peers": per_gpu_ok,
         "exactly one cross-board NVLink per GPU": cross,
         "any pair reachable in <= 1 NVLink hop (§II-B)": one_hop,
         "each board's 4 GPUs form a connected NVLink mesh": rings,
         "16 directed double + 16 single links": (
-            len(DGX1_DOUBLE_PAIRS) == 8 and len(DGX1_SINGLE_PAIRS) == 8
+            inventory.get(LinkKind.NVLINK_DOUBLE, 0) == 16
+            and inventory.get(LinkKind.NVLINK_SINGLE, 0) == 16
         ),
     }
     return ExperimentResult(
@@ -94,16 +93,15 @@ def run(platform: Platform | None = None, fast: bool = False) -> ExperimentResul
 
 
 def _board_rings_connected(plat: Platform) -> bool:
-    import networkx as nx
-
     for board in (range(0, 4), range(4, 8)):
-        g = nx.Graph()
-        g.add_nodes_from(board)
+        # Undirected: a link counts for both ends, read once per pair.
+        adjacency: dict[int, list[int]] = {i: [] for i in board}
         for i in board:
             for j in board:
                 if i < j and plat.link(i, j).kind.is_nvlink:
-                    g.add_edge(i, j)
-        if not nx.is_connected(g):
+                    adjacency[i].append(j)
+                    adjacency[j].append(i)
+        if len(hop_distances(adjacency, board[0])) != len(board):
             return False
     return True
 

@@ -311,11 +311,6 @@ def fmt_cell(v: object) -> str:
     return str(v)
 
 
-#: Deprecated alias — ``fmt_cell`` is the public name; external callers of
-#: the old private helper keep working for one release.
-_fmt = fmt_cell
-
-
 def series_to_rows(
     sizes: Iterable[int], series: dict[str, dict[int, float | None]]
 ) -> list[list[object]]:

@@ -31,10 +31,10 @@ directory's interned tile ids: validity and host-validity bits
 (``directory._fmask`` — one integer test answers "nothing in flight", the
 overwhelmingly common case), the insertion-ordered flight maps
 (``directory._flights``) and the page-lock deadlines (``_pin_ready``, indexed
-by the run-local :meth:`DataStore.matrix_index`; the dict-keyed view survives
-as the :attr:`pinned_matrices` adapter).  Source selection reads the fabric's
-precomputed tables (`rank_key`, `best_source_by_mask`, `mask_members`,
-`link_bandwidth`) instead of re-deriving topology facts per transfer.
+by the run-local :meth:`DataStore.matrix_index`).  Source selection reads the
+fabric's precomputed tables (`rank_key`, `best_source_by_mask`,
+`mask_members`, `link_bandwidth`) instead of re-deriving topology facts per
+transfer.
 
 The executor's launch path enters through :meth:`ensure_resident_batch`: one
 pass over all of a task's accesses with every per-access attribute lookup
@@ -126,8 +126,7 @@ class TransferManager:
         #: host page-locking model (None = ignored, the paper's methodology).
         self.pinning_bandwidth = pinning_bandwidth
         #: array-backed page-lock deadlines, indexed by the run-local
-        #: :meth:`DataStore.matrix_index` (-1.0 = not yet page-locked); the
-        #: dict-keyed view lives on as :attr:`pinned_matrices`.
+        #: :meth:`DataStore.matrix_index` (-1.0 = not yet page-locked).
         self._pin_ready: list[float] = []
         self._pin_clock = 0.0  # page-locking is serial host work
         # Direct references into the directory's interning dict and state
@@ -475,20 +474,6 @@ class TransferManager:
                 lambda: f"pin {matrix.name}", matrix.nbytes,
             )
         return done
-
-    @property
-    def pinned_matrices(self) -> dict[int, float]:
-        """Dict-keyed adapter over the array-backed page-lock deadlines.
-
-        ``matrix id -> ready time`` for every matrix whose page-locking has
-        been charged; the hot path indexes :attr:`_pin_ready` directly.
-        """
-        ready = self._pin_ready
-        return {
-            mid: ready[idx]
-            for mid, idx in self.datastore._matrix_index.items()
-            if idx < len(ready) and ready[idx] >= 0.0
-        }
 
     # ----------------------------------------------------------- estimating
 

@@ -7,8 +7,7 @@ runtime heuristics need:
 * :meth:`Platform.p2p_performance_rank` — the simulated equivalent of CUDA's
   ``cuDeviceGetP2PAttribute(..., PERFORMANCE_RANK, src, dst)``, which the
   paper's XKBLAS extension calls at library initialization (§III-B);
-* :meth:`Platform.bandwidth_matrix` — the Fig. 2 measurement;
-* :meth:`Platform.graph` — a :mod:`networkx` view for routing/analysis.
+* :meth:`Platform.bandwidth_matrix` — the Fig. 2 measurement.
 """
 
 from __future__ import annotations
@@ -16,11 +15,29 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Mapping
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.device import CpuSpec, GpuSpec
-from repro.topology.link import HOST, Link, LinkKind
+from repro.topology.link import Link, LinkKind
+
+
+def hop_distances(adjacency: Mapping[int, Iterable[int]], src: int) -> dict[int, int]:
+    """Breadth-first edge counts from ``src`` to every node it reaches.
+
+    ``adjacency`` maps a node to its out-neighbours (a node with none may be
+    absent).  ``src`` itself is at distance 0.
+    """
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        reached = []
+        for node in frontier:
+            step = dist[node] + 1
+            for peer in adjacency.get(node, ()):
+                if peer not in dist:
+                    dist[peer] = step
+                    reached.append(peer)
+        frontier = reached
+    return dist
 
 
 @dataclasses.dataclass
@@ -163,44 +180,22 @@ class Platform:
                 counts[kind] = counts.get(kind, 0) + 1
         return counts
 
-    def graph(self) -> nx.DiGraph:
-        """Directed :mod:`networkx` graph of GPUs, host and links."""
-        g = nx.DiGraph(name=self.name)
-        for dev in self.device_ids():
-            g.add_node(dev, kind="gpu", spec=self.gpus[dev].name)
-        g.add_node(HOST, kind="host")
-        n = self.num_gpus
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                link = self.link(i, j)
-                g.add_edge(i, j, kind=link.kind, bandwidth=link.bandwidth)
-        for dev in self.device_ids():
-            g.add_edge(HOST, dev, kind=self.host_link_kind, bandwidth=self.host_bandwidth)
-            g.add_edge(dev, HOST, kind=self.host_link_kind, bandwidth=self.host_bandwidth)
-        return g
-
     def nvlink_hops(self, src: int, dst: int) -> int | None:
         """Minimum NVLink-only hop count between two GPUs, ``None`` if unreachable.
 
-        On the DGX-1 every GPU pair is at 0 or 1 intermediate hops over the
-        NVLink cube-mesh (paper §II-B).
+        Counts intermediate GPUs along directed NVLink links, so direct peers
+        are at 0 hops.  On the DGX-1 every GPU pair is at 0 or 1 intermediate
+        hops over the NVLink cube-mesh (paper §II-B).
         """
         if src == dst:
             return 0
-        g = nx.DiGraph()
-        n = self.num_gpus
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.link(i, j).kind.is_nvlink:
-                    g.add_edge(i, j)
-        if src not in g or dst not in g:
-            return None
-        try:
-            return nx.shortest_path_length(g, src, dst) - 1
-        except nx.NetworkXNoPath:
-            return None
+        devices = self.device_ids()
+        adjacency = {
+            i: [j for j in devices if j != i and self.link(i, j).kind.is_nvlink]
+            for i in devices
+        }
+        edges = hop_distances(adjacency, src).get(dst)
+        return None if edges is None else edges - 1
 
     def validate(self) -> None:
         """Consistency checks beyond construction (symmetric link classes)."""

@@ -25,12 +25,6 @@ def test_fmt_cell_formatting():
     assert fmt_cell("-") == "-"
 
 
-def test_fmt_cell_deprecated_alias():
-    from repro.bench import harness
-
-    assert harness._fmt is fmt_cell
-
-
 def test_to_markdown_section():
     text = to_markdown(_result())
     assert "### Fig. X — demo sweep" in text

@@ -20,6 +20,9 @@ from repro.bench.experiments import (
     table2_gain,
 )
 from repro.bench.harness import ExperimentResult
+from repro.topology.device import GpuSpec
+from repro.topology.link import Link, LinkKind
+from repro.topology.platform import Platform
 
 TINY = (4096, 8192)
 
@@ -52,6 +55,35 @@ def test_fig1_smoke():
 
     result = check(fig1_topology.run())
     assert result.all_checks_pass  # wiring is exact
+
+
+def test_fig1_checks_fail_without_nvlink():
+    """The cube-mesh checks read the platform under test, not DGX-1 constants."""
+    from repro.bench.experiments import fig1_topology
+
+    plat = Platform(
+        name="pcie-only",
+        gpus=[GpuSpec()] * 8,
+        pcie_switch_groups=[(0, 1), (2, 3), (4, 5), (6, 7)],
+    )
+    checks = check(fig1_topology.run(plat)).checks
+    assert checks["any pair reachable in <= 1 NVLink hop (§II-B)"] is False
+    assert checks["16 directed double + 16 single links"] is False
+    assert not any(checks.values())
+
+
+def test_fig1_board_connectivity_reads_each_pair_once_undirected():
+    """A board link counts for both ends, read from the lower-numbered GPU."""
+    from repro.bench.experiments.fig1_topology import _board_rings_connected
+
+    def one_way(pairs):
+        links = [Link(a, b, LinkKind.NVLINK_SINGLE) for a, b in pairs]
+        return Platform(name="rings", gpus=[GpuSpec()] * 8, links=links)
+
+    rings = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+    assert _board_rings_connected(one_way(rings))
+    assert not _board_rings_connected(one_way([(b, a) for a, b in rings]))
+    assert not _board_rings_connected(one_way(rings[:2] + rings[3:]))  # GPU 3 cut off
 
 
 def test_fig2_smoke():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.topology.device import CpuSpec, GpuSpec, characteristic_dim, occupancy_tiles
-from repro.topology.link import HOST, Link, LinkKind
+from repro.topology.link import Link, LinkKind
 from repro.topology.platform import Platform
 
 
@@ -95,12 +95,39 @@ def test_empty_platform_rejected():
         Platform(name="x", gpus=[])
 
 
-def test_graph_export():
-    plat = make_platform()
-    g = plat.graph()
-    assert HOST in g
-    assert g.number_of_nodes() == 4
-    assert g.has_edge(0, 1) and g.has_edge(HOST, 0)
+# ------------------------------------------------------------- NVLink hops
+
+
+def nvlink_platform(n, pairs):
+    """``n`` GPUs with one directed single NVLink per ``(src, dst)`` pair."""
+    links = [Link(a, b, LinkKind.NVLINK_SINGLE) for a, b in pairs]
+    return Platform(name="nvl", gpus=[GpuSpec()] * n, links=links)
+
+
+def test_nvlink_hops_counts_intermediate_gpus_on_a_directed_chain():
+    plat = nvlink_platform(4, [(0, 1), (1, 2), (2, 3)])
+    assert plat.nvlink_hops(0, 3) == 2
+    assert plat.nvlink_hops(0, 2) == 1
+    assert plat.nvlink_hops(0, 1) == plat.nvlink_hops(1, 2) == plat.nvlink_hops(2, 3) == 0
+    assert plat.nvlink_hops(3, 0) is None  # links are directed
+
+
+def test_nvlink_hops_one_way_link_is_unreachable_in_reverse():
+    plat = nvlink_platform(2, [(0, 1)])
+    assert plat.nvlink_hops(0, 1) == 0
+    assert plat.nvlink_hops(1, 0) is None
+
+
+def test_nvlink_hops_gpu_without_nvlink_is_unreachable():
+    plat = nvlink_platform(3, [(0, 1), (1, 0)])
+    assert plat.link(0, 2).kind is LinkKind.PCIE_PEER  # P2P works, NVLink does not
+    assert plat.nvlink_hops(0, 2) is None
+    assert plat.nvlink_hops(2, 1) is None
+
+
+def test_nvlink_hops_same_gpu_is_zero():
+    plat = nvlink_platform(3, [(0, 1), (1, 0)])
+    assert [plat.nvlink_hops(d, d) for d in range(3)] == [0, 0, 0]
 
 
 def test_bandwidth_matrix_shape():
