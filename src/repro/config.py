@@ -83,21 +83,14 @@ PAPER_TILE_SIZES = (1024, 2048, 4096)
 #: Extended tile sizes used for cuBLAS-XT and SLATE in the paper.
 PAPER_TILE_SIZES_EXTENDED = (1024, 2048, 4096, 8192, 16384)
 
-# --- runtime dispatch ----------------------------------------------------------
-
-#: Default of ``RuntimeOptions.fused_events``: collapse per-task submission
-#: bookkeeping chains into fused engine events (see ``runtime/executor.py``,
-#: "Fused-event dispatch").  Virtual-time output is bit-identical either way;
-#: fusion only reduces engine dispatches and Python overhead.  Automatically
-#: falls back to unfused dispatch when a trace recorder is enabled, so traces
-#: and the race detector keep seeing one event per submission.
-FUSED_EVENTS = True
+# --- tracing -------------------------------------------------------------------
 
 #: Default of ``RuntimeOptions.trace``: record the nvprof-like interval trace.
-#: On by default (traces feed the verification suite and golden recordings);
-#: perfbench flips the module flag around its macro measurements so the timed
-#: hot path is the production configuration — no trace append per interval,
-#: fused dispatch active.
+#: On by default (traces feed the verification suite and golden recordings).
+#: Tracing only observes — traced and untraced runs dispatch through the same
+#: submission pump and fire the same events — so perfbench flips the module
+#: flag around its macro measurements merely to leave the per-interval append
+#: out of the timed hot path.
 TRACE_EVENTS = True
 
 # --- verification -------------------------------------------------------------

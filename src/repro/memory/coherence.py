@@ -43,16 +43,13 @@ Every state transition is therefore O(1) integer arithmetic instead of a
 nested ``dict[TileKey, dict[int, ReplicaState]]`` walk — this directory sits
 on the hot path of every simulated transfer and kernel completion (BLASX
 attributes its multi-GPU win to exactly such an O(1) coherence layer).  The
-key-addressed :class:`ReplicaState` API is unchanged, and ``_entries``
-remains available as a thin write-through view so the verification suite can
-keep seeding illegal states directly.
+key-addressed :class:`ReplicaState` API is unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from collections.abc import Iterator, MutableMapping
 
 from repro.errors import CoherenceError
 from repro.memory.tile import TileKey
@@ -83,100 +80,6 @@ class InFlight:
     generation: int
 
 
-class _StatesView(MutableMapping):
-    """Write-through ``location -> ReplicaState`` view over the bitmasks.
-
-    Exists for the verification suite, which seeds protocol-illegal states
-    (two owners, a valid flight destination...) by assigning into
-    ``directory._entries[key].states`` directly; the hot path never builds
-    one of these.
-    """
-
-    __slots__ = ("_d", "_tid")
-
-    def __init__(self, directory: "CoherenceDirectory", tid: int) -> None:
-        self._d = directory
-        self._tid = tid
-
-    def __getitem__(self, loc: int) -> ReplicaState:
-        d, tid, bit = self._d, self._tid, 1 << (loc + 1)
-        if not d._valid[tid] & bit:
-            raise KeyError(loc)
-        return ReplicaState.MODIFIED if d._mod[tid] & bit else ReplicaState.SHARED
-
-    def __setitem__(self, loc: int, state: ReplicaState) -> None:
-        d, tid, bit = self._d, self._tid, 1 << (loc + 1)
-        d._valid[tid] |= bit
-        if state is ReplicaState.MODIFIED:
-            d._mod[tid] |= bit
-        else:
-            d._mod[tid] &= ~bit
-
-    def __delitem__(self, loc: int) -> None:
-        d, tid, bit = self._d, self._tid, 1 << (loc + 1)
-        if not d._valid[tid] & bit:
-            raise KeyError(loc)
-        d._valid[tid] &= ~bit
-        d._mod[tid] &= ~bit
-
-    def __iter__(self) -> Iterator[int]:
-        m = self._d._valid[self._tid]
-        while m:
-            low = m & -m
-            yield low.bit_length() - 2  # bit index - 1 == location
-            m ^= low
-
-    def __len__(self) -> int:
-        return self._d._valid[self._tid].bit_count()
-
-
-class _TileEntryView:
-    """Mutable per-tile view mirroring the old ``_TileEntry`` attributes."""
-
-    __slots__ = ("_d", "_tid")
-
-    def __init__(self, directory: "CoherenceDirectory", tid: int) -> None:
-        self._d = directory
-        self._tid = tid
-
-    @property
-    def states(self) -> _StatesView:
-        return _StatesView(self._d, self._tid)
-
-    @property
-    def in_flight(self) -> dict[int, InFlight]:
-        return self._d._flights[self._tid]
-
-    @property
-    def generation(self) -> int:
-        return self._d._gen[self._tid]
-
-    @generation.setter
-    def generation(self, value: int) -> None:
-        self._d._gen[self._tid] = value
-
-
-class _EntriesView:
-    """``key -> entry`` accessor kept for tests that tamper on purpose."""
-
-    __slots__ = ("_d",)
-
-    def __init__(self, directory: "CoherenceDirectory") -> None:
-        self._d = directory
-
-    def __getitem__(self, key: TileKey) -> _TileEntryView:
-        return _TileEntryView(self._d, self._d.lookup(key))
-
-    def __contains__(self, key: TileKey) -> bool:
-        return key in self._d._ids
-
-    def __len__(self) -> int:
-        return len(self._d._ids)
-
-    def __iter__(self) -> Iterator[TileKey]:
-        return iter(self._d._ids)
-
-
 class CoherenceDirectory:
     """Replica states and in-flight metadata for all tiles of one execution.
 
@@ -192,8 +95,6 @@ class CoherenceDirectory:
         self._gen: list[int] = []
         self._flights: list[dict[int, InFlight]] = []
         self._fmask: list[int] = []
-        #: legacy per-key entry accessor (verification tests tamper through it)
-        self._entries = _EntriesView(self)
 
     # ------------------------------------------------------------- interning
 

@@ -80,9 +80,12 @@ class RuntimeOptions:
     #: fraction of device memory usable as software cache.
     cache_fraction: float = 0.92
     #: record an nvprof-like trace (disable for the largest sweeps).  The
-    #: default follows :data:`repro.config.TRACE_EVENTS` at construction, so
-    #: benchmarks can time the untraced production path by flipping the module
-    #: flag without threading an argument through every library surface.
+    #: recorder only observes: a traced run dispatches exactly what an
+    #: untraced one does (same submission pump, same event count), it just
+    #: also keeps the intervals.  The default follows
+    #: :data:`repro.config.TRACE_EVENTS` at construction, so benchmarks can
+    #: skip the per-interval append by flipping the module flag without
+    #: threading an argument through every library surface.
     trace: bool = dataclasses.field(default_factory=lambda: config.TRACE_EVENTS)
     #: cap on recorded trace intervals (``None`` = unbounded).  Huge runs
     #: with tracing on keep the first ``trace_limit`` intervals and count the
@@ -120,14 +123,6 @@ class RuntimeOptions:
     #: default follows :data:`repro.config.VERIFY_COHERENCE` at construction.
     verify_coherence: bool = dataclasses.field(
         default_factory=lambda: config.VERIFY_COHERENCE
-    )
-    #: fuse per-task submission bookkeeping into batched engine events (see
-    #: ``runtime/executor.py`` — "Fused-event dispatch").  Bit-identical
-    #: virtual-time output; automatically falls back to unfused dispatch while
-    #: a trace recorder is enabled so traces see every intermediate event.
-    #: The default follows :data:`repro.config.FUSED_EVENTS` at construction.
-    fused_events: bool = dataclasses.field(
-        default_factory=lambda: config.FUSED_EVENTS
     )
     #: install :class:`repro.bench.phases.PhaseCounters` on this runtime —
     #: per-phase (engine/dispatch/transfer-path) wall-time accumulators for
@@ -198,7 +193,6 @@ class Runtime:
             retain_inputs=opts.retain_inputs,
             retain_tasks=opts.retain_tasks,
             stream_window=opts.stream_window,
-            fused_events=opts.fused_events,
         )
         #: per-phase wall-time counters, or None when not enabled.  Installed
         #: last: the wrappers must see the fully-assembled object graph.

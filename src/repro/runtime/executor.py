@@ -24,16 +24,16 @@ implementing XKBLAS's lazy coherence (§IV-F).
 Submission comes in two shapes with identical virtual-time accounting:
 
 * :meth:`Executor.submit` — the materialized path: every task object exists
-  before the simulation runs, one submission-instant event per task;
+  before the simulation runs, one submission instant per task;
 * :meth:`Executor.submit_stream` — the streaming path: tasks are *pulled*
   from an iterable one at a time, each pull happening at the previous task's
   submission instant (which is exactly when the simulated host thread frees
   up to create the next task).  The clock arithmetic is the same
-  ``max(submit_clock, now) + task_overhead`` recurrence, and one event fires
-  per task, so makespans, transfer stats and event counts are bit-identical
-  to the materialized path — but only a bounded window of the task graph is
-  ever resident, which is what lets million-task graphs run in flat memory
-  (paired with ``TaskGraph(retain_tasks=False)`` reclamation).
+  ``max(submit_clock, now) + task_overhead`` recurrence, so makespans,
+  transfer stats and event counts are bit-identical to the materialized
+  path — but only a bounded window of the task graph is ever resident,
+  which is what lets million-task graphs run in flat memory (paired with
+  ``TaskGraph(retain_tasks=False)`` reclamation).
 
 The ``stream_window`` admission bound makes the residency claim real: since
 per-task submission overhead (µs) is orders of magnitude below kernel times
@@ -45,37 +45,38 @@ points) keep bit-identical accounting; beyond it, submission instants shift
 to completion-driven ones, which can perturb makespans slightly and is the
 documented price of flat memory (see DESIGN §9).
 
-Fused-event dispatch
---------------------
+Submission pump
+---------------
 
-With ``fused_events`` on (and no trace recorder attached), submission
-instants run through the *submission pump* (:meth:`Executor._pump`) instead
-of one engine event each.  Every submission still reserves its own engine
-sequence number at intent time (:meth:`Simulator.reserve_seq`), so every
-same-instant tie-break is decided exactly as in the unfused path; but only
-the *first* pending submission owns a heap entry.  When the pump fires it
-processes its submission and then keeps folding consecutive pending
-submissions into the same engine event, for as long as (a) the next pending
-``(time, seq)`` precedes everything on the heap — i.e. the engine would have
-dispatched it next anyway — and (b) it does not pass the engine's
-``inline_horizon`` (a ``run(until=...)`` horizon; ``run(max_events=...)``
-disables fusion so event budgets stay exact).  Otherwise the pump re-arms a
-heap entry carrying the next pending submission's reserved key and yields.
-The observable virtual-time state (makespans, transfer stats, task
-start/end times, scheduler decisions) is bit-identical to the unfused path
-by construction; only :attr:`Simulator.events_fired` drops, which is the
-point — see perfbench's ``events_per_task`` column.
+Every submission instant runs through the *submission pump*
+(:meth:`Executor._pump`).  Each submission reserves its own engine sequence
+number at intent time (:meth:`Simulator.reserve_seq`), so every same-instant
+tie-break is decided exactly as if one engine event had been posted per
+submission; but only the *first* pending submission owns a heap entry.  When
+the pump fires it processes its submission and then keeps folding
+consecutive pending submissions into the same engine event, for as long as
+(a) the next pending ``(time, seq)`` precedes everything on the heap — i.e.
+the engine would have dispatched it next anyway — and (b) it does not pass
+the engine's ``inline_horizon`` (a ``run(until=...)`` horizon).  Otherwise
+the pump re-arms a heap entry carrying the next pending submission's
+reserved key and yields.  ``run(max_events=...)`` sets the horizon to
+``-inf``, so the pump then dispatches once per submission: event budgets
+stay exact, and that *unfolded* run is the reference the folded one is
+tested against.  Folding changes no virtual-time observable (makespans,
+transfer stats, task start/end times, scheduler decisions); only
+:attr:`Simulator.events_fired` drops, which is the point — see perfbench's
+``events_per_task`` column.
 
-The fused path is disabled whenever the runtime's :class:`TraceRecorder` is
-enabled at construction, so traces (and the race detector built on them)
-observe one engine event per submission exactly as before.  Completions
-already fold their wake-up and successor launches into the completion event
-itself (``_complete_task`` → ``_finish`` → ``_wake_all`` runs inline), in
-both modes — the same-instant coalescing there is achieved by skipping
-provably-no-op work (window-full workers are masked out of the wake scan,
-an empty scheduler returns after the rotation advance) rather than by
-reordering wake calls, which measurably perturbs the recorded schedules
-(the scan-origin rotation is part of them).
+Tracing observes the pump without changing it: intervals are recorded by
+kernel launches and the transfer path, never by a submission, so a traced
+run executes exactly what an untraced one does, event count included.
+Completions fold their wake-up and successor launches into the completion
+event itself (``_complete_task`` → ``_finish`` → ``_wake_all`` runs inline)
+— the same-instant coalescing there is achieved by skipping provably-no-op
+work (window-full workers are masked out of the wake scan, an empty
+scheduler returns after the rotation advance) rather than by reordering wake
+calls, which measurably perturbs the recorded schedules (the scan-origin
+rotation is part of them).
 """
 
 from __future__ import annotations
@@ -134,7 +135,6 @@ class Executor:
         retain_inputs: bool = True,
         retain_tasks: bool = True,
         stream_window: int | None = 8192,
-        fused_events: bool = False,
     ) -> None:
         self.sim = sim
         self.platform = platform
@@ -188,15 +188,11 @@ class Executor:
         self._stream_paused = False
         self._completed = 0
         self._flush_tasks: set[int] = set()
-        #: fused-event dispatch (see module docstring): decided once at
-        #: construction — an attached (enabled) trace recorder forces the
-        #: unfused path so traces see one engine event per submission.
-        self._fused = bool(fused_events) and not trace.enabled
-        #: pending fused submissions: ``(time, seq, task, streamed)`` in
+        #: pending submissions: ``(time, seq, task, streamed)`` in
         #: nondecreasing ``(time, seq)`` order.  Only the head owns a heap
         #: entry; the pump folds the rest inline when the engine would have
-        #: dispatched them next anyway.
-        self._fused_pending: deque = deque()
+        #: dispatched them next anyway (see module docstring).
+        self._submissions: deque = deque()
         self._pumping = False
         #: one vectorized kernel-time prefill per pump arming (re-arms within
         #: a batch skip the rescan — the shapes were already collected).
@@ -242,35 +238,18 @@ class Executor:
         if self._stream_active:
             self._pending_streams.append((iter((task,)), is_flush))
             return task
-        self.graph.add(task)
-        if is_flush:
-            self._flush_tasks.add(task.uid)
-        sim = self.sim
-        clock = self._submit_clock
-        now = sim.now
-        if now > clock:
-            clock = now
-        t = self._submit_clock = clock + self.task_overhead
-        if self._fused:
-            seq = sim.reserve_seq()
-            pending = self._fused_pending
-            if not pending and not self._pumping:
-                sim.post_reserved(t, seq, self._pump)
-                self._pump_prefilled = False
-            pending.append((t, seq, task, False))
-        else:
-            sim.post(t, self._mark_submitted, task)
+        self._admit(task, is_flush, streamed=False)
         return task
 
     def submit_stream(self, tasks, is_flush: bool = False) -> None:
         """Submit tasks from an iterable, pulling them lazily.
 
         Only one task of the stream is materialized ahead of the simulation:
-        the next task is pulled inside the previous one's submission-instant
-        event — the same moment the simulated host thread becomes free to
-        create it — so the ``task_overhead`` recurrence, the submission
-        order, and the one-event-per-task count are identical to
-        :meth:`submit` over the materialized list.
+        the next task is pulled at the previous one's submission instant —
+        the same moment the simulated host thread becomes free to create it —
+        so the ``task_overhead`` recurrence, the submission order and the
+        engine event count are identical to :meth:`submit` over the
+        materialized list.
         """
         self._pending_streams.append((iter(tasks), is_flush))
         if not self._stream_active:
@@ -293,70 +272,55 @@ class Executor:
             if task is None:
                 streams.popleft()
                 continue
-            self.graph.add(task)
-            if is_flush:
-                self._flush_tasks.add(task.uid)
-            sim = self.sim
-            clock = self._submit_clock
-            now = sim.now
-            if now > clock:
-                clock = now
-            t = self._submit_clock = clock + self.task_overhead
-            if self._fused:
-                seq = sim.reserve_seq()
-                pending = self._fused_pending
-                if not pending and not self._pumping:
-                    sim.post_reserved(t, seq, self._pump)
-                    self._pump_prefilled = False
-                pending.append((t, seq, task, True))
-            else:
-                sim.post(t, self._mark_submitted_stream, task)
+            self._admit(task, is_flush, streamed=True)
             return
         self._stream_active = False
 
-    def _mark_submitted(self, task: Task) -> None:
-        """Submission-instant event: the host thread finished creating the task."""
-        task.submitted = True
-        if task.state == "ready":
-            self._enqueue(task)
+    def _admit(self, task: Task, is_flush: bool, streamed: bool) -> None:
+        """Add ``task`` to the graph and queue its submission instant.
 
-    def _mark_submitted_stream(self, task: Task) -> None:
-        """Streamed submission instant: pull the successor, then proceed.
-
-        The pull happens *before* this task is handed to the scheduler so the
-        next submission event is on the heap ahead of whatever this task's
-        enqueue posts — mirroring the materialized path, where all submission
-        events pre-date every launch/completion event.
+        The instant follows the host thread's ``max(submit_clock, now) +
+        task_overhead`` recurrence; its engine ``seq`` is reserved now, and
+        the pump is armed if no submission is pending.
         """
-        self._pull_next()
-        task.submitted = True
-        if task.state == "ready":
-            self._enqueue(task)
+        self.graph.add(task)
+        if is_flush:
+            self._flush_tasks.add(task.uid)
+        sim = self.sim
+        clock = self._submit_clock
+        now = sim.now
+        if now > clock:
+            clock = now
+        t = self._submit_clock = clock + self.task_overhead
+        seq = sim.reserve_seq()
+        pending = self._submissions
+        if not pending and not self._pumping:
+            sim.post_reserved(t, seq, self._pump)
+            self._pump_prefilled = False
+        pending.append((t, seq, task, streamed))
 
     def _pump(self) -> None:
-        """Fused submission pump: one engine event, many submission instants.
+        """Submission pump: one engine event, many submission instants.
 
-        Fires as the heap entry of the head of ``_fused_pending``; after
+        Fires as the heap entry of the head of ``_submissions``; after
         processing it, keeps folding the next pending submission into this
         same engine event exactly when the engine itself would have
         dispatched it next — its ``(time, seq)`` strictly precedes the heap
         top (reserved seqs make the comparison exact, including same-instant
         ties) and does not pass ``inline_horizon``.  Otherwise it re-arms a
         heap entry under the next submission's reserved key and returns.
-        Streamed entries pull their successor *before* being enqueued, same
-        as :meth:`_mark_submitted_stream`.
+        Streamed entries pull their successor *before* being enqueued, so
+        the successor's submission is queued ahead of whatever this task's
+        enqueue posts — as in the materialized path, where every submission
+        pre-dates every launch and completion.
         """
         sim = self.sim
-        # Engine-owned, never rebound; read-only ``heap[0]`` peek below.  The
-        # raw peek deliberately bypasses cancellation accounting (unlike
-        # ``Simulator.pending``): a cancelled top entry only makes the
-        # comparison conservative — the pump re-arms a reserved event instead
-        # of folding inline, same virtual order either way — and the runtime
-        # never cancels events, so the case is theoretical.  Everything in
-        # this loop is O(1) per folded submission; the streamed-window resume
-        # path (``_pull_next``) is two counter comparisons, not a scan.
+        # Engine-owned, never rebound; read-only ``heap[0]`` peek below.
+        # Everything in this loop is O(1) per folded submission; the
+        # streamed-window resume path (``_pull_next``) is two counter
+        # comparisons, not a scan.
         heap = sim._heap
-        pending = self._fused_pending
+        pending = self._submissions
         if not pending:  # pragma: no cover - defensive; invariant: armed ⇒ pending
             return
         self._pumping = True
@@ -389,7 +353,7 @@ class Executor:
             self._pumping = False
 
     def _prefill_kernel_times(self, pending) -> None:
-        """Vectorized kernel-time computation over a fused submission batch.
+        """Vectorized kernel-time computation over a pending submission batch.
 
         One numpy pass per device fills each worker's duration memo for every
         distinct (flops, dim, wordsize, regularity) shape in the batch —

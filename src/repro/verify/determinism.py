@@ -82,7 +82,8 @@ DECISION_ROOTS = [
     "TransferManager._select_source",
     "TransferManager.estimate_transfers",
     "TransferManager.ensure_host_valid",
-    # the executor's dispatch loop
+    # the executor's dispatch loop (the pump is the only submission path)
+    "Executor._pump",
     "Executor._wake_all",
     "Executor._launch",
     "Executor._finish",

@@ -9,7 +9,12 @@ Two guarantees, both load-bearing for the performance work:
   ``tests/data/golden_makespans.json`` were recorded on the *pre-optimization*
   hot path (PR 2); every optimization since must reproduce them exactly.
   A mismatch here means an "optimization" changed simulated behaviour, which
-  is a correctness bug no wall-time win can justify.
+  is a correctness bug no wall-time win can justify.  ``events_fired`` counts
+  the submission pump's folded dispatches; where a point records
+  ``events_unfolded`` and the test builds the runtime itself, the same point
+  is replayed under ``sync(max_events=...)`` (folding off, one dispatch per
+  submission) and must fire exactly that many events with every other field
+  unchanged.
 
 When a *deliberate* model change shifts these numbers, re-record the golden
 file and say so in the commit — never loosen the comparison.
@@ -36,6 +41,9 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "golden_makespans.json"
 
 _RECORDED = ("makespan", "makespan_hex", "events_fired", "transfers", "tasks")
 
+#: event budget that only switches folding off (no golden point comes close).
+_UNFOLDED = 10**9
+
 
 def _outcome(rt: Runtime, makespan: float) -> dict:
     return {
@@ -61,12 +69,14 @@ def _observe_with_scheduler(
     n: int,
     nb: int,
     source_policy: SourcePolicy = SourcePolicy.TOPOLOGY_OPTIMISTIC,
+    max_events: int | None = None,
 ) -> dict:
     """One GEMM point under a specific scheduling and source policy.
 
     Mirrors the recording script for ``scheduler_points``: owner-computes
     needs a distribution to derive owners from, every other policy runs with
     its defaults.  Priorities are assigned exactly as ``Session.sync`` does.
+    A ``max_events`` budget turns submission folding off.
     """
     opts: dict = {"scheduler": scheduler, "source_policy": source_policy}
     if scheduler == "owner-computes":
@@ -78,7 +88,12 @@ def _observe_with_scheduler(
         rt.submit(task)
     rt.memory_coherent_async(c, nb)
     rt.executor.graph.critical_path_priorities()
-    return _outcome(rt, rt.sync())
+    return _outcome(rt, rt.sync(max_events=max_events))
+
+
+def _unfolded(rec: dict) -> dict:
+    """What a ``sync(max_events=...)`` replay of ``rec`` must observe."""
+    return {**{k: rec[k] for k in _RECORDED}, "events_fired": rec["events_unfolded"]}
 
 
 def _observe_posv(library: str, uplo: str, n: int, nb: int) -> dict:
@@ -139,6 +154,10 @@ def test_scheduler_parity_goldens(name):
         f"{name} drifted from the recorded golden — scheduler behaviour "
         "changed; if deliberate, re-record tests/data/golden_makespans.json"
     )
+    unfolded = _observe_with_scheduler(
+        rec["scheduler"], rec["n"], rec["nb"], max_events=_UNFOLDED
+    )
+    assert unfolded == _unfolded(rec), f"{name}: unfolded replay drifted"
 
 
 @pytest.mark.parametrize("name", sorted(_golden("dmdas_policy_points")))
@@ -150,14 +169,17 @@ def test_dmdas_source_policy_goldens(name):
     placements under each of the four, not just the default one.
     """
     rec = _golden("dmdas_policy_points")[name]
-    got = _observe_with_scheduler(
-        rec["scheduler"], rec["n"], rec["nb"], SourcePolicy(rec["source_policy"])
-    )
+    policy = SourcePolicy(rec["source_policy"])
+    got = _observe_with_scheduler(rec["scheduler"], rec["n"], rec["nb"], policy)
     expected = {k: rec[k] for k in _RECORDED}
     assert got == expected, (
         f"{name} drifted from the recorded golden — DMDAS placement "
         "changed; if deliberate, re-record tests/data/golden_makespans.json"
     )
+    unfolded = _observe_with_scheduler(
+        rec["scheduler"], rec["n"], rec["nb"], policy, max_events=_UNFOLDED
+    )
+    assert unfolded == _unfolded(rec), f"{name}: unfolded replay drifted"
 
 
 @pytest.mark.parametrize("name", sorted(_golden("posv_points")))

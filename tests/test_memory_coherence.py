@@ -77,7 +77,7 @@ def test_stale_flight_completion_is_dropped():
     # The flight record is gone after the write; a late completion of a
     # *re-issued* transfer under the old generation must be dropped.
     d.begin_transfer(K, 1, 2.0, 2)
-    d._entries[K].in_flight[1].generation -= 1  # simulate stale generation
+    d.flights_map(d.lookup(K))[1].generation -= 1  # simulate stale generation
     assert d.complete_transfer(K, 1) is False
     assert not d.is_valid(K, 1)
 

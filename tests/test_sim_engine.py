@@ -14,9 +14,9 @@ def test_clock_starts_at_zero():
 def test_events_fire_in_time_order():
     sim = Simulator()
     fired = []
-    sim.schedule(3.0, lambda: fired.append(3))
-    sim.schedule(1.0, lambda: fired.append(1))
-    sim.schedule(2.0, lambda: fired.append(2))
+    sim.post(3.0, lambda: fired.append(3))
+    sim.post(1.0, lambda: fired.append(1))
+    sim.post(2.0, lambda: fired.append(2))
     sim.run()
     assert fired == [1, 2, 3]
     assert sim.now == 3.0
@@ -26,79 +26,17 @@ def test_simultaneous_events_fire_in_submission_order():
     sim = Simulator()
     fired = []
     for i in range(10):
-        sim.schedule(1.0, lambda i=i: fired.append(i))
+        sim.post(1.0, lambda i=i: fired.append(i))
     sim.run()
     assert fired == list(range(10))
 
 
-def test_schedule_after_relative_delay():
-    sim = Simulator()
-    seen = []
-    sim.schedule(1.0, lambda: sim.schedule_after(0.5, lambda: seen.append(sim.now)))
-    sim.run()
-    assert seen == [1.5]
-
-
 def test_schedule_in_past_rejected():
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.post(1.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
-        sim.schedule(0.5, lambda: None)
-
-
-def test_negative_delay_rejected():
-    with pytest.raises(SimulationError):
-        Simulator().schedule_after(-1.0, lambda: None)
-
-
-def test_cancelled_event_is_skipped():
-    sim = Simulator()
-    fired = []
-    event = sim.schedule(1.0, lambda: fired.append("cancelled"))
-    sim.schedule(2.0, lambda: fired.append("kept"))
-    event.cancel()
-    sim.run()
-    assert fired == ["kept"]
-
-
-def test_pending_counts_cancellations_exactly():
-    # ``pending`` is O(1): len(heap) minus a cancelled-in-heap counter.  The
-    # counter must move on queued cancellations only — double-cancels and
-    # cancels after the event already fired are no-ops.
-    sim = Simulator()
-    kept = sim.schedule(1.0, lambda: None)
-    dead = sim.schedule(2.0, lambda: None)
-    assert sim.pending == 2
-    dead.cancel()
-    assert sim.pending == 1
-    dead.cancel()  # idempotent: no double count
-    assert sim.pending == 1
-    sim.run()
-    assert sim.pending == 0
-    kept.cancel()  # already fired: must not go negative
-    dead.cancel()
-    assert sim.pending == 0
-
-
-def test_pending_exact_after_cancelled_top_is_reaped():
-    # A cancelled entry reaped by the horizon peek (not a dispatch) must also
-    # decrement the counter.
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None).cancel()
-    sim.schedule(10.0, lambda: None)
-    sim.run(until=5.0)
-    assert sim.pending == 1
-
-
-def test_step_past_cancelled_keeps_pending_exact():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None).cancel()
-    sim.schedule(2.0, lambda: None)
-    assert sim.pending == 1
-    assert sim.step()  # skips the dead entry, fires the live one
-    assert sim.pending == 0
-    assert sim.events_fired == 1
+        sim.post(0.5, lambda: None)
 
 
 def test_events_scheduled_during_run_fire():
@@ -108,9 +46,9 @@ def test_events_scheduled_during_run_fire():
     def chain(depth):
         fired.append(depth)
         if depth < 5:
-            sim.schedule_after(1.0, lambda: chain(depth + 1))
+            sim.post(sim.now + 1.0, lambda: chain(depth + 1))
 
-    sim.schedule(0.0, lambda: chain(0))
+    sim.post(0.0, lambda: chain(0))
     sim.run()
     assert fired == [0, 1, 2, 3, 4, 5]
     assert sim.now == 5.0
@@ -119,8 +57,8 @@ def test_events_scheduled_during_run_fire():
 def test_run_until_horizon_leaves_future_events_queued():
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, lambda: fired.append(1))
-    sim.schedule(10.0, lambda: fired.append(10))
+    sim.post(1.0, lambda: fired.append(1))
+    sim.post(10.0, lambda: fired.append(10))
     sim.run(until=5.0)
     assert fired == [1]
     assert sim.now == 5.0
@@ -132,14 +70,14 @@ def test_run_until_horizon_leaves_future_events_queued():
 def test_run_until_advances_clock_when_heap_drains_early():
     # Regression (PR 2): ``run(until=T)`` used to leave the clock at the last
     # event's time when the heap drained before the horizon, so a subsequent
-    # ``schedule(now + dt)`` could land in the caller's past.
+    # ``post(now + dt)`` could land in the caller's past.
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, lambda: fired.append(1))
+    sim.post(1.0, lambda: fired.append(1))
     sim.run(until=5.0)
     assert fired == [1]
     assert sim.now == 5.0
-    sim.schedule(5.0, lambda: fired.append(5))  # horizon time is schedulable
+    sim.post(5.0, lambda: fired.append(5))  # horizon time is schedulable
     sim.run()
     assert fired == [1, 5]
 
@@ -160,9 +98,9 @@ def test_max_events_fires_exactly_the_budget():
 
     def respawn():
         fired.append(sim.now)
-        sim.schedule_after(1.0, respawn)
+        sim.post(sim.now + 1.0, respawn)
 
-    sim.schedule(0.0, respawn)
+    sim.post(0.0, respawn)
     with pytest.raises(SimulationError, match="livelock"):
         sim.run(max_events=7)
     assert len(fired) == 7
@@ -173,7 +111,7 @@ def test_max_events_sufficient_budget_completes_without_error():
     sim = Simulator()
     fired = []
     for i in range(5):
-        sim.schedule(float(i), lambda i=i: fired.append(i))
+        sim.post(float(i), lambda i=i: fired.append(i))
     sim.run(max_events=5)
     assert fired == [0, 1, 2, 3, 4]
 
@@ -182,9 +120,9 @@ def test_max_events_guards_against_livelock():
     sim = Simulator()
 
     def respawn():
-        sim.schedule_after(1.0, respawn)
+        sim.post(sim.now + 1.0, respawn)
 
-    sim.schedule(0.0, respawn)
+    sim.post(0.0, respawn)
     with pytest.raises(SimulationError, match="livelock"):
         sim.run(max_events=100)
 
@@ -195,9 +133,9 @@ def test_step_returns_false_when_empty():
 
 def test_reset_clears_everything():
     sim = Simulator()
-    sim.schedule(1.0, lambda: None)
+    sim.post(1.0, lambda: None)
     sim.run()
-    sim.schedule(2.0, lambda: None)
+    sim.post(2.0, lambda: None)
     sim.reset()
     assert sim.now == 0.0
     assert sim.pending == 0
@@ -212,7 +150,7 @@ def test_run_not_reentrant():
             sim.run()
         seen.append(True)
 
-    sim.schedule(0.0, reenter)
+    sim.post(0.0, reenter)
     sim.run()
     assert seen == [True]
 
@@ -222,7 +160,7 @@ def test_property_events_fire_in_nondecreasing_time(times):
     sim = Simulator()
     observed = []
     for t in times:
-        sim.schedule(t, lambda t=t: observed.append(sim.now))
+        sim.post(t, lambda t=t: observed.append(sim.now))
     sim.run()
     assert observed == sorted(observed)
     assert len(observed) == len(times)

@@ -144,7 +144,7 @@ def test_reclamation_drops_task_references():
     # submitted flag lives on the tasks themselves and is reclaimed with
     # them; only the flush set is executor-side state).
     assert rt.executor._flush_tasks == set()
-    assert not rt.executor._fused_pending
+    assert not rt.executor._submissions
 
 
 def test_reclaimed_task_is_garbage_collected():

@@ -25,9 +25,30 @@ def codes(findings):
     return {f.code for f in findings}
 
 
-def entry_of(directory, key=KEY):
-    directory.is_valid(key, HOST)  # materialize the entry
-    return directory._entries[key]  # noqa: SLF001 — tests tamper on purpose
+# Tampering helpers: they write the directory's bitmasks through the id API
+# (``lookup``/``flights_map`` plus the ``_valid``/``_mod``/``_gen`` lists),
+# bypassing the protocol on purpose to seed states it forbids.
+
+
+def force_state(directory, loc, state, key=KEY):
+    """Mark the replica at ``loc`` valid in ``state``, no questions asked."""
+    tid = directory.lookup(key)
+    bit = 1 << (loc + 1)
+    directory._valid[tid] |= bit  # noqa: SLF001 — tests tamper on purpose
+    if state is ReplicaState.MODIFIED:
+        directory._mod[tid] |= bit
+    else:
+        directory._mod[tid] &= ~bit
+
+
+def flight_to(directory, dst, key=KEY):
+    """The live in-flight record of ``key`` towards ``dst``."""
+    return directory.flights_map(directory.lookup(key))[dst]
+
+
+def shift_generation(directory, delta, key=KEY):
+    """Move the tile generation without touching its flights."""
+    directory._gen[directory.lookup(key)] += delta
 
 
 # ----------------------------------------------------------------- clean runs
@@ -74,24 +95,24 @@ def test_sanitizer_disabled_by_default():
 def test_double_modified_detected():
     d = CoherenceDirectory()
     d.write(KEY, 0)
-    entry_of(d).states[1] = ReplicaState.MODIFIED  # second owner: impossible
+    force_state(d, 1, ReplicaState.MODIFIED)  # second owner: impossible
     assert codes(check_tile(d, KEY)) == {"C001"}
 
 
 def test_host_valid_while_device_modified_detected():
     d = CoherenceDirectory()
     d.write(KEY, 0)
-    entry_of(d).states[HOST] = ReplicaState.SHARED  # stale host marked valid
+    force_state(d, HOST, ReplicaState.SHARED)  # stale host marked valid
     assert codes(check_tile(d, KEY)) == {"C002"}
 
 
 def test_flight_generation_drift_detected():
     d = CoherenceDirectory()
     d.begin_transfer(KEY, 0, completes_at=1.0, source=HOST)
-    entry_of(d).in_flight[0].generation += 1  # flight from the future
+    flight_to(d, 0).generation += 1  # flight from the future
     assert codes(check_tile(d, KEY)) == {"C003"}
-    entry_of(d).in_flight[0].generation -= 1
-    entry_of(d).generation += 1  # write that forgot to clear the flight
+    flight_to(d, 0).generation -= 1
+    shift_generation(d, 1)  # write that forgot to clear the flight
     assert codes(check_tile(d, KEY)) == {"C003"}
 
 
@@ -119,7 +140,7 @@ def test_writeback_of_discarded_replica_is_legal():
 def test_flight_to_already_valid_destination_detected():
     d = CoherenceDirectory()
     d.begin_transfer(KEY, 0, completes_at=1.0, source=HOST)
-    entry_of(d).states[0] = ReplicaState.SHARED  # validated without landing
+    force_state(d, 0, ReplicaState.SHARED)  # validated without landing
     assert codes(check_tile(d, KEY)) == {"C005"}
 
 
@@ -143,7 +164,7 @@ def test_non_finite_completion_time_detected():
 def test_sanitizer_raises_on_seeded_double_modified():
     d = CoherenceDirectory()
     d.write(KEY, 0)
-    entry_of(d).states[1] = ReplicaState.MODIFIED
+    force_state(d, 1, ReplicaState.MODIFIED)
     sanitizer = CoherenceSanitizer(d)
     with pytest.raises(VerificationError) as exc:
         sanitizer.check_tile(KEY)
@@ -160,6 +181,6 @@ def test_sanitized_run_catches_post_hoc_tampering():
     rt.transfer.ensure_resident(part[(0, 0)], 0)
     rt.sync()
     rt.sanitizer.check_all()  # clean
-    entry_of(rt.directory, part[(0, 0)].key).states[1] = ReplicaState.MODIFIED
+    force_state(rt.directory, 1, ReplicaState.MODIFIED, key=part[(0, 0)].key)
     with pytest.raises(VerificationError):
         rt.sanitizer.check_all()
