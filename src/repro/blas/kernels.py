@@ -178,18 +178,6 @@ def k_trsm(
     return kernel
 
 
-# ------------------------------------------------------------------- GEMM-
-# accumulation helper used by tiled SYMM (reading the transposed triangle).
-
-
-def k_gemm_sym_part(
-    alpha: float, beta: float, transa: Trans
-) -> Kernel:
-    """Like :func:`k_gemm` but documents reading an off-diagonal block of a
-    symmetric operand through its transpose (tiled SYMM's ``k > i`` case)."""
-    return k_gemm(alpha, beta, transa=transa, transb=Trans.NOTRANS)
-
-
 # -------------------------------------------------------------------- POTRF
 
 

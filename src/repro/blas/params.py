@@ -30,10 +30,6 @@ class Trans(enum.Enum):
     TRANS = "T"
     CONJTRANS = "C"
 
-    @property
-    def is_trans(self) -> bool:
-        return self is not Trans.NOTRANS
-
 
 class Diag(enum.Enum):
     """Whether the triangular matrix has an implicit unit diagonal."""

@@ -243,9 +243,6 @@ class Session:
 
     # ------------------------------------------------------------- plumbing
 
-    def _grid_shape(self, part) -> tuple[int, int]:
-        return part.shape
-
     def _prepare(self, matrices: list[Matrix], nb: int, scenario: str):
         output = matrices[-1]
         self._extra_host_seconds += self.library._call_conversion_cost(

@@ -1,8 +1,9 @@
 """Per-device software caches and eviction policies.
 
 Each simulated GPU owns a :class:`DeviceCache` accounting for the tiles
-resident in its memory.  When an allocation does not fit, an
-:class:`EvictionPolicy` chooses victims among the unpinned resident tiles:
+resident in its memory.  When an allocation does not fit, the cache chooses
+victims among its unpinned resident tiles in the order of the
+:class:`EvictionPolicy` it was built with:
 
 * :class:`ReadOnlyFirstPolicy` — XKaapi's policy ("the eviction strategy
   prioritizes read-only data first", paper §II-C/§III-A): clean (SHARED)
@@ -13,14 +14,16 @@ resident in its memory.  When an allocation does not fit, an
   (§II-C): tiles that other devices also hold (or held) are demoted last, so
   replicas useful as GPU-to-GPU sources survive longer.
 
-The cache itself never touches coherence state: it *selects* victims; the
-runtime performs write-backs and directory updates, keeping the two substrates
+A policy is a sort key over resident entries (``entry_rank``); the cache
+keeps its residents in an incremental victim index ordered by that key, so
+choosing victims pops the index instead of sorting the resident set.  The
+cache itself never touches coherence state: it *selects* victims; the runtime
+performs write-backs and directory updates, keeping the two substrates
 independently testable.
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import heapq
 from typing import Callable, Iterable
@@ -37,7 +40,7 @@ class _Resident:
     pins: int = 0
     dirty: bool = False
     shared_elsewhere: bool = False
-    #: victim-index generation (see :meth:`DeviceCache.set_eviction_policy`):
+    #: victim-index generation (see :meth:`DeviceCache.choose_victims`):
     #: identifies the single *live* heap stamp of this entry.  Bumped on
     #: (re-)insertion and on every eager re-stamp, so stamps carrying an older
     #: generation are dead and get discarded when they surface.
@@ -45,27 +48,25 @@ class _Resident:
 
 
 class DeviceCache:
-    """Byte-accounted set of tiles resident on one device."""
+    """Byte-accounted set of tiles resident on one device, evicting in the
+    order of ``policy``."""
 
-    def __init__(self, device: int, capacity: int) -> None:
+    def __init__(self, device: int, capacity: int, policy: EvictionPolicy) -> None:
         if capacity <= 0:
             raise CoherenceError(f"device {device}: cache capacity must be positive")
         self.device = device
         self.capacity = capacity
+        self.policy = policy
         self._resident: dict[TileKey, _Resident] = {}
         self._used = 0
-        self._clock = 0.0
         self.evictions = 0
         self.hits = 0
         self.misses = 0
-        # Incremental victim index (see set_eviction_policy): a lazy-deletion
-        # min-heap of (rank, gen, key) stamps mirroring the installed policy's
-        # victim order.  _vrank is the policy's entry_rank, cached as an
-        # attribute so the hot paths skip the method lookup; None until a
-        # policy is installed (victim selection then uses the scan-and-sort
-        # reference path).
-        self._vpolicy: EvictionPolicy | None = None
-        self._vrank: Callable[[_Resident], tuple] | None = None
+        # Victim index (see choose_victims): a lazy-deletion min-heap of
+        # (rank, gen, key) stamps in the policy's victim order.  _vrank is the
+        # policy's entry_rank, cached as an attribute so the hot paths skip
+        # the method lookup.
+        self._vrank: Callable[[_Resident], tuple] = policy.entry_rank
         self._vheap: list[tuple[tuple, int, TileKey]] = []
         self._vgen = 0
 
@@ -78,9 +79,6 @@ class DeviceCache:
     @property
     def free(self) -> int:
         return self.capacity - self._used
-
-    def contains(self, key: TileKey) -> bool:
-        return key in self._resident
 
     def __contains__(self, key: TileKey) -> bool:
         return key in self._resident
@@ -102,8 +100,7 @@ class DeviceCache:
             )
         self._resident[key] = entry = _Resident(key=key, nbytes=nbytes, last_use=now)
         self._used += nbytes
-        if self._vrank is not None:
-            self._stamp(entry)
+        self._stamp(entry)
 
     def insert_pinned(self, key: TileKey, nbytes: int, now: float = 0.0) -> None:
         """Fused :meth:`insert` + :meth:`pin` for the transfer-issue path.
@@ -122,8 +119,7 @@ class DeviceCache:
             key=key, nbytes=nbytes, last_use=now, pins=1
         )
         self._used += nbytes
-        if self._vrank is not None:
-            self._stamp(entry)
+        self._stamp(entry)
 
     def remove(self, key: TileKey) -> int:
         """Drop a resident tile; returns its size."""
@@ -208,16 +204,8 @@ class DeviceCache:
             # completion: dirty -> clean moves it to the front of the victim
             # order for dirty-aware policies).  Lazy stamps only stay sound
             # for rank increases, so re-stamp eagerly.
-            if self._vrank is not None and self._vpolicy.rank_uses_dirty:  # type: ignore[union-attr]
+            if self.policy.rank_uses_dirty:
                 self._stamp(entry)
-
-    def note_write(self, key: TileKey, now: float) -> None:
-        """Fused :meth:`mark_dirty` + :meth:`touch` for the kernel write path:
-        one resident lookup sets the dirty bit and bumps recency."""
-        entry = self._resident[key]
-        entry.dirty = True
-        if now > entry.last_use:
-            entry.last_use = now
 
     def mark_shared_elsewhere(self, key: TileKey, flag: bool = True) -> None:
         entry = self._resident.get(key)
@@ -225,7 +213,7 @@ class DeviceCache:
             entry.shared_elsewhere = flag
             # Clearing the shared hint lowers the entry's rank for the BLASX
             # two-level order; see mark_dirty for why decreases re-stamp.
-            if self._vrank is not None and self._vpolicy.rank_uses_shared:  # type: ignore[union-attr]
+            if self.policy.rank_uses_shared:
                 self._stamp(entry)
 
     def is_dirty(self, key: TileKey) -> bool:
@@ -255,33 +243,14 @@ class DeviceCache:
             entry.last_use = now
         return True
 
-    def access_hit_pin(self, key: TileKey, now: float) -> bool:
-        """Fused :meth:`access_hit` + :meth:`pin_if_resident` for the launch
-        fast path: the executor pins every resident input it just touched, so
-        one resident lookup serves the hit/miss accounting, the recency bump
-        and the pin.  Returns True when the tile was resident (and pinned)."""
-        entry = self._resident.get(key)
-        if entry is None:
-            self.misses += 1
-            return False
-        self.hits += 1
-        if now > entry.last_use:
-            entry.last_use = now
-        entry.pins += 1
-        return True
-
-    def evictable(self) -> list[_Resident]:
-        return [e for e in self._resident.values() if e.pins == 0]
-
     # ---------------------------------------------------------- victim index
     #
-    # ``choose_victims`` used to rebuild, filter, and sort the full resident
-    # list on every make-room call — O(resident * log resident) per
-    # transfer-path miss, which dominated large-N runs once caches filled.
-    # The index below keeps victim candidates in a lazy-deletion min-heap of
-    # ``(rank, gen, key)`` stamps, where ``rank`` is the installed policy's
-    # sort key for the entry at stamp time and ``gen`` identifies the single
-    # live stamp per entry (bumped on insertion and on every eager re-stamp).
+    # Victim candidates live in a lazy-deletion min-heap of ``(rank, gen,
+    # key)`` stamps, where ``rank`` is the policy's sort key for the entry at
+    # stamp time and ``gen`` identifies the single live stamp per entry
+    # (bumped on insertion and on every eager re-stamp).  Selecting victims
+    # therefore pops a few stamps instead of sorting the resident set, which
+    # once dominated large-N runs with full caches.
     #
     # Rank *increases* (recency touches, clean -> dirty) are handled lazily:
     # a stale stamp is a lower bound, so the entry can only surface too
@@ -289,32 +258,7 @@ class DeviceCache:
     # Rank *decreases* (dirty -> clean on write-back completion, shared-hint
     # clearing) must re-stamp eagerly — mark_dirty / mark_shared_elsewhere do.
     # Ranks are unique (they end in the tile key), so heap pop order equals
-    # the reference ``sorted(candidates, key=rank)`` order bit-for-bit.
-
-    def set_eviction_policy(self, policy: EvictionPolicy) -> None:
-        """Install ``policy``'s incremental victim index on this cache.
-
-        After this, ``policy.choose_victims(self, ...)`` selects victims by
-        popping the index instead of scanning the resident set.  Policies
-        without an ``entry_rank`` keep the scan-and-sort reference path.
-        """
-        rank = policy.entry_rank
-        if rank is None:
-            self._vpolicy = None
-            self._vrank = None
-            self._vheap = []
-            return
-        self._vpolicy = policy
-        self._vrank = rank
-        gen = self._vgen
-        heap = []
-        for entry in self._resident.values():
-            gen += 1
-            entry.gen = gen
-            heap.append((rank(entry), gen, entry.key))
-        self._vgen = gen
-        heapq.heapify(heap)
-        self._vheap = heap
+    # ``sorted(candidates, key=rank)`` order bit-for-bit.
 
     def _stamp(self, entry: _Resident) -> None:
         """(Re-)stamp ``entry`` in the victim heap at its current rank.
@@ -324,28 +268,43 @@ class DeviceCache:
         """
         self._vgen = gen = self._vgen + 1
         entry.gen = gen
-        heapq.heappush(self._vheap, (self._vrank(entry), gen, entry.key))  # type: ignore[misc]
+        heapq.heappush(self._vheap, (self._vrank(entry), gen, entry.key))
 
-    def _indexed_victims(
-        self, needed: int, deficit: int, protect: Iterable[TileKey]
+    def choose_victims(
+        self, needed: int, protect: Iterable[TileKey] = ()
     ) -> list[TileKey]:
-        """Pop victims from the index until ``deficit`` bytes are covered.
+        """Pick victims freeing at least ``needed`` bytes beyond current free.
+
+        Unpinned tiles outside ``protect``, best victim first in the policy's
+        order, popped from the victim index until the deficit is covered.
+        Raises :class:`DeviceOutOfMemoryError` when even evicting everything
+        unpinned cannot satisfy the request.
 
         Observably stateless: every live stamp popped (victims as well as
         pinned/protected entries that were set aside) is pushed back before
         returning, so a caller that does not actually evict sees the same
-        answers on the next call — matching the reference scan.  Victims the
-        caller *does* evict leave dead stamps behind, discarded on a later
-        pop via the residency/generation check.
+        answers on the next call.  Victims the caller *does* evict leave dead
+        stamps behind, discarded on a later pop via the residency/generation
+        check.
         """
-        if len(self._vheap) > 2 * len(self._resident) + 64:
-            # Compact: dead stamps (evictions, eager re-stamps) accumulate
-            # until popped; rebuild keeps the heap O(resident).  Ranks are
-            # unique, so rebuilding cannot change pop order.
-            self.set_eviction_policy(self._vpolicy)  # type: ignore[arg-type]
+        deficit = needed - self.free
+        if deficit <= 0:
+            return []
         heap = self._vheap
         resident = self._resident
         rank = self._vrank
+        if len(heap) > 2 * len(resident) + 64:
+            # Compact: dead stamps (evictions, eager re-stamps) accumulate
+            # until popped; re-stamping every resident in place keeps the heap
+            # O(resident).  Ranks are unique, so this cannot change pop order.
+            heap.clear()
+            gen = self._vgen
+            for entry in resident.values():
+                gen += 1
+                entry.gen = gen
+                heap.append((rank(entry), gen, entry.key))
+            self._vgen = gen
+            heapq.heapify(heap)
         push = heapq.heappush
         pop = heapq.heappop
         protected = frozenset(protect)
@@ -357,7 +316,7 @@ class DeviceCache:
             entry = resident.get(item[2])
             if entry is None or entry.gen != item[1]:
                 continue  # dead stamp: evicted / re-inserted / re-stamped
-            cur = rank(entry)  # type: ignore[misc]
+            cur = rank(entry)
             if cur != item[0]:
                 # Stale lower-bound stamp (lazy recency/dirty increase):
                 # re-file at the current rank and keep popping.
@@ -391,58 +350,19 @@ class DeviceCache:
         }
 
 
-class EvictionPolicy(abc.ABC):
-    """Chooses which resident tiles to evict to fit a new allocation."""
+class EvictionPolicy:
+    """A victim order: the sort key a :class:`DeviceCache` evicts by."""
 
     name = "abstract"
-    #: True when :meth:`victim_order` reads ``_Resident.shared_elsewhere`` —
-    #: the runtime only maintains that hint (a directory walk per write and
-    #: per transfer landing) for policies that declare they consume it.
-    uses_shared_hint = False
-    #: Per-entry sort key, identical to the key :meth:`victim_order` sorts
-    #: by.  When set, :meth:`DeviceCache.set_eviction_policy` builds an
-    #: incremental victim index over it; ``None`` keeps the scan path.
-    entry_rank: Callable[[_Resident], tuple] | None = None
+    #: Per-entry sort key, best victim first.  Ranks end in the tile key, so
+    #: no two residents tie.
+    entry_rank: Callable[[_Resident], tuple]
     #: Which mutable entry fields participate in ``entry_rank`` — the cache
-    #: re-stamps eagerly only on changes the rank can actually observe.
+    #: re-stamps eagerly only on changes the rank can actually observe.  The
+    #: runtime also maintains ``shared_elsewhere`` (a directory walk per write
+    #: and per transfer landing) only for policies whose rank reads it.
     rank_uses_dirty = False
     rank_uses_shared = False
-
-    @abc.abstractmethod
-    def victim_order(self, candidates: list[_Resident]) -> list[_Resident]:
-        """Sort evictable residents, best victim first."""
-
-    def choose_victims(
-        self,
-        cache: DeviceCache,
-        needed: int,
-        protect: Iterable[TileKey] = (),
-    ) -> list[TileKey]:
-        """Pick victims freeing at least ``needed`` bytes beyond current free.
-
-        Raises :class:`DeviceOutOfMemoryError` when even evicting everything
-        unpinned cannot satisfy the request.
-        """
-        deficit = needed - cache.free
-        if deficit <= 0:
-            return []
-        if cache._vpolicy is self:
-            return cache._indexed_victims(needed, deficit, protect)
-        # Scan-and-sort reference path: caches without an installed index
-        # (direct policy use in tests, cross-checks against the index).
-        protected = set(protect)
-        candidates = [e for e in cache.evictable() if e.key not in protected]
-        victims: list[TileKey] = []
-        freed = 0
-        for entry in self.victim_order(candidates):
-            victims.append(entry.key)
-            freed += entry.nbytes
-            if freed >= deficit:
-                return victims
-        raise DeviceOutOfMemoryError(
-            f"device {cache.device}: need {needed} B, free {cache.free} B, "
-            f"only {freed} B evictable"
-        )
 
 
 class LruPolicy(EvictionPolicy):
@@ -454,9 +374,6 @@ class LruPolicy(EvictionPolicy):
     def entry_rank(e: _Resident) -> tuple:
         return (e.last_use, e.key.matrix_id, e.key.i, e.key.j)
 
-    def victim_order(self, candidates: list[_Resident]) -> list[_Resident]:
-        return sorted(candidates, key=self.entry_rank)
-
 
 class ReadOnlyFirstPolicy(EvictionPolicy):
     """XKaapi: clean replicas first (free to drop), then dirty, LRU inside."""
@@ -467,9 +384,6 @@ class ReadOnlyFirstPolicy(EvictionPolicy):
     @staticmethod
     def entry_rank(e: _Resident) -> tuple:
         return (e.dirty, e.last_use, e.key.matrix_id, e.key.i, e.key.j)
-
-    def victim_order(self, candidates: list[_Resident]) -> list[_Resident]:
-        return sorted(candidates, key=self.entry_rank)
 
 
 class Blasx2LevelPolicy(EvictionPolicy):
@@ -483,7 +397,6 @@ class Blasx2LevelPolicy(EvictionPolicy):
     """
 
     name = "blasx-2level"
-    uses_shared_hint = True
     rank_uses_dirty = True
     rank_uses_shared = True
 
@@ -497,9 +410,6 @@ class Blasx2LevelPolicy(EvictionPolicy):
             e.key.i,
             e.key.j,
         )
-
-    def victim_order(self, candidates: list[_Resident]) -> list[_Resident]:
-        return sorted(candidates, key=self.entry_rank)
 
 
 POLICIES: dict[str, Callable[[], EvictionPolicy]] = {

@@ -120,9 +120,6 @@ class CoherenceDirectory:
     def is_valid_id(self, tid: int, location: int) -> bool:
         return bool(self._valid[tid] & (1 << (location + 1)))
 
-    def host_valid_id(self, tid: int) -> bool:
-        return bool(self._valid[tid] & _HOST_BIT)
-
     def device_valid_mask(self, tid: int) -> int:
         """Bitmask with bit ``d`` set iff device ``d`` holds a valid replica."""
         return self._valid[tid] >> 1
@@ -130,14 +127,6 @@ class CoherenceDirectory:
     def flights_map(self, tid: int) -> dict[int, InFlight]:
         """Live ``dst -> InFlight`` map of the tile (do not mutate)."""
         return self._flights[tid]
-
-    def flight_mask(self, tid: int) -> int:
-        """Bitmask of in-flight destinations (``loc + 1`` bit layout).
-
-        Zero means no transfer of the tile is in flight anywhere — the common
-        case the residency fast path tests before touching the flight dict.
-        """
-        return self._fmask[tid]
 
     # -------------------------------------------------------------- queries
 

@@ -133,10 +133,6 @@ class BlockCyclicDistribution:
         q = (j // self.block_j) % self.grid_q
         return p * self.grid_q + q
 
-    def tiles_of(self, partition: TilePartition, device: int) -> list[Tile]:
-        """All tiles of ``partition`` mapped to ``device``."""
-        return [t for t in partition if self.owner(t.i, t.j) == device]
-
     def load_per_device(self, partition: TilePartition) -> dict[int, int]:
         """Tile count per device — block-cyclic keeps this balanced."""
         counts = {d: 0 for d in range(self.num_devices)}

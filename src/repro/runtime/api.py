@@ -146,12 +146,6 @@ class Runtime:
         self.directory = CoherenceDirectory()
         self.datastore = DataStore()
         self.fabric = Fabric(self.sim, platform)
-        self.caches = {
-            dev: DeviceCache(
-                dev, int(platform.gpus[dev].memory_bytes * opts.cache_fraction)
-            )
-            for dev in platform.device_ids()
-        }
         try:
             eviction: EvictionPolicy = POLICIES[opts.eviction]()
         except KeyError:
@@ -159,6 +153,14 @@ class Runtime:
                 f"unknown eviction policy {opts.eviction!r}; "
                 f"choose from {sorted(POLICIES)}"
             ) from None
+        self.caches = {
+            dev: DeviceCache(
+                dev,
+                int(platform.gpus[dev].memory_bytes * opts.cache_fraction),
+                eviction,
+            )
+            for dev in platform.device_ids()
+        }
         sanitizer = None
         if opts.verify_coherence:
             from repro.verify.coherence import CoherenceSanitizer
@@ -172,7 +174,6 @@ class Runtime:
             directory=self.directory,
             datastore=self.datastore,
             caches=self.caches,
-            eviction_policy=eviction,
             trace=self.trace,
             policy=opts.source_policy,
             pinning_bandwidth=opts.pinning_bandwidth,

@@ -67,7 +67,6 @@ class TaskGraph:
         #: built single-threaded and the set never escapes the call).
         self._deps_buf: set[int] = set()
         self._added = 0
-        self._edges = 0
         self._done = 0
         #: tasks seen entering the "ready" state, pruned lazily by
         #: :meth:`ready_tasks`; a task becomes ready at most once, so the
@@ -84,16 +83,15 @@ class TaskGraph:
         The dependency rule is inlined (no per-predecessor helper call): the
         graph build runs once per task of every run, and closure dispatch per
         edge was a visible slice of the submission phase.  Semantics per
-        predecessor: dedupe on uid (a task never depends on itself), count the
-        edge, and register a pending-count successor link unless the
-        predecessor already finished.
+        predecessor: dedupe on uid (a task never depends on itself) and
+        register a pending-count successor link unless the predecessor
+        already finished.
         """
         if task.state != "created":
             raise TaskGraphError(f"{task!r} already belongs to a graph")
         deps = self._deps_buf  # uids, to dedupe multi-tile dependencies
         deps.clear()
         uid = task.uid
-        edges = 0
         unfinished = 0
 
         history = self._history
@@ -106,7 +104,6 @@ class TaskGraph:
             if access.writes:
                 if wuid >= 0 and wuid != uid and wuid not in deps:
                     deps.add(wuid)
-                    edges += 1
                     writer = hist.last_writer
                     if writer is not None and writer.state != "done":
                         writer.successors.append(task)
@@ -116,7 +113,6 @@ class TaskGraph:
                     for ruid, reader in readers.items():
                         if ruid != uid and ruid not in deps:
                             deps.add(ruid)
-                            edges += 1
                             if reader is not None and reader.state != "done":
                                 reader.successors.append(task)
                                 unfinished += 1
@@ -124,19 +120,17 @@ class TaskGraph:
                 # History updated in the same pass: the uid guards above
                 # already exclude self-dependencies, so a task touching one
                 # tile twice sees its own earlier access filtered out rather
-                # than deferred — same edges, one traversal.
+                # than deferred — same dependencies, one traversal.
                 hist.last_writer = task
                 hist.last_writer_uid = uid
             else:
                 if wuid >= 0 and wuid != uid and wuid not in deps:
                     deps.add(wuid)
-                    edges += 1
                     writer = hist.last_writer
                     if writer is not None and writer.state != "done":
                         writer.successors.append(task)
                         unfinished += 1
                 hist.readers_since_write[uid] = task
-        self._edges += edges
         task.unfinished_predecessors += unfinished
         if task.unfinished_predecessors == 0:
             task.state = "ready"
@@ -170,10 +164,6 @@ class TaskGraph:
     @property
     def num_done(self) -> int:
         return self._done
-
-    @property
-    def num_edges(self) -> int:
-        return self._edges
 
     def ready_tasks(self) -> list[Task]:
         """Tasks currently in the "ready" state, in became-ready order.
@@ -222,8 +212,8 @@ class TaskGraph:
         """Drop every graph-held reference to a finished task.
 
         Called only in reclaiming mode.  The per-tile windows keep the uid
-        (dependency derivation for *future* streamed tasks still dedupes and
-        counts edges exactly as if the task were resident) but lose the
+        (dependency derivation for *future* streamed tasks still dedupes
+        exactly as if the task were resident) but lose the
         object reference, and the task sheds its own fan-out so a retired
         region of the DAG is collectible as soon as the executor's in-flight
         events release it.

@@ -194,9 +194,6 @@ class Executor:
         #: dispatched them next anyway (see module docstring).
         self._submissions: deque = deque()
         self._pumping = False
-        #: one vectorized kernel-time prefill per pump arming (re-arms within
-        #: a batch skip the rescan — the shapes were already collected).
-        self._pump_prefilled = True
         self._all_workers_mask = (1 << len(self.workers)) - 1
         self._num_workers = len(self.workers)
         #: precomputed visit orders for the wake scan: ``_rot_orders[origin]``
@@ -296,7 +293,6 @@ class Executor:
         pending = self._submissions
         if not pending and not self._pumping:
             sim.post_reserved(t, seq, self._pump)
-            self._pump_prefilled = False
         pending.append((t, seq, task, streamed))
 
     def _pump(self) -> None:
@@ -325,9 +321,6 @@ class Executor:
             return
         self._pumping = True
         try:
-            if not self._pump_prefilled and len(pending) >= 16:
-                self._prefill_kernel_times(pending)
-                self._pump_prefilled = True
             while True:
                 t, _seq, task, streamed = pending.popleft()
                 sim.now = t
@@ -351,37 +344,6 @@ class Executor:
                         return
         finally:
             self._pumping = False
-
-    def _prefill_kernel_times(self, pending) -> None:
-        """Vectorized kernel-time computation over a pending submission batch.
-
-        One numpy pass per device fills each worker's duration memo for every
-        distinct (flops, dim, wordsize, regularity) shape in the batch —
-        tiled graphs repeat a handful of shapes thousands of times, so the
-        whole batch's kernel times are computed in a few array operations
-        instead of per-launch scalar arithmetic.
-        ``GpuSpec.kernel_time_batch`` mirrors the scalar operation order in
-        float64, so cached values are bit-identical to the scalar path.
-        """
-        shapes: dict[tuple, None] = {}
-        for entry in pending:
-            shapes[entry[2].kt_shape] = None
-        for worker in self.workers:
-            durations = worker.durations
-            missing = [s for s in shapes if s not in durations]
-            if not missing:
-                continue
-            gpu = self.platform.gpus[worker.device]
-            times = gpu.kernel_time_batch(
-                [s[0] for s in missing],
-                [s[1] for s in missing],
-                [s[2] for s in missing],
-                [s[3] for s in missing],
-            )
-            # .tolist() yields Python floats (exact value-preserving), so the
-            # cache never leaks numpy scalars into virtual-time arithmetic.
-            for s, duration in zip(missing, times.tolist()):
-                durations[s] = duration
 
     def _enqueue(self, task: Task) -> None:
         """Task is schedulable: hand to the scheduler (or run a host flush)."""

@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import TopologyError
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
-from repro.topology.link import HOST, LinkKind
+from repro.topology.link import HOST
 from repro.topology.platform import Platform
 
 
@@ -38,11 +38,6 @@ class Fabric:
     immutable for the fabric's lifetime, so all of these are built once here
     and shared by every consumer.
     """
-
-    #: Aggregate NVLink bandwidth of one V100 (6 bricks x ~25 GB/s, derated).
-    #: Kept as the class-level default; per-device figures come from
-    #: :attr:`repro.topology.device.GpuSpec.nvlink_aggregate_bw`.
-    NVLINK_AGGREGATE_BW = 132e9
 
     #: largest GPU count for which the 2**n-entry candidate-mask tables are
     #: enumerated; beyond it :attr:`best_source_by_mask` / :attr:`mask_members`
@@ -328,11 +323,6 @@ class Fabric:
         return start + table[idx]
 
     # ------------------------------------------------------------ inspection
-
-    def link_kind(self, src: int, dst: int) -> LinkKind:
-        if src == HOST or dst == HOST:
-            return self.platform.host_link_kind
-        return self.platform.link(src, dst).kind
 
     def host_channel_stats(self) -> dict[str, dict[str, float]]:
         """Per-switch traffic summary (bytes and transfer counts).

@@ -51,7 +51,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from repro.errors import CoherenceError
-from repro.memory.cache import DeviceCache, EvictionPolicy
+from repro.memory.cache import DeviceCache
 from repro.memory.coherence import CoherenceDirectory
 from repro.memory.tile import Tile, TileKey
 from repro.runtime.access import Access
@@ -95,7 +95,6 @@ class TransferManager:
         directory: CoherenceDirectory,
         datastore: DataStore,
         caches: dict[int, DeviceCache],
-        eviction_policy: EvictionPolicy,
         trace: TraceRecorder,
         policy: SourcePolicy = SourcePolicy.TOPOLOGY_OPTIMISTIC,
         pinning_bandwidth: float | None = None,
@@ -110,17 +109,13 @@ class TransferManager:
         self.directory = directory
         self.datastore = datastore
         self.caches = caches
-        self.eviction_policy = eviction_policy
-        #: the shared-elsewhere hint feeds only policies that declare they
-        #: read it (BLASX two-level); for the others the directory walk after
-        #: every write and transfer landing is maintenance of a bit nobody
+        #: the shared-elsewhere hint feeds only policies whose rank reads it
+        #: (BLASX two-level); for the others the directory walk after every
+        #: write and transfer landing is maintenance of a bit nobody
         #: consults, so it is skipped wholesale.
-        self._track_shared = eviction_policy.uses_shared_hint
-        # Install the policy's incremental victim index on every cache so
-        # _make_room's choose_victims pops candidates instead of scanning and
-        # sorting the resident set (see DeviceCache.set_eviction_policy).
-        for cache in caches.values():
-            cache.set_eviction_policy(eviction_policy)
+        self._track_shared = any(
+            cache.policy.rank_uses_shared for cache in caches.values()
+        )
         self.trace = trace
         self.policy = policy
         #: host page-locking model (None = ignored, the paper's methodology).
@@ -215,11 +210,11 @@ class TransferManager:
 
         Op-for-op equivalent to the former per-access launch loop (hit/pin
         bookkeeping on the fast path, :meth:`ensure_resident` plus the launch
-        pin on misses, :meth:`allocate_output` for outputs): every cache
-        counter, reservation, directory transition and completion post runs
-        in the same order, so virtual-time output is bit-identical.  The
-        batch form exists to hoist the per-access attribute traffic out of
-        the hottest loop of the runtime.
+        pin on misses, room made for outputs not resident or in flight):
+        every cache counter, reservation, directory transition and completion
+        post runs in the same order, so virtual-time output is bit-identical.
+        The batch form exists to hoist the per-access attribute traffic out
+        of the hottest loop of the runtime.
         """
         transfer_cost = 0.0
         pinned: list[TileKey] = []
@@ -272,7 +267,7 @@ class TransferManager:
                     transfer_cost += ready - now
                     if ready > inputs_ready:
                         inputs_ready = ready
-            else:  # WRITE-only output (allocate_output, inlined)
+            else:  # WRITE-only output: room for its allocation
                 self.datastore.register(tile)
                 if resident_get(key) is None:
                     tid = dir_ids_get(key)
@@ -565,27 +560,47 @@ class TransferManager:
         """
         now = self.sim.now if earliest is None else max(self.sim.now, earliest)
         key = tile.key
-        directory = self.directory
         tid = self._dir_ids.get(key)
         if tid is None:
-            tid = directory.lookup(key)
+            tid = self.directory.lookup(key)
         if self._dir_valid[tid] & _HOST_BIT:
             return now
         if self._dir_fmask[tid] & _HOST_BIT:
             return max(now, self._dir_flights[tid][HOST].completes_at)
-        mod = directory._mod[tid]
-        if mod:
-            source = (mod & -mod).bit_length() - 2
-        else:
-            dmask = self._dir_valid[tid] >> 1
-            if not dmask:
-                raise CoherenceError(f"{key}: no valid replica anywhere")
-            source = (dmask & -dmask).bit_length() - 1
-        if source == HOST:  # pragma: no cover - host_valid already checked
-            return now
+        source = self._writeback_source(key, tid)
         start, end = self.fabric.reserve_d2h(source, tile.nbytes, now)
-        directory.begin_transfer_id(tid, key, HOST, completes_at=end, source=source)
-        # touch + pin of the source replica, fused into one entry probe.
+        self._issue_writeback(tile, key, tid, source, start, end, now)
+        return end
+
+    def _writeback_source(self, key: TileKey, tid: int) -> int:
+        """The device a write-back of ``key`` reads from: the MODIFIED
+        replica, else the lowest-numbered valid device.
+
+        Callers have checked that the host copy is not valid, and a MODIFIED
+        host copy would be, so the pick is always a device.
+        """
+        mod = self.directory._mod[tid]
+        if mod:
+            return (mod & -mod).bit_length() - 2
+        dmask = self._dir_valid[tid] >> 1
+        if not dmask:
+            raise CoherenceError(f"{key}: no valid replica anywhere")
+        return (dmask & -dmask).bit_length() - 1
+
+    def _issue_writeback(
+        self, tile: Tile, key: TileKey, tid: int, source: int,
+        start: float, end: float, now: float,
+    ) -> None:
+        """Record a D2H write-back reserved on ``[start, end]``: the flight,
+        the source pin, the statistics, the trace interval and the landing.
+
+        The source replica is touched and pinned in one entry probe; a
+        victim already removed from ``source`` by :meth:`_make_room` is not
+        resident there, so it gets no pin.
+        """
+        self.directory.begin_transfer_id(
+            tid, key, HOST, completes_at=end, source=source
+        )
         entry = self.caches[source]._resident.get(key)
         src_pinned = entry is not None
         if src_pinned:
@@ -598,11 +613,9 @@ class TransferManager:
                 TraceCategory.MEMCPY_DTOH, source, start, end,
                 lambda: f"d2h {key}", tile.nbytes,
             )
-
         self.sim.post(end, self._complete_d2h, tile, tid, source, src_pinned)
         if self.sanitizer is not None:
             self.sanitizer.check_tile(key)
-        return end
 
     def _complete_d2h(
         self, tile: Tile, tid: int, source: int, src_pinned: bool
@@ -654,14 +667,15 @@ class TransferManager:
                 # below.
         self.directory.write_id(tid, device)
         cache = caches[device]
-        # note_write, fused with the residency probe: one dict lookup covers
-        # the "already resident" test and the dirty/recency update.
+        # One dict lookup covers the "already resident" test and the
+        # dirty/recency update.
         entry = cache._resident.get(key)
         if entry is None:
             # WRITE-only access: the output tile was allocated, not transferred.
-            # Space was planned by allocate_output but may have been consumed
-            # by concurrent stagings; evict again if needed (write-back delay
-            # of victims is already covered by their own D2H reservations).
+            # Space was planned at launch (ensure_resident_batch) but may have
+            # been consumed by concurrent stagings; evict again if needed
+            # (write-back delay of victims is already covered by their own D2H
+            # reservations).
             self._make_room(device, tile.nbytes, when)
             cache.insert(key, tile.nbytes, now=when)
             entry = cache._resident[key]
@@ -673,18 +687,6 @@ class TransferManager:
         if self.sanitizer is not None:
             self.sanitizer.check_tile(key)
 
-    def allocate_output(self, tile: Tile, device: int, earliest: float) -> float:
-        """Ensure space for a WRITE-only output tile; returns readiness time."""
-        key = tile.key
-        cache = self.caches[device]
-        self.datastore.register(tile)
-        if key in cache or self.directory.in_flight_to(key, device) is not None:
-            return earliest
-        ready = self._make_room(device, tile.nbytes, earliest)
-        self.datastore.allocate_device_tile(tile, device)
-        # Residency is accounted at write registration (task completion).
-        return ready
-
     # ------------------------------------------------------------- eviction
 
     def _make_room(
@@ -694,7 +696,7 @@ class TransferManager:
         cache = self.caches[device]
         if nbytes <= cache.free:
             return now  # fits as-is; skip the victim-selection machinery
-        victims = self.eviction_policy.choose_victims(cache, nbytes, protect=protect)
+        victims = cache.choose_victims(nbytes, protect)
         datastore = self.datastore
         directory = self.directory
         dir_valid = self._dir_valid
@@ -725,17 +727,7 @@ class TransferManager:
             if dir_fmask[tid] & _HOST_BIT:
                 plans.append([vkey, vtile, True, tid, 2, HOST, now, now])
                 continue
-            mod = directory._mod[tid]
-            if mod:
-                source = (mod & -mod).bit_length() - 2
-            else:
-                dmask = dir_valid[tid] >> 1
-                if not dmask:
-                    raise CoherenceError(f"{vkey}: no valid replica anywhere")
-                source = (dmask & -dmask).bit_length() - 1
-            if source == HOST:  # pragma: no cover - host_valid checked above
-                plans.append([vkey, vtile, True, tid, 1, HOST, now, now])
-                continue
+            source = self._writeback_source(vkey, tid)
             plan = [vkey, vtile, True, tid, 3, source, now, now]
             groups.setdefault(self.fabric.d2h_channel(source), []).append(plan)
             plans.append(plan)
@@ -747,7 +739,6 @@ class TransferManager:
         # Pass 2 — apply every victim's state transitions in victim order,
         # op-for-op as the sequential remove → write-back → discard chain.
         ready = now
-        trace_on = self.trace.enabled
         sanitizer = self.sanitizer
         for vkey, vtile, dirty, tid, kind, source, start, end in plans:
             if dirty:
@@ -763,29 +754,7 @@ class TransferManager:
                 elif kind == 2:
                     end = max(now, self._dir_flights[tid][HOST].completes_at)
                 else:
-                    directory.begin_transfer_id(
-                        tid, vkey, HOST, completes_at=end, source=source
-                    )
-                    # touch + pin of the source replica (one probe); the
-                    # victim was just removed from *this* device, so the
-                    # probe only hits when the dirty source is elsewhere.
-                    entry = self.caches[source]._resident.get(vkey)
-                    src_pinned = entry is not None
-                    if src_pinned:
-                        if now > entry.last_use:
-                            entry.last_use = now
-                        entry.pins += 1
-                    self.d2h_transfers += 1
-                    if trace_on:
-                        self.trace.record(
-                            TraceCategory.MEMCPY_DTOH, source, start, end,
-                            lambda k=vkey: f"d2h {k}", vtile.nbytes,
-                        )
-                    self.sim.post(
-                        end, self._complete_d2h, vtile, tid, source, src_pinned
-                    )
-                    if sanitizer is not None:
-                        sanitizer.check_tile(vkey)
+                    self._issue_writeback(vtile, vkey, tid, source, start, end, now)
                 if end > ready:
                     ready = end
                 directory.discard(vkey, device)

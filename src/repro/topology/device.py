@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
-
-import numpy as np
 
 from repro import config
 from repro.errors import TopologyError
@@ -102,43 +99,6 @@ class GpuSpec:
             return self.launch_latency
         return self.launch_latency + flops / (self.peak(wordsize) * eff)
 
-    def kernel_time_batch(
-        self,
-        flops: Sequence[float],
-        dims: Sequence[int],
-        wordsizes: Sequence[int],
-        regularities: Sequence[float],
-    ) -> np.ndarray:
-        """Vectorized :meth:`kernel_time` over parallel argument sequences.
-
-        One float64 numpy pass replacing N scalar calls; every arithmetic
-        operation mirrors the scalar path's order and operand types exactly
-        (int operands convert to float64, which is what Python's float
-        arithmetic does too), so each element is **bit-identical** to the
-        corresponding ``kernel_time`` result — the executor fills its
-        kernel-time cache from here for whole ready batches without
-        perturbing any virtual-time number.
-        """
-        f = np.asarray(flops, dtype=np.float64)
-        if np.any(f < 0):
-            raise TopologyError("negative flop count in batch")
-        d = np.asarray(dims, dtype=np.float64)
-        w = np.asarray(wordsizes)
-        r = np.asarray(regularities, dtype=np.float64)
-        # efficiency(): sat = dim / (dim + d_half); eff = (max_eff * reg) * sat.
-        # Non-positive dims are degenerate lanes (scalar path returns eff 0.0
-        # before dividing); clamp them so the vector division cannot hit 0/0.
-        d_safe = np.where(d <= 0, 1.0, d)
-        sat = d_safe / (d_safe + float(self.half_efficiency_dim))
-        eff = (self.max_efficiency * r) * sat
-        peak = np.where(w >= 8, self.fp64_peak, self.fp32_peak)
-        # Guard the degenerate lanes (flops == 0 or eff <= 0) before dividing;
-        # the guarded lanes' quotients are discarded by the where() below.
-        degenerate = (f == 0) | (eff <= 0) | (d <= 0)
-        safe_eff = np.where(degenerate, 1.0, eff)
-        times = self.launch_latency + f / (peak * safe_eff)
-        return np.where(degenerate, self.launch_latency, times)
-
     def fits(self, nbytes: int) -> bool:
         """Whether a working set of ``nbytes`` fits in device memory."""
         return nbytes <= self.memory_bytes
@@ -171,11 +131,6 @@ def characteristic_dim(m: int, n: int, k: int | None = None) -> int:
     for d in dims:
         prod *= float(d)
     return max(1, int(round(prod ** (1.0 / len(dims)))))
-
-
-def gemm_dim(m: int, n: int, k: int) -> int:
-    """Characteristic dimension of an (m, n, k) GEMM tile kernel."""
-    return characteristic_dim(m, n, k)
 
 
 def occupancy_tiles(memory_bytes: int, tile_dim: int, wordsize: int = 8) -> int:

@@ -134,10 +134,6 @@ class Platform:
         except KeyError:
             return Link(src, dst, LinkKind.PCIE_PEER)
 
-    def has_direct_nvlink(self, src: int, dst: int) -> bool:
-        link = self.link(src, dst)
-        return link.kind.is_nvlink
-
     def p2p_performance_rank(self, src: int, dst: int) -> int:
         """CUDA-style P2P performance rank from ``src`` to ``dst`` (lower=faster)."""
         return self.link(src, dst).perf_rank
@@ -163,10 +159,6 @@ class Platform:
         """GPU×GPU bandwidth matrix in bytes/s (the model behind Fig. 2)."""
         n = self.num_gpus
         return [[self.link(i, j).bandwidth for j in range(n)] for i in range(n)]
-
-    def link_class_matrix(self) -> list[list[LinkKind]]:
-        n = self.num_gpus
-        return [[self.link(i, j).kind for j in range(n)] for i in range(n)]
 
     def link_inventory(self) -> Mapping[LinkKind, int]:
         """Count of directed device-device links per class (excluding LOCAL)."""

@@ -23,9 +23,9 @@ them and run over ``src/`` from the CLI (``python -m repro.verify``) and CI:
   ``runtime/executor.py`` and ``runtime/dataflow.py`` implement the task
   lifecycle; any other module assigning ``.state`` bypasses the readiness
   protocol the race detector certifies.
-* **L005 — unused private methods** (``sim/``, ``runtime/``, ``memory/``):
-  a ``_method`` never referenced anywhere in the package is dead code (the
-  executor's ``_wake`` rotted this way once its caller was refactored away).
+* **L005 — unused private methods** (every subpackage): a ``_method`` never
+  referenced anywhere in the package is dead code (the executor's ``_wake``
+  rotted this way once its caller was refactored away).
   This is a *tree-wide* rule — it only runs from :func:`lint_path`, because
   subclass hooks are routinely defined in one module and invoked from
   another (``Scheduler`` subclasses override methods ``base.py`` calls), so
@@ -68,7 +68,6 @@ _WALL_CLOCK_NAMES = {"time", "monotonic", "perf_counter", "process_time"}
 _VIRTUAL_TIME_SCOPES = ("sim", "runtime")
 _HASH_SCOPES = ("sim", "runtime", "memory")
 _SLOTS_SCOPES = ("sim", "runtime", "memory")
-_UNUSED_SCOPES = ("sim", "runtime", "memory")
 _STATE_OWNERS = {("runtime", "executor.py"), ("runtime", "dataflow.py"),
                  ("runtime", "task.py")}
 
@@ -219,13 +218,19 @@ def _attribute_uses(tree: ast.Module) -> set[str]:
     """Every attribute name referenced in the module (any context).
 
     ``self._foo()``, ``other._foo``, and ``cls._foo = x`` all count; a
-    ``def _foo`` does not.  String constants are also scanned so dynamic
-    dispatch via ``getattr(obj, "_foo")`` keeps a method alive.
+    ``def _foo`` does not.  A class-body alias (``visit_FunctionDef = _foo``)
+    counts as a use of ``_foo``: the method is called under the alias.
+    String constants are also scanned so dynamic dispatch via
+    ``getattr(obj, "_foo")`` keeps a method alive.
     """
     uses: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             uses.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
+                    uses.add(item.value.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.startswith("_") and node.value.isidentifier():
                 uses.add(node.value)
@@ -237,15 +242,16 @@ def _lint_unused_private_methods(
 ) -> list[Finding]:
     """L005 over the whole package tree (two-phase: collect, then flag).
 
-    Definitions are collected only from :data:`_UNUSED_SCOPES`; *usages* are
-    collected from every module, so a hook defined in ``runtime/`` but
-    invoked from ``libraries/`` is not a false positive.
+    Definitions are collected from every subpackage (the top-level modules
+    hold constants, exception types and re-exports); *usages* are collected
+    from every module, so a hook defined in ``runtime/`` but invoked from
+    ``libraries/`` is not a false positive.
     """
     defs: list[tuple[str, str, str]] = []
     uses: set[str] = set()
     for rel, tree in trees:
         uses |= _attribute_uses(tree)
-        if _in_scope(rel.parts, _UNUSED_SCOPES):
+        if len(rel.parts) > 1:
             defs += _private_method_defs(tree, rel)
     return [
         Finding(

@@ -25,9 +25,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import config
 from repro.bench.harness import run_point
-from repro.blas.params import Uplo
+from repro.blas.params import Diag, Side, Trans, Uplo
 from repro.blas.tiled.gemm import build_gemm
+from repro.blas.tiled.trsm import build_trsm
 from repro.lapack.potrf import build_potrf
 from repro.lapack.solve import build_potrs
 from repro.libraries.registry import LIBRARIES
@@ -116,6 +118,57 @@ def _observe_posv(library: str, uplo: str, n: int, nb: int) -> dict:
     return _outcome(rt, rt.sync())
 
 
+def eviction_runtime(
+    policy: str, mode: str, *, trace: bool = False,
+    n: int = 8192, nb: int = 512, cache_tiles: int = 40,
+) -> Runtime:
+    """The ``eviction_points`` recipe, submitted and not yet run.
+
+    A left, lower, no-trans, non-unit TRSM (alpha = 1) on the 8-GPU DGX-1
+    with B flushed back to the host, every device cache sized to hold
+    ``cache_tiles`` tiles: the caches fill, so ``policy`` picks victims and
+    dirty ones are written back mid-run.  ``mode`` is ``"eager"`` (graph
+    retained) or ``"streamed"`` (reclaiming, ``stream_window=512``).  At the
+    recorded size the graph has 2,176 kernel tasks and 256 flushes, so the
+    streamed run is past the admission window, where submission instants
+    become completion-driven.
+    """
+    opts = RuntimeOptions(
+        eviction=policy,
+        cache_fraction=cache_tiles * nb * nb * 8 / config.V100_MEMORY_BYTES,
+        trace=trace,
+    )
+    if mode == "streamed":
+        opts.retain_tasks = False
+        opts.stream_window = 512
+    rt = Runtime(make_dgx1(8), opts)
+    a, b = Matrix.meta(n, n, name="A"), Matrix.meta(n, n, name="B")
+    pa, pb = rt.partition(a, nb), rt.partition(b, nb)
+    tasks = build_trsm(
+        Side.LEFT, Uplo.LOWER, Trans.NOTRANS, Diag.NONUNIT, 1.0, pa, pb
+    )
+    if mode == "streamed":
+        rt.submit_stream(tasks)
+    else:
+        for task in tasks:
+            rt.submit(task)
+    rt.memory_coherent_async(b, nb)
+    return rt
+
+
+def _observe_eviction(rec: dict) -> dict:
+    rt = eviction_runtime(
+        rec["eviction"], rec["mode"],
+        n=rec["n"], nb=rec["nb"], cache_tiles=rec["cache_tiles"],
+    )
+    out = _outcome(rt, rt.sync())
+    out["caches"] = [
+        {"evictions": c.evictions, "hits": c.hits, "misses": c.misses}
+        for c in rt.caches.values()
+    ]
+    return out
+
+
 def _golden(section: str) -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[section]
 
@@ -193,4 +246,22 @@ def test_posv_production_goldens(name):
     assert got == expected, (
         f"{name} drifted from the recorded golden — simulated behaviour "
         "changed; if deliberate, re-record tests/data/golden_makespans.json"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_golden("eviction_points")))
+def test_eviction_goldens(name):
+    """TRSM with caches that fill, under each eviction policy.
+
+    Every other golden runs with caches that never fill; these pin victim
+    order, mid-run write-back timing and per-device hit/miss/eviction counts,
+    eager and past the streaming admission window.
+    """
+    rec = _golden("eviction_points")[name]
+    got = _observe_eviction(rec)
+    expected = {k: rec[k] for k in (*_RECORDED, "caches")}
+    assert got == expected, (
+        f"{name} drifted from the recorded golden — victim choice or "
+        "write-back timing changed; if deliberate, re-record "
+        "tests/data/golden_makespans.json"
     )

@@ -18,8 +18,6 @@ test names).  The contract, pinned here:
   without changing it: traced and untraced runs agree on everything,
   ``events_fired`` included, and the recorded interval sequences reproduce
   ``tests/data/golden_traces.json``;
-* **vectorized times** — ``GpuSpec.kernel_time_batch`` is bit-identical to
-  the scalar ``kernel_time`` it replaces on the prefill path;
 * **same-instant robustness** — random graphs engineered to complete many
   tasks at identical instants (the case the redundant-wake skip collapses)
   stay bit-identical under folding (hypothesis-driven).
@@ -34,6 +32,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from tests.test_determinism_golden import eviction_runtime
 
 from repro.blas.params import Uplo
 from repro.blas.tiled import build_gemm
@@ -187,6 +186,9 @@ def _traced_case(case: str) -> Runtime:
     """Build the traced runtime of one ``golden_traces.json`` case."""
     if case == "posv-n3968-nb512-chameleon-tile-lower":
         return _traced_posv_runtime()
+    if case.startswith("trsm-"):
+        policy, mode = case.removeprefix("trsm-n8192-nb512-cache40-").rsplit("-", 1)
+        return eviction_runtime(policy, mode, trace=True)
     scheduler, mode = case.removeprefix("gemm-n4096-nb512-").rsplit("-", 1)
     return _gemm_runtime(scheduler, streaming=mode == "streamed", trace=True)[0]
 
@@ -203,30 +205,6 @@ def test_trace_matches_recorded_golden(case):
         f"{case}: the recorded interval sequence drifted; tracing must "
         "observe the same run the untraced pump executes"
     )
-
-
-# --------------------------------------------------------- vectorized times
-
-
-def test_kernel_time_batch_bit_identical_to_scalar():
-    gpu = make_dgx1(8).gpus[0]
-    shapes = [
-        (2.0 * 2048**3, 2048, 8, 1.0),
-        (2.0 * 512**3, 512, 8, 1.0),
-        (1e9, 1024, 4, 0.7),
-        (3.3e7, 96, 8, 0.85),
-        (0.0, 256, 8, 1.0),   # degenerate: zero flops
-        (1e6, 0, 8, 1.0),     # degenerate: zero dim
-    ]
-    batch = gpu.kernel_time_batch(
-        [s[0] for s in shapes],
-        [s[1] for s in shapes],
-        [s[2] for s in shapes],
-        [s[3] for s in shapes],
-    ).tolist()
-    for (flops, dim, ws, reg), vec in zip(shapes, batch):
-        scalar = gpu.kernel_time(flops, dim, wordsize=ws, regularity=reg)
-        assert vec.hex() == scalar.hex(), (flops, dim, ws, reg)
 
 
 # --------------------------------------- same-instant completion batches

@@ -18,8 +18,8 @@ def key(i, j=0):
     return TileKey(0, i, j)
 
 
-def make_cache(capacity=1000):
-    return DeviceCache(device=0, capacity=capacity)
+def make_cache(capacity=1000, policy=None):
+    return DeviceCache(device=0, capacity=capacity, policy=policy or LruPolicy())
 
 
 # ----------------------------------------------------------------- cache
@@ -98,7 +98,7 @@ def test_hit_miss_stats():
 
 def test_invalid_capacity_rejected():
     with pytest.raises(CoherenceError):
-        DeviceCache(0, capacity=0)
+        DeviceCache(0, capacity=0, policy=LruPolicy())
 
 
 # --------------------------------------------------------------- policies
@@ -113,28 +113,28 @@ def setup_residents(c):
 
 
 def test_lru_evicts_oldest_first():
-    c = make_cache(100)
+    c = make_cache(100, LruPolicy())
     setup_residents(c)  # free = 10
-    victims = LruPolicy().choose_victims(c, needed=70)  # deficit 60
+    victims = c.choose_victims(needed=70)  # deficit 60
     assert victims == [key(0), key(1)]
 
 
 def test_read_only_first_prefers_clean():
-    c = make_cache(100)
+    c = make_cache(100, ReadOnlyFirstPolicy())
     setup_residents(c)
     # deficit 90: clean tiles (0 then 2 by recency) go before the dirty 1
-    victims = ReadOnlyFirstPolicy().choose_victims(c, needed=100)
+    victims = c.choose_victims(needed=100)
     assert victims == [key(0), key(2), key(1)]
 
 
 def test_blasx_policy_keeps_shared_replicas_longer():
-    c = make_cache(100)
+    c = make_cache(100, Blasx2LevelPolicy())
     setup_residents(c)
     # deficit 30: clean non-shared (key0) suffices; shared key2 survives
-    victims = Blasx2LevelPolicy().choose_victims(c, needed=40)
+    victims = c.choose_victims(needed=40)
     assert victims == [key(0)]
     # deficit 90: shared-elsewhere goes before dirty
-    victims = Blasx2LevelPolicy().choose_victims(c, needed=100)
+    victims = c.choose_victims(needed=100)
     assert victims == [key(0), key(2), key(1)]
 
 
@@ -142,21 +142,21 @@ def test_pinned_tiles_never_chosen():
     c = make_cache(100)
     setup_residents(c)
     c.pin(key(0))
-    victims = LruPolicy().choose_victims(c, needed=40)
+    victims = c.choose_victims(needed=40)
     assert key(0) not in victims
 
 
 def test_protected_tiles_never_chosen():
     c = make_cache(100)
     setup_residents(c)
-    victims = LruPolicy().choose_victims(c, needed=40, protect=[key(0)])
+    victims = c.choose_victims(needed=40, protect=[key(0)])
     assert key(0) not in victims
 
 
 def test_no_eviction_needed_returns_empty():
     c = make_cache(100)
     c.insert(key(0), 10)
-    assert LruPolicy().choose_victims(c, needed=50) == []
+    assert c.choose_victims(needed=50) == []
 
 
 def test_oom_when_everything_pinned():
@@ -164,13 +164,13 @@ def test_oom_when_everything_pinned():
     c.insert(key(0), 90)
     c.pin(key(0))
     with pytest.raises(DeviceOutOfMemoryError):
-        LruPolicy().choose_victims(c, needed=50)
+        c.choose_victims(needed=50)
 
 
 def test_policy_registry():
     assert set(POLICIES) == {"lru", "read-only-first", "blasx-2level"}
-    for factory in POLICIES.values():
-        assert factory().victim_order([]) == []
+    for name, factory in POLICIES.items():
+        assert factory().name == name
 
 
 @given(
@@ -183,14 +183,13 @@ def test_policy_registry():
     st.sampled_from(sorted(POLICIES)),
 )
 def test_property_victims_free_enough_and_are_resident(entries, policy_name):
-    c = make_cache(5000)
+    c = make_cache(5000, POLICIES[policy_name]())
     for i, size, dirty in entries:
         c.insert(key(i), size, now=float(i))
         if dirty:
             c.mark_dirty(key(i))
     needed = c.used // 2 + c.free
-    policy = POLICIES[policy_name]()
-    victims = policy.choose_victims(c, needed=needed)
+    victims = c.choose_victims(needed=needed)
     assert len(set(victims)) == len(victims)
     freed = sum(c._resident[k].nbytes for k in victims)
     assert c.free + freed >= needed
@@ -205,35 +204,29 @@ def test_indexed_writeback_restamps_clean_entry_first():
     # dirty -> clean is a rank *decrease* for dirty-aware policies: the entry
     # must move to the front of the victim order immediately (the write-back
     # completion path calls mark_dirty(key, False)).
-    policy = ReadOnlyFirstPolicy()
-    c = make_cache(100)
-    c.set_eviction_policy(policy)
+    c = make_cache(100, ReadOnlyFirstPolicy())
     c.insert(key(0), 40, now=1.0)
     c.insert(key(1), 40, now=2.0)
     c.mark_dirty(key(0))
-    assert policy.choose_victims(c, needed=c.free + 1) == [key(1)]
+    assert c.choose_victims(needed=c.free + 1) == [key(1)]
     c.mark_dirty(key(0), False)
-    assert policy.choose_victims(c, needed=c.free + 1) == [key(0)]
+    assert c.choose_victims(needed=c.free + 1) == [key(0)]
 
 
 def test_indexed_shared_hint_clearing_restamps():
-    policy = Blasx2LevelPolicy()
-    c = make_cache(100)
-    c.set_eviction_policy(policy)
+    c = make_cache(100, Blasx2LevelPolicy())
     c.insert(key(0), 40, now=1.0)
     c.insert(key(1), 40, now=2.0)
     c.mark_shared_elsewhere(key(0), True)
-    assert policy.choose_victims(c, needed=c.free + 1) == [key(1)]
+    assert c.choose_victims(needed=c.free + 1) == [key(1)]
     c.mark_shared_elsewhere(key(0), False)
-    assert policy.choose_victims(c, needed=c.free + 1) == [key(0)]
+    assert c.choose_victims(needed=c.free + 1) == [key(0)]
 
 
 def test_index_compaction_preserves_order():
     # Dead stamps (evictions, eager re-stamps) accumulate until a make-room
     # call compacts the heap; compaction must not change the victim order.
-    policy = ReadOnlyFirstPolicy()
-    c = make_cache(10_000)
-    c.set_eviction_policy(policy)
+    c = make_cache(10_000, ReadOnlyFirstPolicy())
     for i in range(8):
         c.insert(key(i), 10, now=float(i))
     # Churn enough dirty flips to outgrow 2 * resident + 64 dead stamps.
@@ -241,16 +234,6 @@ def test_index_compaction_preserves_order():
         c.mark_dirty(key(0), True)
         c.mark_dirty(key(0), False)
     assert len(c._vheap) > 2 * len(c._resident) + 64
-    victims = policy.choose_victims(c, needed=c.free + 75)
+    victims = c.choose_victims(needed=c.free + 75)
     assert victims == [key(i) for i in range(8)]
     assert len(c._vheap) <= 2 * len(c._resident) + 64
-
-
-def test_uninstalled_policy_uses_scan_path():
-    # A policy instance that was never installed on the cache must keep the
-    # scan-and-sort reference behaviour even when another index is present.
-    c = make_cache(100)
-    c.set_eviction_policy(ReadOnlyFirstPolicy())
-    c.insert(key(0), 40, now=1.0)
-    c.insert(key(1), 40, now=2.0)
-    assert LruPolicy().choose_victims(c, needed=c.free + 1) == [key(0)]

@@ -1,16 +1,16 @@
 """Property-based equivalence tests for the incremental victim index.
 
-PR 10 replaced ``choose_victims``'s scan-and-sort of the full resident set
-with a lazy-deletion heap of ``(rank, gen, key)`` stamps maintained
-incrementally by the cache (see ``DeviceCache.set_eviction_policy``).  The
-bit-identity goldens demand that the index reproduces the reference order
-*exactly* — same victims, same order, under every interleaving of recency
-touches, pin churn, dirty transitions, shared-hint flips, evictions and
-re-insertions.
+A :class:`DeviceCache` selects victims by popping a lazy-deletion heap of
+``(rank, gen, key)`` stamps that it maintains incrementally (see
+``DeviceCache.choose_victims``).  The bit-identity goldens demand that the
+index reproduces the reference order *exactly*: every unpinned, unprotected
+resident sorted by the policy's ``entry_rank`` — same victims, same order,
+under every interleaving of recency touches, pin churn, dirty transitions,
+shared-hint flips, evictions and re-insertions.
 
-These tests drive two caches — one with the index installed, one on the
-legacy scan path — through identical random operation sequences and require
-identical answers from ``choose_victims`` at every probe, including:
+These tests drive a cache through random operation sequences and compare
+``choose_victims`` against :func:`scan_victims`, the scan-and-sort model of
+that order, at every probe, including:
 
 * identical victim lists under random ``protect`` sets,
 * identical :class:`DeviceOutOfMemoryError` messages when the request
@@ -67,119 +67,120 @@ _op = st.one_of(
 POLICIES = [LruPolicy, ReadOnlyFirstPolicy, Blasx2LevelPolicy]
 
 
-def _probe(policy, indexed, reference, needed, protect):
-    """choose_victims on both caches; identical answer or identical error."""
+def _candidates(cache, protect):
+    """Unpinned residents outside ``protect``, in no particular order."""
+    protected = set(protect)
+    return [
+        e for e in cache._resident.values()
+        if not e.pins and e.key not in protected
+    ]
+
+
+def scan_victims(cache, needed, protect=()):
+    """Reference model of ``cache.choose_victims``: sort every candidate by
+    the policy's rank and take victims until the deficit is covered."""
+    deficit = needed - cache.free
+    if deficit <= 0:
+        return []
+    victims = []
+    freed = 0
+    for entry in sorted(_candidates(cache, protect), key=cache.policy.entry_rank):
+        victims.append(entry.key)
+        freed += entry.nbytes
+        if freed >= deficit:
+            return victims
+    raise DeviceOutOfMemoryError(
+        f"device {cache.device}: need {needed} B, free {cache.free} B, "
+        f"only {freed} B evictable"
+    )
+
+
+def _probe(cache, needed, protect):
+    """choose_victims against the model; identical answer or identical error."""
     try:
-        expect = policy.choose_victims(reference, needed, protect=protect)
+        expect = scan_victims(cache, needed, protect)
     except DeviceOutOfMemoryError as err:
         with pytest.raises(DeviceOutOfMemoryError) as caught:
-            policy.choose_victims(indexed, needed, protect=protect)
+            cache.choose_victims(needed, protect)
         assert str(caught.value) == str(err)
         return None
-    got = policy.choose_victims(indexed, needed, protect=protect)
-    assert got == expect
+    assert cache.choose_victims(needed, protect) == expect
     # Statelessness: a probe must not consume index state.
-    assert policy.choose_victims(indexed, needed, protect=protect) == expect
+    assert cache.choose_victims(needed, protect) == expect
     return expect
 
 
-def _apply(op, indexed, reference, policy):
+def _apply(op, cache):
     kind = op[0]
     if kind == "insert" or kind == "insert_pinned":
         _, ki, nbytes, now = op
         key = KEYS[ki]
-        if key in indexed:
-            return
-        method = getattr(DeviceCache, kind)
-        method(indexed, key, nbytes, now)
-        method(reference, key, nbytes, now)
+        if key not in cache:
+            getattr(cache, kind)(key, nbytes, now)
     elif kind == "touch":
         _, ki, now = op
         key = KEYS[ki]
-        if key in indexed:
-            indexed.touch(key, now)
-            reference.touch(key, now)
+        if key in cache:
+            cache.touch(key, now)
     elif kind == "pin":
         key = KEYS[op[1]]
-        if key in indexed:
-            indexed.pin(key)
-            reference.pin(key)
+        if key in cache:
+            cache.pin(key)
     elif kind == "unpin":
         key = KEYS[op[1]]
-        if indexed.pin_count(key) > 0:
-            indexed.unpin(key)
-            reference.unpin(key)
+        if cache.pin_count(key) > 0:
+            cache.unpin(key)
     elif kind == "dirty":
         _, ki, flag = op
         key = KEYS[ki]
-        if key in indexed:
-            indexed.mark_dirty(key, flag)
-            reference.mark_dirty(key, flag)
+        if key in cache:
+            cache.mark_dirty(key, flag)
     elif kind == "shared":
         _, ki, flag = op
-        key = KEYS[ki]
-        indexed.mark_shared_elsewhere(key, flag)
-        reference.mark_shared_elsewhere(key, flag)
+        cache.mark_shared_elsewhere(KEYS[ki], flag)
     elif kind == "remove":
         key = KEYS[op[1]]
-        if key in indexed and indexed.pin_count(key) == 0:
-            indexed.remove(key)
-            reference.remove(key)
+        if key in cache and cache.pin_count(key) == 0:
+            cache.remove(key)
     else:  # evict_for
         _, extra, protect_idx, do_evict = op
         protect = tuple(KEYS[i] for i in protect_idx)
-        needed = indexed.free + extra
-        victims = _probe(policy, indexed, reference, needed, protect)
+        victims = _probe(cache, cache.free + extra, protect)
         if victims and do_evict:
             for vkey in victims:
-                indexed.remove(vkey)
-                reference.remove(vkey)
+                cache.remove(vkey)
 
 
 @pytest.mark.parametrize("policy_cls", POLICIES, ids=lambda p: p.name)
 @settings(max_examples=120, deadline=None)
 @given(ops=st.lists(_op, max_size=60), protect_idx=st.lists(_keys, max_size=3))
 def test_indexed_victims_match_scan_reference(policy_cls, ops, protect_idx):
-    policy = policy_cls()
-    indexed = DeviceCache(device=0, capacity=CAPACITY)
-    indexed.set_eviction_policy(policy)
-    reference = DeviceCache(device=0, capacity=CAPACITY)
+    cache = DeviceCache(device=0, capacity=CAPACITY, policy=policy_cls())
 
     for op in ops:
-        _apply(op, indexed, reference, policy)
+        _apply(op, cache)
 
     # Full drain: request exactly everything evictable, so the index must
     # enumerate every candidate in the reference victim order.
     protect = tuple(KEYS[i] for i in protect_idx)
-    protected = set(protect)
-    drainable = sum(
-        e.nbytes for e in reference.evictable() if e.key not in protected
-    )
+    candidates = _candidates(cache, protect)
+    drainable = sum(e.nbytes for e in candidates)
     if drainable:
-        victims = _probe(
-            policy, indexed, reference, reference.free + drainable, protect
-        )
-        assert victims is not None and len(victims) == sum(
-            1 for e in reference.evictable() if e.key not in protected
-        )
+        victims = _probe(cache, cache.free + drainable, protect)
+        assert victims is not None and len(victims) == len(candidates)
     # And one past it: both sides must agree on the OOM diagnosis too.
-    _probe(policy, indexed, reference, reference.free + drainable + 1, protect)
+    _probe(cache, cache.free + drainable + 1, protect)
 
 
 @pytest.mark.parametrize("policy_cls", POLICIES, ids=lambda p: p.name)
 def test_index_survives_reinsertion_of_same_key(policy_cls):
     # Re-inserting an evicted key must supersede its dead heap stamps
     # (generation check), not resurrect the old rank.
-    policy = policy_cls()
-    cache = DeviceCache(device=0, capacity=100)
-    cache.set_eviction_policy(policy)
-    ref = DeviceCache(device=0, capacity=100)
+    cache = DeviceCache(device=0, capacity=100, policy=policy_cls())
     k0, k1 = KEYS[0], KEYS[1]
-    for c in (cache, ref):
-        c.insert(k0, 10, now=1.0)
-        c.insert(k1, 10, now=2.0)
-    assert _probe(policy, cache, ref, cache.free + 1, ()) == [k0]
-    for c in (cache, ref):
-        c.remove(k0)
-        c.insert(k0, 10, now=5.0)  # now the *newest* entry
-    assert _probe(policy, cache, ref, cache.free + 1, ()) == [k1]
+    cache.insert(k0, 10, now=1.0)
+    cache.insert(k1, 10, now=2.0)
+    assert _probe(cache, cache.free + 1, ()) == [k0]
+    cache.remove(k0)
+    cache.insert(k0, 10, now=5.0)  # now the *newest* entry
+    assert _probe(cache, cache.free + 1, ()) == [k1]

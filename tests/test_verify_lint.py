@@ -162,10 +162,33 @@ def test_dunder_public_and_out_of_scope_methods_ignored(tmp_path):
           "        return 0\n"
           "    def public_but_unused(self):\n"
           "        return 0\n")
-    _seed(tmp_path, "bench/tool.py",
+    # Top-level modules (config, errors) are outside every subpackage.
+    _seed(tmp_path, "tool.py",
           "class Tool:\n"
           "    def _dead_but_out_of_scope(self):\n"
           "        return 0\n")
+    assert [f for f in lint_path(tmp_path) if f.code == "L005"] == []
+
+
+def test_unused_private_method_in_any_subpackage_detected(tmp_path):
+    _seed(tmp_path, "libraries/session.py",
+          "class Session:\n"
+          "    def _grid_shape(self, part):\n"
+          "        return part.shape\n")
+    findings = [f for f in lint_path(tmp_path) if f.code == "L005"]
+    assert len(findings) == 1
+    assert "Session._grid_shape" in findings[0].message
+
+
+def test_class_body_alias_keeps_private_method_alive(tmp_path):
+    # ast.NodeVisitor dispatches on visit_<Node>; aliasing one private
+    # handler under two visit names is a use, not dead code.
+    _seed(tmp_path, "runtime/visitor.py",
+          "class Visitor:\n"
+          "    def _fn(self, node):\n"
+          "        return node\n"
+          "    visit_FunctionDef = _fn\n"
+          "    visit_AsyncFunctionDef = _fn\n")
     assert [f for f in lint_path(tmp_path) if f.code == "L005"] == []
 
 
