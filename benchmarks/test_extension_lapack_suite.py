@@ -1,8 +1,8 @@
 """Extension benchmarks: the LAPACK-level composition suite.
 
 Complements ``test_extension_cholesky.py`` with the inversion and LU
-pipelines, plus the tile-size autotuner — the downstream-user features built
-on top of the reproduced runtime.
+pipelines — the downstream-user features built on top of the reproduced
+runtime.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from repro.blas.params import Uplo
 from repro.lapack import gesv_async, potri_async, trtri_async
 from repro.lapack.getrf import getrf_total_flops
 from repro.memory.matrix import Matrix
-from repro.topology.dgx1 import make_dgx1
-from repro.tuning import TileTuner
 
 N, NB = 24576, 1024
 
@@ -61,21 +59,3 @@ def test_extension_gesv_pipeline(benchmark, dgx1):
     benchmark.extra_info["seconds"] = seconds
     assert seconds > 0
 
-
-def test_extension_autotuner(benchmark, dgx1):
-    """The tuner must find a tile at least as good as the paper's fixed set."""
-
-    def run():
-        tuner = TileTuner(dgx1, min_nb=512, max_nb=8192)
-        result = tuner.tune("xkblas", "gemm", 16384)
-        return result
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    from repro.bench.harness import best_over_tiles
-
-    paper_best = best_over_tiles("xkblas", "gemm", 16384, dgx1).tflops
-    print(f"\n  tuner: nb={result.best_nb} -> {result.best_tflops:.1f} TFlop/s "
-          f"({result.evaluations} evals); paper candidate set -> {paper_best:.1f}")
-    benchmark.extra_info["best_nb"] = result.best_nb
-    benchmark.extra_info["evaluations"] = result.evaluations
-    assert result.best_tflops >= paper_best * 0.98

@@ -34,7 +34,7 @@ def main(sizes: list[int]) -> None:
     print(f"{'N':>7s} {'host TF/s':>10s} {'DoD TF/s':>10s} {'DoD tile':>9s} "
           f"{'gain':>7s} {'PCIe fabric MB':>15s}")
     for n in sizes:
-        host = best_over_tiles("xkblas", "gemm", n, platform, fast=True).tflops
+        host = best_over_tiles("xkblas", "gemm", n, fast=True).tflops
         nb = dod_tile_size(n, platform.num_gpus)
         lib = make_library("xkblas", platform)
         a, b, c = (Matrix.meta(n, n, name=x) for x in "ABC")

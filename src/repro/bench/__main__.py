@@ -5,9 +5,11 @@ rows/series plus the shape checks.  ``--fast`` shrinks the size sweeps for a
 quick look; the full sweeps reproduce the paper's axes.
 
 ``--jobs N`` fans the sweep cells out over N worker processes (``--jobs 1``
-is the serial path; any N produces byte-identical rows), and ``--cache``
-persists cell outcomes under ``.bench_cache/`` so a re-run simulates nothing
-that already ran against the same source tree.
+is the serial path; any N produces byte-identical rows), and ``--cache [DIR]``
+persists cell outcomes in the SQLite store ``DIR/points.sqlite`` (default
+``DIR``: ``.bench_cache``) so a re-run simulates nothing that already ran
+against the same source tree.  A store that cannot be opened, like any other
+:class:`~repro.errors.ReproError`, prints ``error: ...`` and exits 1.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.cache import SQLITE_SUFFIXES, PointCache
+from repro.bench.cache import PointCache
 from repro.bench.executor import SweepExecutor, set_default_executor
 from repro.bench.experiments import EXPERIMENTS
+from repro.errors import ReproError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,10 +50,9 @@ def main(argv: list[str] | None = None) -> int:
         nargs="?",
         const=".bench_cache",
         default=None,
-        metavar="PATH",
-        help="persist cell outcomes across runs: a directory (default "
-             ".bench_cache) holding a JSON-lines store, or a .sqlite/.db "
-             "file for the concurrent-safe SQLite backend",
+        metavar="DIR",
+        help="persist cell outcomes across runs in the SQLite store "
+             "DIR/points.sqlite (default DIR: .bench_cache)",
     )
     parser.add_argument(
         "--markdown",
@@ -68,13 +70,16 @@ def main(argv: list[str] | None = None) -> int:
         help="render size-sweep experiments as ASCII line charts",
     )
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _run(args: argparse.Namespace) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    store_path = None
-    if args.cache:
-        store_path = Path(args.cache)
-        if store_path.suffix not in SQLITE_SUFFIXES:
-            store_path = store_path / "points.jsonl"
-    cache = PointCache(store_path)
+    cache = PointCache(Path(args.cache) / "points.sqlite" if args.cache else None)
     executor = SweepExecutor(jobs=args.jobs, cache=cache)
     # Install as the process default so every experiment — and the harness
     # helpers they call point by point — shares one memo: cells that several

@@ -1,4 +1,4 @@
-"""Cross-experiment point cache over pluggable persistent stores.
+"""Cross-experiment point cache over a persistent SQLite store.
 
 Every sweep cell is a pure function of its :class:`~repro.bench.cellspec.CellSpec`
 *and of the simulator's source code*, so an outcome can be memoized within a
@@ -9,38 +9,29 @@ feeds a makespan (``sim``, ``runtime``, ``memory``, ``topology``, ``blas``,
 part of every stored record, so editing any of those files silently
 invalidates all prior results instead of serving stale numbers.
 
-Persistence is a :class:`PointStore` chosen by path suffix (:func:`open_store`):
-
-* :class:`JsonlStore` — one JSON record per line, append-only, under
-  ``.bench_cache/`` by default.  Trivially diffable, concatenatable, and
-  robust to truncation: unreadable lines are skipped, not fatal.  Appends are
-  a single ``O_APPEND`` write of one pre-encoded line, so concurrent writer
-  processes never interleave partial lines; duplicate records (two processes
-  racing on the same cold cell) collapse on load.
-* :class:`SqliteStore` — a WAL-mode SQLite table with upsert-on-key
-  semantics, the backend for long-running tuning servers: many processes
-  share one warm corpus, misses re-check the database live (another server
-  may have filled the cell meanwhile), and :meth:`SqliteStore.import_jsonl`
-  compacts a legacy JSON-lines file — duplicates and all — into unique rows.
+Persistence is one :class:`SqliteStore`: a WAL-mode SQLite table with
+upsert-on-key semantics, so sweep invocations and long-running tuning servers
+alike share one warm corpus — concurrent writer processes lose nothing,
+duplicate records from two processes racing on the same cold cell collapse
+to one row, and misses re-check the database live (another process may have
+filled the cell meanwhile).  Rows whose payload is not a valid outcome are
+skipped, not fatal: the cell is simply simulated again.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sqlite3
 import threading
 from pathlib import Path
 from typing import Iterator
 
 from repro.bench.cellspec import CellOutcome, CellSpec
+from repro.errors import BenchmarkError
 
 #: Source trees whose code determines every simulated outcome.
 FINGERPRINT_SUBDIRS = ("sim", "runtime", "memory", "topology", "blas", "libraries")
-
-#: Path suffixes that select the SQLite backend in :func:`open_store`.
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 _fingerprint_memo: dict[tuple[Path, ...], str] = {}
 
@@ -79,87 +70,20 @@ def code_fingerprint(roots: tuple[Path, ...] | None = None) -> str:
     return result
 
 
-# --------------------------------------------------------------------- stores
+# ---------------------------------------------------------------------- store
 
 
-class PointStore:
-    """Persistence backend interface for :class:`PointCache`.
-
-    A store moves ``(key, fingerprint, outcome-payload)`` triples to and from
-    durable storage; the cache layers the in-process memo, hit accounting and
-    :class:`~repro.bench.cellspec.CellOutcome` (de)serialization on top.
-    """
-
-    path: Path
-
-    def load(self) -> Iterator[tuple[str, str, dict]]:
-        """Yield every readable record, deduplicated by (key, fingerprint)."""
-        raise NotImplementedError
-
-    def append(self, key: str, fingerprint: str, payload: dict) -> None:
-        """Durably add one record (idempotent per (key, fingerprint))."""
-        raise NotImplementedError
-
-    def lookup(self, key: str, fingerprint: str) -> dict | None:
-        """Live re-check for one record, bypassing any load-time snapshot.
-
-        Backends without cheap point lookups return ``None`` (= not found);
-        the cache then treats the miss as authoritative.
-        """
-        return None
-
-    def close(self) -> None:
-        """Release any held resources (file handles, connections)."""
-
-
-class JsonlStore(PointStore):
-    """Append-only JSON-lines backend (the original, diff-friendly format)."""
-
-    def __init__(self, path: Path | str) -> None:
-        self.path = Path(path)
-
-    def load(self) -> Iterator[tuple[str, str, dict]]:
-        if not self.path.exists():
-            return
-        records: dict[tuple[str, str], dict] = {}
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                ident = (rec["key"], rec["fingerprint"])
-                payload = rec["outcome"]
-            except (ValueError, KeyError, TypeError):
-                continue  # truncated/corrupt line: ignore, will re-simulate
-            # Last record wins — outcomes are deterministic, so duplicate
-            # appends from racing writers carry identical payloads anyway.
-            records[ident] = payload
-        for (key, fingerprint), payload in records.items():
-            yield key, fingerprint, payload
-
-    def append(self, key: str, fingerprint: str, payload: dict) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        record = {"key": key, "fingerprint": fingerprint, "outcome": payload}
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        # One O_APPEND write of one pre-encoded line: the kernel serializes
-        # appends, so concurrent writer processes cannot interleave partial
-        # lines the loader would have to drop.
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            os.write(fd, line)
-        finally:
-            os.close(fd)
-
-
-class SqliteStore(PointStore):
-    """Concurrent-safe SQLite backend (WAL mode, upsert-on-key).
+class SqliteStore:
+    """The persistent point store: ``(key, fingerprint, outcome-payload)``
+    rows in SQLite (WAL mode, upsert-on-key).
 
     WAL journaling lets readers proceed while a writer commits, and the
     primary key upsert makes appends idempotent — the properties a fleet of
     tuning-server processes sharing one warm corpus needs.  The connection is
     shared across threads behind a lock; cross-process contention is resolved
-    by SQLite's own locking with a generous busy timeout.
+    by SQLite's own locking with a generous busy timeout.  A path that cannot
+    hold the database (a directory, a file that is not SQLite, a parent that
+    is a file) raises :class:`~repro.errors.BenchmarkError` naming it.
     """
 
     _SCHEMA = (
@@ -175,19 +99,25 @@ class SqliteStore(PointStore):
     )
 
     def __init__(self, path: Path | str) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        path = Path(path)
+        conn = None
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            conn = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(self._SCHEMA)
+            conn.commit()
+        except (OSError, sqlite3.Error) as exc:
+            if conn is not None:
+                conn.close()
+            raise BenchmarkError(f"cannot open point store {path}: {exc}") from exc
+        self._conn = conn
         self._lock = threading.Lock()
-        self._conn = sqlite3.connect(
-            self.path, timeout=30.0, check_same_thread=False
-        )
-        with self._lock:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn.execute(self._SCHEMA)
-            self._conn.commit()
 
     def load(self) -> Iterator[tuple[str, str, dict]]:
+        """Yield every stored ``(key, fingerprint, payload)`` whose payload
+        parses as JSON."""
         with self._lock:
             rows = self._conn.execute(
                 "SELECT key, fingerprint, outcome FROM points"
@@ -200,12 +130,14 @@ class SqliteStore(PointStore):
             yield key, fingerprint, payload
 
     def append(self, key: str, fingerprint: str, payload: dict) -> None:
+        """Durably add one record (idempotent per (key, fingerprint))."""
         text = json.dumps(payload, sort_keys=True)
         with self._lock:
             self._conn.execute(self._UPSERT, (key, fingerprint, text))
             self._conn.commit()
 
     def lookup(self, key: str, fingerprint: str) -> dict | None:
+        """Live re-check for one record, bypassing the load-time snapshot."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT outcome FROM points WHERE key = ? AND fingerprint = ?",
@@ -218,18 +150,6 @@ class SqliteStore(PointStore):
         except ValueError:
             return None
 
-    def import_jsonl(self, jsonl_path: Path | str) -> int:
-        """Compact a legacy JSON-lines store into this database.
-
-        Duplicate lines (racing appenders pre-upgrade) collapse to one row
-        via the upsert; returns the number of unique records imported.
-        """
-        imported = 0
-        for key, fingerprint, payload in JsonlStore(jsonl_path).load():
-            self.append(key, fingerprint, payload)
-            imported += 1
-        return imported
-
     def __len__(self) -> int:
         with self._lock:
             (count,) = self._conn.execute("SELECT COUNT(*) FROM points").fetchone()
@@ -240,43 +160,27 @@ class SqliteStore(PointStore):
             self._conn.close()
 
 
-def open_store(path: Path | str) -> PointStore:
-    """Open the store backend a path names: SQLite for ``.sqlite``/
-    ``.sqlite3``/``.db`` suffixes, JSON-lines otherwise."""
-    path = Path(path)
-    if path.suffix in SQLITE_SUFFIXES:
-        return SqliteStore(path)
-    return JsonlStore(path)
-
-
 # ---------------------------------------------------------------------- cache
 
 
 class PointCache:
-    """In-process memo plus an optional persistent :class:`PointStore`.
+    """In-process memo plus an optional persistent :class:`SqliteStore`.
 
-    With no path/store the cache is memory-only (the executor's default): it
+    With no path the cache is memory-only (the executor's default): it
     deduplicates cells within one invocation — including *across* experiments
-    in an ``all`` run — and costs nothing to keep enabled.  With a backing
-    store, hits survive across invocations; records are keyed on
+    in an ``all`` run — and costs nothing to keep enabled.  With a store
+    path, hits survive across invocations; records are keyed on
     ``(CellSpec.cache_key(), code fingerprint)``.
 
     The cache is thread-safe: the tuning server's dispatch threads and event
     loop share one instance, so memo mutation and hit/miss accounting happen
-    under a lock (the store backends guard their own I/O).  On a memo miss a
-    backend with live lookups (SQLite) is re-checked before the miss is
-    declared, so concurrent server processes see each other's writes.
+    under a lock (the store guards its own I/O).  On a memo miss the store is
+    re-checked live before the miss is declared, so concurrent server
+    processes see each other's writes.
     """
 
-    def __init__(
-        self,
-        path: Path | str | None = None,
-        store: PointStore | None = None,
-    ) -> None:
-        if store is None and path is not None:
-            store = open_store(path)
-        self.store = store
-        self.path = store.path if store is not None else None
+    def __init__(self, path: Path | str | None = None) -> None:
+        self.store = SqliteStore(path) if path is not None else None
         self._memo: dict[tuple[str, str], CellOutcome] = {}
         self._from_store: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
@@ -308,7 +212,7 @@ class PointCache:
 
         A hit counts toward hit stats exactly like :meth:`get`; a miss counts
         nothing — callers that care follow up with :meth:`get` (off-loop for
-        stores with live lookups), which does the store-hit/miss accounting.
+        a persistent cache), which does the store-hit/miss accounting.
         """
         key = (spec.cache_key(), fingerprint)
         with self._lock:
@@ -339,14 +243,6 @@ class PointCache:
         with self._lock:
             self.misses += 1
         return None
-
-    def contains(self, spec: CellSpec, fingerprint: str) -> bool:
-        """Non-counting peek, for observability (the server's ``cached`` flag)."""
-        key = (spec.cache_key(), fingerprint)
-        with self._lock:
-            if key in self._memo:
-                return True
-        return self.store is not None and self.store.lookup(*key) is not None
 
     def put(self, spec: CellSpec, fingerprint: str, outcome: CellOutcome) -> None:
         key = (spec.cache_key(), fingerprint)

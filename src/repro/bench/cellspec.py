@@ -9,8 +9,9 @@ experiments and a point cache can persist their outcomes.
 Platforms are referenced by *handle* — a (factory, gpu-count) pair resolved
 through :data:`PLATFORM_FACTORIES` — rather than by object, because specs
 must cross process boundaries and cache keys must be stable across runs.
-Experiments that construct a custom :class:`~repro.topology.platform.Platform`
-by hand keep working through the harness's direct (uncached) path.
+Every sweep takes a handle; a hand-built
+:class:`~repro.topology.platform.Platform` runs one cell at a time through
+:func:`repro.bench.harness.run_point`.
 """
 
 from __future__ import annotations
@@ -64,18 +65,21 @@ class PlatformHandle:
 DEFAULT_PLATFORM = PlatformHandle("dgx1", 8)
 
 
-def as_handle(platform: object) -> PlatformHandle | None:
-    """Coerce a harness ``platform`` argument to a handle when possible.
+def as_handle(platform: PlatformHandle | None) -> PlatformHandle:
+    """Resolve a sweep's ``platform`` argument to a handle.
 
-    ``None`` means the paper's default machine (8-GPU DGX-1); a raw
-    :class:`Platform` object cannot be described and returns ``None`` —
-    callers then take the direct, uncached path.
+    ``None`` means the paper's default machine (8-GPU DGX-1).  A hand-built
+    :class:`Platform` cannot be described by a handle, so it cannot be swept
+    or cached: it raises :class:`TypeError` pointing at ``run_point``.
     """
     if platform is None:
         return DEFAULT_PLATFORM
     if isinstance(platform, PlatformHandle):
         return platform
-    return None
+    raise TypeError(
+        f"sweeps take a PlatformHandle or None, not {type(platform).__name__}; "
+        "run one cell on a hand-built Platform with run_point"
+    )
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -13,7 +13,7 @@ topo" (both disabled).  Shape criteria from the paper (§IV-B, Table II):
 
 from __future__ import annotations
 
-from repro.bench.cellspec import as_handle
+from repro.bench.cellspec import PlatformHandle
 from repro.bench.executor import SweepExecutor, default_executor
 from repro.bench.harness import (
     ExperimentResult,
@@ -22,7 +22,6 @@ from repro.bench.harness import (
     tile_specs,
 )
 from repro.bench.workloads import paper_sizes
-from repro.topology.platform import Platform
 
 ROUTINES = ("gemm", "syr2k", "trsm")
 CURVES = (
@@ -34,14 +33,12 @@ CURVES = (
 
 
 def run(
-    platform: Platform | None = None,
+    platform: PlatformHandle | None = None,
     fast: bool = False,
     sizes: tuple[int, ...] | None = None,
     routines: tuple[str, ...] | None = None,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
-    handle = as_handle(platform)
-    plat = platform if handle is None else handle
     ex = executor if executor is not None else default_executor()
     sizes = sizes if sizes is not None else paper_sizes(fast)
     if routines is None:
@@ -49,19 +46,18 @@ def run(
         # sweep; the 3-point fast subset misrepresents it, so fast mode keeps
         # the two unambiguous routines (run the full sweep for all three).
         routines = ("gemm", "syr2k") if fast else ROUTINES
-    if handle is not None:
-        # Enumerate every cell up front and submit one batch: the executor
-        # parallelizes across the whole figure and deduplicates cells shared
-        # with other experiments, instead of walking point by point.
-        ex.evaluate(
-            [
-                spec
-                for routine in routines
-                for curve in CURVES
-                for n in sizes
-                for spec in tile_specs(curve, routine, n, handle, fast=fast)
-            ]
-        )
+    # Enumerate every cell up front and submit one batch: the executor
+    # parallelizes across the whole figure and deduplicates cells shared
+    # with other experiments, instead of walking point by point.
+    ex.evaluate(
+        [
+            spec
+            for routine in routines
+            for curve in CURVES
+            for n in sizes
+            for spec in tile_specs(curve, routine, n, platform, fast=fast)
+        ]
+    )
     series: dict[str, dict[int, float | None]] = {}
     for routine in routines:
         for curve in CURVES:
@@ -69,7 +65,7 @@ def run(
             series[key] = {}
             for n in sizes:
                 series[key][n] = best_over_tiles(
-                    curve, routine, n, plat, fast=fast, executor=ex
+                    curve, routine, n, platform, fast=fast, executor=ex
                 ).tflops
 
     checks: dict[str, bool] = {}

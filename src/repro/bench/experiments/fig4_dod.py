@@ -13,7 +13,7 @@ Chameleon Tile and cuBLAS-XT as references.  Shape criteria (§IV-C):
 
 from __future__ import annotations
 
-from repro.bench.cellspec import as_handle
+from repro.bench.cellspec import PlatformHandle
 from repro.bench.executor import SweepExecutor, default_executor
 from repro.bench.harness import (
     ExperimentResult,
@@ -22,7 +22,6 @@ from repro.bench.harness import (
     tile_specs,
 )
 from repro.bench.workloads import paper_sizes
-from repro.topology.platform import Platform
 
 ROUTINES = ("gemm", "syr2k", "trsm")
 
@@ -36,35 +35,32 @@ CURVES = (
 
 
 def run(
-    platform: Platform | None = None,
+    platform: PlatformHandle | None = None,
     fast: bool = False,
     sizes: tuple[int, ...] | None = None,
     routines: tuple[str, ...] = ROUTINES,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
-    handle = as_handle(platform)
-    plat = platform if handle is None else handle
     ex = executor if executor is not None else default_executor()
     sizes = sizes if sizes is not None else paper_sizes(fast)
-    if handle is not None:
-        ex.evaluate(
-            [
-                spec
-                for routine in routines
-                for _, lib, scenario in CURVES
-                for n in sizes
-                for spec in tile_specs(
-                    lib, routine, n, handle, scenario=scenario,
-                    fast=fast if scenario == "host" else False,
-                )
-            ]
-        )
+    ex.evaluate(
+        [
+            spec
+            for routine in routines
+            for _, lib, scenario in CURVES
+            for n in sizes
+            for spec in tile_specs(
+                lib, routine, n, platform, scenario=scenario,
+                fast=fast if scenario == "host" else False,
+            )
+        ]
+    )
     series: dict[str, dict[int, float | None]] = {}
     for routine in routines:
         for suffix, lib, scenario in CURVES:
             series[f"{routine}/{suffix}"] = {
                 n: best_over_tiles(
-                    lib, routine, n, plat, scenario=scenario,
+                    lib, routine, n, platform, scenario=scenario,
                     fast=fast if scenario == "host" else False,
                     executor=ex,
                 ).tflops

@@ -14,39 +14,35 @@ The paper's headline comparison.  Shape criteria (§IV-D):
 
 from __future__ import annotations
 
-from repro.bench.cellspec import as_handle
+from repro.bench.cellspec import PlatformHandle
 from repro.bench.executor import SweepExecutor, default_executor
 from repro.bench.harness import ExperimentResult, safe_point, series_to_rows, tile_specs
 from repro.bench.workloads import paper_sizes
 from repro.libraries.registry import FIG5_LIBRARIES
-from repro.topology.platform import Platform
 
 ROUTINES = ("gemm", "symm", "syr2k", "syrk", "trmm", "trsm")
 
 
 def run(
-    platform: Platform | None = None,
+    platform: PlatformHandle | None = None,
     fast: bool = False,
     sizes: tuple[int, ...] | None = None,
     routines: tuple[str, ...] | None = None,
     libraries: tuple[str, ...] = FIG5_LIBRARIES,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
-    handle = as_handle(platform)
-    plat = platform if handle is None else handle
     ex = executor if executor is not None else default_executor()
     sizes = sizes if sizes is not None else paper_sizes(fast)
     routines = routines if routines is not None else (("gemm", "syr2k") if fast else ROUTINES)
-    if handle is not None:
-        ex.evaluate(
-            [
-                spec
-                for routine in routines
-                for lib in libraries
-                for n in sizes
-                for spec in tile_specs(lib, routine, n, handle, fast=fast)
-            ]
-        )
+    ex.evaluate(
+        [
+            spec
+            for routine in routines
+            for lib in libraries
+            for n in sizes
+            for spec in tile_specs(lib, routine, n, platform, fast=fast)
+        ]
+    )
     notes = [
         "missing points ('-') = routine unsupported or allocation failure,"
         " matching the paper's missing curves",
@@ -55,7 +51,7 @@ def run(
     for routine in routines:
         for lib in libraries:
             series[f"{routine}/{lib}"] = {
-                n: safe_point(lib, routine, n, plat, notes=notes, fast=fast, executor=ex)
+                n: safe_point(lib, routine, n, platform, notes=notes, fast=fast, executor=ex)
                 for n in sizes
             }
 

@@ -11,15 +11,14 @@ matrix dimension at block size 2048.  Shape criteria (§IV-F):
 
 from __future__ import annotations
 
-from repro.bench.cellspec import CellSpec, as_handle
+from repro.bench.cellspec import CellSpec, PlatformHandle, as_handle
 from repro.bench.executor import SweepExecutor, default_executor
-from repro.bench.harness import ExperimentResult, run_point
+from repro.bench.harness import ExperimentResult
 from repro.bench.workloads import matrices_for, paper_sizes
 from repro.blas import flops as fl
 from repro.blas.params import Diag, Side, Trans, Uplo
 from repro.libraries.registry import make_library
 from repro.memory.matrix import Matrix
-from repro.topology.dgx1 import make_dgx1
 from repro.topology.platform import Platform
 
 NB = 2048
@@ -46,7 +45,7 @@ def run_composition(
 
 
 def run(
-    platform: Platform | None = None,
+    platform: PlatformHandle | None = None,
     fast: bool = False,
     sizes: tuple[int, ...] | None = None,
     nb: int = NB,
@@ -56,32 +55,24 @@ def run(
     sizes = sizes if sizes is not None else paper_sizes(fast)
     big = max(sizes)
     series: dict[str, dict[int, float]] = {lib: {} for lib in LIBRARIES}
-    if handle is not None:
-        ex = executor if executor is not None else default_executor()
-        comp = {
-            (lib, n): CellSpec(
-                library=lib, routine="trsm+gemm", n=n, nb=nb,
-                platform=handle, mode="composition",
-            )
-            for n in sizes
-            for lib in LIBRARIES
-        }
-        peaks = {
-            lib: CellSpec(library=lib, routine="gemm", n=big, nb=nb, platform=handle)
-            for lib in LIBRARIES
-        }
-        outcomes = ex.evaluate(list(comp.values()) + list(peaks.values()))
-        for (lib, n), spec in comp.items():
-            series[lib][n] = outcomes[spec].tflops
-        xk_gemm_peak = outcomes[peaks["xkblas"]].tflops
-        cham_gemm_peak = outcomes[peaks["chameleon-tile"]].tflops
-    else:
-        plat = platform if platform is not None else make_dgx1(8)
-        for n in sizes:
-            for lib in LIBRARIES:
-                series[lib][n], _ = run_composition(lib, n, nb, plat)
-        xk_gemm_peak = run_point("xkblas", "gemm", big, nb, plat).tflops
-        cham_gemm_peak = run_point("chameleon-tile", "gemm", big, nb, plat).tflops
+    ex = executor if executor is not None else default_executor()
+    comp = {
+        (lib, n): CellSpec(
+            library=lib, routine="trsm+gemm", n=n, nb=nb,
+            platform=handle, mode="composition",
+        )
+        for n in sizes
+        for lib in LIBRARIES
+    }
+    peaks = {
+        lib: CellSpec(library=lib, routine="gemm", n=big, nb=nb, platform=handle)
+        for lib in LIBRARIES
+    }
+    outcomes = ex.evaluate(list(comp.values()) + list(peaks.values()))
+    for (lib, n), spec in comp.items():
+        series[lib][n] = outcomes[spec].tflops
+    xk_gemm_peak = outcomes[peaks["xkblas"]].tflops
+    cham_gemm_peak = outcomes[peaks["chameleon-tile"]].tflops
     rows = [
         [n] + [round(series[lib][n], 2) for lib in LIBRARIES] for n in sizes
     ]

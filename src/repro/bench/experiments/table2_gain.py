@@ -15,11 +15,10 @@ percentages (our substrate is a simulator, §IV-A of DESIGN.md).
 
 from __future__ import annotations
 
-from repro.bench.cellspec import as_handle
+from repro.bench.cellspec import PlatformHandle
 from repro.bench.executor import SweepExecutor, default_executor
 from repro.bench.harness import ExperimentResult, best_over_tiles, tile_specs
 from repro.bench.workloads import paper_sizes
-from repro.topology.platform import Platform
 
 ROUTINES = ("gemm", "syr2k", "trsm")
 THRESHOLD = 16384
@@ -42,56 +41,53 @@ VARIANTS = (
 
 
 def run(
-    platform: Platform | None = None,
+    platform: PlatformHandle | None = None,
     fast: bool = False,
     sizes: tuple[int, ...] | None = None,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
-    handle = as_handle(platform)
-    plat = platform if handle is None else handle
     ex = executor if executor is not None else default_executor()
     all_sizes = sizes if sizes is not None else paper_sizes(fast)
     sizes = tuple(n for n in all_sizes if n >= THRESHOLD)
-    if handle is not None:
-        # One up-front batch for the whole table; the host-scenario cells
-        # are the same cells Fig. 3 sweeps, so in an ``all`` run they are
-        # cache hits here, not re-simulations.
-        ex.evaluate(
-            [
-                spec
-                for routine in ROUTINES
-                for lib, scenario in VARIANTS
-                for n in sizes
-                for spec in tile_specs(
-                    lib, routine, n, handle, scenario=scenario,
-                    fast=fast if scenario == "host" else False,
-                )
-            ]
-        )
+    # One up-front batch for the whole table; the host-scenario cells are
+    # the same cells Fig. 3 sweeps, so in an ``all`` run they are cache hits
+    # here, not re-simulations.
+    ex.evaluate(
+        [
+            spec
+            for routine in ROUTINES
+            for lib, scenario in VARIANTS
+            for n in sizes
+            for spec in tile_specs(
+                lib, routine, n, platform, scenario=scenario,
+                fast=fast if scenario == "host" else False,
+            )
+        ]
+    )
     rows = []
     measured: dict[str, tuple[float, float, float]] = {}
     for routine in ROUTINES:
         base = {
             n: best_over_tiles(
-                "xkblas", routine, n, plat, fast=fast, executor=ex
+                "xkblas", routine, n, platform, fast=fast, executor=ex
             ).tflops
             for n in sizes
         }
         dod = {
             n: best_over_tiles(
-                "xkblas", routine, n, plat, scenario="device", executor=ex
+                "xkblas", routine, n, platform, scenario="device", executor=ex
             ).tflops
             for n in sizes
         }
         noheur = {
             n: best_over_tiles(
-                "xkblas-no-heuristic", routine, n, plat, fast=fast, executor=ex
+                "xkblas-no-heuristic", routine, n, platform, fast=fast, executor=ex
             ).tflops
             for n in sizes
         }
         notopo = {
             n: best_over_tiles(
-                "xkblas-no-heuristic-no-topo", routine, n, plat, fast=fast,
+                "xkblas-no-heuristic-no-topo", routine, n, platform, fast=fast,
                 executor=ex,
             ).tflops
             for n in sizes

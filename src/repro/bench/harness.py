@@ -6,11 +6,12 @@ report results with a tile size that maximizes performance among the
 experimented tile sizes (1024, 2048, 4096) for each matrix dimension and
 library", extended up to 16384 for cuBLAS-XT and SLATE.
 
-Cells described by a :class:`~repro.bench.cellspec.PlatformHandle` (the
-default) route through the sweep executor — an in-process memo plus optional
-worker pool and persistent cache (see :mod:`repro.bench.executor`).  Passing
-a hand-built :class:`Platform` object, a numeric run, or ``keep_runtime``
-takes the direct, uncached path.
+Every best-tile search runs over :class:`~repro.bench.cellspec.PlatformHandle`
+cells through the sweep executor — an in-process memo plus optional worker
+pool and persistent cache (see :mod:`repro.bench.executor`).  ``run_point``
+simulates one cell in this process, uncached: the executor's worker entry,
+and the path for numeric runs, ``keep_runtime`` runs and hand-built
+:class:`Platform` objects.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.bench.workloads import default_args, matrices_for
 from repro.errors import BenchmarkError, LibraryError
 from repro.libraries.base import LibraryResult
 from repro.libraries.registry import make_library
-from repro.topology.dgx1 import make_dgx1
 from repro.topology.platform import Platform
 
 
@@ -46,25 +46,11 @@ def run_point(
     numeric: bool = False,
     keep_runtime: bool = False,
     k: int | None = None,
-    executor: SweepExecutor | None = None,
 ) -> LibraryResult:
-    """Run one benchmark cell and return its :class:`LibraryResult`.
-
-    With an ``executor`` (and no numeric/``keep_runtime`` state, which a
-    cache must never serve), the cell is routed through the executor's
-    cache; otherwise it is simulated directly in this process.
-    """
-    if executor is not None and not numeric and not keep_runtime:
-        handle = as_handle(platform)
-        if handle is not None:
-            spec = CellSpec(
-                library=library, routine=routine, n=n, nb=nb,
-                scenario=scenario, k=k, platform=handle,
-            )
-            return result_from_outcome(spec, executor.evaluate_one(spec))
-    if isinstance(platform, PlatformHandle):
-        platform = platform.build()
-    platform = platform if platform is not None else make_dgx1(8)
+    """Simulate one benchmark cell in this process, uncached, and return its
+    :class:`LibraryResult` (``None`` means the paper's 8-GPU DGX-1)."""
+    if platform is None or isinstance(platform, PlatformHandle):
+        platform = as_handle(platform).build()
     lib = make_library(library, platform)
     mats = matrices_for(routine, n, k=k, numeric=numeric)
     args = default_args(routine)
@@ -143,30 +129,6 @@ def tile_candidates(library: str, fast: bool = False) -> tuple[int, ...]:
     return config.PAPER_TILE_SIZES
 
 
-def _candidate_tiles(
-    library: str,
-    n: int,
-    num_gpus: int,
-    scenario: str,
-    tiles: Sequence[int] | None,
-    fast: bool,
-) -> tuple[int, ...]:
-    """Candidate tile sizes for one cell, after the tractability pruning."""
-    if tiles is None:
-        if scenario == "device":
-            # §IV-C slackness rule plus a finer candidate for routines whose
-            # dependency structure needs more parallelism (TRSM pivots).
-            coarse = dod_tile_size(n, num_gpus)
-            tiles = tuple(dict.fromkeys((coarse, max(512, coarse // 2), 2048)))
-        else:
-            tiles = tile_candidates(library, fast=fast)
-    # nb >= n yields no tiling; n/nb > 32 is pruned for tractability: tile
-    # sizes yielding more than 32x32 output tiles never maximized performance
-    # in our sweeps (kernel efficiency drops and runtime overhead grows), and
-    # their task graphs are an order of magnitude larger to simulate.
-    return tuple(nb for nb in tiles if nb < n and n / nb <= 32)
-
-
 def tile_specs(
     library: str,
     routine: str,
@@ -182,13 +144,26 @@ def tile_specs(
     one batch to the executor: the candidate set is a pure function of the
     point, so enumeration and assembly agree by construction.
     """
-    handle = platform if platform is not None else PlatformHandle()
+    handle = as_handle(platform)
+    if tiles is None:
+        if scenario == "device":
+            # §IV-C slackness rule plus a finer candidate for routines whose
+            # dependency structure needs more parallelism (TRSM pivots).
+            coarse = dod_tile_size(n, handle.gpus)
+            tiles = tuple(dict.fromkeys((coarse, max(512, coarse // 2), 2048)))
+        else:
+            tiles = tile_candidates(library, fast=fast)
+    # nb >= n yields no tiling; n/nb > 32 is pruned for tractability: tile
+    # sizes yielding more than 32x32 output tiles never maximized performance
+    # in our sweeps (kernel efficiency drops and runtime overhead grows), and
+    # their task graphs are an order of magnitude larger to simulate.
     return tuple(
         CellSpec(
             library=library, routine=routine, n=n, nb=nb,
             scenario=scenario, platform=handle,
         )
-        for nb in _candidate_tiles(library, n, handle.gpus, scenario, tiles, fast)
+        for nb in tiles
+        if nb < n and n / nb <= 32
     )
 
 
@@ -215,39 +190,23 @@ def best_over_tiles(
     library: str,
     routine: str,
     n: int,
-    platform: Platform | PlatformHandle | None = None,
+    platform: PlatformHandle | None = None,
     scenario: str = "host",
     tiles: Sequence[int] | None = None,
     fast: bool = False,
     executor: SweepExecutor | None = None,
 ) -> BestTileResult:
-    """Run the cell at each candidate tile size and keep the fastest."""
-    handle = as_handle(platform)
-    if handle is None:
-        # Hand-built platform: direct, uncached evaluation (legacy path).
-        assert isinstance(platform, Platform)
-        candidates = _candidate_tiles(
-            library, n, platform.num_gpus, scenario, tiles, fast
-        )
-        tried: dict[int, float] = {}
-        best: LibraryResult | None = None
-        for nb in candidates:
-            res = run_point(library, routine, n, nb, platform, scenario=scenario)
-            tried[nb] = res.tflops
-            if best is None or res.tflops > best.tflops:
-                best = res
-        if best is None:
-            raise BenchmarkError(f"no valid tile size among {tiles} for N={n}")
-        return BestTileResult(result=best, tried=tried)
-
+    """Evaluate the cell at each candidate tile size and keep the fastest:
+    the first strict maximum over the cells that succeeded, the same rule
+    as the tuning service's ``pick_best``."""
     specs = tile_specs(
-        library, routine, n, handle, scenario=scenario, tiles=tiles, fast=fast
+        library, routine, n, platform, scenario=scenario, tiles=tiles, fast=fast
     )
     if not specs:
         raise BenchmarkError(f"no valid tile size among {tiles} for N={n}")
     ex = executor if executor is not None else default_executor()
     outcomes = ex.evaluate(specs)
-    tried = {}
+    tried: dict[int, float] = {}
     best_spec: CellSpec | None = None
     for spec in specs:
         outcome = outcomes[spec]
@@ -329,7 +288,7 @@ def safe_point(
     library: str,
     routine: str,
     n: int,
-    platform: Platform | PlatformHandle | None = None,
+    platform: PlatformHandle | None = None,
     notes: list[str] | None = None,
     **kw,
 ) -> float | None:

@@ -1,19 +1,10 @@
-"""Tile-size autotuning.
+"""Tile-size tuning as a service.
 
 The paper's methodology picks, per (library, routine, N), the best tile size
-among a fixed candidate set and notes "block size tuning is outside of the
-scope of this paper" (§IV-A).  Because our platform is a deterministic
-simulator, tuning *is* in scope here: :class:`~repro.tuning.tuner.TileTuner`
-searches tile sizes cheaply (golden-section-style refinement over the
-power-of-two ladder) and caches results per (library, routine, size class) —
-the tool a downstream user would reach for before running a real workload.
-
-:mod:`repro.tuning.service` wraps the same search space in a long-running
-asyncio server (single-flight deduplication, batched cold-cell dispatch,
-shared persistent store), so many clients — and many server processes —
-answer tuning queries from one warm corpus.
+among a fixed candidate set (§IV-A).  :mod:`repro.tuning.service` answers
+that question for remote clients: a long-running asyncio server over the
+same sweep executor and point cache the offline harness uses (single-flight
+deduplication, batched cold-cell dispatch, shared SQLite store), so many
+clients — and many server processes — answer tuning queries from one warm
+corpus with the harness's own best-cell rule.
 """
-
-from repro.tuning.tuner import TileTuner, TuningResult
-
-__all__ = ["TileTuner", "TuningResult"]

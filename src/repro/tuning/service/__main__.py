@@ -2,15 +2,13 @@
 
 Commands:
 
-* ``serve`` — run a tuning server.  ``--store`` names the persistent point
-  store (``.sqlite``/``.db`` suffix selects the concurrent-safe SQLite
-  backend; anything else is JSON-lines); ``--jobs`` sizes the simulation
-  worker pool; the bound address is printed as ``listening on HOST:PORT``
-  once ready.
+* ``serve`` — run a tuning server.  ``--store`` names the persistent SQLite
+  point store (a path that cannot hold one is an ``error:``, exit 1);
+  ``--jobs`` sizes the simulation worker pool; the bound address is printed
+  as ``listening on HOST:PORT`` once ready.
 * ``query`` — one tune query against a running server, streaming each cell
   as the server resolves it.
 * ``stats`` / ``shutdown`` — observe or stop a running server.
-* ``migrate`` — compact a legacy JSON-lines store into a SQLite store.
 * ``smoke`` — end-to-end self-check (used by CI): N concurrent identical
   queries against a fresh store must cost exactly one simulation per
   distinct cell and match the direct ``run_point`` numbers, and a second
@@ -28,7 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.bench.cache import PointCache, SqliteStore
+from repro.bench.cache import PointCache
 from repro.bench.executor import SweepExecutor
 from repro.errors import ReproError
 from repro.tuning.service import client as client_mod
@@ -49,8 +47,8 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--port", type=int, default=protocol.DEFAULT_PORT,
                        help="TCP port (0 = ephemeral)")
     serve.add_argument("--store", metavar="PATH", default=None,
-                       help="persistent point store (.sqlite/.db = SQLite, "
-                            "else JSON-lines); default: in-memory only")
+                       help="persistent SQLite point store; "
+                            "default: in-memory only")
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="simulation worker processes (default 1: in-thread)")
     serve.add_argument("--start-method", default=None,
@@ -77,12 +75,6 @@ def main(argv: list[str] | None = None) -> int:
     _net_args(sub.add_parser("stats", help="print server statistics"))
     _net_args(sub.add_parser("shutdown", help="stop a running server"))
 
-    migrate = sub.add_parser(
-        "migrate", help="compact a JSON-lines store into a SQLite store"
-    )
-    migrate.add_argument("src", help="legacy .jsonl point store")
-    migrate.add_argument("dst", help="target .sqlite store (created if missing)")
-
     smoke = sub.add_parser("smoke", help="end-to-end single-flight self-check")
     smoke.add_argument("--clients", type=int, default=8,
                        help="concurrent identical queries (default 8)")
@@ -102,8 +94,6 @@ def main(argv: list[str] | None = None) -> int:
             client_mod.shutdown_sync(args.host, args.port)
             print("server asked to shut down")
             return 0
-        if args.command == "migrate":
-            return _cmd_migrate(args)
         if args.command == "smoke":
             return _cmd_smoke(args)
     except ReproError as exc:
@@ -190,22 +180,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"best: {best.library} nb={best.nb} {best.scenario} "
         f"{best.tflops:.2f} TFlop/s ({reply.simulated} cells simulated)"
     )
-    return 0
-
-
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    src = Path(args.src)
-    if not src.exists():
-        print(f"error: {src} does not exist", file=sys.stderr)
-        return 1
-    store = SqliteStore(args.dst)
-    try:
-        imported = store.import_jsonl(src)
-        total = len(store)
-    finally:
-        store.close()
-    print(f"migrated {imported} unique records from {src} -> {args.dst} "
-          f"({total} rows total)")
     return 0
 
 

@@ -1,6 +1,6 @@
 """Tests for the point cache and its code-fingerprint invalidation."""
 
-import json
+import sqlite3
 
 from repro.bench.cache import PointCache, code_fingerprint
 from repro.bench.cellspec import CellOutcome, CellSpec
@@ -40,7 +40,7 @@ def test_fingerprint_of_real_package_is_memoized():
 
 
 def test_fingerprint_change_invalidates_cached_records(tmp_path):
-    path = tmp_path / "points.jsonl"
+    path = tmp_path / "points.sqlite"
     cache = PointCache(path)
     cache.put(SPEC, "fp-old", OUTCOME)
     reloaded = PointCache(path)
@@ -84,11 +84,10 @@ def test_get_memo_peeks_without_store_io(tmp_path):
 
 
 def test_put_is_idempotent(tmp_path):
-    path = tmp_path / "points.jsonl"
-    cache = PointCache(path)
+    cache = PointCache(tmp_path / "points.sqlite")
     cache.put(SPEC, "fp", OUTCOME)
     cache.put(SPEC, "fp", OUTCOME)
-    assert len(path.read_text().splitlines()) == 1
+    assert len(cache.store) == 1
     assert len(cache) == 1
 
 
@@ -96,7 +95,7 @@ def test_put_is_idempotent(tmp_path):
 
 
 def test_store_round_trip_and_hit_attribution(tmp_path):
-    path = tmp_path / "cache" / "points.jsonl"
+    path = tmp_path / "cache" / "points.sqlite"
     writer = PointCache(path)
     writer.put(SPEC, "fp", OUTCOME)
     failed = CellSpec(library="blasx", routine="syrk", n=8192, nb=1024)
@@ -112,13 +111,25 @@ def test_store_round_trip_and_hit_attribution(tmp_path):
 
 
 def test_corrupt_lines_are_skipped_not_fatal(tmp_path):
-    path = tmp_path / "points.jsonl"
-    PointCache(path).put(SPEC, "fp", OUTCOME)
-    with path.open("a") as fh:
-        fh.write("not json at all\n")
-        fh.write('{"key": "missing-the-rest"}\n')
-        fh.write(json.dumps({"key": "k", "fingerprint": "f", "outcome": None}) + "\n")
-        fh.write('{"key": "truncated", "fingerprint": "f", "outco')  # no newline
+    # Rows whose payload is not JSON, is JSON null, or lacks "ok" must be
+    # skipped on load (the cell re-simulates), never served or fatal.
+    path = tmp_path / "points.sqlite"
+    writer = PointCache(path)
+    writer.put(SPEC, "fp", OUTCOME)
+    writer.close()
+    conn = sqlite3.connect(path)
+    conn.executemany(
+        "INSERT INTO points (key, fingerprint, outcome) VALUES (?, ?, ?)",
+        [
+            ("not-json", "fp", "not json at all"),
+            ("null", "fp", "null"),
+            ("no-ok", "fp", '{"tflops": 1.0}'),
+        ],
+    )
+    conn.commit()
+    conn.close()
     reader = PointCache(path)
+    assert len(reader.store) == 4
     assert len(reader) == 1
     assert reader.get(SPEC, "fp") == OUTCOME
+    reader.close()

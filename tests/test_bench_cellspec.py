@@ -74,8 +74,10 @@ def test_as_handle_coercions():
     assert as_handle(None) == DEFAULT_PLATFORM
     handle = PlatformHandle("nvswitch", 8)
     assert as_handle(handle) is handle
-    # A hand-built Platform cannot be described by a handle -> direct path.
-    assert as_handle(make_dgx1(2)) is None
+    # A hand-built Platform cannot be described by a handle, so it cannot
+    # be swept: the error points at the one-cell path.
+    with pytest.raises(TypeError, match="run_point"):
+        as_handle(make_dgx1(2))
 
 
 # -------------------------------------------------------------- outcomes

@@ -77,13 +77,6 @@ def test_executor_matches_direct_run_point():
     assert cached.tflops == direct.tflops
 
 
-def test_raw_platform_bypasses_executor():
-    with SweepExecutor(jobs=1) as ex:
-        res = run_point("xkblas", "gemm", 4096, 1024, make_dgx1(4), executor=ex)
-        assert res.tflops > 0
-        assert ex.cells_simulated == 0  # direct path, nothing cached
-
-
 def test_set_default_executor_restores():
     original = default_executor()
     mine = SweepExecutor(jobs=1)

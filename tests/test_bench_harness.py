@@ -21,7 +21,7 @@ from repro.topology.dgx1 import make_dgx1
 
 @pytest.fixture(scope="module")
 def plat():
-    return make_dgx1(4)
+    return PlatformHandle("dgx1", 4)
 
 
 # -------------------------------------------------------------- workloads
@@ -116,15 +116,11 @@ def test_tile_specs_enumeration():
     assert tile_specs("xkblas", "gemm", 512, tiles=(1024,)) == ()
 
 
-def test_best_over_tiles_handle_path_matches_raw_platform(plat):
-    # The executor-routed path must reproduce the legacy direct path exactly.
-    direct = best_over_tiles("xkblas", "gemm", 8192, plat, tiles=(1024, 2048))
-    routed = best_over_tiles(
-        "xkblas", "gemm", 8192, PlatformHandle("dgx1", 4), tiles=(1024, 2048)
-    )
-    assert routed.tried == direct.tried
-    assert routed.nb == direct.nb
-    assert routed.tflops == direct.tflops
+def test_best_over_tiles_rejects_a_hand_built_platform():
+    # Sweeps run over handles only; one cell on a hand-built platform is
+    # run_point's job, and the error says so.
+    with pytest.raises(TypeError, match="run_point"):
+        best_over_tiles("xkblas", "gemm", 8192, make_dgx1(4), tiles=(1024,))
 
 
 def test_series_to_rows_layout():

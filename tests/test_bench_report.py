@@ -79,7 +79,7 @@ def test_persistent_cache_second_run_simulates_nothing(tmp_path):
     from repro.bench.executor import SweepExecutor
     from repro.bench.harness import tile_specs
 
-    path = tmp_path / "bc" / "points.jsonl"
+    path = tmp_path / "bc" / "points.sqlite"
     specs = tile_specs("xkblas", "gemm", 4096, tiles=(1024, 2048))
     with SweepExecutor(jobs=1, cache=PointCache(path)) as ex:
         first = ex.evaluate(specs)

@@ -1,73 +1,24 @@
-"""Tests for the pluggable point-store backends under concurrency.
+"""Tests for the SQLite point store under concurrency and misuse.
 
 The store contract the tuning service depends on: concurrent writer
-*processes* lose no records and corrupt no lines (JSONL appends are one
-O_APPEND write; SQLite runs WAL with upsert-on-key), duplicate records
-collapse, and a legacy JSON-lines store migrates into SQLite losslessly.
+*processes* lose no records (WAL with upsert-on-key), duplicate records
+collapse, and a path that cannot hold a store fails with a typed error that
+names it instead of a raw ``sqlite3``/``OSError`` traceback.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
+import re
 
 import pytest
 
-from repro.bench.cache import (
-    JsonlStore,
-    PointCache,
-    SqliteStore,
-    open_store,
-)
+from repro.bench.cache import PointCache, SqliteStore
 from repro.bench.cellspec import CellOutcome, CellSpec
+from repro.errors import BenchmarkError
 
 SPEC = CellSpec(library="xkblas", routine="gemm", n=8192, nb=1024)
 OUTCOME = CellOutcome(ok=True, tflops=40.0, seconds=0.1, flops=4e12)
-
-
-# ------------------------------------------------------------------ dispatch
-
-
-def test_open_store_dispatches_on_suffix(tmp_path):
-    assert isinstance(open_store(tmp_path / "points.jsonl"), JsonlStore)
-    assert isinstance(open_store(tmp_path / "points.txt"), JsonlStore)
-    for suffix in (".sqlite", ".sqlite3", ".db"):
-        store = open_store(tmp_path / f"points{suffix}")
-        assert isinstance(store, SqliteStore)
-        store.close()
-
-
-def test_point_cache_accepts_explicit_store(tmp_path):
-    store = SqliteStore(tmp_path / "points.sqlite")
-    cache = PointCache(store=store)
-    assert cache.persistent
-    assert cache.path == store.path
-    cache.put(SPEC, "fp", OUTCOME)
-    assert PointCache(tmp_path / "points.sqlite").get(SPEC, "fp") == OUTCOME
-    cache.close()
-
-
-# --------------------------------------------------------------- JSONL store
-
-
-def test_jsonl_append_writes_one_complete_line(tmp_path):
-    path = tmp_path / "points.jsonl"
-    store = JsonlStore(path)
-    store.append(SPEC.cache_key(), "fp", OUTCOME.to_json())
-    (line,) = path.read_text().splitlines()
-    record = json.loads(line)
-    assert record["key"] == SPEC.cache_key()
-    assert record["outcome"]["tflops"] == 40.0
-
-
-def test_jsonl_duplicate_records_collapse_on_load(tmp_path):
-    path = tmp_path / "points.jsonl"
-    store = JsonlStore(path)
-    for _ in range(3):  # racing writers append the same cold cell
-        store.append(SPEC.cache_key(), "fp", OUTCOME.to_json())
-    assert len(path.read_text().splitlines()) == 3
-    assert len(list(store.load())) == 1
-    assert len(PointCache(path)) == 1
 
 
 # -------------------------------------------------------------- SQLite store
@@ -112,16 +63,6 @@ def test_sqlite_live_lookup_shares_writes_across_cache_instances(tmp_path):
     cache_b.close()
 
 
-def test_contains_is_a_non_counting_peek(tmp_path):
-    cache = PointCache(tmp_path / "points.sqlite")
-    assert not cache.contains(SPEC, "fp")
-    cache.put(SPEC, "fp", OUTCOME)
-    assert cache.contains(SPEC, "fp")
-    assert cache.stats()["memo_hits"] == 0
-    assert cache.stats()["misses"] == 0
-    cache.close()
-
-
 # ------------------------------------------------------- multi-process writes
 
 WRITERS = 4
@@ -135,7 +76,7 @@ def _fork_context():
 
 
 def _write_records(path: str, writer_idx: int) -> None:
-    store = open_store(path)
+    store = SqliteStore(path)
     for i in range(RECORDS_PER_WRITER):
         spec = CellSpec(
             library="xkblas", routine="gemm",
@@ -146,7 +87,7 @@ def _write_records(path: str, writer_idx: int) -> None:
     store.close()
 
 
-@pytest.mark.parametrize("filename", ["points.jsonl", "points.sqlite"])
+@pytest.mark.parametrize("filename", ["points.sqlite"])
 def test_concurrent_writer_processes_lose_nothing(tmp_path, filename):
     path = tmp_path / filename
     ctx = _fork_context()
@@ -159,7 +100,7 @@ def test_concurrent_writer_processes_lose_nothing(tmp_path, filename):
     for proc in procs:
         proc.join(timeout=120)
         assert proc.exitcode == 0
-    store = open_store(path)
+    store = SqliteStore(path)
     records = {(key, fp): payload for key, fp, payload in store.load()}
     store.close()
     assert len(records) == WRITERS * RECORDS_PER_WRITER
@@ -171,52 +112,29 @@ def test_concurrent_writer_processes_lose_nothing(tmp_path, filename):
     assert {payload["tflops"] for payload in records.values()} == expected
 
 
-def test_concurrent_jsonl_appends_never_interleave_partial_lines(tmp_path):
-    path = tmp_path / "points.jsonl"
-    ctx = _fork_context()
-    procs = [
-        ctx.Process(target=_write_records, args=(str(path), idx))
-        for idx in range(WRITERS)
-    ]
-    for proc in procs:
-        proc.start()
-    for proc in procs:
-        proc.join(timeout=120)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == WRITERS * RECORDS_PER_WRITER
-    for line in lines:  # every line parses: no torn interleavings
-        record = json.loads(line)
-        assert set(record) == {"key", "fingerprint", "outcome"}
+# ---------------------------------------------------------- unusable paths
 
 
-# ------------------------------------------------------------------ migration
+@pytest.mark.parametrize("kind", ["json-text", "directory", "parent-is-file"])
+def test_unusable_store_path_raises_benchmark_error(tmp_path, kind):
+    path = tmp_path / "points.sqlite"
+    if kind == "json-text":
+        # e.g. a leftover JSON-lines store handed to --store
+        path.write_text('{"key": "k", "fingerprint": "f", "outcome": {}}\n')
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "points.sqlite"
+    with pytest.raises(BenchmarkError, match=re.escape(str(path))):
+        SqliteStore(path)
+    with pytest.raises(BenchmarkError):
+        PointCache(path)
 
 
-def test_jsonl_to_sqlite_migration_round_trip(tmp_path):
-    jsonl_path = tmp_path / "legacy.jsonl"
-    legacy = PointCache(jsonl_path)
-    specs = [
-        CellSpec(library="xkblas", routine="gemm", n=4096 * i, nb=1024)
-        for i in range(1, 5)
-    ]
-    for i, spec in enumerate(specs):
-        legacy.put(spec, "fp", CellOutcome(ok=True, tflops=float(i), seconds=0.1))
-    legacy.put(specs[0], "other-fp", CellOutcome(ok=False, error="boom"))
-    legacy.close()
-    # Simulate pre-upgrade duplicate growth: re-append existing records.
-    store = JsonlStore(jsonl_path)
-    store.append(specs[0].cache_key(), "fp", {"ok": True, "tflops": 0.0, "seconds": 0.1})
-    assert len(jsonl_path.read_text().splitlines()) == 6
+def test_cli_reports_unusable_store_without_traceback(tmp_path, capsys):
+    from repro.bench.__main__ import main
 
-    sqlite_path = tmp_path / "migrated.sqlite"
-    dst = SqliteStore(sqlite_path)
-    imported = dst.import_jsonl(jsonl_path)
-    assert imported == 5  # duplicates compacted to unique (key, fingerprint)
-    assert len(dst) == 5
-    dst.close()
-
-    migrated = PointCache(sqlite_path)
-    for i, spec in enumerate(specs):
-        assert migrated.get(spec, "fp").tflops == float(i)
-    assert migrated.get(specs[0], "other-fp").ok is False
-    migrated.close()
+    (tmp_path / "bc" / "points.sqlite").mkdir(parents=True)
+    assert main(["table1", "--cache", str(tmp_path / "bc")]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot open point store")

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.bench.cache import PointCache
-from repro.bench.cellspec import CellOutcome, CellSpec
+from repro.bench.cellspec import CellOutcome, CellSpec, PlatformHandle
 from repro.bench.executor import SweepExecutor
 from repro.errors import BenchmarkError
 from repro.tuning.service import (
@@ -405,19 +405,24 @@ def test_real_cell_served_byte_identical_to_run_point():
     assert reply.best.nb == 1024
 
 
-def test_cli_migrate_round_trip(tmp_path):
-    from repro.tuning.service.__main__ import main
+def test_service_and_harness_pick_the_same_best_cell():
+    # pick_best and best_over_tiles rank different types (CellReport on the
+    # wire, CellOutcome in the harness) but must apply one rule: the first
+    # strict maximum over the cells that succeeded, in enumeration order.
+    from repro.bench.harness import best_over_tiles
 
-    spec = CellSpec(library="xkblas", routine="gemm", n=8192, nb=1024)
-    outcome = CellOutcome(ok=True, tflops=40.0, seconds=0.1)
-    legacy = PointCache(tmp_path / "legacy.jsonl")
-    legacy.put(spec, "fp", outcome)
-    legacy.close()
-    dst = tmp_path / "corpus.sqlite"
-    assert main(["migrate", str(tmp_path / "legacy.jsonl"), str(dst)]) == 0
-    migrated = PointCache(dst)
-    assert migrated.get(spec, "fp") == outcome
-    migrated.close()
+    handle = PlatformHandle("dgx1", 4)
+    tiles = (1024, 2048, 4096)
+    query = TuneQuery(routine="gemm", n=8192, platform=handle, tiles=tiles)
+    with SweepExecutor(jobs=1) as executor:
+        reply = asyncio.run(TuningService(executor).tune(query))
+    with SweepExecutor(jobs=1) as executor:
+        best = best_over_tiles(
+            "xkblas", "gemm", 8192, handle, tiles=tiles, executor=executor
+        )
+    assert (reply.best.nb, reply.best.tflops) == (best.nb, best.tflops)
+    assert {c.nb: c.tflops for c in reply.cells if c.ok} == best.tried
+    assert len(reply.cells) == len(tiles)
 
 
 def test_cli_smoke_end_to_end(tmp_path):
