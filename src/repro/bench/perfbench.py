@@ -28,11 +28,12 @@ Usage::
     python -m repro.bench.perfbench --profile macro-trsm-n16384   # ...any point
     python -m repro.bench.perfbench --check-against BENCH_runtime.json
 
-Macro wall times are measured in the configuration a production-sized run
-would use: event tracing off (no interval append on the hot path) and the
-cyclic garbage collector paused for the timed region (the task graph is one
-big cycle web; a mid-run collection is pure noise).  Virtual-time fields are
-identical either way — tracing only observes, which the goldens pin down.
+Every runtime row — the macro points, the streamed macro point and both
+large rows — comes from one helper, :func:`measure_run`: a timed run with
+the event recorder off and the cyclic GC paused, plus untimed replays for
+the peak-memory column (``tracemalloc``) and the layer columns (exclusive
+host ms per layer plus ``other``, from :class:`repro.bench.layers.LayerTracer`).
+Neither the recorder nor the tracer changes what is simulated.
 
 The large-N tier (perf-mode GEMM N=131072, a 262k-task graph) exists to prove
 the streaming/reclamation path scales: it is recorded with peak-memory
@@ -43,7 +44,9 @@ never on speed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import gc
 import json
 import platform as host_platform
@@ -54,6 +57,7 @@ from pathlib import Path
 
 from repro import config
 from repro.bench.harness import run_point
+from repro.bench.layers import LayerTracer
 from repro.sim.engine import Simulator
 from repro.topology.dgx1 import make_dgx1
 
@@ -123,13 +127,13 @@ class BenchResult:
     #: (tracing would skew the wall-time measurement, so it never shares a
     #: run with it).  Python-allocation bytes, not RSS.
     peak_mem_bytes: int | None = None
-    #: per-phase wall breakdown from a separate, untimed replay with
-    #: :class:`repro.bench.phases.PhaseCounters` installed (macro rows
-    #: only).  Counters are inclusive: engine ⊇ dispatch ⊇ transfer-path —
-    #: see the phases module for the exact grouping.
-    engine_s: float | None = None
-    dispatch_s: float | None = None
-    transfer_path_s: float | None = None
+    #: wall time of another untimed replay, under
+    #: :class:`repro.bench.layers.LayerTracer`; ``traced_wall_s / wall_s`` is
+    #: the tracer's overhead.
+    traced_wall_s: float | None = None
+    #: that replay's exclusive host ms per layer plus ``other`` (what no
+    #: layer claims); the values sum to ``traced_wall_s`` in ms.
+    layers_ms: dict[str, float] | None = None
 
     def to_json(self) -> dict:
         return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
@@ -172,7 +176,7 @@ def bench_engine_events(num_events: int = 200_000) -> BenchResult:
     )
 
 
-# ------------------------------------------------------------------- macros
+# ------------------------------------------------------- runtime rows
 
 
 def _traced_peak(thunk) -> int:
@@ -194,102 +198,104 @@ def _traced_peak(thunk) -> int:
     return peak
 
 
-def bench_macro(name: str, routine: str, n: int, nb: int,
-                measure_peak: bool = True,
-                phase_breakdown: bool = False) -> BenchResult:
-    """One perf-mode routine invocation on the simulated 8-GPU DGX-1.
-
-    The timed run uses the production configuration: event tracing OFF and
-    the cyclic GC paused, so the wall time measures the runtime rather than
-    trace bookkeeping and collector pauses.  Virtual-time fields are
-    bit-identical in either configuration.
-    When ``measure_peak`` is set the point is replayed under tracemalloc for
-    the memory column (simulated behaviour is deterministic, so the replay is
-    the same run).  ``phase_breakdown`` adds another untimed replay with
-    :class:`~repro.bench.phases.PhaseCounters` installed, filling the
-    ``engine_s`` / ``dispatch_s`` / ``transfer_path_s`` columns — separate
-    runs, so the timed headline never pays for either instrumentation.
-    """
-    plat = make_dgx1(8)
-    # The previous point's task graph is one big cycle web (Task.successors);
-    # collect it now so its collection is not billed to this measurement.
+def _timed(run, wrap) -> tuple:
+    """``run(wrap)`` with the cyclic GC paused: ``(wall ns, its result)``.
+    The previous run's task graph (one big cycle web) is collected first."""
     gc.collect()
-    prev_trace = config.TRACE_EVENTS
-    config.TRACE_EVENTS = False
     gc.disable()
     try:
-        t0 = time.perf_counter()
-        res = run_point(routine=routine, library="xkblas", n=n, nb=nb,
-                        platform=plat, keep_runtime=True)
-        wall = time.perf_counter() - t0
+        t0 = time.perf_counter_ns()
+        out = run(wrap)
+        return time.perf_counter_ns() - t0, out
     finally:
         gc.enable()
-        config.TRACE_EVENTS = prev_trace
-    rt = res.runtime
-    assert rt is not None
-    events = rt.sim.events_fired
-    makespan = res.seconds
-    tasks = rt.executor.completed_tasks
-    transfers = rt.transfer.stats()
-    peak = None
-    if measure_peak:
-        res = rt = None  # drop the kept runtime before anchoring the peak
-        peak = _traced_peak(
-            lambda: run_point(routine=routine, library="xkblas", n=n, nb=nb,
-                              platform=make_dgx1(8))
+
+
+@contextlib.contextmanager
+def _recorder_off():
+    """Event recorder off for every runtime built inside the block."""
+    prev = config.TRACE_EVENTS
+    config.TRACE_EVENTS = False
+    try:
+        yield
+    finally:
+        config.TRACE_EVENTS = prev
+
+
+def measure_run(name: str, kind: str, routine: str, n: int, nb: int,
+                run) -> BenchResult:
+    """Record one runtime row; every macro and large row comes from here.
+
+    ``run(wrap)`` simulates the point once on a fresh runtime and returns
+    ``(makespan, runtime)``; ``wrap`` is applied to the task stream before
+    submission (``iter`` leaves it as is).  Three runs, all with the event
+    recorder off:
+
+    * the timed run, with the cyclic GC paused — ``wall_s`` and every
+      virtual-time field;
+    * an untimed replay under tracemalloc — ``peak_mem_bytes``;
+    * an untimed replay under :class:`~repro.bench.layers.LayerTracer`, GC
+      paused — ``traced_wall_s`` and ``layers_ms``.
+
+    The simulation is deterministic, so each replay is the same run; the
+    traced replay must reproduce the timed run's makespan and event count.
+    """
+    with _recorder_off():
+        wall, (makespan, rt) = _timed(run, iter)
+        events = rt.sim.events_fired
+        tasks = rt.executor.completed_tasks
+        transfers = rt.transfer.stats()
+        del rt  # drop the kept runtime before anchoring the peak
+        peak = _traced_peak(lambda: run(iter))
+        tracer = LayerTracer()
+        with tracer:
+            traced_wall, (traced_makespan, rt) = _timed(run, tracer.tasks)
+        traced_events = rt.sim.events_fired
+        del rt
+    if (traced_makespan, traced_events) != (makespan, events):
+        raise RuntimeError(
+            f"{name}: the traced replay gave makespan {traced_makespan!r} in "
+            f"{traced_events} events, the timed run {makespan!r} in {events}"
         )
-    phases = None
-    if phase_breakdown:
-        res = rt = None  # the replay should not race the kept graph's GC
-        gc.collect()
-        prev_trace2 = config.TRACE_EVENTS
-        prev_phases = config.PHASE_COUNTERS
-        config.TRACE_EVENTS = False
-        config.PHASE_COUNTERS = True
-        gc.disable()
-        try:
-            replay = run_point(routine=routine, library="xkblas", n=n, nb=nb,
-                               platform=make_dgx1(8), keep_runtime=True)
-            assert replay.runtime is not None
-            phases = replay.runtime.phases
-        finally:
-            gc.enable()
-            config.PHASE_COUNTERS = prev_phases
-            config.TRACE_EVENTS = prev_trace2
+    wall_s = wall / 1e9
     return BenchResult(
-        name=name,
-        kind="macro",
-        routine=routine,
-        n=n,
-        nb=nb,
-        wall_s=wall,
-        makespan_s=makespan,
-        events=events,
-        events_per_s=events / wall if wall > 0 else 0.0,
-        tasks=tasks,
+        name=name, kind=kind, routine=routine, n=n, nb=nb,
+        wall_s=wall_s, events=events,
+        events_per_s=events / wall_s if wall_s > 0 else 0.0,
+        makespan_s=makespan, tasks=tasks,
         events_per_task=events / tasks if tasks else None,
-        transfers=transfers,
-        peak_mem_bytes=peak,
-        engine_s=phases.engine_s if phases is not None else None,
-        dispatch_s=phases.dispatch_s if phases is not None else None,
-        transfer_path_s=phases.transfer_path_s if phases is not None else None,
+        transfers=transfers, peak_mem_bytes=peak,
+        traced_wall_s=traced_wall / 1e9,
+        layers_ms=tracer.layers_ms(traced_wall),
     )
+
+
+def _run_macro(routine: str, n: int, nb: int, wrap) -> tuple:
+    """One XKBLAS library call on the simulated 8-GPU DGX-1 (see
+    :func:`measure_run`).  The library builds and submits its own tasks,
+    so ``wrap`` goes unused and task building is billed to ``other``."""
+    res = run_point(routine=routine, library="xkblas", n=n, nb=nb,
+                    platform=make_dgx1(8), keep_runtime=True)
+    return res.seconds, res.runtime
+
+
+def bench_macro(name: str, routine: str, n: int, nb: int) -> BenchResult:
+    """One perf-mode routine invocation on the simulated 8-GPU DGX-1."""
+    return measure_run(name, "macro", routine, n, nb,
+                       functools.partial(_run_macro, routine, n, nb))
 
 
 # ----------------------------------------------------------------- large-N
 
 
-def _run_large_gemm(n: int, nb: int, streaming: bool,
-                    phase_counters: bool = False) -> tuple:
-    """One perf-mode GEMM at large N, streamed+reclaiming or materialized.
+def _run_large_gemm(n: int, nb: int, streaming: bool, wrap) -> tuple:
+    """One perf-mode GEMM at large N, streamed+reclaiming or materialized:
+    ``(makespan, runtime)`` (see :func:`measure_run`).
 
     Uses the runtime directly (no harness cache, no Session layer) with
     tracing off in *both* configurations, so the peak-memory comparison
-    isolates exactly what the tentpole changes: task-graph retention.
-    With ``phase_counters`` the run is instrumented with
-    :class:`~repro.bench.phases.PhaseCounters` and the returned tuple's last
-    element carries the counters (``None`` otherwise) — callers use a
-    separate instrumented replay so timed runs never pay for it.
+    isolates exactly what the streamed configuration changes: task-graph
+    retention.
     """
     from repro.blas.tiled.gemm import build_gemm
     from repro.memory.matrix import Matrix
@@ -298,135 +304,50 @@ def _run_large_gemm(n: int, nb: int, streaming: bool,
     rt = Runtime(
         make_dgx1(8),
         RuntimeOptions(trace=False, streaming=streaming,
-                       retain_tasks=not streaming,
-                       phase_counters=phase_counters),
+                       retain_tasks=not streaming),
     )
     a, b, c = (Matrix.meta(n, n) for _ in range(3))
     pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
-    tasks = build_gemm(1.0, pa, pb, 0.5, pc)
+    tasks = wrap(build_gemm(1.0, pa, pb, 0.5, pc))
     if streaming:
         rt.submit_stream(tasks)
     else:
         for task in tasks:
             rt.submit(task)
     rt.memory_coherent_async(c, nb)
-    makespan = rt.sync()
-    return (makespan, rt.sim.events_fired, rt.executor.completed_tasks,
-            rt.transfer.stats(), rt.phases)
+    return rt.sync(), rt
 
 
-def _large_phases(n: int, nb: int, streaming: bool):
-    """Untimed phase-counter replay of one large-GEMM configuration."""
-    gc.collect()
-    gc.disable()
-    try:
-        return _run_large_gemm(n, nb, streaming, phase_counters=True)[4]
-    finally:
-        gc.enable()
-
-
-def bench_large_gemm(name: str, n: int, nb: int,
-                     phase_breakdown: bool = True) -> list[BenchResult]:
+def bench_large_gemm(name: str, n: int, nb: int) -> list[BenchResult]:
     """The large-N tier: a streamed point and its materialized counterpart.
 
-    Runs per configuration: the streamed/reclaiming configuration once
-    untraced (that is the recorded wall time) and once under tracemalloc for
-    its peak, then the materialized list-submission configuration once under
-    tracemalloc.  The retained result's wall time is therefore
-    tracing-skewed; that is fine because the whole ``large`` kind is recorded
-    for trajectory and excluded from speed gating — its purpose is the
-    peak-memory comparison.  With ``phase_breakdown`` each configuration is
-    replayed once more, untimed, with phase counters installed, filling the
-    ``engine_s``/``dispatch_s``/``transfer_path_s`` columns exactly like the
-    macro rows (the CI smoke's --large-smoke job turns this off).  Both
-    makespans are recorded: past the admission window the streamed run's
-    submission instants become completion-driven, so its makespan may differ
-    slightly from the materialized one (below the window they are
-    bit-identical — that regime is what the golden tests pin down).
+    Each configuration is one :func:`measure_run` row.  Both makespans are
+    recorded: past the admission window the streamed run's submission
+    instants become completion-driven, so its makespan may differ slightly
+    from the materialized one (below the window they are bit-identical —
+    that regime is what the golden tests pin down).
     """
-    gc.collect()
-    t0 = time.perf_counter()
-    makespan, events, tasks, transfers, _ = _run_large_gemm(
-        n, nb, streaming=True
-    )
-    wall = time.perf_counter() - t0
-    stream_peak = _traced_peak(lambda: _run_large_gemm(n, nb, streaming=True))
-    s_phases = _large_phases(n, nb, streaming=True) if phase_breakdown else None
-    streamed = BenchResult(
-        name=f"{name}-stream", kind="large", routine="gemm", n=n, nb=nb,
-        wall_s=wall, events=events,
-        events_per_s=events / wall if wall > 0 else 0.0,
-        makespan_s=makespan, tasks=tasks, transfers=transfers,
-        events_per_task=events / tasks if tasks else None,
-        peak_mem_bytes=stream_peak,
-        engine_s=s_phases.engine_s if s_phases is not None else None,
-        dispatch_s=s_phases.dispatch_s if s_phases is not None else None,
-        transfer_path_s=(
-            s_phases.transfer_path_s if s_phases is not None else None
-        ),
-    )
-    retained_out: list = []
-    t0 = time.perf_counter()
-    retained_peak = _traced_peak(
-        lambda: retained_out.append(_run_large_gemm(n, nb, streaming=False))
-    )
-    retained_wall = time.perf_counter() - t0
-    r_makespan, r_events, r_tasks, r_transfers, _ = retained_out[0]
-    if r_tasks != tasks:
+    streamed = measure_run(f"{name}-stream", "large", "gemm", n, nb,
+                           functools.partial(_run_large_gemm, n, nb, True))
+    retained = measure_run(f"{name}-retained", "large", "gemm", n, nb,
+                           functools.partial(_run_large_gemm, n, nb, False))
+    if retained.tasks != streamed.tasks:
         raise RuntimeError(
-            f"{name}: streamed run completed {tasks} tasks but the "
-            f"materialized run completed {r_tasks} — a graph was truncated"
+            f"{name}: streamed run completed {streamed.tasks} tasks but the "
+            f"materialized run completed {retained.tasks} — a graph was "
+            f"truncated"
         )
-    r_phases = (
-        _large_phases(n, nb, streaming=False) if phase_breakdown else None
-    )
-    retained = BenchResult(
-        name=f"{name}-retained", kind="large", routine="gemm", n=n, nb=nb,
-        wall_s=retained_wall, events=r_events,
-        events_per_s=r_events / retained_wall if retained_wall > 0 else 0.0,
-        makespan_s=r_makespan, tasks=r_tasks, transfers=r_transfers,
-        events_per_task=r_events / r_tasks if r_tasks else None,
-        peak_mem_bytes=retained_peak,
-        engine_s=r_phases.engine_s if r_phases is not None else None,
-        dispatch_s=r_phases.dispatch_s if r_phases is not None else None,
-        transfer_path_s=(
-            r_phases.transfer_path_s if r_phases is not None else None
-        ),
-    )
     return [streamed, retained]
 
 
-def bench_macro_stream(name: str, n: int, nb: int,
-                       phase_breakdown: bool = False) -> BenchResult:
+def bench_macro_stream(name: str, n: int, nb: int) -> BenchResult:
     """The streamed macro point: large-tier code path at CI-gateable size.
 
-    Same measurement discipline as :func:`bench_macro` (GC paused, tracing
-    off, untimed replays for instrumentation), but driving the streaming
-    submission + reclamation path of :func:`_run_large_gemm`.  Recorded as
-    ``kind="macro"``, so :func:`compare_to_baseline` applies the events/s
-    floor *and* the exact makespan/transfer-stat match.
+    Recorded as ``kind="macro"``, so :func:`compare_to_baseline` applies the
+    events/s floor *and* the exact makespan/transfer-stat match.
     """
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.perf_counter()
-        makespan, events, tasks, transfers, _ = _run_large_gemm(
-            n, nb, streaming=True
-        )
-        wall = time.perf_counter() - t0
-    finally:
-        gc.enable()
-    phases = _large_phases(n, nb, streaming=True) if phase_breakdown else None
-    return BenchResult(
-        name=name, kind="macro", routine="gemm", n=n, nb=nb,
-        wall_s=wall, events=events,
-        events_per_s=events / wall if wall > 0 else 0.0,
-        makespan_s=makespan, tasks=tasks, transfers=transfers,
-        events_per_task=events / tasks if tasks else None,
-        engine_s=phases.engine_s if phases is not None else None,
-        dispatch_s=phases.dispatch_s if phases is not None else None,
-        transfer_path_s=phases.transfer_path_s if phases is not None else None,
-    )
+    return measure_run(name, "macro", "gemm", n, nb,
+                       functools.partial(_run_large_gemm, n, nb, True))
 
 
 def large_peak_gate(results: list[BenchResult],
@@ -566,19 +487,10 @@ def run_suite(fast: bool = False, repeat: int = 1,
     results: list[BenchResult] = []
     micro_sizes = (50_000,) if fast else (50_000, 200_000)
     micros = [lambda n=n: bench_engine_events(n) for n in micro_sizes]
-    macros = [
-        (lambda name=name, routine=routine, n=n, nb=nb:
-         bench_macro(name, routine, n, nb, phase_breakdown=True))
-        for name, routine, n, nb in points
-    ]
+    macros = [functools.partial(bench_macro, *point) for point in points]
     # The streamed macro point runs in both modes — it is the fast gate's
-    # coverage of the large-tier code path (see STREAM_MACRO_POINT).  The
-    # phase-counter replay only in the full recording: CI's --fast smoke
-    # needs just the gated fields (events/s, makespan, transfers).
-    s_name, s_n, s_nb = STREAM_MACRO_POINT
-    macros.append(
-        lambda: bench_macro_stream(s_name, s_n, s_nb, phase_breakdown=not fast)
-    )
+    # coverage of the large-tier code path (see STREAM_MACRO_POINT).
+    macros.append(functools.partial(bench_macro_stream, *STREAM_MACRO_POINT))
     for thunk in micros + macros:
         best: BenchResult | None = None
         for _ in range(max(1, repeat)):
@@ -653,9 +565,8 @@ def compare_to_baseline(
             continue
         if res.kind == "large":
             # The large tier is memory-gated (large_peak_gate), never
-            # speed-gated: one of its two runs is deliberately measured under
-            # tracemalloc, and even the untraced one is a multi-minute point
-            # whose pace CI should not depend on.
+            # speed-gated: its rows are multi-minute points whose pace CI
+            # should not depend on.
             continue
         floor = base["events_per_s"] * (1.0 - tolerance)
         if res.events_per_s < floor:
@@ -686,9 +597,9 @@ def profile_macro(point: str | None = None, fast: bool = False) -> str:
 
     ``point`` names any entry of :data:`MACRO_POINTS` or
     :data:`FAST_MACRO_POINTS`; ``None`` profiles the headline point (the
-    first macro point, or the first fast point under ``fast``).  The profiled
-    run skips the peak-memory replay — tracemalloc under cProfile measures
-    neither thing well.
+    first macro point, or the first fast point under ``fast``).  Only the
+    timed run of :func:`measure_run` is profiled, in its configuration;
+    the replays are left out.
     """
     import cProfile
     import io
@@ -704,10 +615,12 @@ def profile_macro(point: str | None = None, fast: bool = False) -> str:
             f"unknown benchmark point {point!r}; choose from "
             f"{', '.join(sorted(candidates))}"
         )
+    run = functools.partial(_run_macro, routine, n, nb)
     prof = cProfile.Profile()
-    prof.enable()
-    bench_macro(name, routine, n, nb, measure_peak=False)
-    prof.disable()
+    with _recorder_off():
+        prof.enable()
+        _timed(run, iter)
+        prof.disable()
     out = io.StringIO()
     stats = pstats.Stats(prof, stream=out).sort_stats("tottime")
     stats.print_stats(30)
@@ -752,9 +665,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.large_smoke:
-        name, n, nb = LARGE_SMOKE_POINT
-        # Memory gate only: skip the phase-counter replays CI does not read.
-        results = bench_large_gemm(name, n, nb, phase_breakdown=False)
+        results = bench_large_gemm(*LARGE_SMOKE_POINT)
         print(render(results))
         if args.output:
             payload = suite_to_json(results, fast=False)

@@ -89,19 +89,15 @@ PAPER_TILE_SIZES_EXTENDED = (1024, 2048, 4096, 8192, 16384)
 #: On by default (traces feed the verification suite and golden recordings).
 #: Tracing only observes — traced and untraced runs dispatch through the same
 #: submission pump and fire the same events — so perfbench flips the module
-#: flag around its macro measurements merely to leave the per-interval append
-#: out of the timed hot path.
+#: flag around every run of its runtime rows merely to leave the
+#: per-interval append out of the measured path.
 TRACE_EVENTS = True
 
 # --- verification -------------------------------------------------------------
 
-#: Default of ``RuntimeOptions.phase_counters``: accumulate wall-clock time
-#: per runtime phase (dispatch vs transfer path) in cheap perf-mode counters
-#: (:class:`repro.bench.phases.PhaseCounters`).  Off by default — the
-#: counters wrap the two hottest entry points of the runtime, so perfbench
-#: measures the production path untimed and replays each point with the flag
-#: flipped to attribute the wall clock.
-PHASE_COUNTERS = False
+# Host-time attribution has no flag here: perfbench's layer columns come
+# from ``repro.bench.layers.LayerTracer``, which wraps the runtime's classes
+# from outside for one ``with`` block, so the runtime carries no timing code.
 
 #: Default of ``RuntimeOptions.verify_coherence``: run the coherence-protocol
 #: sanitizer (:class:`repro.verify.coherence.CoherenceSanitizer`) at every

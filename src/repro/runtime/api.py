@@ -20,7 +20,7 @@ XKBLAS programming model (§III, §IV-F):
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro import config
 from repro.errors import SchedulingError
@@ -124,14 +124,6 @@ class RuntimeOptions:
     verify_coherence: bool = dataclasses.field(
         default_factory=lambda: config.VERIFY_COHERENCE
     )
-    #: install :class:`repro.bench.phases.PhaseCounters` on this runtime —
-    #: per-phase (engine/dispatch/transfer-path) wall-time accumulators for
-    #: perf diagnosis.  Off by default: the production hot path then carries
-    #: no timing code at all.  The default follows
-    #: :data:`repro.config.PHASE_COUNTERS` at construction.
-    phase_counters: bool = dataclasses.field(
-        default_factory=lambda: config.PHASE_COUNTERS
-    )
 
 
 class Runtime:
@@ -195,13 +187,6 @@ class Runtime:
             retain_tasks=opts.retain_tasks,
             stream_window=opts.stream_window,
         )
-        #: per-phase wall-time counters, or None when not enabled.  Installed
-        #: last: the wrappers must see the fully-assembled object graph.
-        self.phases = None
-        if opts.phase_counters:
-            from repro.bench.phases import PhaseCounters
-
-            self.phases = PhaseCounters().install(self)
         self._partitions: dict[int, TilePartition] = {}
 
     def _make_scheduler(self) -> Scheduler:
@@ -237,20 +222,16 @@ class Runtime:
         """Submit one asynchronous task."""
         return self.executor.submit(task)
 
-    def submit_all(self, tasks: Sequence[Task]) -> None:
-        for task in tasks:
-            self.executor.submit(task)
-
     def submit_stream(self, tasks: Iterable[Task]) -> None:
         """Submit tasks lazily: each is pulled at the previous submission
         instant, so at most one unsubmitted task of the stream is resident.
 
-        Bit-identical virtual-time accounting to :meth:`submit_all` (same
-        submission order, same ``task_overhead`` charges, one event per
-        task).  Schedulers that need whole-DAG critical-path priorities
-        (DMDAS, ``needs_priorities=True``) cannot act on a graph that is not
-        materialized, so for them the stream is drained eagerly — equivalent
-        to :meth:`submit_all`, documented in DESIGN §9.
+        Bit-identical virtual-time accounting to a loop of :meth:`submit`
+        over the same tasks (same submission order, same ``task_overhead``
+        charges, one event per task).  Schedulers that need whole-DAG
+        critical-path priorities (DMDAS, ``needs_priorities=True``) cannot
+        act on a graph that is not materialized, so for them the stream is
+        drained eagerly — that same loop, documented in DESIGN §9.
         """
         if getattr(self.scheduler, "needs_priorities", False):
             for task in tasks:

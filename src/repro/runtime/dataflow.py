@@ -19,9 +19,9 @@ The graph does not need the whole DAG resident, exactly like XKaapi: the
 per-tile window (last writer + readers since) is the only state dependency
 derivation ever consults, so tasks can be *added while earlier ones already
 executed* (streaming submission) and *retired once done* (their ``successors``
-and ``accesses`` dropped, their ``_TileHistory`` references nulled).  Retained
-mode (``retain_tasks=True``, the default) additionally keeps the full task
-list for debug passes — :meth:`validate_acyclic`, the verification subsystem,
+and ``accesses`` dropped, their ``_TileHistory`` entries nulled or deleted).
+Retained mode (``retain_tasks=True``, the default) additionally keeps the full
+task list for debug passes — :meth:`validate_acyclic`, the verification subsystem,
 and :meth:`critical_path_priorities` (which DMDAS needs, so DMDAS runs
 require retained mode).
 """
@@ -43,13 +43,13 @@ class _TileHistory:
     reference (so finished tasks can be collected) but keeps the uid, which
     is all the dependency rule needs for a *done* predecessor — dep dedupe
     and edge accounting stay bit-identical to the retain-everything path.
-    ``readers_since_write`` maps reader uid -> task (or ``None`` once
-    retired), in insertion order, for the same reason.
+    ``readers_since_write`` maps reader uid -> task, in insertion order;
+    retirement deletes the entry (see :meth:`TaskGraph._retire`).
     """
 
     last_writer: Task | None = None
     last_writer_uid: int = -1
-    readers_since_write: dict[int, Task | None] = dataclasses.field(
+    readers_since_write: dict[int, Task] = dataclasses.field(
         default_factory=dict
     )
 
@@ -113,7 +113,7 @@ class TaskGraph:
                     for ruid, reader in readers.items():
                         if ruid != uid and ruid not in deps:
                             deps.add(ruid)
-                            if reader is not None and reader.state != "done":
+                            if reader.state != "done":
                                 reader.successors.append(task)
                                 unfinished += 1
                     readers.clear()
@@ -211,12 +211,15 @@ class TaskGraph:
     def _retire(self, task: Task) -> None:
         """Drop every graph-held reference to a finished task.
 
-        Called only in reclaiming mode.  The per-tile windows keep the uid
-        (dependency derivation for *future* streamed tasks still dedupes
-        exactly as if the task were resident) but lose the
-        object reference, and the task sheds its own fan-out so a retired
-        region of the DAG is collectible as soon as the executor's in-flight
-        events release it.
+        Called only in reclaiming mode.  A tile whose last writer this was
+        keeps the uid (dependency derivation for *future* streamed tasks
+        still dedupes exactly as if the task were resident) but loses the
+        object reference.  Reader entries are deleted outright: a done
+        reader adds no edge, and the uid dedupe only spans one :meth:`add`
+        call, so a tile that is never rewritten (GEMM's A and B) does not
+        keep one entry per reader for the whole run.  The task sheds its own
+        fan-out so a retired region of the DAG is collectible as soon as the
+        executor's in-flight events release it.
         """
         history = self._history
         uid = task.uid
@@ -228,9 +231,7 @@ class TaskGraph:
                 if hist.last_writer is task:
                     hist.last_writer = None
             if access.reads:
-                readers = hist.readers_since_write
-                if readers.get(uid) is task:
-                    readers[uid] = None
+                hist.readers_since_write.pop(uid, None)
         task.successors.clear()
         task.accesses = ()
         task.access_keys = ()

@@ -169,6 +169,21 @@ def _observe_eviction(rec: dict) -> dict:
     return out
 
 
+def _observe_stream(n: int, nb: int) -> dict:
+    """The ``stream_points`` recipe: GEMM (alpha 1, beta 0.5) through a bare
+    streaming, reclaiming runtime with the recorder off, C flushed — the run
+    perfbench's ``macro-gemm-n49152-stream`` row measures."""
+    rt = Runtime(
+        make_dgx1(8),
+        RuntimeOptions(trace=False, streaming=True, retain_tasks=False),
+    )
+    a, b, c = (Matrix.meta(n, n) for _ in range(3))
+    pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
+    rt.submit_stream(build_gemm(1.0, pa, pb, 0.5, pc))
+    rt.memory_coherent_async(c, nb)
+    return _outcome(rt, rt.sync())
+
+
 def _golden(section: str) -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))[section]
 
@@ -264,4 +279,18 @@ def test_eviction_goldens(name):
         f"{name} drifted from the recorded golden — victim choice or "
         "write-back timing changed; if deliberate, re-record "
         "tests/data/golden_makespans.json"
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_golden("stream_points")))
+def test_stream_goldens(name):
+    """A 112,896-task GEMM streamed through the reclaiming graph, far past the
+    admission window, at the size of perfbench's streamed macro row (the
+    streamed eviction goldens retire 2,432 tasks)."""
+    rec = _golden("stream_points")[name]
+    got = _observe_stream(rec["n"], rec["nb"])
+    expected = {k: rec[k] for k in _RECORDED}
+    assert got == expected, (
+        f"{name} drifted from the recorded golden — the streamed, reclaiming "
+        "run changed; if deliberate, re-record tests/data/golden_makespans.json"
     )

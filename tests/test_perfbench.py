@@ -41,7 +41,7 @@ def test_full_suite_contains_the_fast_names(monkeypatch):
                            kind="micro", wall_s=1.0, events=num_events,
                            events_per_s=float(num_events))
 
-    def fake_macro(name, routine, n, nb, phase_breakdown=False):
+    def fake_macro(name, routine, n, nb):
         recorded.append(name)
         return BenchResult(name=name, kind="macro", wall_s=1.0, events=10,
                            events_per_s=10.0, routine=routine, n=n, nb=nb,
@@ -54,7 +54,7 @@ def test_full_suite_contains_the_fast_names(monkeypatch):
         return [BenchResult(name=n, kind="harness", wall_s=1.0, events=24,
                             events_per_s=24.0) for n in names]
 
-    def fake_large(name, n, nb, phase_breakdown=True):
+    def fake_large(name, n, nb):
         recorded.append(name)
         return [BenchResult(name=f"{name}-{suffix}", kind="large", wall_s=1.0,
                             events=10, events_per_s=10.0, routine="gemm",
@@ -62,7 +62,7 @@ def test_full_suite_contains_the_fast_names(monkeypatch):
                             peak_mem_bytes=1000)
                 for suffix in ("stream", "retained")]
 
-    def fake_stream(name, n, nb, phase_breakdown=False):
+    def fake_stream(name, n, nb):
         recorded.append(name)
         return BenchResult(name=name, kind="macro", wall_s=1.0, events=10,
                            events_per_s=10.0, routine="gemm", n=n, nb=nb,
@@ -151,8 +151,8 @@ def test_compare_does_not_gate_harness_points():
 
 
 def test_compare_does_not_gate_large_points():
-    # One large run is measured under tracemalloc and the other is a
-    # multi-minute point: the tier is memory-gated, never speed-gated.
+    # Large rows are multi-minute points: the tier is memory-gated, never
+    # speed-gated.
     baseline = {"results": [{"name": "large-gemm-n131072-stream",
                              "events_per_s": 1000.0, "makespan_s": 1.0}]}
     current = [BenchResult(name="large-gemm-n131072-stream", kind="large",

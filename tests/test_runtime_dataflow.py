@@ -93,6 +93,21 @@ def test_dependency_on_done_task_not_counted():
     assert r.state == "ready"
 
 
+def test_reclaiming_graph_forgets_retired_readers():
+    """A retired reader adds no edge, so the reclaiming graph deletes its
+    entry: a tile that is never rewritten keeps none per finished reader."""
+    t = tiles()
+    g = TaskGraph(retain_tasks=False)
+    g.complete(g.add(task("w", writes=[t[0]])))
+    r1 = g.add(task("r1", reads=[t[0]], writes=[t[1]]))
+    r2 = g.add(task("r2", reads=[t[0]], writes=[t[2]]))
+    g.complete(r1)
+    assert list(g._history[t[0].key].readers_since_write) == [r2.uid]
+    w1 = g.add(task("w1", writes=[t[0]]))
+    assert w1.unfinished_predecessors == 1  # the live reader only
+    assert w1 in r2.successors
+
+
 def test_cross_call_composition_dependencies():
     """TRSM-then-GEMM style: the second call's readers wait on the first
     call's writers (§IV-F point-to-point synchronization)."""
