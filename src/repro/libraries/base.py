@@ -311,10 +311,12 @@ class Session:
                     continue
                 cache.remove(key)
                 rt.datastore.drop_device_tile(key, dev)
+        directory = rt.directory
         for mid, part in rt._partitions.items():  # noqa: SLF001
             for tile in part:
-                if rt.directory.host_valid(tile.key):
-                    rt.directory.invalidate_device_replicas(tile.key)
+                tid = directory.lookup(tile.key)
+                if directory.host_valid(tid):
+                    directory.invalidate_device_replicas(tid)
 
     # -------------------------------------------------------- async methods
 

@@ -89,24 +89,10 @@ class DeviceCache:
     def resident_keys(self) -> list[TileKey]:
         return list(self._resident)
 
-    def insert(self, key: TileKey, nbytes: int, now: float = 0.0) -> None:
-        """Account for a new resident tile (space must have been ensured)."""
-        if key in self._resident:
-            raise CoherenceError(f"{key} already resident on device {self.device}")
-        if nbytes > self.free:
-            raise DeviceOutOfMemoryError(
-                f"device {self.device}: inserting {nbytes} B with only "
-                f"{self.free} B free (capacity {self.capacity})"
-            )
-        self._resident[key] = entry = _Resident(key=key, nbytes=nbytes, last_use=now)
-        self._used += nbytes
-        self._stamp(entry)
+    def insert(self, key: TileKey, nbytes: int, now: float = 0.0, pins: int = 0) -> None:
+        """Account for a new resident tile (space must have been ensured).
 
-    def insert_pinned(self, key: TileKey, nbytes: int, now: float = 0.0) -> None:
-        """Fused :meth:`insert` + :meth:`pin` for the transfer-issue path.
-
-        Every tile the transfer manager inserts is immediately pinned until
-        its transfer lands, so one dict store covers both operations.
+        A tile staged by a transfer is inserted with ``pins=1``, held until it lands.
         """
         if key in self._resident:
             raise CoherenceError(f"{key} already resident on device {self.device}")
@@ -116,7 +102,7 @@ class DeviceCache:
                 f"{self.free} B free (capacity {self.capacity})"
             )
         self._resident[key] = entry = _Resident(
-            key=key, nbytes=nbytes, last_use=now, pins=1
+            key=key, nbytes=nbytes, last_use=now, pins=pins
         )
         self._used += nbytes
         self._stamp(entry)

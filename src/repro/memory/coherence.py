@@ -42,8 +42,9 @@ first touch, and per-tile state lives in parallel lists indexed by that id —
 Every state transition is therefore O(1) integer arithmetic instead of a
 nested ``dict[TileKey, dict[int, ReplicaState]]`` walk — this directory sits
 on the hot path of every simulated transfer and kernel completion (BLASX
-attributes its multi-GPU win to exactly such an O(1) coherence layer).  The
-key-addressed :class:`ReplicaState` API is unchanged.
+attributes its multi-GPU win to exactly such an O(1) coherence layer).  A
+caller interns a key once with :meth:`CoherenceDirectory.lookup` and passes
+the id to every query and transition.
 """
 
 from __future__ import annotations
@@ -112,68 +113,37 @@ class CoherenceDirectory:
             self._fmask.append(0)
         return tid
 
-    # ----------------------------------------------------------- id fast path
-    #
-    # Integer-addressed forms of the hottest queries: callers doing several
-    # directory operations per event intern the key once and reuse the id.
-
-    def is_valid_id(self, tid: int, location: int) -> bool:
-        return bool(self._valid[tid] & (1 << (location + 1)))
-
-    def device_valid_mask(self, tid: int) -> int:
-        """Bitmask with bit ``d`` set iff device ``d`` holds a valid replica."""
-        return self._valid[tid] >> 1
-
-    def flights_map(self, tid: int) -> dict[int, InFlight]:
-        """Live ``dst -> InFlight`` map of the tile (do not mutate)."""
-        return self._flights[tid]
+    def keys(self) -> list[TileKey]:
+        """All tiles the directory has an entry for (verification/inspection)."""
+        return list(self._tile_keys)
 
     # -------------------------------------------------------------- queries
+    #
+    # Every query and transition below takes the tile id :meth:`lookup`
+    # returned; error messages read the key back from the interned table.
 
-    def state(self, key: TileKey, location: int) -> ReplicaState | None:
+    def state(self, tid: int, location: int) -> ReplicaState | None:
         """State of the replica at ``location`` (None == INVALID)."""
-        tid = self.lookup(key)
         bit = 1 << (location + 1)
         if not self._valid[tid] & bit:
             return None
         return ReplicaState.MODIFIED if self._mod[tid] & bit else ReplicaState.SHARED
 
-    def is_valid(self, key: TileKey, location: int) -> bool:
-        return bool(self._valid[self.lookup(key)] & (1 << (location + 1)))
+    def host_valid(self, tid: int) -> bool:
+        return bool(self._valid[tid] & _HOST_BIT)
 
-    def host_valid(self, key: TileKey) -> bool:
-        return bool(self._valid[self.lookup(key)] & _HOST_BIT)
-
-    def valid_devices(self, key: TileKey) -> list[int]:
-        """Device ids (host excluded) holding a valid replica, sorted."""
-        out = []
-        m = self._valid[self.lookup(key)] >> 1  # strip the host bit
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
-
-    def modified_location(self, key: TileKey) -> int | None:
+    def modified_location(self, tid: int) -> int | None:
         """Location holding the MODIFIED replica, if any."""
-        m = self._mod[self.lookup(key)]
+        m = self._mod[tid]
         if not m:
             return None
         return (m & -m).bit_length() - 2
 
-    def replica_count(self, key: TileKey) -> int:
-        return self._valid[self.lookup(key)].bit_count()
+    def generation(self, tid: int) -> int:
+        return self._gen[tid]
 
-    def generation(self, key: TileKey) -> int:
-        return self._gen[self.lookup(key)]
-
-    def keys(self) -> list[TileKey]:
-        """All tiles the directory has an entry for (verification/inspection)."""
-        return list(self._tile_keys)
-
-    def replicas(self, key: TileKey) -> dict[int, ReplicaState]:
+    def replicas(self, tid: int) -> dict[int, ReplicaState]:
         """Snapshot of every replica state of the tile (location -> state)."""
-        tid = self.lookup(key)
         mod = self._mod[tid]
         out: dict[int, ReplicaState] = {}
         m = self._valid[tid]
@@ -187,40 +157,28 @@ class CoherenceDirectory:
 
     # ------------------------------------------------------------ in-flight
 
-    def in_flight_to(self, key: TileKey, dst: int) -> InFlight | None:
-        return self._flights[self.lookup(key)].get(dst)
-
-    def flights(self, key: TileKey) -> list[InFlight]:
-        """All live in-flight transfers of the tile (any destination)."""
-        return list(self._flights[self.lookup(key)].values())
-
-    def earliest_flight(self, key: TileKey) -> InFlight | None:
-        """The in-flight replica that completes first (optimistic heuristic)."""
-        flights = self._flights[self.lookup(key)]
-        if not flights:
-            return None
-        return min(flights.values(), key=lambda f: (f.completes_at, f.dst))
+    def flights(self, tid: int) -> list[InFlight]:
+        """All live in-flight transfers of the tile, in insertion order."""
+        return list(self._flights[tid].values())
 
     def begin_transfer(
-        self, key: TileKey, dst: int, completes_at: float, source: int
+        self, tid: int, dst: int, completes_at: float, source: int
     ) -> InFlight:
-        """Record a transfer of ``key`` toward ``dst`` finishing at ``completes_at``.
+        """Record a transfer of the tile toward ``dst`` finishing at ``completes_at``.
 
         The source must currently be valid or itself have an in-flight replica
         that completes no later than the new transfer begins — the transfer
         manager guarantees this by chaining start times.
         """
-        return self.begin_transfer_id(self.lookup(key), key, dst, completes_at, source)
-
-    def begin_transfer_id(
-        self, tid: int, key: TileKey, dst: int, completes_at: float, source: int
-    ) -> InFlight:
-        """Id-addressed :meth:`begin_transfer` (``key`` only feeds errors)."""
         if self._valid[tid] & (1 << (dst + 1)):
-            raise CoherenceError(f"{key}: destination {dst} already holds a replica")
+            raise CoherenceError(
+                f"{self._tile_keys[tid]}: destination {dst} already holds a replica"
+            )
         flights = self._flights[tid]
         if dst in flights:
-            raise CoherenceError(f"{key}: a transfer to {dst} is already in flight")
+            raise CoherenceError(
+                f"{self._tile_keys[tid]}: a transfer to {dst} is already in flight"
+            )
         flight = InFlight(
             dst=dst,
             completes_at=completes_at,
@@ -231,7 +189,7 @@ class CoherenceDirectory:
         self._fmask[tid] |= 1 << (dst + 1)
         return flight
 
-    def complete_transfer(self, key: TileKey, dst: int) -> bool:
+    def complete_transfer(self, tid: int, dst: int) -> bool:
         """Finish the in-flight transfer to ``dst``.
 
         Returns True if the replica became valid, False when a concurrent
@@ -239,13 +197,11 @@ class CoherenceDirectory:
         arriving bytes are dropped, as a real runtime would discard an
         invalidated copy.
         """
-        return self.complete_transfer_id(self.lookup(key), key, dst)
-
-    def complete_transfer_id(self, tid: int, key: TileKey, dst: int) -> bool:
-        """Id-addressed :meth:`complete_transfer` (``key`` only feeds errors)."""
         flight = self._flights[tid].pop(dst, None)
         if flight is None:
-            raise CoherenceError(f"{key}: no in-flight transfer to {dst}")
+            raise CoherenceError(
+                f"{self._tile_keys[tid]}: no in-flight transfer to {dst}"
+            )
         bit = 1 << (dst + 1)
         self._fmask[tid] &= ~bit
         if flight.generation != self._gen[tid]:
@@ -256,16 +212,12 @@ class CoherenceDirectory:
 
     # --------------------------------------------------------------- writes
 
-    def write(self, key: TileKey, location: int) -> None:
+    def write(self, tid: int, location: int) -> None:
         """A task wrote the tile at ``location``: unique MODIFIED replica.
 
         All other replicas (host included) and all in-flight transfers are
         invalidated; the tile generation advances.
         """
-        self.write_id(self.lookup(key), location)
-
-    def write_id(self, tid: int, location: int) -> None:
-        """Id-addressed :meth:`write`."""
         bit = 1 << (location + 1)
         self._gen[tid] += 1
         self._valid[tid] = bit
@@ -273,45 +225,36 @@ class CoherenceDirectory:
         self._flights[tid].clear()
         self._fmask[tid] = 0
 
-    def downgrade(self, key: TileKey, location: int) -> None:
+    def downgrade(self, tid: int, location: int) -> None:
         """MODIFIED -> SHARED after the dirty replica has been copied elsewhere."""
-        tid = self.lookup(key)
         bit = 1 << (location + 1)
         if not (self._valid[tid] & bit and self._mod[tid] & bit):
-            raise CoherenceError(f"{key}: {location} is not MODIFIED")
+            raise CoherenceError(f"{self._tile_keys[tid]}: {location} is not MODIFIED")
         self._mod[tid] &= ~bit
-
-    def add_shared(self, key: TileKey, location: int) -> None:
-        """Install a SHARED replica directly (completion of a tracked copy)."""
-        tid = self.lookup(key)
-        bit = 1 << (location + 1)
-        if self._valid[tid] & bit and self._mod[tid] & bit:
-            raise CoherenceError(f"{key}: {location} already MODIFIED")
-        self._valid[tid] |= bit
 
     # -------------------------------------------------------------- eviction
 
-    def evict(self, key: TileKey, device: int) -> None:
-        """Drop the replica at ``device``.
+    def evict(self, tid: int, device: int) -> None:
+        """Drop the SHARED replica at ``device``.
 
         Only SHARED replicas are evictable directly; a MODIFIED replica must
         be written back (copied + :meth:`downgrade`) first.  The XKaapi
         eviction policy prioritizing read-only data first makes this the
-        common case.
+        common case.  A refused eviction changes nothing.
         """
-        tid = self.lookup(key)
         bit = 1 << (device + 1)
         valid = self._valid[tid]
+        key = self._tile_keys[tid]
         if not valid & bit:
             raise CoherenceError(f"{key}: no replica on {device} to evict")
         if self._mod[tid] & bit:
             raise CoherenceError(f"{key}: cannot evict MODIFIED replica on {device}")
-        valid &= ~bit
-        self._valid[tid] = valid
-        if not valid and not self._flights[tid]:
+        remaining = valid & ~bit
+        if not remaining and not self._flights[tid]:
             raise CoherenceError(f"{key}: eviction would destroy the last replica")
+        self._valid[tid] = remaining
 
-    def discard(self, key: TileKey, device: int) -> None:
+    def discard(self, tid: int, device: int) -> None:
         """Drop the replica at ``device`` regardless of its state.
 
         Used when a dirty replica is evicted *while its write-back is in
@@ -320,9 +263,9 @@ class CoherenceDirectory:
         discard would orphan the tile (no replica anywhere and nothing in
         flight).
         """
-        tid = self.lookup(key)
         bit = 1 << (device + 1)
         valid = self._valid[tid]
+        key = self._tile_keys[tid]
         if not valid & bit:
             raise CoherenceError(f"{key}: no replica on {device} to discard")
         remaining = valid & ~bit
@@ -333,13 +276,12 @@ class CoherenceDirectory:
 
     # -------------------------------------------------------------- seeding
 
-    def seed_device(self, key: TileKey, device: int, exclusive: bool = True) -> None:
+    def seed_device(self, tid: int, device: int, exclusive: bool = True) -> None:
         """Place the initial valid replica on ``device`` (data-on-device).
 
         With ``exclusive`` the host replica is dropped, modelling matrices
         that live distributed in GPU memory as in §IV-C.
         """
-        tid = self.lookup(key)
         bit = 1 << (device + 1)
         if exclusive:
             self._gen[tid] += 1
@@ -351,9 +293,8 @@ class CoherenceDirectory:
             self._valid[tid] |= bit
             self._mod[tid] &= ~bit
 
-    def invalidate_device_replicas(self, key: TileKey) -> None:
+    def invalidate_device_replicas(self, tid: int) -> None:
         """Drop all device replicas, keeping (or restoring) host validity."""
-        tid = self.lookup(key)
         self._gen[tid] += 1
         self._valid[tid] = _HOST_BIT
         self._mod[tid] = 0

@@ -20,7 +20,7 @@ XKBLAS programming model (§III, §IV-F):
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro import config
 from repro.errors import SchedulingError
@@ -58,9 +58,8 @@ class RuntimeOptions:
     #: transfer source-selection policy — the paper's ablation axis.
     source_policy: SourcePolicy = SourcePolicy.TOPOLOGY_OPTIMISTIC
     #: scheduler name: "xkaapi-locality-ws", "starpu-dmdas", "owner-computes",
-    #: "round-robin" — or a factory via ``scheduler_factory``.
+    #: "round-robin".
     scheduler: str = "xkaapi-locality-ws"
-    scheduler_factory: Callable[[Platform], Scheduler] | None = None
     #: eviction policy name (see :data:`repro.memory.cache.POLICIES`).
     eviction: str = ReadOnlyFirstPolicy.name
     #: per-task host-side creation overhead, seconds.
@@ -87,10 +86,6 @@ class RuntimeOptions:
     #: skip the per-interval append by flipping the module flag without
     #: threading an argument through every library surface.
     trace: bool = dataclasses.field(default_factory=lambda: config.TRACE_EVENTS)
-    #: cap on recorded trace intervals (``None`` = unbounded).  Huge runs
-    #: with tracing on keep the first ``trace_limit`` intervals and count the
-    #: rest (``TraceRecorder.dropped``) instead of holding millions of tuples.
-    trace_limit: int | None = None
     #: submit library calls through the streaming intake
     #: (:meth:`Runtime.submit_stream`): tasks are pulled from the tiled
     #: builders' generators one at a time during the run instead of being
@@ -134,7 +129,7 @@ class Runtime:
         self.options = options or RuntimeOptions()
         opts = self.options
         self.sim = Simulator()
-        self.trace = TraceRecorder(enabled=opts.trace, max_intervals=opts.trace_limit)
+        self.trace = TraceRecorder(enabled=opts.trace)
         self.directory = CoherenceDirectory()
         self.datastore = DataStore()
         self.fabric = Fabric(self.sim, platform)
@@ -191,8 +186,6 @@ class Runtime:
 
     def _make_scheduler(self) -> Scheduler:
         opts = self.options
-        if opts.scheduler_factory is not None:
-            return opts.scheduler_factory(self.platform)
         n = self.platform.num_gpus
         if opts.scheduler == LocalityWorkStealing.name:
             return LocalityWorkStealing(n)
@@ -286,7 +279,7 @@ class Runtime:
                 # Register up front: the residency fast paths rely on every
                 # device-valid tile being known to the data store already.
                 self.datastore.register(tile)
-                self.directory.seed_device(tile.key, dev, exclusive=True)
+                self.directory.seed_device(self.directory.lookup(tile.key), dev, exclusive=True)
                 self.caches[dev].insert(tile.key, tile.nbytes, now=self.sim.now)
                 self.caches[dev].mark_dirty(tile.key, True)
                 # Numeric seeding: materialize the device array from host data.

@@ -9,7 +9,7 @@ The :class:`Executor` drives the whole machine inside virtual time:
   submission instant passed; it then enters the scheduler;
 * each device worker keeps up to ``pipeline_window`` tasks in flight: when a
   task is launched, its input transfers are reserved on the fabric immediately
-  (the DMA queues), and the kernel is enqueued on the least-busy kernel stream
+  (the DMA queues), and the kernel is enqueued on the device's compute stream
   with ``earliest = max(input arrival times)`` — giving the
   transfer/computation overlap of XKaapi's stream-per-operation-type model
   (§II-B);
@@ -99,22 +99,18 @@ from repro.topology.platform import Platform
 @dataclasses.dataclass(slots=True)
 class _Worker:
     device: int
-    streams: list[Stream]
+    #: the device's one compute engine; the wake gate and the load queries
+    #: read its ``busy_until`` on every visit.
+    stream: Stream
     window: int
     #: inflight count below which a busy worker may still steal
     #: (max(2, window // 3), precomputed — consulted on every wake round).
     steal_threshold: int = 2
     inflight: int = 0
-    #: ``streams[0]``, dereferenced once — the wake gate and the load
-    #: queries read the compute stream on every visit.
-    stream0: Stream = dataclasses.field(init=False)
     #: per-device kernel-duration memo, keyed by ``Task.kt_shape`` — the
     #: launch path does one dict probe on the prebuilt tuple instead of
     #: assembling a ``(dev, ...)`` key per launch.
     durations: dict = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.stream0 = self.streams[0]
 
 
 class Executor:
@@ -154,7 +150,7 @@ class Executor:
         self.workers = [
             _Worker(
                 device=dev,
-                streams=[Stream(sim, name=f"gpu{dev}-compute")],
+                stream=Stream(sim, name=f"gpu{dev}-compute"),
                 window=window,
                 steal_threshold=max(2, window // 3),
             )
@@ -452,7 +448,7 @@ class Executor:
                     task = pop(worker.device, ctx)
                 elif (
                     worker.inflight < worker.steal_threshold
-                    or worker.stream0.busy_until <= now
+                    or worker.stream.busy_until <= now
                 ):  # _device_idle, inlined on the hottest loop of the runtime
                     task = pop(worker.device, ctx, idle=True)
                 else:
@@ -470,7 +466,7 @@ class Executor:
 
     def _device_load(self, dev: int) -> float:
         """Compute backlog (seconds of queued kernels) of device ``dev``."""
-        load = self.workers[dev].stream0.busy_until - self.sim.now
+        load = self.workers[dev].stream.busy_until - self.sim.now
         return load if load > 0.0 else 0.0
 
     def _device_loads(self) -> list[float]:
@@ -482,7 +478,7 @@ class Executor:
         now = self.sim.now
         buf = self._loads_buf
         for i, worker in enumerate(self.workers):
-            load = worker.stream0.busy_until - now
+            load = worker.stream.busy_until - now
             buf[i] = load if load > 0.0 else 0.0
         return buf
 
@@ -497,7 +493,7 @@ class Executor:
         worker = self.workers[dev]
         return (
             worker.inflight < worker.steal_threshold
-            or worker.stream0.busy_until <= self.sim.now
+            or worker.stream.busy_until <= self.sim.now
         )
 
     def _launch(self, task: Task, worker: _Worker) -> None:
@@ -525,16 +521,7 @@ class Executor:
             duration = durations[shape] = self.platform.gpus[dev].kernel_time(
                 shape[0], shape[1], wordsize=shape[2], regularity=shape[3]
             )
-        # Least-loaded stream, first-wins on ties (what min() with a key
-        # returns) — an explicit strict-< scan so no key closure is allocated
-        # per launch.
-        streams = worker.streams
-        stream = streams[0]
-        busy = stream.busy_until
-        for s in streams:
-            sb = s.busy_until
-            if sb < busy:
-                stream, busy = s, sb
+        stream = worker.stream
         if self.overlap:
             start, end = stream.reserve(duration, earliest=inputs_ready)
         else:
@@ -580,12 +567,13 @@ class Executor:
             if access.writes:
                 continue
             key = access.tile.key
-            if directory.state(key, device) is not ReplicaState.SHARED:
+            tid = directory.lookup(key)
+            if directory.state(tid, device) is not ReplicaState.SHARED:
                 continue
             if key not in cache or cache.pin_count(key):
                 continue
             try:
-                directory.evict(key, device)
+                directory.evict(tid, device)
             except CoherenceError:
                 continue  # last replica somewhere transient; keep it
             cache.remove(key)

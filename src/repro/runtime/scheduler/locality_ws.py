@@ -56,8 +56,8 @@ class LocalityWorkStealing(Scheduler):
         """
         if task.owner_hint is not None:
             return task.owner_hint
-        out = task.output_tile
-        holder = ctx.directory.modified_location(out.key)
+        directory = ctx.directory
+        holder = directory.modified_location(directory.lookup(task.output_tile.key))
         if holder is not None and holder != HOST:
             return holder
         return None

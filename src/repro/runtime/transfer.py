@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 
 from repro.errors import CoherenceError
 from repro.memory.cache import DeviceCache
-from repro.memory.coherence import CoherenceDirectory
+from repro.memory.coherence import CoherenceDirectory, ReplicaState
 from repro.memory.tile import Tile, TileKey
 from repro.runtime.access import Access
 from repro.runtime.datastore import DataStore
@@ -170,8 +170,8 @@ class TransferManager:
         key = tile.key
         cache = self.caches[dst]
 
-        # Inlined directory.lookup + is_valid_id: this is the hottest call of
-        # the whole runtime (every read access of every launch lands here) and
+        # Inlined directory.lookup + validity bit test: this is the hottest call
+        # of the whole runtime (every read access of every launch lands here) and
         # the overwhelmingly common outcome is "already valid on dst" — one
         # dict probe plus one bit test, no method dispatch.
         tid = self._dir_ids.get(key)
@@ -316,10 +316,10 @@ class TransferManager:
         if alloc_ready > start_lb:
             start_lb = alloc_ready
         start, end = self.fabric.reserve(source, dst, tile.nbytes, start_lb)
-        self.directory.begin_transfer_id(tid, key, dst, completes_at=end, source=source)
+        self.directory.begin_transfer(tid, dst, completes_at=end, source=source)
         # Insert + protect until landed; the landing pin drops in the
         # completion event.
-        cache.insert_pinned(key, tile.nbytes, now=end)
+        cache.insert(key, tile.nbytes, now=end, pins=1)
         # Pin the source replica too: a DMA must not read a freed buffer.
         src_pinned = source != HOST and self.caches[source].pin_if_resident(key)
         if source == HOST:
@@ -353,7 +353,7 @@ class TransferManager:
         """
         key = tile.key
         cache = self.caches[dst]
-        landed = self.directory.complete_transfer_id(tid, key, dst)
+        landed = self.directory.complete_transfer(tid, dst)
         cache.unpin(key)
         if src_pinned:
             self.caches[source].unpin_if_resident(key)
@@ -579,9 +579,9 @@ class TransferManager:
         Callers have checked that the host copy is not valid, and a MODIFIED
         host copy would be, so the pick is always a device.
         """
-        mod = self.directory._mod[tid]
-        if mod:
-            return (mod & -mod).bit_length() - 2
+        owner = self.directory.modified_location(tid)
+        if owner is not None:
+            return owner
         dmask = self._dir_valid[tid] >> 1
         if not dmask:
             raise CoherenceError(f"{key}: no valid replica anywhere")
@@ -598,9 +598,7 @@ class TransferManager:
         victim already removed from ``source`` by :meth:`_make_room` is not
         resident there, so it gets no pin.
         """
-        self.directory.begin_transfer_id(
-            tid, key, HOST, completes_at=end, source=source
-        )
+        self.directory.begin_transfer(tid, HOST, completes_at=end, source=source)
         entry = self.caches[source]._resident.get(key)
         src_pinned = entry is not None
         if src_pinned:
@@ -622,18 +620,17 @@ class TransferManager:
     ) -> None:
         """Completion event of a write-back landed on the host."""
         key = tile.key
-        landed = self.directory.complete_transfer_id(tid, key, HOST)
+        directory = self.directory
+        landed = directory.complete_transfer(tid, HOST)
         if src_pinned:
             self.caches[source].unpin_if_resident(key)
         if landed:
             self.datastore.copy_tile(tile, source, HOST)
-            if self.directory.state(key, source) is not None:
-                try:
-                    self.directory.downgrade(key, source)
-                except CoherenceError:
-                    pass  # already SHARED
-                if key in self.caches[source]:
-                    self.caches[source].mark_dirty(key, False)
+            state = directory.state(tid, source)
+            if state is ReplicaState.MODIFIED:
+                directory.downgrade(tid, source)
+            if state is not None and key in self.caches[source]:
+                self.caches[source].mark_dirty(key, False)
         self.sanitize(key)
 
     # -------------------------------------------------------------- writes
@@ -665,7 +662,7 @@ class TransferManager:
                 # else: pinned elsewhere (running reader finished at same
                 # instant, event ordering): keep bytes, directory invalidates
                 # below.
-        self.directory.write_id(tid, device)
+        self.directory.write(tid, device)
         cache = caches[device]
         # One dict lookup covers the "already resident" test and the
         # dirty/recency update.
@@ -699,6 +696,7 @@ class TransferManager:
         victims = cache.choose_victims(nbytes, protect)
         datastore = self.datastore
         directory = self.directory
+        dir_ids_get = self._dir_ids.get
         dir_valid = self._dir_valid
         dir_fmask = self._dir_fmask
         # Pass 1 — classify every victim and batch the D2H reservations of
@@ -715,12 +713,12 @@ class TransferManager:
         groups: dict = {}  # d2h Channel -> [plan, ...] in victim order
         for vkey in victims:
             vtile = datastore.tile(vkey)
-            if not cache.is_dirty(vkey):
-                plans.append([vkey, vtile, False, -1, 0, HOST, now, now])
-                continue
-            tid = self._dir_ids.get(vkey)
+            tid = dir_ids_get(vkey)
             if tid is None:
                 tid = directory.lookup(vkey)
+            if not cache.is_dirty(vkey):
+                plans.append([vkey, vtile, False, tid, 0, HOST, now, now])
+                continue
             if dir_valid[tid] & _HOST_BIT:
                 plans.append([vkey, vtile, True, tid, 1, HOST, now, now])
                 continue
@@ -757,14 +755,14 @@ class TransferManager:
                     self._issue_writeback(vtile, vkey, tid, source, start, end, now)
                 if end > ready:
                     ready = end
-                directory.discard(vkey, device)
-                self._refresh_shared_flags(vkey)
+                directory.discard(tid, device)
+                self._refresh_shared_flags(vkey, tid)
                 self.sim.post(end, datastore.drop_device_tile, vkey, device)
             else:
                 cache.remove(vkey)
-                directory.evict(vkey, device)
+                directory.evict(tid, device)
                 datastore.drop_device_tile(vkey, device)
-                self._refresh_shared_flags(vkey)
+                self._refresh_shared_flags(vkey, tid)
             cache.evictions += 1
             if sanitizer is not None:
                 sanitizer.check_tile(vkey)
@@ -772,13 +770,11 @@ class TransferManager:
 
     # ----------------------------------------------------------- bookkeeping
 
-    def _refresh_shared_flags(self, key: TileKey, tid: int | None = None) -> None:
+    def _refresh_shared_flags(self, key: TileKey, tid: int) -> None:
         """Maintain the BLASX-policy hint: is the tile replicated elsewhere?"""
         if not self._track_shared:
             return
-        if tid is None:
-            tid = self.directory.lookup(key)
-        m = self.directory.device_valid_mask(tid)
+        m = self._dir_valid[tid] >> 1  # device replicas (host bit dropped)
         multi = m.bit_count() > 1
         caches = self.caches
         while m:

@@ -53,16 +53,8 @@ class Interval:
 class TraceRecorder:
     """Accumulates :class:`Interval` records and computes paper-style summaries."""
 
-    def __init__(self, enabled: bool = True, max_intervals: int | None = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        #: retention bound: once this many intervals are stored, further
-        #: :meth:`record` calls only bump :attr:`dropped`.  ``None`` keeps
-        #: everything (the historical behaviour); million-task streaming runs
-        #: set a bound (or disable tracing) so the trace cannot re-materialize
-        #: the memory the reclaiming graph just gave back.
-        self.max_intervals = max_intervals
-        #: intervals discarded because :attr:`max_intervals` was reached.
-        self.dropped = 0
         #: mixed storage: raw ``(category, device, start, end, label, nbytes)``
         #: tuples appended by :meth:`record`, converted to :class:`Interval`
         #: objects in place — and label callables resolved — the first time an
@@ -93,18 +85,11 @@ class TraceRecorder:
             return
         if end < start:
             raise ValueError(f"interval ends before it starts: [{start}, {end})")
-        if (
-            self.max_intervals is not None
-            and len(self._intervals) >= self.max_intervals
-        ):
-            self.dropped += 1
-            return
         self._intervals.append((category, device, start, end, label, nbytes))
 
     def clear(self) -> None:
         self._intervals.clear()
         self._cooked = 0
-        self.dropped = 0
 
     def _materialized(self) -> list[Interval]:
         """Convert any still-raw entries; returns the interval list."""

@@ -57,9 +57,10 @@ def check_tile(
 ) -> list[Finding]:
     """Check every protocol invariant for one tile."""
     findings: list[Finding] = []
-    states = directory.replicas(key)
-    flights = directory.flights(key)
-    generation = directory.generation(key)
+    tid = directory.lookup(key)
+    states = directory.replicas(tid)
+    flights = directory.flights(tid)
+    generation = directory.generation(tid)
     known: set[int] | None = None
     if platform is not None:
         known = set(platform.device_ids()) | {HOST}

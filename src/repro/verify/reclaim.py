@@ -40,7 +40,7 @@ import ast
 from pathlib import Path
 
 from repro.verify.base import Finding
-from repro.verify.determinism import DetFinding, SCOPES, _in_scope, _waived
+from repro.verify.determinism import DetFinding, _in_scope, _waived
 
 _PASS = "reclaim"
 

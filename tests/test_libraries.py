@@ -10,6 +10,7 @@ from repro.libraries import LIBRARIES, make_library
 from repro.libraries.registry import FIG5_LIBRARIES, XKBLAS_VARIANTS
 from repro.memory.matrix import Matrix
 from repro.runtime.policies import SourcePolicy
+from tests.directory_views import valid_devices
 
 
 def gemm_operands(n=192, seed=0):
@@ -113,9 +114,11 @@ def test_synchronous_library_restores_host_after_each_call(dgx1_small):
     res = lib.gemm(1.0, a, b, 0.0, c, nb=64, keep_runtime=True)
     rt = res.runtime
     part = rt._partitions[c.id]
+    d = rt.directory
     for tile in part:
-        assert rt.directory.host_valid(tile.key)
-        assert rt.directory.valid_devices(tile.key) == []
+        tid = d.lookup(tile.key)
+        assert d.host_valid(tid)
+        assert valid_devices(d, tid) == []
 
 
 def test_xkblas_lazy_coherence_leaves_replicas_on_device(dgx1_small):
@@ -123,9 +126,10 @@ def test_xkblas_lazy_coherence_leaves_replicas_on_device(dgx1_small):
     lib = make_library("xkblas", dgx1_small)
     res = lib.gemm(1.0, a, b, 0.0, c, nb=64, keep_runtime=True)
     rt = res.runtime
-    part = rt._partitions[c.id]
-    assert all(rt.directory.host_valid(t.key) for t in part)  # flushed result
-    assert any(rt.directory.valid_devices(t.key) for t in part)  # replicas kept
+    d = rt.directory
+    tids = [d.lookup(t.key) for t in rt._partitions[c.id]]
+    assert all(d.host_valid(tid) for tid in tids)  # flushed result
+    assert any(valid_devices(d, tid) for tid in tids)  # replicas kept
 
 
 def test_composition_is_numerically_correct(dgx1_small):
@@ -189,8 +193,8 @@ def test_dod_scenario_leaves_result_on_device(dgx1_small):
         1.0, a, b, 0.0, c, nb=64, scenario="device", keep_runtime=True
     )
     rt = res.runtime
-    part = rt._partitions[c.id]
-    assert all(not rt.directory.host_valid(t.key) for t in part)
+    d = rt.directory
+    assert all(not d.host_valid(d.lookup(t.key)) for t in rt._partitions[c.id])
     assert rt.transfer.stats()["h2d"] == 0  # nothing crossed PCIe inbound
 
 

@@ -116,7 +116,7 @@ def _apply(op, cache):
         _, ki, nbytes, now = op
         key = KEYS[ki]
         if key not in cache:
-            getattr(cache, kind)(key, nbytes, now)
+            cache.insert(key, nbytes, now, pins=int(kind == "insert_pinned"))
     elif kind == "touch":
         _, ki, now = op
         key = KEYS[ki]

@@ -25,6 +25,7 @@ from repro.runtime.task import Task, make_access_list
 from repro.sim.trace import TraceCategory
 from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST
+from tests.directory_views import is_valid
 
 PLATFORM = make_dgx1(4)
 TILES = 6
@@ -108,19 +109,21 @@ def test_property_random_graphs_complete_with_invariants(specs, policy, schedule
                 continue
             assert succ.start_time >= t.end_time - 1e-12
     # 4. coherence: at most one MODIFIED replica; caches mirror the directory
+    d = rt.directory
     for tile in part:
         key = tile.key
+        tid = d.lookup(key)
         modified = [
             loc
             for loc in ([HOST] + list(PLATFORM.device_ids()))
-            if rt.directory.state(key, loc) is ReplicaState.MODIFIED
+            if d.state(tid, loc) is ReplicaState.MODIFIED
         ]
         assert len(modified) <= 1
         for dev in PLATFORM.device_ids():
-            if rt.directory.is_valid(key, dev):
+            if is_valid(d, tid, dev):
                 assert key in rt.caches[dev], (key, dev)
         # flushed at the end: host must be valid again
-        assert rt.directory.host_valid(key)
+        assert d.host_valid(tid)
     # 5. every cache byte accounted
     for dev, cache in rt.caches.items():
         assert 0 <= cache.used <= cache.capacity

@@ -19,6 +19,7 @@ from repro.runtime.policies import SourcePolicy
 from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST
 from repro.topology.nvswitch import make_nvswitch_node
+from tests.directory_views import in_flight_to, is_valid, valid_devices
 
 _INF = float("inf")
 
@@ -39,9 +40,9 @@ def reference_preview_source(transfer, key, dst):
     fabric = transfer.fabric
     policy = transfer.policy
     tid = directory.lookup(key)
-    if directory.is_valid_id(tid, dst):
+    if is_valid(directory, tid, dst):
         return dst, _INF
-    dmask = directory.device_valid_mask(tid) & ~(1 << dst)
+    dmask = sum(1 << d for d in valid_devices(directory, tid) if d != dst)
     if dmask and policy.uses_device_sources:
         if policy.topology_aware:
             table = fabric.best_source_by_mask
@@ -64,7 +65,8 @@ def reference_transfer_estimate(transfer, accesses, device):
         if not access.reads:
             continue
         key = access.tile.key
-        if transfer.directory.in_flight_to(key, device) is not None:
+        directory = transfer.directory
+        if in_flight_to(directory, directory.lookup(key), device) is not None:
             continue
         _, bw = reference_preview_source(transfer, key, device)
         if bw != _INF:
@@ -84,18 +86,18 @@ _STEP = st.tuples(
 )
 
 
-def _apply(directory, key, kind, loc, flag):
+def _apply(directory, tid, kind, loc, flag):
     """One directory transition, skipped where the directory would refuse it."""
     if kind == "seed" and loc != HOST:
-        directory.seed_device(key, loc, exclusive=flag)
+        directory.seed_device(tid, loc, exclusive=flag)
     elif kind == "flight":
-        if not directory.is_valid(key, loc) and directory.in_flight_to(key, loc) is None:
-            directory.begin_transfer(key, loc, completes_at=1.0, source=HOST)
+        if not is_valid(directory, tid, loc) and in_flight_to(directory, tid, loc) is None:
+            directory.begin_transfer(tid, loc, completes_at=1.0, source=HOST)
     elif kind == "land":
-        if directory.in_flight_to(key, loc) is not None:
-            directory.complete_transfer(key, loc)
+        if in_flight_to(directory, tid, loc) is not None:
+            directory.complete_transfer(tid, loc)
     elif kind == "write" and loc != HOST:
-        directory.write(key, loc)
+        directory.write(tid, loc)
 
 
 def _check(rt, accesses, num_gpus):
@@ -141,10 +143,12 @@ def test_property_estimates_match_per_device_reference(
     part = rt.partition(Matrix.meta(n, n, name="A"), 512)
     tiles = list(part)
     locations = [HOST, *range(num_gpus)]
+    directory = rt.directory
     for t, tile in enumerate(tiles):
+        tid = directory.lookup(tile.key)
         for d in range(num_gpus):
             if masks[t % len(masks)] >> d & 1:
-                rt.directory.seed_device(tile.key, d, exclusive=False)
+                directory.seed_device(tid, d, exclusive=False)
 
     def task(i):
         return [Access(tiles[t % len(tiles)], mode) for t, mode in tasks[i % len(tasks)]]
@@ -153,7 +157,7 @@ def test_property_estimates_match_per_device_reference(
         if kind == "estimate":
             _check(rt, task(s), num_gpus)
         else:
-            key = tiles[ti % len(tiles)].key
-            _apply(rt.directory, key, kind, locations[li % len(locations)], flag)
+            tid = directory.lookup(tiles[ti % len(tiles)].key)
+            _apply(directory, tid, kind, locations[li % len(locations)], flag)
     for i in range(len(tasks)):  # and every task at the final state
         _check(rt, task(i), num_gpus)

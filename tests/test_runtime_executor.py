@@ -10,6 +10,7 @@ from repro.memory.matrix import Matrix
 from repro.runtime.access import Access, AccessMode
 from repro.runtime.task import Task, make_access_list
 from repro.sim.trace import TraceCategory
+from tests.directory_views import valid_devices
 
 
 def make_runtime(platform, **opts) -> Runtime:
@@ -100,7 +101,7 @@ def test_flush_waits_for_writer(dgx1_small):
     d2h = [iv for iv in rt.trace if iv.category is TraceCategory.MEMCPY_DTOH]
     assert len(d2h) == 1  # only the written tile needs a write-back
     assert d2h[0].start >= w.end_time - 1e-12
-    assert rt.directory.host_valid(part[(0, 0)].key)
+    assert rt.directory.host_valid(rt.directory.lookup(part[(0, 0)].key))
 
 
 def test_task_submission_overhead_spaces_submissions(dgx1_small):
@@ -126,7 +127,7 @@ def test_write_only_task_skips_input_transfer(dgx1_small):
     rt.submit(t)
     rt.sync()
     assert rt.transfer.stats()["h2d"] == 0
-    assert rt.directory.modified_location(part[(0, 0)].key) == t.device
+    assert rt.directory.modified_location(rt.directory.lookup(part[(0, 0)].key)) == t.device
 
 
 def test_no_overlap_mode_serializes_transfer_and_kernel(dgx1_small):
@@ -149,8 +150,9 @@ def test_retain_inputs_false_drops_clean_replicas(dgx1_small):
     t = rt.submit(simple_task(part, 0, 0, reads=[part[(1, 1)]]))
     rt.sync()
     # The read tile was dropped after the task; the written one stays.
-    assert not rt.directory.valid_devices(part[(1, 1)].key)
-    assert rt.directory.valid_devices(part[(0, 0)].key) == [t.device]
+    d = rt.directory
+    assert not valid_devices(d, d.lookup(part[(1, 1)].key))
+    assert valid_devices(d, d.lookup(part[(0, 0)].key)) == [t.device]
 
 
 def test_distribute_seed_places_tiles(dgx1_small):
@@ -158,9 +160,11 @@ def test_distribute_seed_places_tiles(dgx1_small):
     mat = Matrix.meta(4096, 4096)
     dist = BlockCyclicDistribution(2, 2)
     part = rt.distribute_2d_block_cyclic_async(mat, 1024, dist, upload=False)
+    d = rt.directory
     for tile in part:
-        assert rt.directory.modified_location(tile.key) == dist.owner(tile.i, tile.j)
-        assert not rt.directory.host_valid(tile.key)
+        tid = d.lookup(tile.key)
+        assert d.modified_location(tid) == dist.owner(tile.i, tile.j)
+        assert not d.host_valid(tid)
 
 
 def test_distribute_upload_transfers(dgx1_small):

@@ -45,20 +45,6 @@ def test_task_overhead_shifts_start_times(dgx1_small):
     assert slow.sim.now > fast.sim.now
 
 
-def test_scheduler_factory_override(dgx1_small):
-    from repro.runtime.scheduler import RoundRobinScheduler
-
-    captured = {}
-
-    def factory(platform):
-        captured["platform"] = platform
-        return RoundRobinScheduler(platform.num_gpus)
-
-    rt = Runtime(dgx1_small, RuntimeOptions(scheduler_factory=factory))
-    assert isinstance(rt.scheduler, RoundRobinScheduler)
-    assert captured["platform"] is dgx1_small
-
-
 def test_default_options_are_xkblas_shaped():
     opts = RuntimeOptions()
     from repro.runtime.policies import SourcePolicy

@@ -50,7 +50,7 @@ def test_ws_fresh_tasks_go_to_host_queue(ctx):
 def test_ws_owner_computes_placement(ctx):
     rt, part, c = ctx
     tile = part[(0, 0)]
-    rt.directory.seed_device(tile.key, 2, exclusive=True)
+    rt.directory.seed_device(rt.directory.lookup(tile.key), 2, exclusive=True)
     ws = LocalityWorkStealing(4)
     ws.push(make_task(part, 0, 0), c)
     assert ws.queue_sizes()[2] == 1
@@ -114,7 +114,7 @@ def test_dmda_prefers_device_with_resident_data(ctx):
     rt, part, c = ctx
     reads = [part[(1, 0)], part[(1, 1)]]
     for tile in reads:
-        rt.directory.seed_device(tile.key, 3, exclusive=False)
+        rt.directory.seed_device(rt.directory.lookup(tile.key), 3, exclusive=False)
         rt.caches[3].insert(tile.key, tile.nbytes)
     dmda = DmdaScheduler(4)
     dmda.push(make_task(part, 0, 0, reads=reads), c)

@@ -4,6 +4,7 @@ from repro import Runtime, RuntimeOptions
 from repro.memory.matrix import Matrix
 from repro.runtime.policies import SourcePolicy
 from repro.topology.dgx1 import make_dgx1
+from tests.directory_views import is_valid, valid_devices
 
 
 def setup(policy=SourcePolicy.TOPOLOGY_OPTIMISTIC, num_gpus=8):
@@ -19,7 +20,7 @@ def test_first_fetch_comes_from_host():
     ready = rt.transfer.ensure_resident(tile, dst=0)
     assert ready > 0
     rt.sim.run()
-    assert rt.directory.is_valid(tile.key, 0)
+    assert is_valid(rt.directory, rt.directory.lookup(tile.key), 0)
     assert rt.transfer.stats()["h2d"] == 1
 
 
@@ -50,9 +51,9 @@ def test_topology_policy_picks_best_ranked_source():
     rt, part = setup(SourcePolicy.TOPOLOGY)
     tile = part[(0, 0)]
     # GPU 3 is 2xNVLink from 0; GPU 5 is PCIe from 0 (DGX-1 wiring).
-    rt.directory.seed_device(tile.key, 3, exclusive=False)
+    rt.directory.seed_device(rt.directory.lookup(tile.key), 3, exclusive=False)
     rt.caches[3].insert(tile.key, tile.nbytes)
-    rt.directory.seed_device(tile.key, 5, exclusive=False)
+    rt.directory.seed_device(rt.directory.lookup(tile.key), 5, exclusive=False)
     rt.caches[5].insert(tile.key, tile.nbytes)
     estimate = rt.transfer.estimate_transfers([tile.read_access])[0]
     assert estimate == tile.nbytes / rt.fabric.link_bandwidth[(3, 0)]
@@ -66,7 +67,7 @@ def test_topology_policy_picks_best_ranked_source():
 def test_host_only_policy_ignores_device_replicas():
     rt, part = setup(SourcePolicy.HOST_ONLY)
     tile = part[(0, 0)]
-    rt.directory.seed_device(tile.key, 3, exclusive=False)
+    rt.directory.seed_device(rt.directory.lookup(tile.key), 3, exclusive=False)
     rt.caches[3].insert(tile.key, tile.nbytes)
     estimate = rt.transfer.estimate_transfers([tile.read_access])[0]
     assert estimate == tile.nbytes / rt.platform.host_bandwidth
@@ -94,8 +95,9 @@ def test_optimistic_chains_on_inflight_replica():
     assert stats["optimistic_forwards"] == 1
     assert stats["h2d"] == 1  # a single PCIe crossing
     assert stats["p2p"] == 1
-    assert rt.directory.is_valid(tile.key, 0)
-    assert rt.directory.is_valid(tile.key, 1)
+    tid = rt.directory.lookup(tile.key)
+    assert is_valid(rt.directory, tid, 0)
+    assert is_valid(rt.directory, tid, 1)
 
 
 def test_non_optimistic_duplicates_host_transfer():
@@ -129,8 +131,9 @@ def test_write_invalidates_other_replicas():
     rt.transfer.ensure_resident(tile, dst=1)
     rt.sim.run()
     rt.transfer.register_write(tile, device=0, when=rt.sim.now)
-    assert rt.directory.valid_devices(tile.key) == [0]
-    assert not rt.directory.host_valid(tile.key)
+    tid = rt.directory.lookup(tile.key)
+    assert valid_devices(rt.directory, tid) == [0]
+    assert not rt.directory.host_valid(tid)
     assert tile.key not in rt.caches[1]
     assert rt.caches[0].is_dirty(tile.key)
 
@@ -144,7 +147,7 @@ def test_ensure_host_valid_writes_back_dirty_replica():
     end = rt.transfer.ensure_host_valid(tile)
     assert end > rt.sim.now
     rt.sim.run()
-    assert rt.directory.host_valid(tile.key)
+    assert rt.directory.host_valid(rt.directory.lookup(tile.key))
     # Source replica downgraded to SHARED and no longer dirty.
     assert not rt.caches[0].is_dirty(tile.key)
     assert rt.transfer.stats()["d2h"] == 1
@@ -167,4 +170,4 @@ def test_host_only_with_dirty_device_does_writeback_then_h2d():
     rt.sim.run()
     stats = rt.transfer.stats()
     assert stats["d2h"] == 1 and stats["h2d"] == 2
-    assert rt.directory.is_valid(tile.key, 1)
+    assert is_valid(rt.directory, rt.directory.lookup(tile.key), 1)

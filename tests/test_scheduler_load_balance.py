@@ -32,7 +32,7 @@ def test_shared_replica_does_not_bind(ctx4):
     """Only MODIFIED replicas bind; SHARED ones leave the task stealable."""
     rt, part, c = ctx4
     tile = part[(0, 0)]
-    rt.directory.seed_device(tile.key, 2, exclusive=False)  # SHARED
+    rt.directory.seed_device(rt.directory.lookup(tile.key), 2, exclusive=False)  # SHARED
     rt.caches[2].insert(tile.key, tile.nbytes)
     ws = LocalityWorkStealing(4)
     ws.push(mk(part, 0, 0), c)
@@ -43,7 +43,7 @@ def test_shared_replica_does_not_bind(ctx4):
 def test_modified_replica_binds(ctx4):
     rt, part, c = ctx4
     tile = part[(1, 1)]
-    rt.directory.seed_device(tile.key, 3, exclusive=True)  # MODIFIED
+    rt.directory.seed_device(rt.directory.lookup(tile.key), 3, exclusive=True)  # MODIFIED
     rt.caches[3].insert(tile.key, tile.nbytes)
     ws = LocalityWorkStealing(4)
     ws.push(mk(part, 1, 1), c)
@@ -55,7 +55,7 @@ def test_loaded_owner_releases_to_shared_queue(ctx4):
     successor goes to the shared queue instead of the owner's deque."""
     rt, part, c = ctx4
     tile = part[(0, 0)]
-    rt.directory.seed_device(tile.key, 0, exclusive=True)
+    rt.directory.seed_device(rt.directory.lookup(tile.key), 0, exclusive=True)
     rt.caches[0].insert(tile.key, tile.nbytes)
     loads = {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}  # owner 1s ahead; others idle
     c.device_load = lambda dev: loads[dev]
@@ -68,7 +68,7 @@ def test_loaded_owner_releases_to_shared_queue(ctx4):
 def test_balanced_load_keeps_owner_binding(ctx4):
     rt, part, c = ctx4
     tile = part[(0, 0)]
-    rt.directory.seed_device(tile.key, 0, exclusive=True)
+    rt.directory.seed_device(rt.directory.lookup(tile.key), 0, exclusive=True)
     rt.caches[0].insert(tile.key, tile.nbytes)
     c.device_load = lambda dev: 1.0  # everyone equally busy
     ws = LocalityWorkStealing(4)

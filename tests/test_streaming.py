@@ -27,7 +27,6 @@ from repro.libraries import make_library
 from repro.memory.layout import BlockCyclicDistribution
 from repro.memory.matrix import Matrix
 from repro.runtime.api import Runtime, RuntimeOptions
-from repro.sim.trace import TraceCategory, TraceRecorder
 from repro.topology.dgx1 import make_dgx1
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_makespans.json"
@@ -184,7 +183,6 @@ def test_retained_mode_keeps_the_task_list():
 def test_ready_tasks_returns_single_pruned_list():
     from repro.runtime.task import Task
     from repro.runtime.access import Access, AccessMode
-    from repro.memory.tile import Tile
 
     graph_rt = Runtime(make_dgx1(8))
     graph = graph_rt.executor.graph
@@ -236,29 +234,3 @@ def test_dmdas_streaming_falls_back_to_eager_materialization():
     rt.executor.graph.critical_path_priorities()
     rt.memory_coherent_async(c, 512)
     assert rt.sync() > 0.0
-
-
-# -------------------------------------------------------------- trace bound
-
-
-def test_trace_recorder_bounded_mode():
-    rec = TraceRecorder(enabled=True, max_intervals=3)
-    for i in range(7):
-        rec.record(TraceCategory.KERNEL, 0, float(i), float(i + 1), "k")
-    assert len(rec) == 3
-    assert rec.dropped == 4
-    assert [iv.start for iv in rec.intervals] == [0.0, 1.0, 2.0]
-    rec.clear()
-    assert rec.dropped == 0 and len(rec) == 0
-
-
-def test_trace_limit_option_wires_through_runtime():
-    rt = Runtime(make_dgx1(8), RuntimeOptions(trace_limit=2))
-    a, b, c = (Matrix.meta(1024, 1024) for _ in range(3))
-    pa, pb, pc = (rt.partition(m, 512) for m in (a, b, c))
-    for task in build_gemm(1.0, pa, pb, 0.5, pc):
-        rt.submit(task)
-    rt.memory_coherent_async(c, 512)
-    rt.sync()
-    assert len(rt.trace) == 2
-    assert rt.trace.dropped > 0

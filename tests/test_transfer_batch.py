@@ -19,6 +19,7 @@ from repro.topology.device import GpuSpec
 from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST, Link, LinkKind
 from repro.topology.platform import Platform
+from tests.directory_views import is_valid
 
 
 def setup(policy=SourcePolicy.TOPOLOGY_OPTIMISTIC, num_gpus=8):
@@ -81,8 +82,8 @@ def test_batch_misses_match_sequential_ensure_resident():
     rt_a.sim.run()
     rt_b.sim.run()
     for c in coords:
-        assert rt_a.directory.is_valid(part_a[c].key, 0)
-        assert rt_b.directory.is_valid(part_b[c].key, 0)
+        assert is_valid(rt_a.directory, rt_a.directory.lookup(part_a[c].key), 0)
+        assert is_valid(rt_b.directory, rt_b.directory.lookup(part_b[c].key), 0)
 
 
 def test_batch_hit_path_pins_and_counts():
@@ -142,7 +143,7 @@ def test_make_room_skips_pinned_tile():
     rt.sim.run()
     assert t0.key in rt.caches[0]
     assert t1.key not in rt.caches[0]
-    assert rt.directory.is_valid(t2.key, 0)
+    assert is_valid(rt.directory, rt.directory.lookup(t2.key), 0)
 
 
 def test_make_room_raises_when_everything_pinned():
@@ -177,7 +178,7 @@ def test_make_room_single_dirty_victim_written_back():
         rt.sim.run()
         rt.transfer.register_write(t, device=0, when=rt.sim.now)
     assert rt.caches[0].is_dirty(t0.key) and rt.caches[0].is_dirty(t1.key)
-    assert not rt.directory.host_valid(t0.key)
+    assert not rt.directory.host_valid(rt.directory.lookup(t0.key))
 
     rt.transfer.ensure_resident(t2, dst=0)
     rt.sim.run()
@@ -186,8 +187,9 @@ def test_make_room_single_dirty_victim_written_back():
     assert stats["d2h"] == 1  # one tile's worth of room: exactly one victim
     evicted = [t for t in (t0, t1) if t.key not in rt.caches[0]]
     assert len(evicted) == 1
-    assert rt.directory.host_valid(evicted[0].key)
-    assert rt.directory.is_valid(t2.key, 0)
+    d = rt.directory
+    assert d.host_valid(d.lookup(evicted[0].key))
+    assert is_valid(d, d.lookup(t2.key), 0)
 
 
 def test_make_room_all_resident_dirty_batches_writebacks():
@@ -209,10 +211,11 @@ def test_make_room_all_resident_dirty_batches_writebacks():
 
     stats = rt.transfer.stats()
     assert stats["d2h"] == 4  # every dirty victim written back
+    d = rt.directory
     for t in smalls:
         assert t.key not in rt.caches[0]
-        assert rt.directory.host_valid(t.key)
-    assert rt.directory.is_valid(big.key, 0)
+        assert d.host_valid(d.lookup(t.key))
+    assert is_valid(d, d.lookup(big.key), 0)
 
 
 def test_make_room_dirty_victim_with_host_copy_needs_no_writeback():
@@ -260,8 +263,9 @@ def test_property_preview_agrees_with_select(replicas, dst, ti, tj, policy):
     mat = Matrix.meta(4096, 4096, name="A")
     part = rt.partition(mat, 1024)
     tile = part[(ti, tj)]
+    tid = rt.directory.lookup(tile.key)
     for d in sorted(replicas):
-        rt.directory.seed_device(tile.key, d, exclusive=False)
+        rt.directory.seed_device(tid, d, exclusive=False)
         rt.caches[d].insert(tile.key, tile.nbytes)
 
     row = rt.transfer.estimate_transfers([tile.read_access])
@@ -270,7 +274,6 @@ def test_property_preview_agrees_with_select(replicas, dst, ti, tj, policy):
         # path never consults _select_source in this state.
         assert row[dst] == 0.0
         return
-    tid = rt.directory.lookup(tile.key)
     src_sel, _ = rt.transfer._select_source(tile.key, dst, rt.sim.now, tid)
     if not replicas or not policy.uses_device_sources:
         assert src_sel == HOST

@@ -17,6 +17,7 @@ from repro.memory.tile import TileKey
 from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST
 from repro.verify.coherence import CoherenceSanitizer, check_directory, check_tile
+from tests.directory_views import in_flight_to
 
 KEY = TileKey(0, 0, 0)
 
@@ -26,7 +27,7 @@ def codes(findings):
 
 
 # Tampering helpers: they write the directory's bitmasks through the id API
-# (``lookup``/``flights_map`` plus the ``_valid``/``_mod``/``_gen`` lists),
+# (``lookup``/``flights`` plus the ``_valid``/``_mod``/``_gen`` lists),
 # bypassing the protocol on purpose to seed states it forbids.
 
 
@@ -43,7 +44,7 @@ def force_state(directory, loc, state, key=KEY):
 
 def flight_to(directory, dst, key=KEY):
     """The live in-flight record of ``key`` towards ``dst``."""
-    return directory.flights_map(directory.lookup(key))[dst]
+    return in_flight_to(directory, directory.lookup(key), dst)
 
 
 def shift_generation(directory, delta, key=KEY):
@@ -62,12 +63,13 @@ def test_fresh_directory_is_clean():
 
 def test_legal_protocol_sequence_is_clean():
     d = CoherenceDirectory()
-    d.begin_transfer(KEY, 0, completes_at=1.0, source=HOST)
+    k = d.lookup(KEY)
+    d.begin_transfer(k, 0, completes_at=1.0, source=HOST)
     assert check_tile(d, KEY) == []
-    d.complete_transfer(KEY, 0)
-    d.write(KEY, 0)  # unique MODIFIED owner
+    d.complete_transfer(k, 0)
+    d.write(k, 0)  # unique MODIFIED owner
     assert check_tile(d, KEY) == []
-    d.begin_transfer(KEY, 1, completes_at=2.0, source=0)  # d2d forward
+    d.begin_transfer(k, 1, completes_at=2.0, source=0)  # d2d forward
     assert check_tile(d, KEY) == []
 
 
@@ -94,21 +96,24 @@ def test_sanitizer_disabled_by_default():
 
 def test_double_modified_detected():
     d = CoherenceDirectory()
-    d.write(KEY, 0)
+    k = d.lookup(KEY)
+    d.write(k, 0)
     force_state(d, 1, ReplicaState.MODIFIED)  # second owner: impossible
     assert codes(check_tile(d, KEY)) == {"C001"}
 
 
 def test_host_valid_while_device_modified_detected():
     d = CoherenceDirectory()
-    d.write(KEY, 0)
+    k = d.lookup(KEY)
+    d.write(k, 0)
     force_state(d, HOST, ReplicaState.SHARED)  # stale host marked valid
     assert codes(check_tile(d, KEY)) == {"C002"}
 
 
 def test_flight_generation_drift_detected():
     d = CoherenceDirectory()
-    d.begin_transfer(KEY, 0, completes_at=1.0, source=HOST)
+    k = d.lookup(KEY)
+    d.begin_transfer(k, 0, completes_at=1.0, source=HOST)
     flight_to(d, 0).generation += 1  # flight from the future
     assert codes(check_tile(d, KEY)) == {"C003"}
     flight_to(d, 0).generation -= 1
@@ -118,28 +123,32 @@ def test_flight_generation_drift_detected():
 
 def test_flight_source_without_replica_detected():
     d = CoherenceDirectory()
-    d.begin_transfer(KEY, 1, completes_at=1.0, source=3)  # 3 holds nothing
+    k = d.lookup(KEY)
+    d.begin_transfer(k, 1, completes_at=1.0, source=3)  # 3 holds nothing
     assert codes(check_tile(d, KEY)) == {"C004"}
 
 
 def test_flight_source_chained_on_inbound_flight_is_legal():
     d = CoherenceDirectory()
-    d.begin_transfer(KEY, 0, completes_at=1.0, source=HOST)
-    d.begin_transfer(KEY, 1, completes_at=2.0, source=0)  # optimistic chain
+    k = d.lookup(KEY)
+    d.begin_transfer(k, 0, completes_at=1.0, source=HOST)
+    d.begin_transfer(k, 1, completes_at=2.0, source=0)  # optimistic chain
     assert check_tile(d, KEY) == []
 
 
 def test_writeback_of_discarded_replica_is_legal():
     d = CoherenceDirectory()
-    d.write(KEY, 0)
-    d.begin_transfer(KEY, HOST, completes_at=1.0, source=0)  # write-back
-    d.discard(KEY, 0)  # dirty victim evicted; bytes live in the wire
+    k = d.lookup(KEY)
+    d.write(k, 0)
+    d.begin_transfer(k, HOST, completes_at=1.0, source=0)  # write-back
+    d.discard(k, 0)  # dirty victim evicted; bytes live in the wire
     assert check_tile(d, KEY) == []
 
 
 def test_flight_to_already_valid_destination_detected():
     d = CoherenceDirectory()
-    d.begin_transfer(KEY, 0, completes_at=1.0, source=HOST)
+    k = d.lookup(KEY)
+    d.begin_transfer(k, 0, completes_at=1.0, source=HOST)
     force_state(d, 0, ReplicaState.SHARED)  # validated without landing
     assert codes(check_tile(d, KEY)) == {"C005"}
 
@@ -147,14 +156,16 @@ def test_flight_to_already_valid_destination_detected():
 def test_unknown_locations_detected_with_platform():
     platform = make_dgx1(2)
     d = CoherenceDirectory()
-    d.write(KEY, 7)  # no such device on a 2-GPU platform
+    k = d.lookup(KEY)
+    d.write(k, 7)  # no such device on a 2-GPU platform
     assert codes(check_tile(d, KEY, platform)) == {"C006"}
     assert check_tile(d, KEY) == []  # without a platform the rule is off
 
 
 def test_non_finite_completion_time_detected():
     d = CoherenceDirectory()
-    d.begin_transfer(KEY, 0, completes_at=float("nan"), source=HOST)
+    k = d.lookup(KEY)
+    d.begin_transfer(k, 0, completes_at=float("nan"), source=HOST)
     assert "C007" in codes(check_tile(d, KEY))
 
 
@@ -163,7 +174,8 @@ def test_non_finite_completion_time_detected():
 
 def test_sanitizer_raises_on_seeded_double_modified():
     d = CoherenceDirectory()
-    d.write(KEY, 0)
+    k = d.lookup(KEY)
+    d.write(k, 0)
     force_state(d, 1, ReplicaState.MODIFIED)
     sanitizer = CoherenceSanitizer(d)
     with pytest.raises(VerificationError) as exc:
