@@ -7,7 +7,11 @@ diagonals, everything updates in place (Fortran-ordered device arrays).
 
 Each ``k_*`` factory captures the scalar parameters and returns a closure over
 the device arrays in task access order — the executor calls it at kernel
-completion in numeric mode.  In perf mode the closures are never invoked.
+completion in numeric mode.  In perf mode the closures are never invoked, so
+a tiled builder creates each variant (one set of scalars, such as a chain
+head's ``beta`` versus an accumulator's 1.0) once per call, before its loops,
+and every task of that variant shares the closure: a closure per task is
+memory a perf-mode run holds and never reads.
 """
 
 from __future__ import annotations

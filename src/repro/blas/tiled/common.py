@@ -28,7 +28,15 @@ def make_task(
     dims: tuple[int, ...],
     write_only: bool = False,
 ) -> Task:
-    """Build one tile task: ``reads`` then the output tile accessed RW (or W)."""
+    """Build one tile task: ``reads`` then the output tile accessed RW (or W).
+
+    ``kernel`` is shared: builders create each kernel variant once per call
+    and pass the same closure to every task of that variant.  The regularity
+    is looked up by ``name.lstrip("dszc")``, which strips a character set,
+    not a precision prefix, so ``syrk``, ``symm`` and ``syr2k`` miss their
+    table entries and get 1.0 (their Hermitian twins get the table values).
+    The golden makespans pin this behaviour.
+    """
     accesses = [t.read_access for t in reads]
     accesses.append(rw.write_access if write_only else rw.rw_access)
     dim = _DIM_CACHE.get(dims)

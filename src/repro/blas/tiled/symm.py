@@ -44,13 +44,24 @@ def build_symm(
         """Is block (k, l) of A in the stored triangle?"""
         return k >= l if uplo is Uplo.LOWER else k <= l
 
+    # Each kernel has a chain-head variant (index 0, applies beta) and an
+    # accumulating one (index 1, beta 1.0), built once per call and shared by
+    # every task of that variant.
+    betas = (beta, 1.0)
+    diag_k = [k_symm(side, uplo, alpha, lbeta, hermitian) for lbeta in betas]
+    direct_k = [k_gemm(alpha, lbeta, Trans.NOTRANS, Trans.NOTRANS) for lbeta in betas]
+    if side is Side.LEFT:
+        mirror_k = [k_gemm(alpha, lbeta, mirror_t, Trans.NOTRANS) for lbeta in betas]
+    else:
+        mirror_k = [k_gemm(alpha, lbeta, Trans.NOTRANS, mirror_t) for lbeta in betas]
+
     for j in range(nt):
         for i in range(mt):
             ctile = c[(i, j)]
             if side is Side.LEFT:
                 # C[i,j] = alpha sum_k sym(A)[i,k] B[k,j] + beta C[i,j]
                 for k in range(mt):
-                    lbeta = beta if k == 0 else 1.0
+                    v = min(k, 1)
                     if k == i:
                         atile = a[(i, i)]
                         yield make_task(
@@ -58,7 +69,7 @@ def build_symm(
                             reads=[atile, b[(k, j)]],
                             rw=ctile,
                             flops=fl.gemm_flops(ctile.m, ctile.n, atile.n),
-                            kernel=k_symm(Side.LEFT, uplo, alpha, lbeta, hermitian),
+                            kernel=diag_k[v],
                             dims=(ctile.m, ctile.n, atile.n),
                         )
                     elif stored(i, k):
@@ -68,7 +79,7 @@ def build_symm(
                             reads=[atile, b[(k, j)]],
                             rw=ctile,
                             flops=fl.gemm_flops(ctile.m, ctile.n, atile.n),
-                            kernel=k_gemm(alpha, lbeta, Trans.NOTRANS, Trans.NOTRANS),
+                            kernel=direct_k[v],
                             dims=(ctile.m, ctile.n, atile.n),
                         )
                     else:  # read through the mirror block (k, i)
@@ -78,13 +89,13 @@ def build_symm(
                             reads=[atile, b[(k, j)]],
                             rw=ctile,
                             flops=fl.gemm_flops(ctile.m, ctile.n, atile.m),
-                            kernel=k_gemm(alpha, lbeta, mirror_t, Trans.NOTRANS),
+                            kernel=mirror_k[v],
                             dims=(ctile.m, ctile.n, atile.m),
                         )
             else:
                 # C[i,j] = alpha sum_k B[i,k] sym(A)[k,j] + beta C[i,j]
                 for k in range(nt):
-                    lbeta = beta if k == 0 else 1.0
+                    v = min(k, 1)
                     if k == j:
                         atile = a[(j, j)]
                         yield make_task(
@@ -92,7 +103,7 @@ def build_symm(
                             reads=[atile, b[(i, k)]],
                             rw=ctile,
                             flops=fl.gemm_flops(ctile.m, ctile.n, atile.m),
-                            kernel=_symm_right_kernel(uplo, alpha, lbeta, hermitian),
+                            kernel=diag_k[v],
                             dims=(ctile.m, ctile.n, atile.m),
                         )
                     elif stored(k, j):
@@ -102,7 +113,7 @@ def build_symm(
                             reads=[b[(i, k)], atile],
                             rw=ctile,
                             flops=fl.gemm_flops(ctile.m, ctile.n, atile.m),
-                            kernel=k_gemm(alpha, lbeta, Trans.NOTRANS, Trans.NOTRANS),
+                            kernel=direct_k[v],
                             dims=(ctile.m, ctile.n, atile.m),
                         )
                     else:  # mirror block (j, k), transposed
@@ -112,19 +123,9 @@ def build_symm(
                             reads=[b[(i, k)], atile],
                             rw=ctile,
                             flops=fl.gemm_flops(ctile.m, ctile.n, atile.n),
-                            kernel=k_gemm(alpha, lbeta, Trans.NOTRANS, mirror_t),
+                            kernel=mirror_k[v],
                             dims=(ctile.m, ctile.n, atile.n),
                         )
-
-
-def _symm_right_kernel(uplo: Uplo, alpha: float, beta: float, hermitian: bool):
-    """Right-side SYMM kernel over arrays ``(a, b, c)``: ``c = alpha b sym(a) + beta c``."""
-    inner = k_symm(Side.RIGHT, uplo, alpha, beta, hermitian)
-
-    def kernel(a, b, c):
-        inner(a, b, c)
-
-    return kernel
 
 
 def build_hemm(

@@ -40,69 +40,64 @@ def build_syr2k(
     op_rows = amt if trans is Trans.NOTRANS else ant
     require(op_rows == nt, f"syr2k: op(A) tile rows {op_rows} != C order {nt}")
     name = "her2k" if hermitian else "syr2k"
+    notrans = trans is Trans.NOTRANS
 
     def tile_of(part: TilePartition, i: int, l: int):
-        return part[(i, l)] if trans is Trans.NOTRANS else part[(l, i)]
+        return part[(i, l)] if notrans else part[(l, i)]
+
+    # Built once per call and shared by every task of the variant: the
+    # diagonal kernel and each off-diagonal tile's first GEMM have a
+    # chain-head variant (index 0, applies beta) and an accumulating one
+    # (index 1, beta 1.0); the second GEMM always accumulates.
+    betas = (beta, 1.0)
+    second_alpha = np.conj(alpha) if hermitian else alpha
+    mirror = Trans.CONJTRANS if hermitian else Trans.TRANS
+    ta, tb = (Trans.NOTRANS, mirror) if notrans else (mirror, Trans.NOTRANS)
+    diag_k = [k_syr2k(uplo, trans, alpha, lbeta, hermitian) for lbeta in betas]
+    first_k = [k_gemm(alpha, lbeta, ta, tb) for lbeta in betas]
+    second_k = k_gemm(second_alpha, 1.0, ta, tb)
 
     for i in range(nt):
         ctile = c[(i, i)]
         for l in range(kt):
             atile, btile = tile_of(a, i, l), tile_of(b, i, l)
-            kb = atile.n if trans is Trans.NOTRANS else atile.m
+            kb = atile.n if notrans else atile.m
             yield make_task(
                 name,
                 reads=[atile, btile],
                 rw=ctile,
                 flops=fl.syr2k_flops(ctile.n, kb),
-                kernel=k_syr2k(uplo, trans, alpha, beta if l == 0 else 1.0, hermitian),
+                kernel=diag_k[min(l, 1)],
                 dims=(ctile.m, ctile.n, kb),
             )
         js = range(i) if uplo is Uplo.LOWER else range(i + 1, nt)
-        second_alpha = np.conj(alpha) if hermitian else alpha
-        tb = Trans.CONJTRANS if hermitian else Trans.TRANS
         for j in js:
             ctile = c[(i, j)]
             for l in range(kt):
                 ail, ajl = tile_of(a, i, l), tile_of(a, j, l)
                 bil, bjl = tile_of(b, i, l), tile_of(b, j, l)
-                kb = ail.n if trans is Trans.NOTRANS else ail.m
+                kb = ail.n if notrans else ail.m
                 gf = fl.gemm_flops(ctile.m, ctile.n, kb)
-                if trans is Trans.NOTRANS:
-                    # C[i,j] += alpha A[i,l] B[j,l]ᵀ ; then += alpha B[i,l] A[j,l]ᵀ
-                    yield make_task(
-                        "gemm",
-                        reads=[ail, bjl],
-                        rw=ctile,
-                        flops=gf,
-                        kernel=k_gemm(alpha, beta if l == 0 else 1.0, Trans.NOTRANS, tb),
-                        dims=(ctile.m, ctile.n, kb),
-                    )
-                    yield make_task(
-                        "gemm",
-                        reads=[bil, ajl],
-                        rw=ctile,
-                        flops=gf,
-                        kernel=k_gemm(second_alpha, 1.0, Trans.NOTRANS, tb),
-                        dims=(ctile.m, ctile.n, kb),
-                    )
-                else:
-                    # C[i,j] += alpha A[l,i]ᵀ B[l,j] ; then += alpha B[l,i]ᵀ A[l,j]
-                    yield make_task(
-                        "gemm",
-                        reads=[ail, bjl],
-                        rw=ctile,
-                        flops=gf,
-                        kernel=k_gemm(alpha, beta if l == 0 else 1.0, tb, Trans.NOTRANS),
-                        dims=(ctile.m, ctile.n, kb),
-                    )
-                    yield make_task(
-                        "gemm",
-                        reads=[bil, ajl],
-                        rw=ctile,
-                        flops=gf,
-                        kernel=k_gemm(second_alpha, 1.0, tb, Trans.NOTRANS),
-                        dims=(ctile.m, ctile.n, kb),
-                    )
+                # NOTRANS: C[i,j] += alpha A[i,l] B[j,l]ᵀ, then
+                #          += alpha B[i,l] A[j,l]ᵀ;
+                # else:    C[i,j] += alpha A[l,i]ᵀ B[l,j], then
+                #          += alpha B[l,i]ᵀ A[l,j].
+                yield make_task(
+                    "gemm",
+                    reads=[ail, bjl],
+                    rw=ctile,
+                    flops=gf,
+                    kernel=first_k[min(l, 1)],
+                    dims=(ctile.m, ctile.n, kb),
+                )
+                yield make_task(
+                    "gemm",
+                    reads=[bil, ajl],
+                    rw=ctile,
+                    flops=gf,
+                    kernel=second_k,
+                    dims=(ctile.m, ctile.n, kb),
+                )
 
 
 def build_her2k(

@@ -35,23 +35,35 @@ def build_syrk(
     op_rows = amt if trans is Trans.NOTRANS else ant
     require(op_rows == nt, f"syrk: op(A) tile rows {op_rows} != C order {nt}")
     name = "herk" if hermitian else "syrk"
+    notrans = trans is Trans.NOTRANS
     trans_b = Trans.CONJTRANS if hermitian else Trans.TRANS
 
     def a_tile(i: int, l: int):
-        return a[(i, l)] if trans is Trans.NOTRANS else a[(l, i)]
+        return a[(i, l)] if notrans else a[(l, i)]
+
+    # Each kernel has a chain-head variant (index 0, applies beta) and an
+    # accumulating one (index 1, beta 1.0), built once per call and shared by
+    # every task of that variant.  Off-diagonal GEMMs compute
+    # A[i,l] A[j,l]ᵀ (NOTRANS) or A[l,i]ᵀ A[l,j] (op(A) = Aᵀ).
+    betas = (beta, 1.0)
+    diag_k = [k_syrk(uplo, trans, alpha, lbeta, hermitian) for lbeta in betas]
+    if notrans:
+        off_k = [k_gemm(alpha, lbeta, Trans.NOTRANS, trans_b) for lbeta in betas]
+    else:
+        off_k = [k_gemm(alpha, lbeta, trans_b, Trans.NOTRANS) for lbeta in betas]
 
     for i in range(nt):
         # Diagonal tile: a chain of SYRK kernels.
         ctile = c[(i, i)]
         for l in range(kt):
             atile = a_tile(i, l)
-            kb = atile.n if trans is Trans.NOTRANS else atile.m
+            kb = atile.n if notrans else atile.m
             yield make_task(
                 name,
                 reads=[atile],
                 rw=ctile,
                 flops=fl.syrk_flops(ctile.n, kb),
-                kernel=k_syrk(uplo, trans, alpha, beta if l == 0 else 1.0, hermitian),
+                kernel=diag_k[min(l, 1)],
                 dims=(ctile.m, ctile.n, kb),
             )
         # Off-diagonal tiles of the stored triangle: GEMM chains.
@@ -60,19 +72,13 @@ def build_syrk(
             ctile = c[(i, j)]
             for l in range(kt):
                 ail, ajl = a_tile(i, l), a_tile(j, l)
-                kb = ail.n if trans is Trans.NOTRANS else ail.m
-                if trans is Trans.NOTRANS:
-                    kernel = k_gemm(alpha, beta if l == 0 else 1.0, Trans.NOTRANS, trans_b)
-                else:
-                    # op(A)=Aᵀ: C[i,j] += A[l,i]ᵀ A[l,j]
-                    ta = Trans.CONJTRANS if hermitian else Trans.TRANS
-                    kernel = k_gemm(alpha, beta if l == 0 else 1.0, ta, Trans.NOTRANS)
+                kb = ail.n if notrans else ail.m
                 yield make_task(
                     "gemm",
                     reads=[ail, ajl],
                     rw=ctile,
                     flops=fl.gemm_flops(ctile.m, ctile.n, kb),
-                    kernel=kernel,
+                    kernel=off_k[min(l, 1)],
                     dims=(ctile.m, ctile.n, kb),
                 )
 

@@ -43,8 +43,11 @@ def build_trmm(
     order = mt if side is Side.LEFT else nt
     require(a.shape == (order, order), f"trmm: A {a.shape} must be {order}x{order}")
     notrans = transa is Trans.NOTRANS
+    # One kernel per task kind, built once per call and shared by its tasks.
+    scale = k_trmm(side, uplo, transa, diag, alpha)
 
     if side is Side.LEFT:
+        update = k_gemm(alpha, 1.0, transa, Trans.NOTRANS)
         reads_below = (uplo is Uplo.LOWER) == notrans  # deps are k < i
         rows = range(mt - 1, -1, -1) if reads_below else range(mt)
         for i in rows:
@@ -57,25 +60,23 @@ def build_trmm(
                     reads=[adiag],
                     rw=btile,
                     flops=fl.trmm_flops(True, btile.m, btile.n),
-                    kernel=k_trmm(Side.LEFT, uplo, transa, diag, alpha),
+                    kernel=scale,
                     dims=(btile.m, btile.n, adiag.n),
                 )
                 for k in ks:
                     # Stored coupling block: A[i,k] (lower-N / upper-N) or the
-                    # transposed mirror A[k,i].
-                    if notrans:
-                        ablock, ta = a[(i, k)], Trans.NOTRANS
-                    else:
-                        ablock, ta = a[(k, i)], transa
+                    # mirror A[k,i], read through ``transa`` either way.
+                    ablock = a[(i, k)] if notrans else a[(k, i)]
                     yield make_task(
                         "gemm",
                         reads=[ablock, b[(k, j)]],
                         rw=btile,
                         flops=fl.gemm_flops(btile.m, btile.n, b[(k, j)].m),
-                        kernel=k_gemm(alpha, 1.0, ta, Trans.NOTRANS),
+                        kernel=update,
                         dims=(btile.m, btile.n, b[(k, j)].m),
                     )
     else:
+        update = k_gemm(alpha, 1.0, Trans.NOTRANS, transa)
         reads_above = (uplo is Uplo.LOWER) == notrans  # deps are k > j
         cols = range(nt) if reads_above else range(nt - 1, -1, -1)
         for j in cols:
@@ -88,19 +89,16 @@ def build_trmm(
                     reads=[adiag],
                     rw=btile,
                     flops=fl.trmm_flops(False, btile.m, btile.n),
-                    kernel=k_trmm(Side.RIGHT, uplo, transa, diag, alpha),
+                    kernel=scale,
                     dims=(btile.m, btile.n, adiag.m),
                 )
                 for k in ks:
-                    if notrans:
-                        ablock, ta = a[(k, j)], Trans.NOTRANS
-                    else:
-                        ablock, ta = a[(j, k)], transa
+                    ablock = a[(k, j)] if notrans else a[(j, k)]
                     yield make_task(
                         "gemm",
                         reads=[b[(i, k)], ablock],
                         rw=btile,
                         flops=fl.gemm_flops(btile.m, btile.n, b[(i, k)].n),
-                        kernel=k_gemm(alpha, 1.0, Trans.NOTRANS, ta),
+                        kernel=update,
                         dims=(btile.m, btile.n, b[(i, k)].n),
                     )

@@ -2,8 +2,8 @@
 
 The PLASMA substitution pattern: at each pivot step the diagonal tile solves a
 panel, then trailing panels are updated with GEMMs.  ``alpha`` is folded into
-the *first* operation touching each tile (``lalpha``/``lbeta``), so no
-separate scaling pass is needed.
+the *first* operation touching each tile (the first pivot step's solve and
+update kernels), so no separate scaling pass is needed.
 
 TRSM carries real inter-step dependencies (each pivot panel feeds all trailing
 updates), which is why it composes so well with a following GEMM in the
@@ -37,6 +37,18 @@ def build_trsm(
     order = mt if side is Side.LEFT else nt
     require(a.shape == (order, order), f"trsm: A {a.shape} must be {order}x{order}")
     notrans = transa is Trans.NOTRANS
+    # Each kernel has two variants, built once per call and shared by every
+    # task of that variant: the first pivot step applies alpha, later steps 1.0.
+    first_solve = k_trsm(side, uplo, transa, diag, alpha)
+    next_solve = k_trsm(side, uplo, transa, diag, 1.0)
+    # The update reads the stored coupling block through ``transa``: A[i,k]
+    # when NOTRANS, else its mirror A[k,i] (the right side's column analogue).
+    if side is Side.LEFT:
+        first_update = k_gemm(-1.0, alpha, transa, Trans.NOTRANS)
+        next_update = k_gemm(-1.0, 1.0, transa, Trans.NOTRANS)
+    else:
+        first_update = k_gemm(-1.0, alpha, Trans.NOTRANS, transa)
+        next_update = k_gemm(-1.0, 1.0, Trans.NOTRANS, transa)
 
     if side is Side.LEFT:
         # forward substitution for lower-N / upper-T, backward otherwise
@@ -44,7 +56,9 @@ def build_trsm(
         pivots = range(mt) if forward else range(mt - 1, -1, -1)
         first = 0 if forward else mt - 1
         for k in pivots:
-            lscale = alpha if k == first else 1.0
+            solve, update = (
+                (first_solve, first_update) if k == first else (next_solve, next_update)
+            )
             adiag = a[(k, k)]
             for j in range(nt):
                 btile = b[(k, j)]
@@ -53,15 +67,12 @@ def build_trsm(
                     reads=[adiag],
                     rw=btile,
                     flops=fl.trsm_flops(True, btile.m, btile.n),
-                    kernel=k_trsm(Side.LEFT, uplo, transa, diag, lscale),
+                    kernel=solve,
                     dims=(btile.m, btile.n, adiag.n),
                 )
             trailing = range(k + 1, mt) if forward else range(k)
             for i in trailing:
-                if notrans:
-                    ablock, ta = a[(i, k)], Trans.NOTRANS
-                else:
-                    ablock, ta = a[(k, i)], transa
+                ablock = a[(i, k)] if notrans else a[(k, i)]
                 for j in range(nt):
                     btile = b[(i, j)]
                     xtile = b[(k, j)]
@@ -70,7 +81,7 @@ def build_trsm(
                         reads=[ablock, xtile],
                         rw=btile,
                         flops=fl.gemm_flops(btile.m, btile.n, xtile.m),
-                        kernel=k_gemm(-1.0, lscale, ta, Trans.NOTRANS),
+                        kernel=update,
                         dims=(btile.m, btile.n, xtile.m),
                     )
     else:
@@ -79,7 +90,9 @@ def build_trsm(
         pivots = range(nt - 1, -1, -1) if backward else range(nt)
         first = nt - 1 if backward else 0
         for k in pivots:
-            lscale = alpha if k == first else 1.0
+            solve, update = (
+                (first_solve, first_update) if k == first else (next_solve, next_update)
+            )
             adiag = a[(k, k)]
             for i in range(mt):
                 btile = b[(i, k)]
@@ -88,15 +101,12 @@ def build_trsm(
                     reads=[adiag],
                     rw=btile,
                     flops=fl.trsm_flops(False, btile.m, btile.n),
-                    kernel=k_trsm(Side.RIGHT, uplo, transa, diag, lscale),
+                    kernel=solve,
                     dims=(btile.m, btile.n, adiag.m),
                 )
             trailing = range(k) if backward else range(k + 1, nt)
             for j in trailing:
-                if notrans:
-                    ablock, ta = a[(k, j)], Trans.NOTRANS
-                else:
-                    ablock, ta = a[(j, k)], transa
+                ablock = a[(k, j)] if notrans else a[(j, k)]
                 for i in range(mt):
                     btile = b[(i, j)]
                     xtile = b[(i, k)]
@@ -105,6 +115,6 @@ def build_trsm(
                         reads=[xtile, ablock],
                         rw=btile,
                         flops=fl.gemm_flops(btile.m, btile.n, xtile.n),
-                        kernel=k_gemm(-1.0, lscale, Trans.NOTRANS, ta),
+                        kernel=update,
                         dims=(btile.m, btile.n, xtile.n),
                     )

@@ -31,6 +31,11 @@ def build_getrf_nopiv(a: TilePartition) -> Iterator[Task]:
     """Yield the tiled unpivoted-LU task graph in submission order."""
     mt, nt = a.shape
     require(mt == nt, f"getrf: matrix tile grid must be square, got {a.shape}")
+    # One kernel per task kind, built once per call and shared by its tasks.
+    factor = k_getrf_nopiv()
+    row_solve = k_trsm(Side.LEFT, Uplo.LOWER, Trans.NOTRANS, Diag.UNIT, 1.0)
+    col_solve = k_trsm(Side.RIGHT, Uplo.UPPER, Trans.NOTRANS, Diag.NONUNIT, 1.0)
+    update = k_gemm(-1.0, 1.0, Trans.NOTRANS, Trans.NOTRANS)
     for k in range(nt):
         pivot = a[(k, k)]
         yield make_task(
@@ -38,7 +43,7 @@ def build_getrf_nopiv(a: TilePartition) -> Iterator[Task]:
             reads=[],
             rw=pivot,
             flops=fl.getrf_flops(pivot.m, pivot.n),
-            kernel=k_getrf_nopiv(),
+            kernel=factor,
             dims=(pivot.m, pivot.n),
         )
         for j in range(k + 1, nt):
@@ -48,7 +53,7 @@ def build_getrf_nopiv(a: TilePartition) -> Iterator[Task]:
                 reads=[pivot],
                 rw=tile,
                 flops=fl.trsm_flops(True, tile.m, tile.n),
-                kernel=k_trsm(Side.LEFT, Uplo.LOWER, Trans.NOTRANS, Diag.UNIT, 1.0),
+                kernel=row_solve,
                 dims=(tile.m, tile.n, pivot.m),
             )
         for i in range(k + 1, nt):
@@ -58,7 +63,7 @@ def build_getrf_nopiv(a: TilePartition) -> Iterator[Task]:
                 reads=[pivot],
                 rw=tile,
                 flops=fl.trsm_flops(False, tile.m, tile.n),
-                kernel=k_trsm(Side.RIGHT, Uplo.UPPER, Trans.NOTRANS, Diag.NONUNIT, 1.0),
+                kernel=col_solve,
                 dims=(tile.m, tile.n, pivot.n),
             )
         for i in range(k + 1, nt):
@@ -70,7 +75,7 @@ def build_getrf_nopiv(a: TilePartition) -> Iterator[Task]:
                     reads=[left, right],
                     rw=target,
                     flops=fl.gemm_flops(target.m, target.n, left.n),
-                    kernel=k_gemm(-1.0, 1.0, Trans.NOTRANS, Trans.NOTRANS),
+                    kernel=update,
                     dims=(target.m, target.n, left.n),
                 )
 

@@ -32,6 +32,16 @@ def build_lauum(uplo: Uplo, a: TilePartition) -> Iterator[Task]:
     nt, nt2 = a.shape
     require(nt == nt2, f"lauum: matrix tile grid must be square, got {a.shape}")
     lower = uplo is Uplo.LOWER
+    # One kernel per task kind, built once per call and shared by its tasks.
+    # A[n,n] += panelᵀ panel (lower) / panel panelᵀ (upper)
+    rank_k = k_syrk(uplo, Trans.TRANS if lower else Trans.NOTRANS, 1.0, 1.0)
+    if lower:
+        update = k_gemm(1.0, 1.0, Trans.TRANS, Trans.NOTRANS)
+    else:
+        update = k_gemm(1.0, 1.0, Trans.NOTRANS, Trans.TRANS)
+    # panel := tri(A[m,m])ᵀ panel (lower) / panel tri(A[m,m])ᵀ (upper)
+    scale = k_trmm(Side.LEFT if lower else Side.RIGHT, uplo, Trans.TRANS, Diag.NONUNIT, 1.0)
+    square = k_lauum(uplo)
 
     for m in range(nt):
         diag_m = a[(m, m)]
@@ -39,14 +49,12 @@ def build_lauum(uplo: Uplo, a: TilePartition) -> Iterator[Task]:
         for n in inner:
             panel = a[(m, n)] if lower else a[(n, m)]
             diag_n = a[(n, n)]
-            # A[n,n] += panelᵀ panel  (lower) / panel panelᵀ (upper)
-            trans = Trans.TRANS if lower else Trans.NOTRANS
             yield make_task(
                 "syrk",
                 reads=[panel],
                 rw=diag_n,
                 flops=fl.syrk_flops(diag_n.n, panel.m if lower else panel.n),
-                kernel=k_syrk(uplo, trans, 1.0, 1.0),
+                kernel=rank_k,
                 dims=(diag_n.m, diag_n.n, panel.m if lower else panel.n),
             )
             for j in range(n + 1, m):
@@ -54,30 +62,26 @@ def build_lauum(uplo: Uplo, a: TilePartition) -> Iterator[Task]:
                     # A[j,n] += A[m,j]ᵀ A[m,n]
                     target = a[(j, n)]
                     left, right = a[(m, j)], panel
-                    kernel = k_gemm(1.0, 1.0, Trans.TRANS, Trans.NOTRANS)
                     kb = left.m
                 else:
                     # A[n,j] += A[n,m] A[j,m]ᵀ
                     target = a[(n, j)]
                     left, right = panel, a[(j, m)]
-                    kernel = k_gemm(1.0, 1.0, Trans.NOTRANS, Trans.TRANS)
                     kb = right.n
                 yield make_task(
                     "gemm",
                     reads=[left, right],
                     rw=target,
                     flops=fl.gemm_flops(target.m, target.n, kb),
-                    kernel=kernel,
+                    kernel=update,
                     dims=(target.m, target.n, kb),
                 )
-            # panel := tri(A[m,m])ᵀ panel (lower) / panel tri(A[m,m])ᵀ (upper)
-            side = Side.LEFT if lower else Side.RIGHT
             yield make_task(
                 "trmm",
                 reads=[diag_m],
                 rw=panel,
                 flops=fl.trmm_flops(lower, panel.m, panel.n),
-                kernel=k_trmm(side, uplo, Trans.TRANS, Diag.NONUNIT, 1.0),
+                kernel=scale,
                 dims=(panel.m, panel.n, diag_m.m),
             )
         yield make_task(
@@ -85,6 +89,6 @@ def build_lauum(uplo: Uplo, a: TilePartition) -> Iterator[Task]:
             reads=[],
             rw=diag_m,
             flops=fl.lauum_flops(diag_m.m),
-            kernel=k_lauum(uplo),
+            kernel=square,
             dims=(diag_m.m, diag_m.n),
         )

@@ -37,6 +37,17 @@ def build_potrf(uplo: Uplo, a: TilePartition) -> Iterator[Task]:
         f"potrf: matrix must be square, got {a.matrix.shape}",
     )
     lower = uplo is Uplo.LOWER
+    # One kernel per task kind, built once per call and shared by its tasks.
+    factor = k_potrf(uplo)
+    if lower:
+        # A[i,k] := A[i,k] tril(A[k,k])⁻ᵀ ;  A[i,j] -= A[i,k] A[j,k]ᵀ
+        solve = k_trsm(Side.RIGHT, Uplo.LOWER, Trans.TRANS, Diag.NONUNIT, 1.0)
+        update = k_gemm(-1.0, 1.0, Trans.NOTRANS, Trans.TRANS)
+    else:
+        # A[k,i] := triu(A[k,k])⁻ᵀ A[k,i] ;  A[i,j] -= A[k,i]ᵀ A[k,j]
+        solve = k_trsm(Side.LEFT, Uplo.UPPER, Trans.TRANS, Diag.NONUNIT, 1.0)
+        update = k_gemm(-1.0, 1.0, Trans.TRANS, Trans.NOTRANS)
+    rank_k = k_syrk(uplo, Trans.NOTRANS if lower else Trans.TRANS, -1.0, 1.0)
 
     def panel(i: int, k: int):
         """Panel tile below (lower) or right of (upper) pivot k."""
@@ -49,55 +60,41 @@ def build_potrf(uplo: Uplo, a: TilePartition) -> Iterator[Task]:
             reads=[],
             rw=pivot,
             flops=fl.potrf_flops(pivot.m),
-            kernel=k_potrf(uplo),
+            kernel=factor,
             dims=(pivot.m, pivot.n),
         )
         for i in range(k + 1, nt):
             ptile = panel(i, k)
-            if lower:
-                # A[i,k] := A[i,k] tril(A[k,k])⁻ᵀ
-                kernel = k_trsm(Side.RIGHT, Uplo.LOWER, Trans.TRANS, Diag.NONUNIT, 1.0)
-            else:
-                # A[k,i] := triu(A[k,k])⁻ᵀ A[k,i]
-                kernel = k_trsm(Side.LEFT, Uplo.UPPER, Trans.TRANS, Diag.NONUNIT, 1.0)
             yield make_task(
                 "trsm",
                 reads=[pivot],
                 rw=ptile,
                 flops=fl.trsm_flops(not lower, ptile.m, ptile.n),
-                kernel=kernel,
+                kernel=solve,
                 dims=(ptile.m, ptile.n, pivot.m),
             )
         for i in range(k + 1, nt):
             diag = a[(i, i)]
             ptile = panel(i, k)
-            trans = Trans.NOTRANS if lower else Trans.TRANS
             kb = ptile.n if lower else ptile.m
             yield make_task(
                 "syrk",
                 reads=[ptile],
                 rw=diag,
                 flops=fl.syrk_flops(diag.n, kb),
-                kernel=k_syrk(uplo, trans, -1.0, 1.0),
+                kernel=rank_k,
                 dims=(diag.m, diag.n, kb),
             )
             js = range(k + 1, i) if lower else range(i + 1, nt)
             for j in js:
                 target = a[(i, j)]
                 other = panel(j, k)
-                if lower:
-                    # A[i,j] -= A[i,k] A[j,k]ᵀ
-                    kernel = k_gemm(-1.0, 1.0, Trans.NOTRANS, Trans.TRANS)
-                else:
-                    # A[i,j] -= A[k,i]ᵀ A[k,j]
-                    kernel = k_gemm(-1.0, 1.0, Trans.TRANS, Trans.NOTRANS)
-                reads = [ptile, other]
                 yield make_task(
                     "gemm",
-                    reads=reads,
+                    reads=[ptile, other],
                     rw=target,
                     flops=fl.gemm_flops(target.m, target.n, kb),
-                    kernel=kernel,
+                    kernel=update,
                     dims=(target.m, target.n, kb),
                 )
 

@@ -33,6 +33,11 @@ def build_trtri(uplo: Uplo, diag: Diag, a: TilePartition) -> Iterator[Task]:
     nt, nt2 = a.shape
     require(nt == nt2, f"trtri: matrix tile grid must be square, got {a.shape}")
     lower = uplo is Uplo.LOWER
+    # One kernel per task kind, built once per call and shared by its tasks.
+    invert = k_trtri(uplo, diag)
+    scale = k_trmm(Side.RIGHT, uplo, Trans.NOTRANS, diag, 1.0)
+    update = k_gemm(1.0, 1.0, Trans.NOTRANS, Trans.NOTRANS)
+    solve = k_trsm(Side.LEFT, uplo, Trans.NOTRANS, diag, -1.0)
 
     # Lower: ascending columns (originals still live to the right).
     # Upper: descending columns (originals still live to the left).
@@ -44,7 +49,7 @@ def build_trtri(uplo: Uplo, diag: Diag, a: TilePartition) -> Iterator[Task]:
             reads=[],
             rw=pivot,
             flops=fl.trtri_flops(pivot.m),
-            kernel=k_trtri(uplo, diag),
+            kernel=invert,
             dims=(pivot.m, pivot.n),
         )
         rows = range(k + 1, nt) if lower else range(k - 1, -1, -1)
@@ -56,7 +61,7 @@ def build_trtri(uplo: Uplo, diag: Diag, a: TilePartition) -> Iterator[Task]:
                 reads=[pivot],
                 rw=target,
                 flops=fl.trmm_flops(False, target.m, target.n),
-                kernel=k_trmm(Side.RIGHT, uplo, Trans.NOTRANS, diag, 1.0),
+                kernel=scale,
                 dims=(target.m, target.n, pivot.m),
             )
             js = range(k + 1, i) if lower else range(i + 1, k)
@@ -68,7 +73,7 @@ def build_trtri(uplo: Uplo, diag: Diag, a: TilePartition) -> Iterator[Task]:
                     reads=[block, prior],
                     rw=target,
                     flops=fl.gemm_flops(target.m, target.n, prior.m),
-                    kernel=k_gemm(1.0, 1.0, Trans.NOTRANS, Trans.NOTRANS),
+                    kernel=update,
                     dims=(target.m, target.n, prior.m),
                 )
             diag_i = a[(i, i)]
@@ -77,6 +82,6 @@ def build_trtri(uplo: Uplo, diag: Diag, a: TilePartition) -> Iterator[Task]:
                 reads=[diag_i],
                 rw=target,
                 flops=fl.trsm_flops(True, target.m, target.n),
-                kernel=k_trsm(Side.LEFT, uplo, Trans.NOTRANS, diag, -1.0),
+                kernel=solve,
                 dims=(target.m, target.n, diag_i.m),
             )

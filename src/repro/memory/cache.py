@@ -14,12 +14,13 @@ victims among its unpinned resident tiles in the order of the
   (§II-C): tiles that other devices also hold (or held) are demoted last, so
   replicas useful as GPU-to-GPU sources survive longer.
 
-A policy is a sort key over resident entries (``entry_rank``); the cache
-keeps its residents in an incremental victim index ordered by that key, so
-choosing victims pops the index instead of sorting the resident set.  The
-cache itself never touches coherence state: it *selects* victims; the runtime
-performs write-backs and directory updates, keeping the two substrates
-independently testable.
+A policy is a sort key over resident entries (``entry_rank``).  The first
+allocation that needs a victim builds a victim index over the residents,
+ordered by that key, and the cache keeps it incrementally from then on, so
+choosing victims pops the index instead of sorting the resident set.  A
+cache that never fills never builds one.  The cache itself never touches
+coherence state: it *selects* victims; the runtime performs write-backs and
+directory updates, keeping the two substrates independently testable.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ class _Resident:
     dirty: bool = False
     shared_elsewhere: bool = False
     #: victim-index generation (see :meth:`DeviceCache.choose_victims`):
-    #: identifies the single *live* heap stamp of this entry.  Bumped on
-    #: (re-)insertion and on every eager re-stamp, so stamps carrying an older
-    #: generation are dead and get discarded when they surface.
+    #: identifies the single *live* heap stamp of this entry.  Once the index
+    #: exists, bumped on (re-)insertion and on every eager re-stamp, so stamps
+    #: carrying an older generation are dead and get discarded when they
+    #: surface.
     gen: int = 0
 
 
@@ -63,12 +65,14 @@ class DeviceCache:
         self.hits = 0
         self.misses = 0
         # Victim index (see choose_victims): a lazy-deletion min-heap of
-        # (rank, gen, key) stamps in the policy's victim order.  _vrank is the
-        # policy's entry_rank, cached as an attribute so the hot paths skip
-        # the method lookup.
+        # (rank, gen, key) stamps in the policy's victim order, empty until
+        # the first call that needs a victim builds it (_indexed).  _vrank is
+        # the policy's entry_rank, cached as an attribute so the hot paths
+        # skip the method lookup.
         self._vrank: Callable[[_Resident], tuple] = policy.entry_rank
         self._vheap: list[tuple[tuple, int, TileKey]] = []
         self._vgen = 0
+        self._indexed = False
 
     # ------------------------------------------------------------- residency
 
@@ -245,13 +249,21 @@ class DeviceCache:
     # clearing) must re-stamp eagerly — mark_dirty / mark_shared_elsewhere do.
     # Ranks are unique (they end in the tile key), so heap pop order equals
     # ``sorted(candidates, key=rank)`` order bit-for-bit.
+    #
+    # The heap is built by the first call that needs a victim, through the
+    # same branch that compacts it; until then _stamp is a no-op.  Like
+    # XKaapi, which ranks victims only once a GPU's memory is full, a cache
+    # that never fills (a retained TRSM's) holds no stamps at all.
 
     def _stamp(self, entry: _Resident) -> None:
         """(Re-)stamp ``entry`` in the victim heap at its current rank.
 
         Bumps the entry's generation so any older stamp still in the heap is
-        dead and gets discarded when it surfaces.
+        dead and gets discarded when it surfaces.  A no-op until the index
+        exists.
         """
+        if not self._indexed:
+            return
         self._vgen = gen = self._vgen + 1
         entry.gen = gen
         heapq.heappush(self._vheap, (self._vrank(entry), gen, entry.key))
@@ -279,10 +291,12 @@ class DeviceCache:
         heap = self._vheap
         resident = self._resident
         rank = self._vrank
-        if len(heap) > 2 * len(resident) + 64:
-            # Compact: dead stamps (evictions, eager re-stamps) accumulate
-            # until popped; re-stamping every resident in place keeps the heap
-            # O(resident).  Ranks are unique, so this cannot change pop order.
+        if not self._indexed or len(heap) > 2 * len(resident) + 64:
+            # Build (first call that needs a victim) or compact: dead stamps
+            # (evictions, eager re-stamps) accumulate until popped, so
+            # re-stamping every resident in place keeps the heap O(resident).
+            # Ranks are unique, so neither can change pop order.
+            self._indexed = True
             heap.clear()
             gen = self._vgen
             for entry in resident.values():

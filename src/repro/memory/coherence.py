@@ -32,7 +32,8 @@ first touch, and per-tile state lives in parallel lists indexed by that id —
 * ``_gen[tid]`` — the tile generation guarding against ABA on flights;
 * ``_flights[tid]`` — ``dst -> InFlight``, insertion-ordered like the dict
   the previous implementation used (source-selection tie-breaks depend on
-  that order, so it is part of the contract);
+  that order, so it is part of the contract).  A landing that empties the
+  dict clears it, releasing the table it grew to;
 * ``_fmask[tid]`` — bitmask of destinations with a live in-flight transfer
   (same ``loc + 1`` bit layout as ``_valid``).  Redundant with the keys of
   ``_flights[tid]`` by construction; it exists so the transfer hot path can
@@ -197,11 +198,16 @@ class CoherenceDirectory:
         arriving bytes are dropped, as a real runtime would discard an
         invalidated copy.
         """
-        flight = self._flights[tid].pop(dst, None)
+        flights = self._flights[tid]
+        flight = flights.pop(dst, None)
         if flight is None:
             raise CoherenceError(
                 f"{self._tile_keys[tid]}: no in-flight transfer to {dst}"
             )
+        if not flights:
+            # Release the table the dict grew to; clear() keeps the object,
+            # which the transfer manager aliases.
+            flights.clear()
         bit = 1 << (dst + 1)
         self._fmask[tid] &= ~bit
         if flight.generation != self._gen[tid]:

@@ -44,7 +44,8 @@ class _TileHistory:
     is all the dependency rule needs for a *done* predecessor — dep dedupe
     and edge accounting stay bit-identical to the retain-everything path.
     ``readers_since_write`` maps reader uid -> task, in insertion order;
-    retirement deletes the entry (see :meth:`TaskGraph._retire`).
+    retirement deletes the entry and releases an emptied dict's table (see
+    :meth:`TaskGraph._retire`).
     """
 
     last_writer: Task | None = None
@@ -217,7 +218,9 @@ class TaskGraph:
         object reference.  Reader entries are deleted outright: a done
         reader adds no edge, and the uid dedupe only spans one :meth:`add`
         call, so a tile that is never rewritten (GEMM's A and B) does not
-        keep one entry per reader for the whole run.  The task sheds its own
+        keep one entry per reader for the whole run.  A reader dict that the
+        deletion empties is cleared, which releases the hash table it grew
+        to at its busiest moment.  The task sheds its own
         fan-out so a retired region of the DAG is collectible as soon as the
         executor's in-flight events release it.
         """
@@ -231,7 +234,12 @@ class TaskGraph:
                 if hist.last_writer is task:
                     hist.last_writer = None
             if access.reads:
-                hist.readers_since_write.pop(uid, None)
+                readers = hist.readers_since_write
+                readers.pop(uid, None)
+                if not readers:
+                    # pop() keeps the table at its busiest size; clear() on
+                    # the emptied dict frees it.
+                    readers.clear()
         task.successors.clear()
         task.accesses = ()
         task.access_keys = ()

@@ -2,10 +2,10 @@
 
 A :class:`Stream` is an in-order execution lane: operations submitted to the
 same stream serialize, operations on different streams may overlap in virtual
-time.  Devices in :mod:`repro.runtime.worker` own one or more kernel streams
-(the XKaapi one-stream-per-operation-type strategy from the paper's §II-B) —
-copy "streams" are represented by :class:`~repro.sim.channel.Channel` objects
-since their duration is bandwidth-bound rather than compute-bound.
+time.  Each executor worker (``_Worker`` in :mod:`repro.runtime.executor`)
+owns exactly one compute stream, its device's kernel engine — copy "streams"
+are represented by :class:`~repro.sim.channel.Channel` objects since their
+duration is bandwidth-bound rather than compute-bound.
 """
 
 from __future__ import annotations

@@ -229,6 +229,9 @@ def test_index_compaction_preserves_order():
     c = make_cache(10_000, ReadOnlyFirstPolicy())
     for i in range(8):
         c.insert(key(i), 10, now=float(i))
+    # The first call that needs a victim builds the index; the churn below
+    # then stamps into it.
+    c.choose_victims(needed=c.free + 1)
     # Churn enough dirty flips to outgrow 2 * resident + 64 dead stamps.
     for _ in range(50):
         c.mark_dirty(key(0), True)
@@ -237,3 +240,29 @@ def test_index_compaction_preserves_order():
     victims = c.choose_victims(needed=c.free + 75)
     assert victims == [key(i) for i in range(8)]
     assert len(c._vheap) <= 2 * len(c._resident) + 64
+
+
+@pytest.mark.parametrize(
+    "policy_cls", [LruPolicy, ReadOnlyFirstPolicy, Blasx2LevelPolicy],
+    ids=lambda p: p.name,
+)
+def test_index_built_at_first_eviction(policy_cls):
+    # Until a call needs a victim the cache stamps nothing, whatever the
+    # entries go through; that call ranks every unpinned resident in the
+    # policy's order, exactly as a sort of the resident set would.
+    c = make_cache(10_000, policy_cls())
+    for i in range(12):
+        c.insert(key(i), 10, now=float(i))
+    for i in (3, 7, 1):
+        c.touch(key(i), 20.0 + i)
+    for i in (2, 5, 9):
+        c.mark_dirty(key(i))
+    c.mark_dirty(key(5), False)
+    for i in (0, 4, 9):
+        c.mark_shared_elsewhere(key(i), True)
+    c.mark_shared_elsewhere(key(4), False)
+    c.pin(key(6))
+    assert c._vheap == []
+    unpinned = [e for e in c._resident.values() if not e.pins]
+    expect = [e.key for e in sorted(unpinned, key=c.policy.entry_rank)]
+    assert c.choose_victims(needed=c.free + 10 * len(unpinned)) == expect

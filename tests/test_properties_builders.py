@@ -7,6 +7,12 @@ Two invariants over random shapes and tile sizes:
   denominators agree for every shape, ragged tiles included);
 * **single-writer coverage** — the set of written tiles is exactly the
   routine's output region (full C, or the stored triangle).
+
+And one over every builder variant at two grid sizes:
+
+* **kernel sharing** — a builder creates each kernel variant once per call,
+  so the number of distinct ``task.kernel`` closures does not grow with the
+  tile grid.
 """
 
 import pytest
@@ -15,7 +21,13 @@ from hypothesis import given, settings, strategies as st
 from repro.blas import flops as fl
 from repro.blas import tiled
 from repro.blas.params import Diag, Side, Trans, Uplo
-from repro.lapack import build_getrf_nopiv, build_lauum, build_potrf, build_trtri
+from repro.lapack import (
+    build_getrf_nopiv,
+    build_lauum,
+    build_potrf,
+    build_potrs,
+    build_trtri,
+)
 from repro.memory.layout import TilePartition
 from repro.memory.matrix import Matrix
 
@@ -146,3 +158,68 @@ def test_syr2k_is_twice_syrk(ni, ki, nb, uplo):
         )
     )
     assert syr2k_total == pytest.approx(2 * syrk_total)
+
+
+# ------------------------------------------------------------ kernel sharing
+
+
+def _kernel_sharing_cases():
+    """``(id, build)`` per builder variant; ``build(sq)`` takes a factory of
+    fresh perf-mode square partitions."""
+    cases = [("gemm", lambda sq: tiled.build_gemm(1.5, sq(), sq(), 0.5, sq()))]
+    cases.append(("getrf-nopiv", lambda sq: build_getrf_nopiv(sq())))
+    for side in Side:
+        s = side.name.lower()
+        cases += [
+            (f"symm-{s}", lambda sq, side=side: tiled.build_symm(
+                side, Uplo.LOWER, 1.5, sq(), sq(), 0.5, sq())),
+            (f"hemm-{s}", lambda sq, side=side: tiled.build_hemm(
+                side, Uplo.UPPER, 1.5, sq(), sq(), 0.5, sq())),
+            (f"trmm-{s}", lambda sq, side=side: tiled.build_trmm(
+                side, Uplo.LOWER, Trans.TRANS, Diag.NONUNIT, 1.5, sq(), sq())),
+        ]
+        for uplo in Uplo:
+            for trans in (Trans.NOTRANS, Trans.TRANS):
+                cases.append((
+                    f"trsm-{s}-{uplo.name.lower()}-{trans.name.lower()}",
+                    lambda sq, side=side, uplo=uplo, trans=trans: tiled.build_trsm(
+                        side, uplo, trans, Diag.NONUNIT, 1.5, sq(), sq()),
+                ))
+    for trans, herm in ((Trans.NOTRANS, Trans.NOTRANS), (Trans.TRANS, Trans.CONJTRANS)):
+        t = trans.name.lower()
+        cases += [
+            (f"syrk-{t}", lambda sq, trans=trans: tiled.build_syrk(
+                Uplo.LOWER, trans, 1.5, sq(), 0.5, sq())),
+            (f"herk-{t}", lambda sq, herm=herm: tiled.build_herk(
+                Uplo.UPPER, herm, 1.5, sq(), 0.5, sq())),
+            (f"syr2k-{t}", lambda sq, trans=trans: tiled.build_syr2k(
+                Uplo.LOWER, trans, 1.5, sq(), sq(), 0.5, sq())),
+            (f"her2k-{t}", lambda sq, herm=herm: tiled.build_her2k(
+                Uplo.UPPER, herm, 1.5, sq(), sq(), 0.5, sq())),
+        ]
+    for uplo in Uplo:
+        u = uplo.name.lower()
+        cases += [
+            (f"potrf-{u}", lambda sq, uplo=uplo: build_potrf(uplo, sq())),
+            (f"trtri-{u}", lambda sq, uplo=uplo: build_trtri(uplo, Diag.UNIT, sq())),
+            (f"lauum-{u}", lambda sq, uplo=uplo: build_lauum(uplo, sq())),
+            (f"potrs-{u}", lambda sq, uplo=uplo: build_potrs(uplo, sq(), sq())),
+        ]
+    return cases
+
+
+_KERNEL_CASES = _kernel_sharing_cases()
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in _KERNEL_CASES], ids=[i for i, _ in _KERNEL_CASES]
+)
+def test_builders_share_one_kernel_per_variant(build):
+    # A closure per task is memory a perf-mode run holds and never calls:
+    # the distinct kernels of a graph are its variants, whatever its size.
+    nb = 8
+    counts = []
+    for nt in (4, 8):
+        tasks = tiled.materialize_tasks(build(lambda: part(nt * nb, nt * nb, nb)))
+        counts.append(len({t.kernel for t in tasks}))
+    assert counts[0] == counts[1] <= 8

@@ -1,14 +1,19 @@
 """Tests for the dataflow dependency builder."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.blas.tiled import build_gemm
 from repro.errors import TaskGraphError
 from repro.memory.layout import TilePartition
 from repro.memory.matrix import Matrix
 from repro.runtime.access import Access, AccessMode
+from repro.runtime.api import Runtime, RuntimeOptions
 from repro.runtime.dataflow import TaskGraph
 from repro.runtime.task import Task, make_access_list
+from repro.topology.dgx1 import make_dgx1
 
 
 def tiles(n=4):
@@ -106,6 +111,30 @@ def test_reclaiming_graph_forgets_retired_readers():
     w1 = g.add(task("w1", writes=[t[0]]))
     assert w1.unfinished_predecessors == 1  # the live reader only
     assert w1 in r2.successors
+
+
+def test_reclaiming_run_releases_emptied_reader_and_flight_maps():
+    """An emptied per-tile map gives back the table it grew to: after a
+    streamed reclaiming GEMM, every reader map and every flight map is the
+    size of a fresh ``{}``, not the size of its busiest moment."""
+    rt = Runtime(
+        make_dgx1(8),
+        RuntimeOptions(retain_tasks=False, stream_window=64, trace=False),
+    )
+    a, b, c = (Matrix.meta(2048, 2048) for _ in range(3))
+    pa, pb, pc = (rt.partition(m, 256) for m in (a, b, c))
+    rt.submit_stream(build_gemm(1.0, pa, pb, 0.5, pc))
+    rt.memory_coherent_async(c, 256)
+    rt.sync()
+    graph = rt.executor.graph
+    assert graph.num_done == graph.num_tasks > 8 * 8 * 8  # GEMMs + flushes
+    empty = sys.getsizeof({})
+    history = graph._history.values()
+    assert len(history) == 3 * 8 * 8
+    assert all(sys.getsizeof(h.readers_since_write) == empty for h in history)
+    flights = rt.directory._flights
+    assert len(flights) == 3 * 8 * 8
+    assert all(sys.getsizeof(f) == empty for f in flights)
 
 
 def test_cross_call_composition_dependencies():
