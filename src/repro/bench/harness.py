@@ -52,56 +52,13 @@ def run_point(
     if platform is None or isinstance(platform, PlatformHandle):
         platform = as_handle(platform).build()
     lib = make_library(library, platform)
+    # Every library method takes its BLAS parameters and operands under the
+    # names default_args and matrices_for use (tests pin the agreement).
     mats = matrices_for(routine, n, k=k, numeric=numeric)
-    args = default_args(routine)
-    routine = routine.lower()
-    kwargs = dict(nb=nb, scenario=scenario, keep_runtime=keep_runtime)
-    if routine == "gemm":
-        return lib.gemm(
-            args["alpha"], mats["a"], mats["b"], args["beta"], mats["c"],
-            transa=args["transa"], transb=args["transb"], **kwargs,
-        )
-    if routine == "symm":
-        return lib.symm(
-            args["side"], args["uplo"], args["alpha"], mats["a"], mats["b"],
-            args["beta"], mats["c"], **kwargs,
-        )
-    if routine == "syrk":
-        return lib.syrk(
-            args["uplo"], args["trans"], args["alpha"], mats["a"],
-            args["beta"], mats["c"], **kwargs,
-        )
-    if routine == "syr2k":
-        return lib.syr2k(
-            args["uplo"], args["trans"], args["alpha"], mats["a"], mats["b"],
-            args["beta"], mats["c"], **kwargs,
-        )
-    if routine == "trmm":
-        return lib.trmm(
-            args["side"], args["uplo"], args["transa"], args["diag"],
-            args["alpha"], mats["a"], mats["b"], **kwargs,
-        )
-    if routine == "trsm":
-        return lib.trsm(
-            args["side"], args["uplo"], args["transa"], args["diag"],
-            args["alpha"], mats["a"], mats["b"], **kwargs,
-        )
-    if routine == "hemm":
-        return lib.hemm(
-            args["side"], args["uplo"], args["alpha"], mats["a"], mats["b"],
-            args["beta"], mats["c"], **kwargs,
-        )
-    if routine == "herk":
-        return lib.herk(
-            args["uplo"], args["trans"], args["alpha"], mats["a"],
-            args["beta"], mats["c"], **kwargs,
-        )
-    if routine == "her2k":
-        return lib.her2k(
-            args["uplo"], args["trans"], args["alpha"], mats["a"], mats["b"],
-            args["beta"], mats["c"], **kwargs,
-        )
-    raise BenchmarkError(f"unknown routine {routine!r}")
+    return getattr(lib, routine.lower())(
+        **default_args(routine), **mats,
+        nb=nb, scenario=scenario, keep_runtime=keep_runtime,
+    )
 
 
 @dataclasses.dataclass

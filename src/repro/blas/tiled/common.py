@@ -47,7 +47,7 @@ def make_task(
         regularity = _REGULARITY_CACHE[name] = KERNEL_REGULARITY.get(
             name.lstrip("dszc"), 1.0
         )
-    return Task.build(name, accesses, flops, dim, kernel, regularity)
+    return Task(name, accesses, flops, dim, kernel, regularity)
 
 
 def materialize_tasks(tasks: Iterable[Task]) -> list[Task]:

@@ -58,7 +58,6 @@ def build_gemm(
     a_notrans = transa is Trans.NOTRANS
     b_notrans = transb is Trans.NOTRANS
     regularity = fl.KERNEL_REGULARITY.get("gemm", 1.0)
-    build = Task.build
     shape_cache: dict[tuple[int, int, int], tuple[float, int]] = {}
     a_accs = []
     for i in range(mt):
@@ -83,12 +82,12 @@ def build_gemm(
                         characteristic_dim(cm, cn, kb),
                     )
                 if l:
-                    yield build(
+                    yield Task(
                         "gemm", [a_acc, b_accs[l], c_rw], fd[0], fd[1],
                         k_acc, regularity,
                     )
                 else:
-                    yield build(
+                    yield Task(
                         "gemm", [a_acc, b_accs[0], c_head], fd[0], fd[1],
                         k_head, regularity,
                     )

@@ -93,19 +93,6 @@ PAPER_TILE_SIZES_EXTENDED = (1024, 2048, 4096, 8192, 16384)
 #: per-interval append out of the measured path.
 TRACE_EVENTS = True
 
-# --- verification -------------------------------------------------------------
-
-# Host-time attribution has no flag here: perfbench's layer columns come
-# from ``repro.bench.layers.LayerTracer``, which wraps the runtime's classes
-# from outside for one ``with`` block, so the runtime carries no timing code.
-
-#: Default of ``RuntimeOptions.verify_coherence``: run the coherence-protocol
-#: sanitizer (:class:`repro.verify.coherence.CoherenceSanitizer`) at every
-#: directory state transition.  Off by default — it is a debugging/CI mode,
-#: like a sanitizer build of a C library.  Flip the module flag to opt every
-#: subsequently created runtime in.
-VERIFY_COHERENCE = False
-
 # --- host model ----------------------------------------------------------------
 
 #: Host main memory on the DGX-1 of Table I.

@@ -380,10 +380,12 @@ class Session:
         self.runtime.memory_coherent_async(matrix, nb)
 
     def sync(self) -> float:
-        graph = self.runtime.executor.graph
-        if graph.retain_tasks:
+        runtime = self.runtime
+        graph = runtime.executor.graph
+        # Only a scheduler that reads Task.priority (DMDAS) needs the pass.
+        if runtime.scheduler.needs_priorities and graph.retain_tasks:
             graph.critical_path_priorities()
-        return self.runtime.sync()
+        return runtime.sync()
 
     @property
     def extra_host_seconds(self) -> float:

@@ -10,7 +10,7 @@ from repro.libraries.cublasmg import CublasMg
 from repro.libraries.cublasxt import CublasXt
 from repro.libraries.dplasma import Dplasma
 from repro.libraries.slate import Slate
-from repro.libraries.xkblas import XkBlas, XkBlasDoD, XkBlasNoHeuristic, XkBlasNoTopo
+from repro.libraries.xkblas import XkBlas, XkBlasNoHeuristic, XkBlasNoTopo
 from repro.topology.platform import Platform
 
 #: Every library of the paper's Fig. 5 plus the XKBLAS ablation variants.
@@ -18,7 +18,6 @@ LIBRARIES: dict[str, type[SimulatedLibrary]] = {
     "xkblas": XkBlas,
     "xkblas-no-heuristic": XkBlasNoHeuristic,
     "xkblas-no-heuristic-no-topo": XkBlasNoTopo,
-    "xkblas-dod": XkBlasDoD,
     "cublas-xt": CublasXt,
     "cublas-mg": CublasMg,
     "blasx": Blasx,

@@ -1,11 +1,12 @@
-"""XKBLAS — the paper's library, in four variants.
+"""XKBLAS — the paper's library, in three variants.
 
 * ``XkBlas`` — both heuristics enabled (the "XKBlas" curves);
 * ``XkBlasNoHeuristic`` — optimistic device-to-device forwarding disabled,
   topology-aware ranking kept ("XKBlas, no heuristic");
-* ``XkBlasNoTopo`` — neither heuristic ("XKBlas, no heuristic, no topo");
-* ``XkBlasDoD`` — the full library driven with the data-on-device scenario
-  (a convenience wrapper; any variant accepts ``scenario="device"``).
+* ``XkBlasNoTopo`` — neither heuristic ("XKBlas, no heuristic, no topo").
+
+Any variant runs the data-on-device scenario of Fig. 4 when a routine is
+called with ``scenario="device"``.
 
 All variants share the XKaapi substrate: lightweight task creation,
 locality-aware work stealing, read-only-first eviction, one stream per
@@ -16,7 +17,7 @@ CPU coherence.
 from __future__ import annotations
 
 from repro import config
-from repro.libraries.base import LibraryResult, SimulatedLibrary
+from repro.libraries.base import SimulatedLibrary
 from repro.memory.cache import ReadOnlyFirstPolicy
 from repro.runtime.api import RuntimeOptions
 from repro.runtime.policies import SourcePolicy
@@ -51,27 +52,3 @@ class XkBlasNoTopo(XkBlas):
 
     name = "XKBlas, no heuristic, no topo"
     source_policy = SourcePolicy.ANY_VALID
-
-
-class XkBlasDoD(XkBlas):
-    """XKBLAS with matrices pre-distributed 2D-block-cyclically on devices."""
-
-    name = "XKBlas DoD"
-
-    def gemm(self, *args, scenario: str = "device", **kwargs) -> LibraryResult:
-        return super().gemm(*args, scenario=scenario, **kwargs)
-
-    def symm(self, *args, scenario: str = "device", **kwargs) -> LibraryResult:
-        return super().symm(*args, scenario=scenario, **kwargs)
-
-    def syrk(self, *args, scenario: str = "device", **kwargs) -> LibraryResult:
-        return super().syrk(*args, scenario=scenario, **kwargs)
-
-    def syr2k(self, *args, scenario: str = "device", **kwargs) -> LibraryResult:
-        return super().syr2k(*args, scenario=scenario, **kwargs)
-
-    def trmm(self, *args, scenario: str = "device", **kwargs) -> LibraryResult:
-        return super().trmm(*args, scenario=scenario, **kwargs)
-
-    def trsm(self, *args, scenario: str = "device", **kwargs) -> LibraryResult:
-        return super().trsm(*args, scenario=scenario, **kwargs)

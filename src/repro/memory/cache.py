@@ -219,20 +219,6 @@ class DeviceCache:
         self.misses += 1
         return False
 
-    def access_hit(self, key: TileKey, now: float) -> bool:
-        """Fused :meth:`record_access` + :meth:`touch`: one lookup decides
-        hit/miss and bumps recency on a hit.  The residency fast path of
-        ``ensure_resident`` runs once per task input, so the saved dict probes
-        add up."""
-        entry = self._resident.get(key)
-        if entry is None:
-            self.misses += 1
-            return False
-        self.hits += 1
-        if now > entry.last_use:
-            entry.last_use = now
-        return True
-
     # ---------------------------------------------------------- victim index
     #
     # Victim candidates live in a lazy-deletion min-heap of ``(rank, gen,

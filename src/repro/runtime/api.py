@@ -102,8 +102,8 @@ class RuntimeOptions:
     stream_window: int | None = 8192
     #: False lets the task graph *reclaim* finished tasks (references dropped,
     #: task list replaced by counters).  Required True for debug passes
-    #: (``validate_acyclic``, ``graph.tasks``, the verify subsystem) and for
-    #: DMDAS, whose critical-path priorities need the whole DAG resident.
+    #: (``graph.tasks``, the verify subsystem) and for DMDAS, whose
+    #: critical-path priorities need the whole DAG resident.
     retain_tasks: bool = True
     #: host page-locking (cudaHostRegister) bandwidth in bytes/s, charged once
     #: per matrix at its first host transfer.  ``None`` (default) ignores the
@@ -114,11 +114,8 @@ class RuntimeOptions:
     #: distribution used by owner-computes when tasks carry no hint.
     distribution: BlockCyclicDistribution | None = None
     #: run the coherence-protocol sanitizer at every directory transition
-    #: (ASan-style debugging mode; see :mod:`repro.verify.coherence`).  The
-    #: default follows :data:`repro.config.VERIFY_COHERENCE` at construction.
-    verify_coherence: bool = dataclasses.field(
-        default_factory=lambda: config.VERIFY_COHERENCE
-    )
+    #: (ASan-style debugging mode; see :mod:`repro.verify.coherence`).
+    verify_coherence: bool = False
 
 
 class Runtime:
@@ -226,7 +223,7 @@ class Runtime:
         act on a graph that is not materialized, so for them the stream is
         drained eagerly — that same loop, documented in DESIGN §9.
         """
-        if getattr(self.scheduler, "needs_priorities", False):
+        if self.scheduler.needs_priorities:
             for task in tasks:
                 self.executor.submit(task)
             return

@@ -21,9 +21,10 @@ derivation ever consults, so tasks can be *added while earlier ones already
 executed* (streaming submission) and *retired once done* (their ``successors``
 and ``accesses`` dropped, their ``_TileHistory`` entries nulled or deleted).
 Retained mode (``retain_tasks=True``, the default) additionally keeps the full
-task list for debug passes — :meth:`validate_acyclic`, the verification subsystem,
-and :meth:`critical_path_priorities` (which DMDAS needs, so DMDAS runs
-require retained mode).
+task list, for the verification subsystem (:mod:`repro.verify.graph`) and for
+:meth:`critical_path_priorities` (which DMDAS needs, so DMDAS runs require
+retained mode).  Neither mode keeps a ready list: the executor hands every
+task that becomes ready straight to the scheduler.
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ class TaskGraph:
         self._deps_buf: set[int] = set()
         self._added = 0
         self._done = 0
-        #: tasks seen entering the "ready" state, pruned lazily by
-        #: :meth:`ready_tasks`; a task becomes ready at most once, so the
-        #: buffer is append-only between queries.  Maintained in retained
-        #: mode only — nothing on the execution path consumes it, and in
-        #: reclaiming mode it would pin every task ever submitted.
-        self._ready_buffer: list[Task] = []
 
     # -------------------------------------------------------------- building
 
@@ -135,8 +130,6 @@ class TaskGraph:
         task.unfinished_predecessors += unfinished
         if task.unfinished_predecessors == 0:
             task.state = "ready"
-            if self.retain_tasks:
-                self._ready_buffer.append(task)
         else:
             task.state = "waiting"
         self._added += 1
@@ -166,29 +159,6 @@ class TaskGraph:
     def num_done(self) -> int:
         return self._done
 
-    def ready_tasks(self) -> list[Task]:
-        """Tasks currently in the "ready" state, in became-ready order.
-
-        Amortized O(ready): the buffer only ever receives a task once (when
-        it becomes ready) and entries that moved on are dropped here, instead
-        of rescanning every task in the graph per query.  The pruned buffer
-        *is* the returned list — one fresh list per query, no second copy —
-        so callers must treat it as a read-only snapshot.
-        """
-        if not self.retain_tasks:
-            raise TaskGraphError(
-                "ready_tasks() requires retain_tasks=True (the reclaiming "
-                "graph keeps no ready buffer; the executor tracks readiness "
-                "incrementally through complete())"
-            )
-        still_ready = [t for t in self._ready_buffer if t.state == "ready"]
-        self._ready_buffer = still_ready
-        return still_ready
-
-    def last_writer(self, key: TileKey) -> Task | None:
-        hist = self._history.get(key)
-        return hist.last_writer if hist else None
-
     def complete(self, task: Task) -> list[Task]:
         """Mark ``task`` done; return successors that became ready."""
         if task.state == "done":
@@ -203,9 +173,7 @@ class TaskGraph:
             if succ.unfinished_predecessors == 0 and succ.state == "waiting":
                 succ.state = "ready"
                 newly_ready.append(succ)
-        if self.retain_tasks:
-            self._ready_buffer.extend(newly_ready)
-        else:
+        if not self.retain_tasks:
             self._retire(task)
         return newly_ready
 
@@ -262,16 +230,3 @@ class TaskGraph:
             for succ in task.successors:
                 best = max(best, succ.priority)
             task.priority = best + max(1, int(task.flops // 1e6))
-
-    def validate_acyclic(self) -> None:
-        """Sanity check: submission order must be a topological order.
-
-        Retained mode only (it walks the materialized task list).
-        """
-        position = {t.uid: idx for idx, t in enumerate(self.tasks)}
-        for t in self.tasks:
-            for succ in t.successors:
-                if position[succ.uid] <= position[t.uid]:
-                    raise TaskGraphError(
-                        f"edge {t.uid}->{succ.uid} violates submission order"
-                    )

@@ -107,10 +107,6 @@ class _Worker:
     #: (max(2, window // 3), precomputed — consulted on every wake round).
     steal_threshold: int = 2
     inflight: int = 0
-    #: per-device kernel-duration memo, keyed by ``Task.kt_shape`` — the
-    #: launch path does one dict probe on the prebuilt tuple instead of
-    #: assembling a ``(dev, ...)`` key per launch.
-    durations: dict = dataclasses.field(default_factory=dict)
 
 
 class Executor:
@@ -514,13 +510,11 @@ class Executor:
             task.accesses, dev, now, now + self.pop_overhead, task.access_keys
         )
 
-        shape = task.kt_shape
-        durations = worker.durations
-        duration = durations.get(shape)
-        if duration is None:
-            duration = durations[shape] = self.platform.gpus[dev].kernel_time(
-                shape[0], shape[1], wordsize=shape[2], regularity=shape[3]
-            )
+        # The kernel-time table the schedulers price placements from.
+        row = self.ctx.kernel_times.get(task.kt_shape)
+        if row is None:
+            row = self.ctx.kernel_row(task)
+        duration = row[dev]
         stream = worker.stream
         if self.overlap:
             start, end = stream.reserve(duration, earliest=inputs_ready)
@@ -553,7 +547,7 @@ class Executor:
             self._drop_clean_inputs(task, dev)
         if transfer.sanitizer is not None:
             for access in task.accesses:
-                transfer.sanitize(access.tile.key)
+                transfer.sanitizer.check_tile(access.tile.key)
         if worker.inflight >= worker.window:
             self._full_mask &= ~(1 << worker.device)
         worker.inflight -= 1

@@ -5,8 +5,10 @@ done and the submission overhead paid) and serves device workers that ask for
 work.  It is consulted at virtual-time events only — all state lives in plain
 Python structures, keeping runs deterministic.
 
-Schedulers may use a :class:`SchedulerContext` to ask locality questions
-(where do a task's input tiles live? how big are they?) without depending on
+Schedulers may use a :class:`SchedulerContext`, which the executor builds
+and wires, to ask locality and load questions (where do a task's input tiles
+live? how busy is each device?) and to price a kernel from the same
+kernel-time table the executor times its launch from, without depending on
 the full executor.
 """
 
@@ -26,48 +28,39 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 
 @dataclasses.dataclass(slots=True)
 class SchedulerContext:
-    """Read-only view of runtime state offered to scheduling policies."""
+    """Read-only view of runtime state offered to scheduling policies.
+
+    The executor builds the one context of a run and wires its load queries
+    to the device workers.
+    """
 
     platform: Platform
     directory: CoherenceDirectory
     transfer: "TransferManager"
-    #: compute backlog (seconds of queued kernels) per device; wired by the
-    #: executor so load-aware policies can see starvation.
-    device_load: "typing.Callable[[int], float]" = lambda dev: 0.0
-    #: is the device idle (nothing in flight / below its steal threshold)?
-    #: Wired by the executor; schedulers resolve it lazily so the answer is
-    #: only computed for workers whose own queue came up empty.
-    device_idle: "typing.Callable[[int], bool]" = lambda dev: True
-    #: bulk form of :attr:`device_load`: every device's backlog in one call,
-    #: indexed by device id.  ``None`` (the default) means not wired —
-    #: policies must fall back to per-device ``device_load``, which keeps
-    #: tests that stub ``device_load`` alone honest.
-    device_loads: "typing.Callable[[], list[float]] | None" = None
-    #: memoized :meth:`kernel_estimate` results — tiled graphs repeat a few
-    #: (flops, dim, regularity) shapes across thousands of pushes, and the
-    #: efficiency-curve arithmetic is pure per device.
-    _kernel_time_cache: dict = dataclasses.field(default_factory=dict)
-    #: memoized :meth:`kernel_estimates` rows, one per task shape.
-    _kernel_rows: dict = dataclasses.field(default_factory=dict)
+    #: compute backlog (seconds of queued kernels) of one device, so
+    #: load-aware policies can see starvation.
+    device_load: "typing.Callable[[int], float]"
+    #: is the device idle (below its steal threshold, or its stream drained)?
+    #: Schedulers resolve it lazily, only for workers whose own queue came up
+    #: empty.
+    device_idle: "typing.Callable[[int], bool]"
+    #: every device's backlog in one call, indexed by device id.
+    device_loads: "typing.Callable[[], list[float]]"
+    #: the run's one kernel-time table: ``Task.kt_shape`` -> the kernel's
+    #: duration on every device, filled by :meth:`kernel_row` on first use of
+    #: a shape.  The executor times launches from it and the schedulers
+    #: price placements from it, so the two never disagree.
+    kernel_times: dict = dataclasses.field(default_factory=dict)
 
-    def kernel_estimate(self, task: Task, device: int) -> float:
-        key = (device, task.flops, task.dim, task.regularity)
-        est = self._kernel_time_cache.get(key)
-        if est is None:
-            spec = self.platform.gpus[device]
-            est = self._kernel_time_cache[key] = spec.kernel_time(
-                task.flops, task.dim, regularity=task.regularity
-            )
-        return est
-
-    def kernel_estimates(self, task: Task) -> tuple[float, ...]:
-        """:meth:`kernel_estimate` of ``task`` on every device, memoized per
-        ``(flops, dim, regularity)`` shape."""
-        shape = (task.flops, task.dim, task.regularity)
-        row: tuple[float, ...] | None = self._kernel_rows.get(shape)
+    def kernel_row(self, task: Task) -> tuple[float, ...]:
+        """Duration of ``task``'s kernel on every device, indexed by id."""
+        shape = task.kt_shape
+        row: tuple[float, ...] | None = self.kernel_times.get(shape)
         if row is None:
-            row = self._kernel_rows[shape] = tuple(
-                self.kernel_estimate(task, dev) for dev in self.platform.device_ids()
+            flops, dim, wordsize, regularity = shape
+            row = self.kernel_times[shape] = tuple(
+                gpu.kernel_time(flops, dim, wordsize=wordsize, regularity=regularity)
+                for gpu in self.platform.gpus
             )
         return row
 

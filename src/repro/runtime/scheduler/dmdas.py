@@ -54,9 +54,10 @@ class DmdaScheduler(Scheduler):
 
     def push(self, task: Task, ctx: SchedulerContext) -> None:
         # Every device is priced from one sweep of the task's directory state
-        # (TransferManager.estimate_transfers) and one memoized kernel row.
+        # (TransferManager.estimate_transfers) and one row of the kernel-time
+        # table the executor times the launch from.
         transfer = ctx.transfer.estimate_transfers(task.accesses)
-        kernel = ctx.kernel_estimates(task)
+        kernel = ctx.kernel_row(task)
         avail = self._avail
         now = self._now
         best_dev, best_ect = 0, float("inf")

@@ -30,7 +30,7 @@ from repro.topology.link import HOST
 class LocalityWorkStealing(Scheduler):
     name = "xkaapi-locality-ws"
 
-    def __init__(self, num_devices: int, steal_from_richest: bool = True) -> None:
+    def __init__(self, num_devices: int) -> None:
         super().__init__(num_devices)
         self._deques: list[deque[Task]] = [deque() for _ in range(num_devices)]
         #: fresh tasks with no placed data sit in the spawning (host) thread's
@@ -40,7 +40,6 @@ class LocalityWorkStealing(Scheduler):
         self._host_queue: deque[Task] = deque()
         #: bit ``d`` set iff ``_deques[d]`` is non-empty (kept by push/pop).
         self._deque_mask = 0
-        self.steal_from_richest = steal_from_richest
         self.steals = 0
 
     # -------------------------------------------------------------- placing
@@ -78,7 +77,7 @@ class LocalityWorkStealing(Scheduler):
         # the task to the shared queue so an idle worker can steal it — this
         # is what keeps wavefront-shaped graphs (TRMM) from strangling on a
         # few owner devices.
-        est = ctx.kernel_estimate(task, dev)
+        est = ctx.kernel_row(task)[dev]
         owner_load = ctx.device_load(dev)
         # Backlogs are clamped non-negative, so ``owner_load - min_load``
         # never exceeds ``owner_load`` (IEEE: subtracting a non-negative
@@ -93,20 +92,7 @@ class LocalityWorkStealing(Scheduler):
         # risk float-comparison drift in release decisions for no asymptotic
         # gain.
         if owner_load > 4.0 * est:
-            loads_fn = ctx.device_loads
-            if loads_fn is not None:
-                # Bulk query: one call for all backlogs.  min() over the full
-                # list equals the owner/others split below because the owner's
-                # load is a member of both.
-                min_load = min(loads_fn())
-            else:
-                device_load = ctx.device_load
-                min_load = owner_load
-                for d in range(self.num_devices):
-                    if d != dev:
-                        load = device_load(d)
-                        if load < min_load:
-                            min_load = load
+            min_load = min(ctx.device_loads())  # the owner's load included
             if owner_load - min_load > 4.0 * est and min_load < est:
                 self._host_queue.append(task)
                 return
@@ -173,11 +159,8 @@ class LocalityWorkStealing(Scheduler):
             size = len(self._deques[dev])
             if size == 1 and ctx.device_load(dev) <= 0.0:
                 continue  # the idle owner is about to take it anyway
-            if self.steal_from_richest:
-                if size > best_len:
-                    best, best_len = dev, size
-            elif best is None:
-                best = dev
+            if size > best_len:
+                best, best_len = dev, size
         return best
 
     def pending(self) -> int:

@@ -9,7 +9,6 @@ declarations in submission order.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Callable, Sequence
 
@@ -28,7 +27,6 @@ _NAN = float("nan")
 NumericKernel = Callable[..., None]
 
 
-@dataclasses.dataclass(eq=False, slots=True, weakref_slot=True)
 class Task:
     """One schedulable kernel invocation.
 
@@ -51,112 +49,58 @@ class Task:
         set it to the remaining critical-path estimate.
     owner_hint:
         Device preferred by owner-computes/static schedulers, or ``None``.
+
+    The tiled builders emit thousands of tasks per call, so the constructor
+    sets every slot in one frame and derives the runtime's per-task lookups
+    (below) in the same pass over the accesses.
     """
 
-    name: str
-    accesses: Sequence[Access]
-    flops: float
-    dim: int
-    kernel: NumericKernel | None = None
-    regularity: float = 1.0
-    priority: int = 0
-    owner_hint: int | None = None
-
-    # --- fields managed by the runtime ---
-    #: keys of every accessed tile, precomputed once (accesses are immutable
-    #: after construction); the executor passes this as the eviction-protect
-    #: set on every input transfer instead of rebuilding the tuple per launch.
-    access_keys: tuple = ()
-    #: the written accesses, precomputed for the completion path: write
-    #: registration runs once per finished task and only visits these instead
-    #: of filtering the full access list each time.
-    write_accesses: tuple = ()
-    #: ``(flops, dim, wordsize, regularity)`` — the kernel-duration cache key,
-    #: prebuilt so the launch path indexes a per-worker duration table with
-    #: one attribute load instead of assembling a tuple per launch.
-    kt_shape: tuple = ()
-    #: the first written tile (first access for reads-only tasks) — the
-    #: owner-computes anchor, precomputed for the same reason as
-    #: ``access_keys``: the schedulers read it on every push.
-    output_tile: Tile | None = None
-    #: process-global on purpose: uids only need to be unique per process
-    #: (executor bookkeeping sets, repr); no decision arithmetic consumes
-    #: them — lint rule D106 would flag it if one ever did.
-    uid: int = dataclasses.field(  # det: unique-only, never decision input
-        default_factory=lambda: next(_task_ids)
+    __slots__ = (
+        "name", "accesses", "flops", "dim", "kernel", "regularity", "priority",
+        "owner_hint", "access_keys", "write_accesses", "kt_shape",
+        "output_tile", "uid", "unfinished_predecessors", "successors",
+        "submitted", "device", "start_time", "end_time", "state", "__weakref__",
     )
-    unfinished_predecessors: int = 0
-    successors: list["Task"] = dataclasses.field(default_factory=list)
-    #: set by the executor once the task's submission instant has passed —
-    #: a flag on the task (not a uid set) so the check per successor edge is
-    #: one attribute load and reclaiming graphs carry no growing set.
-    submitted: bool = False
-    device: int | None = None  # assigned at execution
-    start_time: float = float("nan")
-    end_time: float = float("nan")
-    state: str = "created"  # created -> ready -> running -> done
 
-    def __post_init__(self) -> None:
-        if self.flops < 0:
-            raise TaskGraphError(f"task {self.name}: negative flops")
-        if not self.accesses:
-            raise TaskGraphError(f"task {self.name}: a task must access data")
-        keys = []
-        out = None
-        writes = []
-        for a in self.accesses:
-            keys.append(a.tile.key)
-            if a.writes:
-                writes.append(a)
-                if out is None:
-                    out = a.tile
-        self.access_keys = tuple(keys)
-        self.write_accesses = tuple(writes)
-        self.output_tile = out if out is not None else self.accesses[0].tile
-        self.kt_shape = (
-            self.flops, self.dim, self.output_tile.wordsize, self.regularity
-        )
-
-    @classmethod
-    def build(
-        cls,
+    def __init__(
+        self,
         name: str,
         accesses: Sequence[Access],
         flops: float,
         dim: int,
-        kernel: NumericKernel | None,
-        regularity: float,
-    ) -> "Task":
-        """Construct a task without the dataclass ``__init__`` machinery.
-
-        The tiled builders emit thousands of tasks per call; the generated
-        ``__init__`` parses seven keywords, walks the default table and then
-        calls ``__post_init__`` in a second frame.  This sets every slot
-        directly in one frame — field-for-field identical to
-        ``Task(name=..., ..., regularity=...)``, and it must stay in sync
-        with the field list above.
-        """
+        kernel: NumericKernel | None = None,
+        regularity: float = 1.0,
+        *,
+        priority: int = 0,
+        owner_hint: int | None = None,
+    ) -> None:
         if flops < 0:
             raise TaskGraphError(f"task {name}: negative flops")
         if not accesses:
             raise TaskGraphError(f"task {name}: a task must access data")
-        task = object.__new__(cls)
-        task.name = name
-        task.accesses = accesses
-        task.flops = flops
-        task.dim = dim
-        task.kernel = kernel
-        task.regularity = regularity
-        task.priority = 0
-        task.owner_hint = None
-        task.uid = next(_task_ids)  # det: unique-only, never decision input
-        task.unfinished_predecessors = 0
-        task.successors = []
-        task.submitted = False
-        task.device = None
-        task.start_time = _NAN
-        task.end_time = _NAN
-        task.state = "created"
+        self.name = name
+        self.accesses: Sequence[Access] = accesses
+        self.flops = flops
+        self.dim = dim
+        self.kernel = kernel
+        self.regularity = regularity
+        self.priority = priority
+        self.owner_hint = owner_hint
+        # --- fields managed by the runtime ---
+        #: process-global on purpose: uids only need to be unique per process
+        #: (executor bookkeeping sets, repr); no decision arithmetic consumes
+        #: them — lint rule D106 would flag it if one ever did.
+        self.uid = next(_task_ids)  # det: unique-only, never decision input
+        self.unfinished_predecessors = 0
+        self.successors: list[Task] = []
+        #: set by the executor once the task's submission instant has passed —
+        #: a flag on the task (not a uid set) so the check per successor edge
+        #: is one attribute load and reclaiming graphs carry no growing set.
+        self.submitted = False
+        self.device: int | None = None  # assigned at execution
+        self.start_time = _NAN
+        self.end_time = _NAN
+        self.state = "created"  # created -> ready -> running -> done
         keys = []
         out = None
         writes = []
@@ -166,12 +110,21 @@ class Task:
                 writes.append(a)
                 if out is None:
                     out = a.tile
-        task.access_keys = tuple(keys)
-        task.write_accesses = tuple(writes)
-        out = out if out is not None else accesses[0].tile
-        task.output_tile = out
-        task.kt_shape = (flops, dim, out.wordsize, regularity)
-        return task
+        if out is None:
+            out = accesses[0].tile
+        #: keys of every accessed tile (accesses are immutable after
+        #: construction); the executor passes this as the eviction-protect
+        #: set on every input transfer instead of rebuilding it per launch.
+        self.access_keys: tuple = tuple(keys)
+        #: the written accesses: write registration runs once per finished
+        #: task and only visits these.
+        self.write_accesses: tuple = tuple(writes)
+        #: the first written tile (first access for reads-only tasks) — the
+        #: owner-computes anchor the schedulers read on every push.
+        self.output_tile: Tile | None = out
+        #: ``(flops, dim, wordsize, regularity)`` — the key of the runtime's
+        #: one kernel-time table (:attr:`SchedulerContext.kernel_times`).
+        self.kt_shape: tuple = (flops, dim, out.wordsize, regularity)
 
     # -------------------------------------------------------------- queries
 

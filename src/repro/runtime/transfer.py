@@ -36,13 +36,13 @@ fabric's precomputed tables (`rank_key`, `best_source_by_mask`,
 `mask_members`, `link_bandwidth`) instead of re-deriving topology facts per
 transfer.
 
-The executor's launch path enters through :meth:`ensure_resident_batch`: one
-pass over all of a task's accesses with every per-access attribute lookup
-hoisted.  The batch is *op-for-op* identical to calling the single-access
-entry points in declaration order — every cache counter, channel reservation,
-directory transition and completion post happens in the same sequence, so all
-virtual-time output (golden makespans, transfer stats, per-task schedules) is
-bit-identical by construction.
+Residency has one implementation, :meth:`ensure_resident_batch`: one pass
+over all of a task's accesses with every per-access attribute lookup hoisted.
+The executor's launch path calls it with a task's access list;
+:meth:`ensure_resident` (the data-distribution upload) calls it with one read
+access and drops the launch pin again.  The order of its cache counters,
+channel reservations, directory transitions and completion posts is part of
+the virtual-time contract pinned by the golden makespans and trace digests.
 """
 
 from __future__ import annotations
@@ -149,47 +149,23 @@ class TransferManager:
         self.p2p_transfers = 0
         self.optimistic_forwards = 0
 
-    # ---------------------------------------------------------- verification
-
-    def sanitize(self, key: TileKey) -> None:
-        """Re-check the tile's coherence invariants (no-op without sanitizer)."""
-        if self.sanitizer is not None:
-            self.sanitizer.check_tile(key)
-
     # ------------------------------------------------------------ residency
 
     def ensure_resident(
-        self,
-        tile: Tile,
-        dst: int,
-        earliest: float | None = None,
-        protect: tuple[TileKey, ...] = (),
+        self, tile: Tile, dst: int, protect: tuple[TileKey, ...] = ()
     ) -> float:
-        """Make ``tile`` valid on device ``dst``; return its ready time."""
-        now = self.sim.now if earliest is None else max(self.sim.now, earliest)
-        key = tile.key
-        cache = self.caches[dst]
+        """Make ``tile`` valid on device ``dst``; return its ready time.
 
-        # Inlined directory.lookup + validity bit test: this is the hottest call
-        # of the whole runtime (every read access of every launch lands here) and
-        # the overwhelmingly common outcome is "already valid on dst" — one
-        # dict probe plus one bit test, no method dispatch.
-        tid = self._dir_ids.get(key)
-        if tid is None:
-            tid = self.directory.lookup(key)
-        dstbit = 1 << (dst + 1)
-        if self._dir_valid[tid] & dstbit:
-            # A replica valid on a device was transferred or seeded there, so
-            # the tile is already registered — the fast paths skip that call.
-            cache.access_hit(key, now)
-            return now
-
-        if self._dir_fmask[tid] & dstbit:
-            cache.record_access(key)
-            flight = self._dir_flights[tid][dst]
-            return max(now, flight.completes_at)
-
-        return self._issue_transfer(tile, key, tid, dst, cache, now, protect)
+        One read access through :meth:`ensure_resident_batch`, whose launch
+        pin is dropped again at once: the same hit, in-flight and miss
+        operations in the same order, with no pin left behind.
+        """
+        now = self.sim.now
+        ready, _, pinned = self.ensure_resident_batch(
+            (tile.read_access,), dst, now, now, protect
+        )
+        self.caches[dst].unpin_many(pinned)
+        return ready
 
     def ensure_resident_batch(
         self,
@@ -208,13 +184,13 @@ class TransferManager:
         delay beyond ``now`` (charged to the kernel stream by the no-overlap
         model), and the keys pinned on ``dst`` for the task's lifetime.
 
-        Op-for-op equivalent to the former per-access launch loop (hit/pin
-        bookkeeping on the fast path, :meth:`ensure_resident` plus the launch
-        pin on misses, room made for outputs not resident or in flight):
-        every cache counter, reservation, directory transition and completion
-        post runs in the same order, so virtual-time output is bit-identical.
-        The batch form exists to hoist the per-access attribute traffic out
-        of the hottest loop of the runtime.
+        Per read access, in declaration order: a hit counts and pins the
+        resident entry; a tile in flight to ``dst`` chains on the landing; a
+        miss issues a transfer (:meth:`_issue_transfer`) and adds the launch
+        pin atop the landing pin.  A WRITE-only access gets room for its
+        allocation unless it is resident or in flight.  The per-access
+        attribute traffic is hoisted out of the loop, the hottest of the
+        runtime.
         """
         transfer_cost = 0.0
         pinned: list[TileKey] = []
@@ -365,7 +341,8 @@ class TransferManager:
             # Invalidated mid-flight by a writer: drop the stale bytes.
             cache.remove(key)
             self.datastore.drop_device_tile(key, dst)
-        self.sanitize(key)
+        if self.sanitizer is not None:
+            self.sanitizer.check_tile(key)
 
     def _tile_mix(self, key: TileKey, dst: int) -> int:
         """The no-ranking pseudo-random pick, keyed on run-local state only."""
@@ -631,7 +608,8 @@ class TransferManager:
                 directory.downgrade(tid, source)
             if state is not None and key in self.caches[source]:
                 self.caches[source].mark_dirty(key, False)
-        self.sanitize(key)
+        if self.sanitizer is not None:
+            self.sanitizer.check_tile(key)
 
     # -------------------------------------------------------------- writes
 

@@ -25,7 +25,7 @@ Analysis passes plus runtime wiring:
 """
 
 from repro.verify.base import Finding, raise_on_findings, render_report
-from repro.verify.callgraph import CallGraph, load_or_build
+from repro.verify.callgraph import CallGraph
 from repro.verify.coherence import CoherenceSanitizer, check_directory, check_tile
 from repro.verify.determinism import (
     lint_determinism,
@@ -53,7 +53,6 @@ __all__ = [
     "lint_source",
     "lint_trace",
     "load_baseline",
-    "load_or_build",
     "new_findings",
     "raise_on_findings",
     "render_report",

@@ -1,4 +1,4 @@
-"""Name-based call graph over a package tree, with a JSON disk cache.
+"""Name-based call graph over a package tree.
 
 The determinism linter and the reclamation-safety pass both need the same
 question answered: *which functions are reachable from a given set of entry
@@ -17,20 +17,12 @@ consistent naming discipline, so the graph is **name-based and conservative**:
 Over-approximation is the right failure mode for a linter: an unreachable
 function wrongly considered reachable can only produce a finding a human then
 waives; an unreachable edge missed would silently skip a rule.
-
-Building the graph parses every module, so the CLI (and CI, which runs it on
-every push) can persist it: :func:`load_or_build` keys the cache on a content
-hash of every source file and rebuilds only what changed.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from pathlib import Path
-
-_CACHE_VERSION = 2
 
 
 class FunctionNode:
@@ -52,25 +44,6 @@ class FunctionNode:
     @property
     def key(self) -> str:
         return f"{self.module}:{self.qualname}"
-
-    def to_json(self) -> dict:
-        return {
-            "module": self.module,
-            "qualname": self.qualname,
-            "name": self.name,
-            "lineno": self.lineno,
-            "refs": sorted(self.refs),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FunctionNode":
-        return cls(
-            data["module"],
-            data["qualname"],
-            data["name"],
-            data["lineno"],
-            set(data["refs"]),
-        )
 
 
 class _FunctionCollector(ast.NodeVisitor):
@@ -148,14 +121,6 @@ class CallGraph:
 
     # -------------------------------------------------------------- building
 
-    @staticmethod
-    def _tree_hashes(root: Path) -> dict[str, str]:
-        hashes: dict[str, str] = {}
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root).as_posix()
-            hashes[rel] = hashlib.sha1(path.read_bytes()).hexdigest()
-        return hashes
-
     @classmethod
     def build(cls, root: Path) -> "CallGraph":
         nodes: list[FunctionNode] = []
@@ -169,38 +134,3 @@ class CallGraph:
             collector.visit(tree)
             nodes.extend(collector.nodes)
         return cls(nodes)
-
-    def to_json(self, root: Path) -> dict:
-        return {
-            "version": _CACHE_VERSION,
-            "files": self._tree_hashes(root),
-            "functions": [n.to_json() for n in self.nodes],
-        }
-
-
-def load_or_build(root: Path, cache_path: Path | None = None) -> CallGraph:
-    """Return the tree's call graph, reusing ``cache_path`` when still valid.
-
-    The cache is valid iff the stored per-file content hashes exactly match
-    the tree (same files, same bytes).  On miss the graph is rebuilt and the
-    cache rewritten — CI keys an actions/cache entry on the same hashes, so
-    warm runs skip the parse of every module.
-    """
-    if cache_path is not None and cache_path.is_file():
-        try:
-            data = json.loads(cache_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            data = None
-        if (
-            data is not None
-            and data.get("version") == _CACHE_VERSION
-            and data.get("files") == CallGraph._tree_hashes(root)
-        ):
-            return CallGraph(
-                [FunctionNode.from_json(f) for f in data["functions"]]
-            )
-    graph = CallGraph.build(root)
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        cache_path.write_text(json.dumps(graph.to_json(root)), encoding="utf-8")
-    return graph

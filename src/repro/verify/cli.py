@@ -7,9 +7,8 @@ Five stages, any finding makes the exit status non-zero:
 2. **determinism** — the purity/determinism linter
    (:mod:`repro.verify.determinism`) and the reclamation-safety pass
    (:mod:`repro.verify.reclaim`), both reachability-aware over the shared
-   call graph (cached with ``--callgraph-cache``) and filtered against the
-   committed fingerprint baseline (``--baseline``, regenerate with
-   ``--write-baseline``);
+   call graph and filtered against the committed fingerprint baseline
+   (``--baseline``, regenerate with ``--write-baseline``);
 3. **graph** — build the task graphs of all six tiled BLAS-3 routines plus
    the TRSM+GEMM composition and certify them with the race/deadlock
    detector, pre-execution;
@@ -38,14 +37,13 @@ from pathlib import Path
 
 import repro
 from repro import Runtime, RuntimeOptions
+from repro.bench.workloads import default_args, matrices_for
 from repro.blas import tiled
-from repro.blas.params import Diag, Side, Trans, Uplo
 from repro.memory.layout import BlockCyclicDistribution, TilePartition, default_grid
 from repro.memory.matrix import Matrix
 from repro.runtime.dataflow import TaskGraph
 from repro.topology.dgx1 import make_dgx1
 from repro.verify.base import Finding, render_report
-from repro.verify.callgraph import load_or_build
 from repro.verify.coherence import check_directory
 from repro.verify.determinism import (
     lint_determinism,
@@ -68,43 +66,31 @@ def _partition(n: int, nb: int, name: str) -> TilePartition:
 
 
 def build_tasks(routine: str, n: int, nb: int) -> list:
-    """Submission-ordered task list of one routine (metadata matrices)."""
+    """Submission-ordered task list of one routine (metadata matrices).
+
+    Every builder runs with the benchmark's parameters
+    (:func:`~repro.bench.workloads.default_args`, whose names the builders
+    share) except ``beta=0.5``, which keeps the C chains RW.
+    """
     a = _partition(n, nb, "A")
     b = _partition(n, nb, "B")
     c = _partition(n, nb, "C")
-    if routine == "gemm":
-        return list(tiled.build_gemm(1.0, a, b, 0.5, c))
-    if routine == "symm":
-        return list(tiled.build_symm(Side.LEFT, Uplo.LOWER, 1.0, a, b, 0.5, c))
-    if routine == "syrk":
-        return list(tiled.build_syrk(Uplo.LOWER, Trans.NOTRANS, 1.0, a, 0.5, c))
-    if routine == "syr2k":
-        return list(
-            tiled.build_syr2k(Uplo.LOWER, Trans.NOTRANS, 1.0, a, b, 0.5, c)
+    # The composition is a TRSM producing B, then a GEMM consuming it (§IV-F).
+    first = "trsm" if routine == "composition" else routine
+    if first not in ROUTINES:
+        raise ValueError(f"unknown routine {routine!r}")
+    args = default_args(first)
+    if "beta" in args:
+        args["beta"] = 0.5
+    operands = {"a": a, "b": b, "c": c}
+    tasks = list(
+        getattr(tiled, f"build_{first}")(
+            **args, **{name: operands[name] for name in matrices_for(first, n)}
         )
-    if routine == "trmm":
-        return list(
-            tiled.build_trmm(
-                Side.LEFT, Uplo.LOWER, Trans.NOTRANS, Diag.NONUNIT, 1.0, a, b
-            )
-        )
-    if routine == "trsm":
-        return list(
-            tiled.build_trsm(
-                Side.LEFT, Uplo.LOWER, Trans.NOTRANS, Diag.NONUNIT, 1.0, a, b
-            )
-        )
+    )
     if routine == "composition":
-        # TRSM producing B, then a GEMM consuming it (§IV-F composition).
-        d = _partition(n, nb, "D")
-        tasks = list(
-            tiled.build_trsm(
-                Side.LEFT, Uplo.LOWER, Trans.NOTRANS, Diag.NONUNIT, 1.0, a, b
-            )
-        )
-        tasks += list(tiled.build_gemm(1.0, b, c, 0.5, d))
-        return tasks
-    raise ValueError(f"unknown routine {routine!r}")
+        tasks += tiled.build_gemm(1.0, b, c, 0.5, _partition(n, nb, "D"))
+    return tasks
 
 
 def verify_built_graphs(n: int, nb: int) -> list[Finding]:
@@ -194,12 +180,9 @@ def verify_distribution_phase(n: int, nb: int, gpus: int) -> list[Finding]:
     ]
 
 
-def analysis_findings(
-    src: Path, baseline_path: Path, callgraph_cache: Path | None
-) -> list[Finding]:
+def analysis_findings(src: Path, baseline_path: Path) -> list[Finding]:
     """Stage 2: determinism + reclamation findings not pinned by the baseline."""
-    graph = load_or_build(src, callgraph_cache)
-    detailed = lint_determinism(src, graph=graph)
+    detailed = lint_determinism(src)
     detailed += lint_reclamation(src)
     return new_findings(detailed, load_baseline(baseline_path))
 
@@ -287,12 +270,6 @@ def main(argv: list[str] | None = None) -> int:
         help="regenerate the baseline from current findings and exit",
     )
     parser.add_argument(
-        "--callgraph-cache",
-        type=Path,
-        default=None,
-        help="JSON cache for the call-graph build (CI caches this file)",
-    )
-    parser.add_argument(
         "--json",
         type=Path,
         default=None,
@@ -313,8 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     baseline_path = args.baseline or args.src / "verify" / "determinism_baseline.json"
 
     if args.write_baseline:
-        graph = load_or_build(args.src, args.callgraph_cache)
-        detailed = lint_determinism(args.src, graph=graph)
+        detailed = lint_determinism(args.src)
         detailed += lint_reclamation(args.src)
         write_baseline(baseline_path, detailed)
         print(f"baseline: {len(detailed)} fingerprint(s) -> {baseline_path}")
@@ -326,9 +302,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lint: {len(lint)} finding(s) over {args.src}")
         findings += lint
     if not args.skip_determinism:
-        analysis = analysis_findings(
-            args.src, baseline_path, args.callgraph_cache
-        )
+        analysis = analysis_findings(args.src, baseline_path)
         print(
             f"determinism: {len(analysis)} unwaivered finding(s) not in "
             f"baseline ({baseline_path.name})"

@@ -26,9 +26,8 @@ the protocol's prose promises:
   or a platform device (when a platform is given).
 
 :class:`CoherenceSanitizer` wires these checks into the runtime: with
-``RuntimeOptions.verify_coherence`` (default off, see
-:data:`repro.config.VERIFY_COHERENCE`) the transfer manager and executor call
-it after every state transition and it raises
+``RuntimeOptions.verify_coherence`` (default off) the transfer manager and
+executor call it after every state transition and it raises
 :class:`~repro.errors.VerificationError` at the first violation — an
 ASan-style mode for the coherence layer.
 """

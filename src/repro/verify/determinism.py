@@ -61,7 +61,7 @@ import json
 from pathlib import Path
 
 from repro.verify.base import Finding
-from repro.verify.callgraph import CallGraph, load_or_build
+from repro.verify.callgraph import CallGraph
 
 _PASS = "determinism"
 
@@ -640,13 +640,11 @@ def _lint_module(
 
 
 def lint_determinism(
-    root: Path,
-    graph: CallGraph | None = None,
-    callgraph_cache: Path | None = None,
+    root: Path, graph: CallGraph | None = None
 ) -> list[DetFinding]:
     """Run the purity/determinism rules over the package tree at ``root``."""
     if graph is None:
-        graph = load_or_build(root, callgraph_cache)
+        graph = CallGraph.build(root)
     decision_keys = graph.reachable(DECISION_ROOTS)
     trees: list[tuple[Path, ast.Module, str]] = []
     for path in sorted(root.rglob("*.py")):

@@ -4,9 +4,9 @@
 task the moment it completes: ``Executor._finish`` calls ``graph.complete``,
 which clears ``task.successors``, empties ``task.accesses``/``access_keys``
 and drops ``task.output_tile`` so million-task runs hold only the in-flight
-window.  The graph-level API shrinks the same way: ``graph.tasks``,
-``ready_tasks()``, ``critical_path_priorities()`` and ``validate_acyclic()``
-raise :class:`~repro.errors.TaskGraphError` on a reclaiming graph.
+window.  The graph-level API shrinks the same way: ``graph.tasks`` and
+``critical_path_priorities()`` raise :class:`~repro.errors.TaskGraphError` on
+a reclaiming graph.
 
 Both of these are temporal contracts no test exercises by accident — a
 scheduler that peeks at ``task.successors`` inside ``on_complete`` works
@@ -49,11 +49,7 @@ CLEARED_FIELDS = ("accesses", "access_keys", "successors", "output_tile")
 
 #: graph attributes/methods that raise on a reclaiming graph.
 RETAINED_ONLY_ATTRS = ("tasks",)
-RETAINED_ONLY_METHODS = (
-    "ready_tasks",
-    "critical_path_priorities",
-    "validate_acyclic",
-)
+RETAINED_ONLY_METHODS = ("critical_path_priorities",)
 
 #: modules that implement (rather than consume) the reclamation contract.
 _EXEMPT = ("runtime/dataflow.py",)

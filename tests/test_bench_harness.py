@@ -1,5 +1,7 @@
 """Tests for the benchmark harness, workloads and experiment plumbing."""
 
+import inspect
+
 import pytest
 
 from repro.bench.cellspec import PlatformHandle
@@ -15,8 +17,13 @@ from repro.bench.harness import (
     tile_specs,
 )
 from repro.bench.workloads import default_args, matrices_for, paper_sizes
+from repro.blas import tiled
 from repro.errors import BenchmarkError
+from repro.libraries.base import SimulatedLibrary
 from repro.topology.dgx1 import make_dgx1
+
+
+ROUTINES = ["gemm", "symm", "syrk", "syr2k", "trmm", "trsm", "hemm", "herk", "her2k"]
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +40,7 @@ def test_paper_sizes():
     assert len(paper_sizes(fast=True)) < len(paper_sizes())
 
 
-@pytest.mark.parametrize(
-    "routine", ["gemm", "symm", "syrk", "syr2k", "trmm", "trsm", "hemm", "herk", "her2k"]
-)
+@pytest.mark.parametrize("routine", ROUTINES)
 def test_matrices_for_all_routines(routine):
     mats = matrices_for(routine, 256, k=128)
     assert all(not m.numeric for m in mats.values())
@@ -43,6 +48,17 @@ def test_matrices_for_all_routines(routine):
     assert "alpha" in args
     numeric = matrices_for(routine, 64, numeric=True)
     assert all(m.numeric for m in numeric.values())
+
+
+@pytest.mark.parametrize("routine", ROUTINES)
+def test_routine_parameter_names_match_workload_keys(routine):
+    """``run_point`` and ``repro.verify``'s graph builder call every library
+    method and tiled builder with the keys of ``default_args`` and
+    ``matrices_for`` as keyword arguments; the signatures must bind them."""
+    names = dict.fromkeys([*default_args(routine), *matrices_for(routine, 64)])
+    library_method = inspect.signature(getattr(SimulatedLibrary, routine))
+    library_method.bind(None, **names, nb=64, scenario="host", keep_runtime=False)
+    inspect.signature(getattr(tiled, f"build_{routine}")).bind(**names)
 
 
 def test_matrices_for_unknown_routine():

@@ -62,9 +62,6 @@ def test_every_library_computes_correct_gemm(dgx1_small, key):
     lib = make_library(key, dgx1_small)
     res = lib.gemm(1.5, a, b, -0.5, c, nb=64)
     expect = ref_gemm(1.5, a.to_array(), b.to_array(), -0.5, c0)
-    if res.scenario == "device":
-        # Result lives on the devices; flush through a session to check.
-        return
     np.testing.assert_allclose(c.to_array(), expect, atol=1e-10)
     assert res.seconds > 0 and res.gflops > 0
 

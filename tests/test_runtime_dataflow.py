@@ -14,6 +14,7 @@ from repro.runtime.api import Runtime, RuntimeOptions
 from repro.runtime.dataflow import TaskGraph
 from repro.runtime.task import Task, make_access_list
 from repro.topology.dgx1 import make_dgx1
+from repro.verify.graph import verify_graph
 
 
 def tiles(n=4):
@@ -179,7 +180,7 @@ def test_validate_acyclic():
     g = TaskGraph()
     g.add(task("a", writes=[t[0]]))
     g.add(task("b", reads=[t[0]], writes=[t[1]]))
-    g.validate_acyclic()
+    assert verify_graph(g) == []
 
 
 def test_task_requires_accesses():
@@ -212,7 +213,7 @@ def test_property_replaying_graph_sequentially_matches_program_order(spec):
         tasks.append(
             g.add(task(f"t{len(tasks)}", reads=[t[i] for i in reads], writes=[t[w]]))
         )
-    g.validate_acyclic()
+    assert verify_graph(g) == []
     # Simulate: repeatedly complete any ready task (deterministic order).
     done_order = []
     pending = list(tasks)

@@ -12,7 +12,6 @@ from repro.runtime.scheduler import (
     OwnerComputesScheduler,
     RoundRobinScheduler,
 )
-from repro.runtime.scheduler.base import SchedulerContext
 from repro.runtime.task import Task, make_access_list
 from repro.topology.dgx1 import make_dgx1
 
@@ -22,7 +21,7 @@ def ctx():
     rt = Runtime(make_dgx1(4))
     mat = Matrix.meta(4096, 4096)
     part = rt.partition(mat, 1024)
-    return rt, part, SchedulerContext(rt.platform, rt.directory, rt.transfer)
+    return rt, part, rt.executor.ctx
 
 
 def make_task(part, i, j, reads=(), hint=None):

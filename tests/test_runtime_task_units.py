@@ -1,5 +1,7 @@
 """Unit tests for Task/Access/Tile pieces not covered elsewhere."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,63 @@ def test_reads_only_task_anchors_on_first_access(tiles):
         dim=32,
     )
     assert t.output_tile is tiles[1]
+
+
+def _derived(task):
+    return task.access_keys, task.write_accesses, task.output_tile, task.kt_shape
+
+
+@pytest.mark.parametrize("layout", ["mixed", "reads-only"])
+def test_positional_and_keyword_construction_agree(tiles, layout):
+    """The tiled builders construct tasks positionally, the flush path and
+    tests by keyword: both derive the same runtime lookups."""
+    if layout == "mixed":
+        accesses = make_access_list(
+            reads=[tiles[0]], writes=[tiles[1]], readwrites=[tiles[2]]
+        )
+    else:
+        accesses = make_access_list(reads=[tiles[3], tiles[0]])
+
+    def kernel(*arrays):
+        pass
+
+    positional = Task("k", accesses, 10.0, 32, kernel, 0.9)
+    keyword = Task(
+        name="k", accesses=accesses, flops=10.0, dim=32, kernel=kernel,
+        regularity=0.9,
+    )
+    assert _derived(positional) == _derived(keyword)
+    assert positional.access_keys == tuple(a.tile.key for a in accesses)
+    assert positional.write_accesses == tuple(a for a in accesses if a.writes)
+    anchor = tiles[1] if layout == "mixed" else tiles[3]
+    assert positional.output_tile is anchor
+    assert positional.kt_shape == (10.0, 32, anchor.wordsize, 0.9)
+    for task in (positional, keyword):
+        assert (task.priority, task.owner_hint, task.state) == (0, None, "created")
+        assert task.successors == [] and not task.submitted
+        assert weakref.ref(task)() is task
+    assert keyword.uid > positional.uid
+
+
+def test_priority_and_owner_hint_are_keyword_only(tiles):
+    accesses = make_access_list(writes=[tiles[0]])
+    task = Task("k", accesses, 1.0, 32, priority=7, owner_hint=2)
+    assert (task.priority, task.owner_hint) == (7, 2)
+    with pytest.raises(TypeError):
+        Task("k", accesses, 1.0, 32, None, 1.0, 7)
+
+
+@pytest.mark.parametrize(
+    "flops, empty, message",
+    [(-1.0, False, "negative flops"), (1.0, True, "must access data")],
+)
+def test_positional_and_keyword_construction_fail_alike(tiles, flops, empty, message):
+    accesses = [] if empty else make_access_list(writes=[tiles[0]])
+    with pytest.raises(TaskGraphError, match=message) as positional:
+        Task("bad", accesses, flops, 8)
+    with pytest.raises(TaskGraphError, match=message) as keyword:
+        Task(name="bad", accesses=accesses, flops=flops, dim=8)
+    assert str(positional.value) == str(keyword.value)
 
 
 def test_run_numeric_requires_kernel(tiles):

@@ -6,7 +6,6 @@ import pytest
 from repro import Runtime
 from repro.memory.matrix import Matrix
 from repro.runtime.scheduler import LocalityWorkStealing
-from repro.runtime.scheduler.base import SchedulerContext
 from repro.runtime.task import Task, make_access_list
 from repro.topology.dgx1 import make_dgx1
 
@@ -15,7 +14,7 @@ from repro.topology.dgx1 import make_dgx1
 def ctx4():
     rt = Runtime(make_dgx1(4))
     part = rt.partition(Matrix.meta(4096, 4096), 1024)
-    return rt, part, SchedulerContext(rt.platform, rt.directory, rt.transfer)
+    return rt, part, rt.executor.ctx
 
 
 def mk(part, i, j, hint=None):
@@ -57,8 +56,9 @@ def test_loaded_owner_releases_to_shared_queue(ctx4):
     tile = part[(0, 0)]
     rt.directory.seed_device(rt.directory.lookup(tile.key), 0, exclusive=True)
     rt.caches[0].insert(tile.key, tile.nbytes)
-    loads = {0: 1.0, 1: 0.0, 2: 0.0, 3: 0.0}  # owner 1s ahead; others idle
-    c.device_load = lambda dev: loads[dev]
+    loads = [1.0, 0.0, 0.0, 0.0]  # owner 1s ahead; others idle
+    c.device_load = loads.__getitem__
+    c.device_loads = lambda: loads
     ws = LocalityWorkStealing(4)
     ws.push(mk(part, 0, 0), c)
     assert ws.queue_sizes() == [0, 0, 0, 0]
@@ -71,6 +71,7 @@ def test_balanced_load_keeps_owner_binding(ctx4):
     rt.directory.seed_device(rt.directory.lookup(tile.key), 0, exclusive=True)
     rt.caches[0].insert(tile.key, tile.nbytes)
     c.device_load = lambda dev: 1.0  # everyone equally busy
+    c.device_loads = lambda: [1.0] * 4
     ws = LocalityWorkStealing(4)
     ws.push(mk(part, 0, 0), c)
     assert ws.queue_sizes()[0] == 1

@@ -137,8 +137,6 @@ def test_reclamation_drops_task_references():
     assert graph.all_done()
     with pytest.raises(TaskGraphError):
         graph.tasks
-    with pytest.raises(TaskGraphError):
-        graph.ready_tasks()
     # The executor's uid bookkeeping drained along with the graph (the
     # submitted flag lives on the tasks themselves and is reclaimed with
     # them; only the flush set is executor-side state).
@@ -178,25 +176,6 @@ def test_retained_mode_keeps_the_task_list():
     graph = rt.executor.graph
     assert len(graph.tasks) == graph.num_tasks == observed["tasks"]
     assert all(t.state == "done" for t in graph.tasks)
-
-
-def test_ready_tasks_returns_single_pruned_list():
-    from repro.runtime.task import Task
-    from repro.runtime.access import Access, AccessMode
-
-    graph_rt = Runtime(make_dgx1(8))
-    graph = graph_rt.executor.graph
-    m = Matrix.meta(512, 512)
-    part = graph_rt.partition(m, 512)
-    tile = part[0, 0]
-    t1 = Task(name="w1", accesses=[Access(tile, AccessMode.READWRITE)], flops=1.0, dim=512)
-    t2 = Task(name="w2", accesses=[Access(tile, AccessMode.READWRITE)], flops=1.0, dim=512)
-    graph.add(t1)
-    graph.add(t2)
-    first = graph.ready_tasks()
-    assert first == [t1]  # t2 waits on t1
-    # The pruned buffer is returned directly — no second defensive copy.
-    assert graph.ready_tasks() is graph._ready_buffer
 
 
 # --------------------------------------------------------- admission window

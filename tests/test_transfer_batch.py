@@ -3,9 +3,10 @@ eviction corner cases, and ``estimate_transfers`` / ``_select_source``
 agreement.
 
 These pin the bit-identity contract of the array-backed transfer overhaul:
-the batch entry points must be op-for-op equivalent to the sequential calls
-they replaced, and the read-only estimate must never price a different
-source than the stateful pick.
+the batch entry point must be op-for-op equivalent to the single-access
+residency path it replaced (kept below as :func:`reference_ensure_resident`,
+the model of a property test), and the read-only estimate must never price
+a different source than the stateful pick.
 """
 
 import pytest
@@ -46,6 +47,126 @@ def tiny_setup(memory_tiles: int, nb: int = 32):
     mat = Matrix.meta(4 * nb, 4 * nb, name="A")
     part = rt.partition(mat, nb)
     return rt, part
+
+
+# ------------------------------------------ single-access reference model
+
+
+def reference_ensure_resident(transfer, tile, dst, protect=()):
+    """The single-access residency path ``TransferManager.ensure_resident``
+    ran before it delegated to ``ensure_resident_batch``: a hit counts and
+    bumps recency without pinning, a tile in flight to ``dst`` chains on its
+    landing, and a miss issues the transfer."""
+    now = transfer.sim.now
+    key = tile.key
+    cache = transfer.caches[dst]
+    tid = transfer.directory.lookup(key)
+    dstbit = 1 << (dst + 1)
+    if transfer._dir_valid[tid] & dstbit:
+        entry = cache._resident.get(key)
+        if entry is None:
+            cache.misses += 1
+        else:
+            cache.hits += 1
+            if now > entry.last_use:
+                entry.last_use = now
+        return now
+    if transfer._dir_fmask[tid] & dstbit:
+        cache.record_access(key)
+        return max(now, transfer._dir_flights[tid][dst].completes_at)
+    return transfer._issue_transfer(tile, key, tid, dst, cache, now, protect)
+
+
+def _observable(rt):
+    """Everything a residency request can change: the clock and pending
+    events, every cache entry and counter, transfer stats and the directory."""
+    d = rt.directory
+    return (
+        rt.sim.now,
+        len(rt.sim._heap),
+        rt.transfer.stats(),
+        {
+            dev: (
+                cache.hits, cache.misses, cache.evictions, cache.used,
+                [
+                    (key, e.nbytes, e.last_use, e.pins, e.dirty, e.shared_elsewhere)
+                    for key, e in cache._resident.items()
+                ],
+            )
+            for dev, cache in rt.caches.items()
+        },
+        [
+            (key, d.replicas(tid), d.flights(tid), d.generation(tid))
+            for tid, key in enumerate(d.keys())
+        ],
+    )
+
+
+_STEPS = st.lists(
+    st.one_of(
+        # (kind, tile index, device, protect the next tile?)
+        st.tuples(
+            st.just("fetch"), st.integers(0, 5), st.integers(0, 1), st.booleans()
+        ),
+        # a kernel on the device rewrites a tile valid there and moving
+        # nowhere (dataflow orders a write after every transfer it races):
+        # this makes the dirty victims
+        st.tuples(st.just("write"), st.integers(0, 5), st.integers(0, 1)),
+        # let part of the in-flight transfers land
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 5e-6, 2e-5, 1e-4])),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+@given(steps=_STEPS)
+@settings(max_examples=60, deadline=None)
+def test_property_ensure_resident_matches_single_access_model(steps):
+    """Random single-tile residency sequences on twin runtimes, one served
+    by the reference model and one by ``ensure_resident``: hits, chains on
+    in-flight replicas and misses that evict (dirty) victims from caches of
+    two tiles leave identical state after every step."""
+    mat = Matrix.meta(4 * 32, 4 * 32, name="A")
+    twins = []
+    for _ in range(2):
+        rt = Runtime(tiny_platform(memory_tiles=2))
+        twins.append((rt, rt.partition(mat, 32)))
+    (rt_m, part_m), (rt_r, part_r) = twins
+    for step in steps:
+        kind, *args = step
+        if kind == "fetch":
+            idx, dst, protect_next = args
+            coord = divmod(idx, 4)
+            protect = (part_m[divmod((idx + 1) % 6, 4)].key,) if protect_next else ()
+            try:
+                expect = reference_ensure_resident(
+                    rt_m.transfer, part_m[coord], dst, protect
+                )
+            except DeviceOutOfMemoryError:
+                with pytest.raises(DeviceOutOfMemoryError):
+                    rt_r.transfer.ensure_resident(part_r[coord], dst, protect)
+                return
+            assert rt_r.transfer.ensure_resident(part_r[coord], dst, protect) == expect
+        elif kind == "write":
+            idx, dev = args
+            coord = divmod(idx, 4)
+            writable = []
+            for rt, part in twins:
+                d = rt.directory
+                tid = d.lookup(part[coord].key)
+                writable.append(is_valid(d, tid, dev) and not d.flights(tid))
+            assert writable[0] == writable[1]
+            if writable[0]:
+                for rt, part in twins:
+                    rt.transfer.register_write(part[coord], dev, rt.sim.now)
+        else:
+            for rt, _ in twins:
+                rt.sim.run(until=rt.sim.now + args[0])
+        assert _observable(rt_r) == _observable(rt_m)
+    for rt, _ in twins:
+        rt.sim.run()
+    assert _observable(rt_r) == _observable(rt_m)
 
 
 # ---------------------------------------------------- ensure_resident_batch

@@ -141,18 +141,3 @@ def test_write_baseline_roundtrip(tmp_path, capsys):
         )
         == 0
     )
-
-
-def test_callgraph_cache_flag_creates_cache(tmp_path):
-    src = tmp_path / "runtime"
-    src.mkdir()
-    (src / "ok.py").write_text("def f():\n    return 1\n", encoding="utf-8")
-    cache = tmp_path / "cg.json"
-    code = cli.main(
-        [
-            "--src", str(tmp_path),
-            "--skip-lint", "--skip-graph", "--skip-runtime",
-            "--callgraph-cache", str(cache),
-        ]
-    )
-    assert code == 0 and cache.is_file()

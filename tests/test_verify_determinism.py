@@ -1,7 +1,6 @@
 """Tests for the purity/determinism linter (:mod:`repro.verify.determinism`)
 and its call-graph substrate (:mod:`repro.verify.callgraph`)."""
 
-import json
 import shutil
 from pathlib import Path
 
@@ -290,35 +289,6 @@ def test_callgraph_reachability_follows_callbacks(tmp_path):
     names = {k.split(":", 1)[1].rsplit(".", 1)[-1] for k in keys}
     assert {"_launch", "_complete", "helper"} <= names
     assert "unrelated" not in names
-
-
-def test_callgraph_cache_roundtrip_and_invalidation(tmp_path):
-    root = make_tree(tmp_path, {"runtime/a.py": "def f():\n    pass\n"})
-    cache = tmp_path / "cache.json"
-    g1 = callgraph.load_or_build(root, cache)
-    assert cache.is_file()
-    stamp = cache.read_text(encoding="utf-8")
-    # Warm load: cache file untouched, same functions.
-    g2 = callgraph.load_or_build(root, cache)
-    assert cache.read_text(encoding="utf-8") == stamp
-    assert {n.key for n in g1.nodes} == {n.key for n in g2.nodes}
-    # Content change invalidates: the new function appears.
-    (root / "runtime" / "a.py").write_text(
-        "def f():\n    pass\ndef g():\n    f()\n", encoding="utf-8"
-    )
-    g3 = callgraph.load_or_build(root, cache)
-    assert any(n.name == "g" for n in g3.nodes)
-    data = json.loads(cache.read_text(encoding="utf-8"))
-    assert any(fn["name"] == "g" for fn in data["functions"])
-
-
-def test_callgraph_corrupt_cache_is_rebuilt(tmp_path):
-    root = make_tree(tmp_path, {"runtime/a.py": "def f():\n    pass\n"})
-    cache = tmp_path / "cache.json"
-    cache.write_text("{not json", encoding="utf-8")
-    graph = callgraph.load_or_build(root, cache)
-    assert any(n.name == "f" for n in graph.nodes)
-    json.loads(cache.read_text(encoding="utf-8"))  # rewritten valid
 
 
 def test_syntax_error_files_are_skipped(tmp_path):

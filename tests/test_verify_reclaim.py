@@ -131,7 +131,7 @@ def test_m102_retained_only_method_call(tmp_path):
     root = make_tree(tmp_path, {
         "sim/a.py": (
             "def check(task_graph):\n"
-            "    task_graph.validate_acyclic()\n"
+            "    task_graph.critical_path_priorities()\n"
         ),
     })
     assert codes(lint_reclamation(root)) == ["M102"]
