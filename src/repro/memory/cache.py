@@ -17,17 +17,18 @@ victims among its unpinned resident tiles in the order of the
 A policy is a sort key over resident entries (``entry_rank``).  The first
 allocation that needs a victim builds a victim index over the residents,
 ordered by that key, and the cache keeps it incrementally from then on, so
-choosing victims pops the index instead of sorting the resident set.  A
-cache that never fills never builds one.  The cache itself never touches
-coherence state: it *selects* victims; the runtime performs write-backs and
-directory updates, keeping the two substrates independently testable.
+taking victims pops the index instead of sorting the resident set.  A cache
+that never fills never builds one.  The cache itself never touches
+coherence state: it *takes* victims out of its byte accounting and hands
+their entries back; the runtime performs write-backs and directory updates,
+keeping the two substrates independently testable.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import Callable, Iterable
+from typing import Callable, Collection
 
 from repro.errors import CoherenceError, DeviceOutOfMemoryError
 from repro.memory.tile import TileKey
@@ -41,7 +42,7 @@ class _Resident:
     pins: int = 0
     dirty: bool = False
     shared_elsewhere: bool = False
-    #: victim-index generation (see :meth:`DeviceCache.choose_victims`):
+    #: victim-index generation (see :meth:`DeviceCache.take_victims`):
     #: identifies the single *live* heap stamp of this entry.  Once the index
     #: exists, bumped on (re-)insertion and on every eager re-stamp, so stamps
     #: carrying an older generation are dead and get discarded when they
@@ -64,7 +65,7 @@ class DeviceCache:
         self.evictions = 0
         self.hits = 0
         self.misses = 0
-        # Victim index (see choose_victims): a lazy-deletion min-heap of
+        # Victim index (see take_victims): a lazy-deletion min-heap of
         # (rank, gen, key) stamps in the policy's victim order, empty until
         # the first call that needs a victim builds it (_indexed).  _vrank is
         # the policy's entry_rank, cached as an attribute so the hot paths
@@ -100,14 +101,12 @@ class DeviceCache:
         """
         if key in self._resident:
             raise CoherenceError(f"{key} already resident on device {self.device}")
-        if nbytes > self.free:
+        if nbytes > self.capacity - self._used:
             raise DeviceOutOfMemoryError(
                 f"device {self.device}: inserting {nbytes} B with only "
                 f"{self.free} B free (capacity {self.capacity})"
             )
-        self._resident[key] = entry = _Resident(
-            key=key, nbytes=nbytes, last_use=now, pins=pins
-        )
+        self._resident[key] = entry = _Resident(key, nbytes, now, pins)
         self._used += nbytes
         self._stamp(entry)
 
@@ -224,17 +223,21 @@ class DeviceCache:
     # Victim candidates live in a lazy-deletion min-heap of ``(rank, gen,
     # key)`` stamps, where ``rank`` is the policy's sort key for the entry at
     # stamp time and ``gen`` identifies the single live stamp per entry
-    # (bumped on insertion and on every eager re-stamp).  Selecting victims
+    # (bumped on insertion and on every eager re-stamp).  Taking victims
     # therefore pops a few stamps instead of sorting the resident set, which
     # once dominated large-N runs with full caches.
     #
     # Rank *increases* (recency touches, clean -> dirty) are handled lazily:
     # a stale stamp is a lower bound, so the entry can only surface too
-    # early, at which point the pop loop re-pushes it at its current rank.
+    # early, at which point the take re-files it at its current rank.
     # Rank *decreases* (dirty -> clean on write-back completion, shared-hint
     # clearing) must re-stamp eagerly — mark_dirty / mark_shared_elsewhere do.
     # Ranks are unique (they end in the tile key), so heap pop order equals
     # ``sorted(candidates, key=rank)`` order bit-for-bit.
+    #
+    # A take consumes the stamps of the victims it removes and puts back only
+    # those of the pinned or protected entries it passed over, so dead stamps
+    # come only from eager re-stamps and from removals outside a take.
     #
     # The heap is built by the first call that needs a victim, through the
     # same branch that compacts it; until then _stamp is a no-op.  Like
@@ -254,24 +257,23 @@ class DeviceCache:
         entry.gen = gen
         heapq.heappush(self._vheap, (self._vrank(entry), gen, entry.key))
 
-    def choose_victims(
-        self, needed: int, protect: Iterable[TileKey] = ()
-    ) -> list[TileKey]:
-        """Pick victims freeing at least ``needed`` bytes beyond current free.
+    def take_victims(
+        self, needed: int, protect: Collection[TileKey] = ()
+    ) -> list[_Resident]:
+        """Evict until ``needed`` bytes fit; return the victims' entries.
 
-        Unpinned tiles outside ``protect``, best victim first in the policy's
-        order, popped from the victim index until the deficit is covered.
-        Raises :class:`DeviceOutOfMemoryError` when even evicting everything
-        unpinned cannot satisfy the request.
+        Pops unpinned tiles outside ``protect`` (the launching task's key
+        tuple, tested by membership) off the victim index, best victim first
+        in the policy's order, until the deficit beyond current free space
+        is covered.  The victims leave the resident set, the byte accounting
+        and the index, and each counts as an eviction; their entries keep
+        the ``dirty`` bit the caller needs to decide on a write-back.
 
-        Observably stateless: every live stamp popped (victims as well as
-        pinned/protected entries that were set aside) is pushed back before
-        returning, so a caller that does not actually evict sees the same
-        answers on the next call.  Victims the caller *does* evict leave dead
-        stamps behind, discarded on a later pop via the residency/generation
-        check.
+        When even evicting everything unpinned cannot satisfy the request,
+        every live stamp popped is put back, nothing is removed, and
+        :class:`DeviceOutOfMemoryError` is raised.
         """
-        deficit = needed - self.free
+        deficit = needed - (self.capacity - self._used)
         if deficit <= 0:
             return []
         heap = self._vheap
@@ -279,9 +281,9 @@ class DeviceCache:
         rank = self._vrank
         if not self._indexed or len(heap) > 2 * len(resident) + 64:
             # Build (first call that needs a victim) or compact: dead stamps
-            # (evictions, eager re-stamps) accumulate until popped, so
-            # re-stamping every resident in place keeps the heap O(resident).
-            # Ranks are unique, so neither can change pop order.
+            # (eager re-stamps, removals outside a take) accumulate until
+            # popped, so re-stamping every resident in place keeps the heap
+            # O(resident).  Ranks are unique, so neither can change pop order.
             self._indexed = True
             heap.clear()
             gen = self._vgen
@@ -291,38 +293,45 @@ class DeviceCache:
                 heap.append((rank(entry), gen, entry.key))
             self._vgen = gen
             heapq.heapify(heap)
-        push = heapq.heappush
         pop = heapq.heappop
-        protected = frozenset(protect)
-        victims: list[TileKey] = []
-        restore: list[tuple[tuple, int, TileKey]] = []
+        victims: list[_Resident] = []
+        kept: list[tuple[tuple, int, TileKey]] = []
         freed = 0
         while heap:
-            item = pop(heap)
+            item = heap[0]
             entry = resident.get(item[2])
             if entry is None or entry.gen != item[1]:
-                continue  # dead stamp: evicted / re-inserted / re-stamped
+                pop(heap)  # dead stamp: evicted / re-inserted / re-stamped
+                continue
             cur = rank(entry)
             if cur != item[0]:
                 # Stale lower-bound stamp (lazy recency/dirty increase):
-                # re-file at the current rank and keep popping.
-                push(heap, (cur, item[1], item[2]))
+                # re-file it at the current rank in one sift.
+                heapq.heapreplace(heap, (cur, item[1], item[2]))
                 continue
-            restore.append(item)
-            if entry.pins or item[2] in protected:
+            pop(heap)
+            if entry.pins or item[2] in protect:
+                kept.append(item)
                 continue
-            victims.append(item[2])
+            victims.append(entry)
             freed += entry.nbytes
             if freed >= deficit:
                 break
-        for item in restore:
+        push = heapq.heappush
+        for item in kept:
             push(heap, item)
-        if freed >= deficit:
-            return victims
-        raise DeviceOutOfMemoryError(
-            f"device {self.device}: need {needed} B, free {self.free} B, "
-            f"only {freed} B evictable"
-        )
+        if freed < deficit:
+            for entry in victims:
+                push(heap, (rank(entry), entry.gen, entry.key))
+            raise DeviceOutOfMemoryError(
+                f"device {self.device}: need {needed} B, free {self.free} B, "
+                f"only {freed} B evictable"
+            )
+        for entry in victims:
+            del resident[entry.key]
+        self._used -= freed
+        self.evictions += len(victims)
+        return victims
 
     def stats(self) -> dict[str, float]:
         total = self.hits + self.misses
@@ -358,7 +367,7 @@ class LruPolicy(EvictionPolicy):
 
     @staticmethod
     def entry_rank(e: _Resident) -> tuple:
-        return (e.last_use, e.key.matrix_id, e.key.i, e.key.j)
+        return (e.last_use, e.key)
 
 
 class ReadOnlyFirstPolicy(EvictionPolicy):
@@ -369,7 +378,7 @@ class ReadOnlyFirstPolicy(EvictionPolicy):
 
     @staticmethod
     def entry_rank(e: _Resident) -> tuple:
-        return (e.dirty, e.last_use, e.key.matrix_id, e.key.i, e.key.j)
+        return (e.dirty, e.last_use, e.key)
 
 
 class Blasx2LevelPolicy(EvictionPolicy):
@@ -388,14 +397,7 @@ class Blasx2LevelPolicy(EvictionPolicy):
 
     @staticmethod
     def entry_rank(e: _Resident) -> tuple:
-        return (
-            e.dirty,
-            e.shared_elsewhere,
-            e.last_use,
-            e.key.matrix_id,
-            e.key.i,
-            e.key.j,
-        )
+        return (e.dirty, e.shared_elsewhere, e.last_use, e.key)
 
 
 POLICIES: dict[str, Callable[[], EvictionPolicy]] = {

@@ -180,12 +180,7 @@ class CoherenceDirectory:
             raise CoherenceError(
                 f"{self._tile_keys[tid]}: a transfer to {dst} is already in flight"
             )
-        flight = InFlight(
-            dst=dst,
-            completes_at=completes_at,
-            source=source,
-            generation=self._gen[tid],
-        )
+        flight = InFlight(dst, completes_at, source, self._gen[tid])
         flights[dst] = flight
         self._fmask[tid] |= 1 << (dst + 1)
         return flight

@@ -271,15 +271,6 @@ class Fabric:
     def reserve_local(self, dev: int, nbytes: int, earliest: float) -> tuple[float, float]:
         return self._local[dev].reserve(nbytes, earliest)
 
-    def d2h_channel(self, src: int) -> Channel:
-        """The D2H switch channel serving ``src`` (shared per switch group).
-
-        Exposed so the transfer manager can batch several write-back
-        reservations on one channel (``Channel.reserve_batch``) when an
-        allocation evicts multiple dirty victims at once.
-        """
-        return self._d2h[src]
-
     # ------------------------------------------------------------ estimating
 
     def _durations(self, nbytes: int) -> list[float]:

@@ -20,7 +20,8 @@ the active :class:`~repro.runtime.policies.SourcePolicy`:
 
 The manager also owns device-memory admission: before a transfer lands, space
 is ensured in the destination's :class:`~repro.memory.cache.DeviceCache`,
-evicting victims chosen by the cache's policy and writing dirty ones back.
+evicting the victims it takes in its policy's order and writing dirty ones
+back.
 
 Hot-path layout
 ---------------
@@ -572,8 +573,9 @@ class TransferManager:
         the source pin, the statistics, the trace interval and the landing.
 
         The source replica is touched and pinned in one entry probe; a
-        victim already removed from ``source`` by :meth:`_make_room` is not
-        resident there, so it gets no pin.
+        victim :meth:`_make_room` already took off ``source`` is not
+        resident there, so it gets no pin.  Callers reserve the interval
+        with :meth:`Fabric.reserve_d2h` just before.
         """
         self.directory.begin_transfer(tid, HOST, completes_at=end, source=source)
         entry = self.caches[source]._resident.get(key)
@@ -667,81 +669,57 @@ class TransferManager:
     def _make_room(
         self, device: int, nbytes: int, now: float, protect: tuple[TileKey, ...] = ()
     ) -> float:
-        """Evict until ``nbytes`` fit on ``device``; return readiness time."""
+        """Evict until ``nbytes`` fit on ``device``; return readiness time.
+
+        One loop over the entries :meth:`DeviceCache.take_victims` removed,
+        best victim first.  A clean victim is evicted and its device tile
+        dropped.  A dirty one is forgotten eagerly once its data is safe: its
+        host copy is valid, its write-back is already in flight, or a new
+        write-back is reserved and issued.  The in-flight record to HOST
+        keeps the tile alive in the directory, so later requests chain on
+        the write-back instead of seeing a phantom device copy; the DMA's
+        source buffer survives in the data store until the flight lands.
+
+        The loop issues the same reservations, directory transitions and
+        completion posts in the same order as reserving every fresh
+        write-back first and then applying each victim: victims are distinct
+        tiles, so no victim's classification depends on another's
+        processing, and reservations draw no engine sequence numbers.
+        """
         cache = self.caches[device]
         if nbytes <= cache.free:
             return now  # fits as-is; skip the victim-selection machinery
-        victims = cache.choose_victims(nbytes, protect)
         datastore = self.datastore
         directory = self.directory
         dir_ids_get = self._dir_ids.get
-        dir_valid = self._dir_valid
-        dir_fmask = self._dir_fmask
-        # Pass 1 — classify every victim and batch the D2H reservations of
-        # the dirty ones needing a fresh write-back.  Victims are distinct
-        # tiles, so no victim's classification depends on another victim's
-        # processing; classification draws no engine sequence numbers, so
-        # grouping the reservations is invisible to the event stream
-        # (reservations draw no seqs either, and chain per channel in victim
-        # order exactly as the former one-call-per-victim sequence did).
-        # Plan rows: [key, tile, dirty, tid, kind, source, start, end] with
-        # kind 0 = clean, 1 = host already valid, 2 = write-back already in
-        # flight, 3 = reserve a write-back.
-        plans: list[list] = []
-        groups: dict = {}  # d2h Channel -> [plan, ...] in victim order
-        for vkey in victims:
-            vtile = datastore.tile(vkey)
+        sanitizer = self.sanitizer
+        ready = now
+        for entry in cache.take_victims(nbytes, protect):
+            vkey = entry.key
             tid = dir_ids_get(vkey)
             if tid is None:
                 tid = directory.lookup(vkey)
-            if not cache.is_dirty(vkey):
-                plans.append([vkey, vtile, False, tid, 0, HOST, now, now])
-                continue
-            if dir_valid[tid] & _HOST_BIT:
-                plans.append([vkey, vtile, True, tid, 1, HOST, now, now])
-                continue
-            if dir_fmask[tid] & _HOST_BIT:
-                plans.append([vkey, vtile, True, tid, 2, HOST, now, now])
-                continue
-            source = self._writeback_source(vkey, tid)
-            plan = [vkey, vtile, True, tid, 3, source, now, now]
-            groups.setdefault(self.fabric.d2h_channel(source), []).append(plan)
-            plans.append(plan)
-        for chan, chan_plans in groups.items():
-            slots = chan.reserve_batch([(p[1].nbytes, now) for p in chan_plans])
-            for p, (start, end) in zip(chan_plans, slots):
-                p[6] = start
-                p[7] = end
-        # Pass 2 — apply every victim's state transitions in victim order,
-        # op-for-op as the sequential remove → write-back → discard chain.
-        ready = now
-        sanitizer = self.sanitizer
-        for vkey, vtile, dirty, tid, kind, source, start, end in plans:
-            if dirty:
-                # Dirty victim: start the write-back, then forget the replica
-                # eagerly — the in-flight record to HOST keeps the tile alive
-                # in the directory, so later requests chain on the write-back
-                # instead of seeing a phantom device copy.  Bytes are freed
-                # immediately; the DMA's source buffer survives in the data
-                # store until the flight lands.
-                cache.remove(vkey)
-                if kind == 1:
+            if entry.dirty:
+                if self._dir_valid[tid] & _HOST_BIT:
                     end = now
-                elif kind == 2:
+                elif self._dir_fmask[tid] & _HOST_BIT:
                     end = max(now, self._dir_flights[tid][HOST].completes_at)
                 else:
+                    vtile = datastore.tile(vkey)
+                    source = self._writeback_source(vkey, tid)
+                    start, end = self.fabric.reserve_d2h(source, vtile.nbytes, now)
                     self._issue_writeback(vtile, vkey, tid, source, start, end, now)
                 if end > ready:
                     ready = end
                 directory.discard(tid, device)
-                self._refresh_shared_flags(vkey, tid)
+                if self._track_shared:
+                    self._refresh_shared_flags(vkey, tid)
                 self.sim.post(end, datastore.drop_device_tile, vkey, device)
             else:
-                cache.remove(vkey)
                 directory.evict(tid, device)
                 datastore.drop_device_tile(vkey, device)
-                self._refresh_shared_flags(vkey, tid)
-            cache.evictions += 1
+                if self._track_shared:
+                    self._refresh_shared_flags(vkey, tid)
             if sanitizer is not None:
                 sanitizer.check_tile(vkey)
         return ready
@@ -749,9 +727,10 @@ class TransferManager:
     # ----------------------------------------------------------- bookkeeping
 
     def _refresh_shared_flags(self, key: TileKey, tid: int) -> None:
-        """Maintain the BLASX-policy hint: is the tile replicated elsewhere?"""
-        if not self._track_shared:
-            return
+        """Maintain the BLASX-policy hint: is the tile replicated elsewhere?
+
+        Callers skip it unless ``_track_shared`` is set.
+        """
         m = self._dir_valid[tid] >> 1  # device replicas (host bit dropped)
         multi = m.bit_count() > 1
         caches = self.caches
@@ -764,7 +743,6 @@ class TransferManager:
                 # re-ranks the entry in the victim index, and a flag
                 # *clearing* in particular has to re-stamp eagerly.
                 cache.mark_shared_elsewhere(key, multi)
-        return
 
     def stats(self) -> dict[str, int]:
         return {

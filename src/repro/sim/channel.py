@@ -99,10 +99,10 @@ class Channel:
         Contract: the results are **bit-identical** to issuing the same
         sequence of :meth:`reserve` calls one by one — same float operation
         order, same FIFO chaining through ``busy_until``, same traffic
-        counters.  The batch form exists purely to amortize Python call and
-        attribute-lookup overhead when the transfer manager issues a run of
-        reservations on one channel (e.g. the write-backs of several dirty
-        eviction victims of one allocation).
+        counters.  Nothing in the runtime calls it: eviction reserves each
+        write-back with :meth:`reserve` as it goes.  It stays, with its
+        tests, because the layer hook tables of ``e2ebench/layers.py`` and
+        ``repro.bench.layers`` name it.
         """
         now = self.sim.now
         busy = self.busy_until

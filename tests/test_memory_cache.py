@@ -22,6 +22,11 @@ def make_cache(capacity=1000, policy=None):
     return DeviceCache(device=0, capacity=capacity, policy=policy or LruPolicy())
 
 
+def take(c, needed, protect=()):
+    """Keys of the victims ``c.take_victims`` removes, best victim first."""
+    return [e.key for e in c.take_victims(needed, protect)]
+
+
 # ----------------------------------------------------------------- cache
 
 
@@ -115,48 +120,54 @@ def setup_residents(c):
 def test_lru_evicts_oldest_first():
     c = make_cache(100, LruPolicy())
     setup_residents(c)  # free = 10
-    victims = c.choose_victims(needed=70)  # deficit 60
-    assert victims == [key(0), key(1)]
+    assert take(c, needed=70) == [key(0), key(1)]  # deficit 60
+    assert c.resident_keys() == [key(2)]
+    assert (c.used, c.evictions) == (30, 2)
 
 
 def test_read_only_first_prefers_clean():
     c = make_cache(100, ReadOnlyFirstPolicy())
     setup_residents(c)
-    # deficit 90: clean tiles (0 then 2 by recency) go before the dirty 1
-    victims = c.choose_victims(needed=100)
-    assert victims == [key(0), key(2), key(1)]
+    # deficit 90: clean tiles (0 then 2 by recency) go before the dirty 1;
+    # the taken entries keep the dirty bit the caller's write-back needs
+    taken = c.take_victims(needed=100)
+    assert [(e.key, e.dirty) for e in taken] == [
+        (key(0), False), (key(2), False), (key(1), True)
+    ]
+    assert len(c) == 0 and c.used == 0
 
 
 def test_blasx_policy_keeps_shared_replicas_longer():
     c = make_cache(100, Blasx2LevelPolicy())
     setup_residents(c)
     # deficit 30: clean non-shared (key0) suffices; shared key2 survives
-    victims = c.choose_victims(needed=40)
-    assert victims == [key(0)]
-    # deficit 90: shared-elsewhere goes before dirty
-    victims = c.choose_victims(needed=100)
-    assert victims == [key(0), key(2), key(1)]
+    assert take(c, needed=40) == [key(0)]
+    # deficit 60: shared-elsewhere goes before dirty
+    assert take(c, needed=100) == [key(2), key(1)]
 
 
 def test_pinned_tiles_never_chosen():
     c = make_cache(100)
     setup_residents(c)
     c.pin(key(0))
-    victims = c.choose_victims(needed=40)
+    victims = take(c, needed=40)
     assert key(0) not in victims
+    assert key(0) in c
 
 
 def test_protected_tiles_never_chosen():
     c = make_cache(100)
     setup_residents(c)
-    victims = c.choose_victims(needed=40, protect=[key(0)])
+    victims = take(c, needed=40, protect=(key(0),))
     assert key(0) not in victims
+    assert key(0) in c
 
 
 def test_no_eviction_needed_returns_empty():
     c = make_cache(100)
     c.insert(key(0), 10)
-    assert c.choose_victims(needed=50) == []
+    assert take(c, needed=50) == []
+    assert key(0) in c and c.evictions == 0
 
 
 def test_oom_when_everything_pinned():
@@ -164,7 +175,22 @@ def test_oom_when_everything_pinned():
     c.insert(key(0), 90)
     c.pin(key(0))
     with pytest.raises(DeviceOutOfMemoryError):
-        c.choose_victims(needed=50)
+        c.take_victims(needed=50)
+
+
+def test_oom_removes_nothing_and_restores_the_index():
+    # Evictable bytes exist but fall short: the take pops them as victims,
+    # then puts every stamp back and raises without removing anything.
+    c = make_cache(100)
+    setup_residents(c)
+    c.pin(key(2))
+    with pytest.raises(DeviceOutOfMemoryError, match="only 60 B evictable"):
+        c.take_victims(needed=90)
+    assert c.resident_keys() == [key(0), key(1), key(2)]
+    assert (c.used, c.evictions) == (90, 0)
+    assert sorted(item[2] for item in c._vheap) == [key(0), key(1), key(2)]
+    c.unpin(key(2))
+    assert take(c, needed=90) == [key(0), key(1), key(2)]
 
 
 def test_policy_registry():
@@ -189,12 +215,16 @@ def test_property_victims_free_enough_and_are_resident(entries, policy_name):
         if dirty:
             c.mark_dirty(key(i))
     needed = c.used // 2 + c.free
-    victims = c.choose_victims(needed=needed)
-    assert len(set(victims)) == len(victims)
-    freed = sum(c._resident[k].nbytes for k in victims)
-    assert c.free + freed >= needed
-    for k in victims:
-        assert k in c
+    used = c.used
+    taken = c.take_victims(needed=needed)
+    keys = [e.key for e in taken]
+    assert len(set(keys)) == len(keys)
+    freed = sum(e.nbytes for e in taken)
+    assert c.used == used - freed
+    assert c.free >= needed
+    assert c.evictions == len(taken)
+    for k in keys:
+        assert k not in c
 
 
 # ------------------------------------------------------- incremental index
@@ -205,41 +235,62 @@ def test_indexed_writeback_restamps_clean_entry_first():
     # must move to the front of the victim order immediately (the write-back
     # completion path calls mark_dirty(key, False)).
     c = make_cache(100, ReadOnlyFirstPolicy())
-    c.insert(key(0), 40, now=1.0)
-    c.insert(key(1), 40, now=2.0)
+    c.insert(key(0), 30, now=1.0)
+    c.insert(key(1), 30, now=2.0)
+    c.insert(key(2), 30, now=3.0)
     c.mark_dirty(key(0))
-    assert c.choose_victims(needed=c.free + 1) == [key(1)]
+    # The first take builds the index: clean key1 goes before dirty key0.
+    assert take(c, needed=c.free + 1) == [key(1)]
     c.mark_dirty(key(0), False)
-    assert c.choose_victims(needed=c.free + 1) == [key(0)]
+    assert take(c, needed=c.free + 1) == [key(0)]
 
 
 def test_indexed_shared_hint_clearing_restamps():
     c = make_cache(100, Blasx2LevelPolicy())
-    c.insert(key(0), 40, now=1.0)
-    c.insert(key(1), 40, now=2.0)
+    c.insert(key(0), 30, now=1.0)
+    c.insert(key(1), 30, now=2.0)
+    c.insert(key(2), 30, now=3.0)
     c.mark_shared_elsewhere(key(0), True)
-    assert c.choose_victims(needed=c.free + 1) == [key(1)]
+    assert take(c, needed=c.free + 1) == [key(1)]
     c.mark_shared_elsewhere(key(0), False)
-    assert c.choose_victims(needed=c.free + 1) == [key(0)]
+    assert take(c, needed=c.free + 1) == [key(0)]
 
 
 def test_index_compaction_preserves_order():
-    # Dead stamps (evictions, eager re-stamps) accumulate until a make-room
-    # call compacts the heap; compaction must not change the victim order.
+    # Dead stamps (eager re-stamps) accumulate until a make-room call
+    # compacts the heap; compaction must not change the victim order.
     c = make_cache(10_000, ReadOnlyFirstPolicy())
     for i in range(8):
         c.insert(key(i), 10, now=float(i))
-    # The first call that needs a victim builds the index; the churn below
-    # then stamps into it.
-    c.choose_victims(needed=c.free + 1)
+    c.insert(key(8), 10, now=-1.0)
+    # The first call that needs a victim builds the index (and takes the
+    # oldest tile); the churn below then stamps into it.
+    assert take(c, needed=c.free + 1) == [key(8)]
     # Churn enough dirty flips to outgrow 2 * resident + 64 dead stamps.
     for _ in range(50):
         c.mark_dirty(key(0), True)
         c.mark_dirty(key(0), False)
     assert len(c._vheap) > 2 * len(c._resident) + 64
-    victims = c.choose_victims(needed=c.free + 75)
-    assert victims == [key(i) for i in range(8)]
+    assert take(c, needed=c.free + 75) == [key(i) for i in range(8)]
     assert len(c._vheap) <= 2 * len(c._resident) + 64
+
+
+def test_takes_leave_one_stamp_per_resident():
+    # A take consumes its victims' stamps and restores only the pinned or
+    # protected ones it passed over, so without eager re-stamps in between
+    # the index never holds a dead stamp.
+    c = make_cache(100, ReadOnlyFirstPolicy())
+    for i in range(8):
+        c.insert(key(i), 10, now=float(i))
+    c.pin(key(0))
+    assert take(c, needed=c.free + 10) == [key(1)]
+    assert len(c._vheap) == len(c)
+    c.touch(key(2), 50.0)  # lazily stale: re-filed in place by the next take
+    assert take(c, needed=c.free + 20, protect=(key(3),)) == [key(4), key(5)]
+    assert len(c._vheap) == len(c)
+    c.insert(key(9), 10, now=60.0)
+    assert take(c, needed=c.free + 20) == [key(3), key(6)]
+    assert len(c._vheap) == len(c)
 
 
 @pytest.mark.parametrize(
@@ -265,4 +316,4 @@ def test_index_built_at_first_eviction(policy_cls):
     assert c._vheap == []
     unpinned = [e for e in c._resident.values() if not e.pins]
     expect = [e.key for e in sorted(unpinned, key=c.policy.entry_rank)]
-    assert c.choose_victims(needed=c.free + 10 * len(unpinned)) == expect
+    assert take(c, needed=c.free + 10 * len(unpinned)) == expect

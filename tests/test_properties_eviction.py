@@ -1,22 +1,23 @@
 """Property-based equivalence tests for the incremental victim index.
 
-A :class:`DeviceCache` selects victims by popping a lazy-deletion heap of
+A :class:`DeviceCache` takes victims by popping a lazy-deletion heap of
 ``(rank, gen, key)`` stamps that it maintains incrementally (see
-``DeviceCache.choose_victims``).  The bit-identity goldens demand that the
+``DeviceCache.take_victims``).  The bit-identity goldens demand that the
 index reproduces the reference order *exactly*: every unpinned, unprotected
 resident sorted by the policy's ``entry_rank`` — same victims, same order,
 under every interleaving of recency touches, pin churn, dirty transitions,
 shared-hint flips, evictions and re-insertions.
 
 These tests drive a cache through random operation sequences and compare
-``choose_victims`` against :func:`scan_victims`, the scan-and-sort model of
+``take_victims`` against :func:`scan_victims`, the scan-and-sort model of
 that order, at every probe, including:
 
 * identical victim lists under random ``protect`` sets,
+* exact removal — the resident set and the used bytes shrink by exactly
+  the victims taken,
 * identical :class:`DeviceOutOfMemoryError` messages when the request
-  cannot be satisfied,
-* statelessness — probing twice without evicting must not change the answer
-  (the index restores every popped live stamp),
+  cannot be satisfied, with nothing removed (the index restores every
+  popped live stamp),
 * the full drain order (every evictable tile, best victim first), which is
   the strongest form of "pops candidates in the exact order the sort
   produces".
@@ -25,6 +26,8 @@ Hypothesis shrinks any divergence to a minimal op sequence.
 """
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,7 +63,7 @@ _op = st.one_of(
         st.just("evict_for"),
         st.integers(min_value=1, max_value=20),
         st.lists(_keys, max_size=4),
-        st.booleans(),  # actually evict the chosen victims?
+        st.booleans(),  # take from the cache itself, or from a deepcopy twin?
     ),
 )
 
@@ -77,7 +80,7 @@ def _candidates(cache, protect):
 
 
 def scan_victims(cache, needed, protect=()):
-    """Reference model of ``cache.choose_victims``: sort every candidate by
+    """Reference model of ``cache.take_victims``: sort every candidate by
     the policy's rank and take victims until the deficit is covered."""
     deficit = needed - cache.free
     if deficit <= 0:
@@ -96,19 +99,26 @@ def scan_victims(cache, needed, protect=()):
 
 
 def _probe(cache, needed, protect):
-    """choose_victims against the model; identical answer or identical error."""
+    """take_victims against the model: the same victims, removed exactly,
+    or the same error with nothing removed."""
+    before = dict(cache._resident)
+    used, evictions = cache.used, cache.evictions
     try:
         expect = scan_victims(cache, needed, protect)
     except DeviceOutOfMemoryError as err:
         with pytest.raises(DeviceOutOfMemoryError) as caught:
-            cache.choose_victims(needed, protect)
+            cache.take_victims(needed, protect)
         assert str(caught.value) == str(err)
+        assert cache._resident == before
+        assert (cache.used, cache.evictions) == (used, evictions)
         return None
-    assert cache.choose_victims(needed, protect) == expect
-    # Statelessness: a probe must not consume index state.
-    assert cache.choose_victims(needed, protect) == expect
+    taken = cache.take_victims(needed, protect)
+    assert [e.key for e in taken] == expect
+    assert all(e is before[e.key] for e in taken)
+    assert cache._resident == {k: e for k, e in before.items() if k not in expect}
+    assert cache.used == used - sum(e.nbytes for e in taken)
+    assert cache.evictions == evictions + len(taken)
     return expect
-
 
 def _apply(op, cache):
     kind = op[0]
@@ -145,10 +155,7 @@ def _apply(op, cache):
     else:  # evict_for
         _, extra, protect_idx, do_evict = op
         protect = tuple(KEYS[i] for i in protect_idx)
-        victims = _probe(cache, cache.free + extra, protect)
-        if victims and do_evict:
-            for vkey in victims:
-                cache.remove(vkey)
+        _probe(cache if do_evict else copy.deepcopy(cache), cache.free + extra, protect)
 
 
 @pytest.mark.parametrize("policy_cls", POLICIES, ids=lambda p: p.name)
@@ -161,15 +168,16 @@ def test_indexed_victims_match_scan_reference(policy_cls, ops, protect_idx):
         _apply(op, cache)
 
     # Full drain: request exactly everything evictable, so the index must
-    # enumerate every candidate in the reference victim order.
+    # enumerate every candidate in the reference victim order.  Each probe
+    # takes from its own twin, so both start from the same state.
     protect = tuple(KEYS[i] for i in protect_idx)
     candidates = _candidates(cache, protect)
     drainable = sum(e.nbytes for e in candidates)
     if drainable:
-        victims = _probe(cache, cache.free + drainable, protect)
+        victims = _probe(copy.deepcopy(cache), cache.free + drainable, protect)
         assert victims is not None and len(victims) == len(candidates)
     # And one past it: both sides must agree on the OOM diagnosis too.
-    _probe(cache, cache.free + drainable + 1, protect)
+    _probe(copy.deepcopy(cache), cache.free + drainable + 1, protect)
 
 
 @pytest.mark.parametrize("policy_cls", POLICIES, ids=lambda p: p.name)
@@ -177,10 +185,14 @@ def test_index_survives_reinsertion_of_same_key(policy_cls):
     # Re-inserting an evicted key must supersede its dead heap stamps
     # (generation check), not resurrect the old rank.
     cache = DeviceCache(device=0, capacity=100, policy=policy_cls())
-    k0, k1 = KEYS[0], KEYS[1]
+    k0, k1, k2 = KEYS[0], KEYS[1], KEYS[2]
     cache.insert(k0, 10, now=1.0)
     cache.insert(k1, 10, now=2.0)
+    cache.insert(k2, 10, now=3.0)
     assert _probe(cache, cache.free + 1, ()) == [k0]
-    cache.remove(k0)
-    cache.insert(k0, 10, now=5.0)  # now the *newest* entry
-    assert _probe(cache, cache.free + 1, ()) == [k1]
+    cache.insert(k0, 10, now=5.0)  # a taken key comes back as the newest
+    # A removal outside a take leaves the stamp behind, dead.
+    cache.remove(k1)
+    cache.insert(k1, 10, now=6.0)
+    assert _probe(cache, cache.free + 1, ()) == [k2]
+    assert _probe(cache, cache.free + 1, ()) == [k0]

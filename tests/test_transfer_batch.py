@@ -5,12 +5,16 @@ agreement.
 These pin the bit-identity contract of the array-backed transfer overhaul:
 the batch entry point must be op-for-op equivalent to the single-access
 residency path it replaced (kept below as :func:`reference_ensure_resident`,
-the model of a property test), and the read-only estimate must never price
+the model of a property test), the one-loop eviction must be op-for-op
+equivalent to the two-pass one it replaced (kept as
+:func:`reference_make_room`), and the read-only estimate must never price
 a different source than the stateful pick.
 """
 
+import functools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import Runtime, RuntimeOptions
 from repro.errors import DeviceOutOfMemoryError
@@ -21,6 +25,10 @@ from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST, Link, LinkKind
 from repro.topology.platform import Platform
 from tests.directory_views import is_valid
+from tests.test_properties_eviction import scan_victims
+
+#: bit of the host inside the directory's validity / in-flight masks.
+_HOST_BIT = 1 << (HOST + 1)
 
 
 def setup(policy=SourcePolicy.TOPOLOGY_OPTIMISTIC, num_gpus=8):
@@ -169,6 +177,231 @@ def test_property_ensure_resident_matches_single_access_model(steps):
     assert _observable(rt_r) == _observable(rt_m)
 
 
+# ---------------------------------------------- two-pass eviction model
+
+
+def reference_make_room(transfer, device, nbytes, now, protect=()):
+    """The two-pass ``TransferManager._make_room`` that ran before eviction
+    took its victims in one loop: victims picked by the scan-and-sort model,
+    every fresh write-back reserved first (one ``Channel.reserve_batch`` per
+    D2H channel, in victim order), then each victim removed with
+    ``cache.remove`` and its state transitions applied in victim order."""
+    cache = transfer.caches[device]
+    if nbytes <= cache.free:
+        return now
+    victims = scan_victims(cache, nbytes, protect)
+    datastore = transfer.datastore
+    directory = transfer.directory
+    # Plan rows: [key, tile, dirty, tid, kind, source, start, end] with kind
+    # 0 = clean, 1 = host already valid, 2 = write-back already in flight,
+    # 3 = reserve a write-back.
+    plans = []
+    groups = {}  # D2H channel -> plans in victim order
+    for vkey in victims:
+        vtile = datastore.tile(vkey)
+        tid = directory.lookup(vkey)
+        if not cache.is_dirty(vkey):
+            plans.append([vkey, vtile, False, tid, 0, HOST, now, now])
+        elif transfer._dir_valid[tid] & _HOST_BIT:
+            plans.append([vkey, vtile, True, tid, 1, HOST, now, now])
+        elif transfer._dir_fmask[tid] & _HOST_BIT:
+            plans.append([vkey, vtile, True, tid, 2, HOST, now, now])
+        else:
+            source = transfer._writeback_source(vkey, tid)
+            plan = [vkey, vtile, True, tid, 3, source, now, now]
+            groups.setdefault(transfer.fabric._d2h[source], []).append(plan)
+            plans.append(plan)
+    for chan, chan_plans in groups.items():
+        slots = chan.reserve_batch([(p[1].nbytes, now) for p in chan_plans])
+        for p, (start, end) in zip(chan_plans, slots):
+            p[6], p[7] = start, end
+    ready = now
+    for vkey, vtile, dirty, tid, kind, source, start, end in plans:
+        cache.remove(vkey)
+        if dirty:
+            if kind == 1:
+                end = now
+            elif kind == 2:
+                end = max(now, transfer._dir_flights[tid][HOST].completes_at)
+            else:
+                transfer._issue_writeback(vtile, vkey, tid, source, start, end, now)
+            if end > ready:
+                ready = end
+            directory.discard(tid, device)
+            if transfer._track_shared:
+                transfer._refresh_shared_flags(vkey, tid)
+            transfer.sim.post(end, datastore.drop_device_tile, vkey, device)
+        else:
+            directory.evict(tid, device)
+            datastore.drop_device_tile(vkey, device)
+            if transfer._track_shared:
+                transfer._refresh_shared_flags(vkey, tid)
+        cache.evictions += 1
+        if transfer.sanitizer is not None:
+            transfer.sanitizer.check_tile(vkey)
+    return ready
+
+
+def _channels(rt):
+    """Every fabric channel's FIFO horizon and traffic counters, by name."""
+    f = rt.fabric
+    return {
+        chan.name: (chan.busy_until, chan.bytes_moved, chan.transfer_count)
+        for table in (
+            f._h2d, f._d2h, f._p2p, f._local, f._nvlink_egress, f._nvlink_ingress
+        )
+        for chan in table.values()
+    }
+
+
+def _pending(rt):
+    """The pending events in firing order, tiles named by their keys."""
+    return [
+        (
+            time, seq, callback.__name__,
+            tuple(getattr(a, "key", a) for a in args),
+        )
+        for time, seq, callback, args in sorted(rt.sim._heap, key=lambda e: e[:2])
+    ]
+
+
+_FETCH = st.tuples(
+    # (kind, big tile?, tile index, device, protect the next tile?)
+    st.just("fetch"), st.booleans(), st.integers(0, 7), st.integers(0, 1), st.booleans(),
+)
+_EVICTION_STEPS = st.lists(
+    st.one_of(
+        _FETCH,  # listed twice: fetches are what fill the caches
+        _FETCH,
+        # every transfer lands, then a kernel rewrites the k-th tile resident
+        # on the device: this makes the dirty victims
+        st.tuples(st.just("write"), st.integers(0, 7), st.integers(0, 1)),
+        # a flush starts a write-back the eviction may then find in flight
+        st.tuples(st.just("flush"), st.booleans(), st.integers(0, 7)),
+        # the k-th resident tile's dirty bit set with no write: a dirty victim
+        # whose host copy is valid or whose write-back is already in flight
+        st.tuples(st.just("dirty"), st.integers(0, 7), st.integers(0, 1)),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 5e-6, 2e-5, 1e-4])),
+    ),
+    min_size=20,
+    max_size=50,
+)
+
+
+@given(
+    steps=_EVICTION_STEPS,
+    policy=st.sampled_from(["read-only-first", "lru", "blasx-2level"]),
+)
+# Six small tiles land on GPU 0 and are rewritten there, one is being
+# flushed; the big fetch then takes four dirty victims, whose write-backs
+# queue on the shared D2H channel.
+@example(
+    steps=[("fetch", False, i, 0, False) for i in range(6)]
+    + [("write", k, 0) for k in range(6)]
+    + [("flush", False, 4), ("fetch", True, 0, 0, False), ("advance", 1e-4)],
+    policy="read-only-first",
+)
+# Six small tiles replicated on both GPUs: the big fetch takes four of them
+# off GPU 0, and GPU 1's copies stop being shared elsewhere.
+@example(
+    steps=[("fetch", False, i, dev, False) for dev in (1, 0) for i in range(6)]
+    + [("advance", 1e-4), ("fetch", True, 0, 0, False), ("advance", 1e-4)],
+    policy="blasx-2level",
+)
+# The same, with GPU 0's copies dirty while the host copy is valid: four
+# victims that need no write-back.
+@example(
+    steps=[("fetch", False, i, dev, False) for dev in (1, 0) for i in range(6)]
+    + [("advance", 1e-4)] + [("dirty", k, 0) for k in range(6)]
+    + [("fetch", True, 0, 0, False), ("advance", 1e-4)],
+    policy="blasx-2level",
+)
+# A tile rewritten on GPU 1 and copied to GPU 0 is being flushed from GPU 1
+# when the big fetch takes GPU 0's (dirty) copy: the victim's ready time is
+# the flight's landing.
+@example(
+    steps=[("fetch", False, 0, 1, False), ("write", 0, 1)]
+    + [("fetch", False, i, 0, False) for i in range(6)]
+    + [("advance", 1e-4), ("flush", False, 0), ("dirty", 0, 0)]
+    + [("fetch", True, 0, 0, False), ("advance", 1e-4)],
+    policy="lru",
+)
+@settings(max_examples=60, deadline=None)
+def test_property_make_room_matches_two_pass_model(steps, policy):
+    """Twin runtimes whose caches hold six 32x32 tiles, one making room with
+    the two-pass model: fetching a 64x64 tile takes up to four victims in
+    one allocation, some of them dirty, whose write-backs share the switch's
+    D2H channel.  Every step leaves identical runtime state, channel
+    horizons and traffic, and pending events."""
+    small = Matrix.meta(4 * 32, 4 * 32, name="A")
+    big = Matrix.meta(4 * 64, 2 * 64, name="B")
+    twins = []
+    for _ in range(2):
+        rt = Runtime(
+            tiny_platform(memory_tiles=6),
+            RuntimeOptions(eviction=policy, verify_coherence=True),
+        )
+        twins.append((rt, (rt.partition(small, 32), rt.partition(big, 64))))
+    (rt_m, _), (rt_r, _) = twins
+    rt_m.transfer._make_room = functools.partial(reference_make_room, rt_m.transfer)
+
+    def tile(parts, is_big, idx):
+        return parts[is_big][divmod(idx, 2 if is_big else 4)]
+
+    def state(rt):
+        return _observable(rt), _channels(rt), _pending(rt)
+
+    for step in steps:
+        kind, *args = step
+        if kind == "fetch":
+            is_big, idx, dst, protect_next = args
+            outcomes = []
+            for rt, parts in twins:
+                protect = (
+                    (tile(parts, is_big, (idx + 1) % 8).key,) if protect_next else ()
+                )
+                try:
+                    outcomes.append(
+                        rt.transfer.ensure_resident(tile(parts, is_big, idx), dst, protect)
+                    )
+                except DeviceOutOfMemoryError as err:
+                    outcomes.append(str(err))
+            # An allocation nothing unpinned can satisfy fails alike on both
+            # and removes nothing; the run goes on.
+            assert outcomes[0] == outcomes[1]
+        elif kind == "write":
+            k, dev = args
+            for rt, _ in twins:
+                rt.sim.run()
+            assert state(rt_r) == state(rt_m)
+            resident = rt_m.caches[dev].resident_keys()
+            if resident:
+                key = resident[k % len(resident)]
+                for rt, _ in twins:
+                    rt.transfer.register_write(rt.datastore.tile(key), dev, rt.sim.now)
+        elif kind == "dirty":
+            k, dev = args
+            resident = rt_m.caches[dev].resident_keys()
+            if resident:
+                key = resident[k % len(resident)]
+                for rt, _ in twins:
+                    rt.caches[dev].mark_dirty(key)
+        elif kind == "flush":
+            is_big, idx = args
+            ready = [
+                rt.transfer.ensure_host_valid(tile(parts, is_big, idx))
+                for rt, parts in twins
+            ]
+            assert ready[0] == ready[1]
+        else:
+            for rt, _ in twins:
+                rt.sim.run(until=rt.sim.now + args[0])
+        assert state(rt_r) == state(rt_m)
+    for rt, _ in twins:
+        rt.sim.run()
+    assert state(rt_r) == state(rt_m)
+
+
 # ---------------------------------------------------- ensure_resident_batch
 
 
@@ -314,8 +547,9 @@ def test_make_room_single_dirty_victim_written_back():
 
 
 def test_make_room_all_resident_dirty_batches_writebacks():
-    """Every victim dirty with no valid host copy: eviction must write each
-    one back (the batched D2H reservation path) before the fetch lands."""
+    """Every victim dirty with no valid host copy: one allocation must write
+    each one back, reserved in victim order on the D2H channel, before the
+    fetch lands."""
     rt, part = tiny_setup(memory_tiles=4)
     smalls = [part[(0, j)] for j in range(4)]
     for t in smalls:
@@ -325,7 +559,7 @@ def test_make_room_all_resident_dirty_batches_writebacks():
     assert all(rt.caches[0].is_dirty(t.key) for t in smalls)
 
     # One 64x64 tile = four 32x32 tiles: fetching it must evict (and write
-    # back) every resident dirty tile through one batched D2H reservation.
+    # back) every resident dirty tile in one make-room call.
     big = rt.partition(Matrix.meta(64, 64, name="B"), 64)[(0, 0)]
     rt.transfer.ensure_resident(big, dst=0)
     rt.sim.run()
