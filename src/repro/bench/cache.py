@@ -66,7 +66,7 @@ def code_fingerprint(roots: tuple[Path, ...] | None = None) -> str:
             digest.update(path.read_bytes())
             digest.update(b"\0")
     result = digest.hexdigest()
-    _fingerprint_memo[roots] = result
+    _fingerprint_memo[roots] = result  # det: memo of the source digest, no decision input
     return result
 
 

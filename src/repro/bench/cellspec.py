@@ -54,7 +54,7 @@ class PlatformHandle:
                     f"unknown platform factory {self.factory!r}; "
                     f"choose from {sorted(PLATFORM_FACTORIES)}"
                 ) from None
-            plat = _PLATFORM_CACHE[key] = make(self.gpus)
+            plat = _PLATFORM_CACHE[key] = make(self.gpus)  # det: pure in (factory, gpus)
         return plat
 
     @property

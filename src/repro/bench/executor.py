@@ -205,7 +205,7 @@ _default: SweepExecutor | None = None
 def default_executor() -> SweepExecutor:
     global _default
     if _default is None:
-        _default = SweepExecutor(jobs=1)
+        _default = SweepExecutor(jobs=1)  # det: outcome memo keyed by cell content
     return _default
 
 
@@ -213,5 +213,5 @@ def set_default_executor(executor: SweepExecutor | None) -> SweepExecutor | None
     """Install (or with ``None`` reset) the process-wide default executor."""
     global _default
     previous = _default
-    _default = executor
+    _default = executor  # det: caller-installed outcome memo
     return previous

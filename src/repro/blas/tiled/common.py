@@ -41,9 +41,10 @@ def make_task(
     accesses.append(rw.write_access if write_only else rw.rw_access)
     dim = _DIM_CACHE.get(dims)
     if dim is None:
-        dim = _DIM_CACHE[dims] = characteristic_dim(*dims)
+        dim = _DIM_CACHE[dims] = characteristic_dim(*dims)  # det: memo of a pure function
     regularity = _REGULARITY_CACHE.get(name)
     if regularity is None:
+        # det: memo of a pure table lookup
         regularity = _REGULARITY_CACHE[name] = KERNEL_REGULARITY.get(
             name.lstrip("dszc"), 1.0
         )

@@ -37,13 +37,7 @@ from repro.runtime.datastore import DataStore
 from repro.runtime.executor import Executor
 from repro.runtime.fabric import Fabric
 from repro.runtime.policies import SourcePolicy
-from repro.runtime.scheduler import (
-    DmdaScheduler,
-    LocalityWorkStealing,
-    OwnerComputesScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-)
+from repro.runtime.scheduler import SCHEDULERS, LocalityWorkStealing
 from repro.runtime.task import Task
 from repro.runtime.transfer import TransferManager
 from repro.sim.engine import Simulator
@@ -57,8 +51,8 @@ class RuntimeOptions:
 
     #: transfer source-selection policy — the paper's ablation axis.
     source_policy: SourcePolicy = SourcePolicy.TOPOLOGY_OPTIMISTIC
-    #: scheduler name: "xkaapi-locality-ws", "starpu-dmdas", "owner-computes",
-    #: "round-robin".
+    #: scheduler name (see :data:`repro.runtime.scheduler.SCHEDULERS`):
+    #: "xkaapi-locality-ws", "starpu-dmdas", "owner-computes", "round-robin".
     scheduler: str = "xkaapi-locality-ws"
     #: eviction policy name (see :data:`repro.memory.cache.POLICIES`).
     eviction: str = ReadOnlyFirstPolicy.name
@@ -111,8 +105,6 @@ class RuntimeOptions:
     #: the memory was ignored in all experiments"); set a figure (~5 GB/s is
     #: typical) to quantify what that exclusion hides.
     pinning_bandwidth: float | None = None
-    #: distribution used by owner-computes when tasks carry no hint.
-    distribution: BlockCyclicDistribution | None = None
     #: run the coherence-protocol sanitizer at every directory transition
     #: (ASan-style debugging mode; see :mod:`repro.verify.coherence`).
     verify_coherence: bool = False
@@ -163,7 +155,14 @@ class Runtime:
             pinning_bandwidth=opts.pinning_bandwidth,
             sanitizer=sanitizer,
         )
-        self.scheduler = self._make_scheduler()
+        try:
+            make_scheduler = SCHEDULERS[opts.scheduler]
+        except KeyError:
+            raise SchedulingError(
+                f"unknown scheduler {opts.scheduler!r}; "
+                f"choose from {sorted(SCHEDULERS)}"
+            ) from None
+        self.scheduler = make_scheduler(platform.num_gpus)
         self.executor = Executor(
             sim=self.sim,
             platform=platform,
@@ -180,19 +179,6 @@ class Runtime:
             stream_window=opts.stream_window,
         )
         self._partitions: dict[int, TilePartition] = {}
-
-    def _make_scheduler(self) -> Scheduler:
-        opts = self.options
-        n = self.platform.num_gpus
-        if opts.scheduler == LocalityWorkStealing.name:
-            return LocalityWorkStealing(n)
-        if opts.scheduler == DmdaScheduler.name:
-            return DmdaScheduler(n)
-        if opts.scheduler == OwnerComputesScheduler.name:
-            return OwnerComputesScheduler(n, distribution=opts.distribution)
-        if opts.scheduler == RoundRobinScheduler.name:
-            return RoundRobinScheduler(n)
-        raise SchedulingError(f"unknown scheduler {self.options.scheduler!r}")
 
     # ---------------------------------------------------------------- tiling
 

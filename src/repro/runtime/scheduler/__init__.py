@@ -7,11 +7,16 @@
 * :class:`~repro.runtime.scheduler.dmdas.DmdaScheduler` — StarPU's DMDAS
   (deque model data aware, sorted), used by Chameleon (§IV-A).
 * :class:`~repro.runtime.scheduler.owner_computes.OwnerComputesScheduler` —
-  strict owner-computes from a tile distribution (data-on-device runs,
-  cuBLAS-MG's static 2D block-cyclic).
+  strict owner-computes from each task's owner hint (the static
+  distributions of cuBLAS-XT, cuBLAS-MG and SLATE).
 * :class:`~repro.runtime.scheduler.round_robin.RoundRobinScheduler` — static
   cyclic assignment of output blocks (cuBLAS-XT's behaviour).
+
+:data:`SCHEDULERS` maps each policy's name (``RuntimeOptions.scheduler``) to
+its constructor.
 """
+
+from typing import Callable
 
 from repro.runtime.scheduler.base import Scheduler
 from repro.runtime.scheduler.dmdas import DmdaScheduler
@@ -19,7 +24,15 @@ from repro.runtime.scheduler.locality_ws import LocalityWorkStealing
 from repro.runtime.scheduler.owner_computes import OwnerComputesScheduler
 from repro.runtime.scheduler.round_robin import RoundRobinScheduler
 
+SCHEDULERS: dict[str, Callable[[int], Scheduler]] = {
+    LocalityWorkStealing.name: LocalityWorkStealing,
+    DmdaScheduler.name: DmdaScheduler,
+    OwnerComputesScheduler.name: OwnerComputesScheduler,
+    RoundRobinScheduler.name: RoundRobinScheduler,
+}
+
 __all__ = [
+    "SCHEDULERS",
     "DmdaScheduler",
     "LocalityWorkStealing",
     "OwnerComputesScheduler",

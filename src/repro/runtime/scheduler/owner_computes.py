@@ -1,17 +1,15 @@
-"""Strict owner-computes scheduling from a tile distribution.
+"""Strict owner-computes scheduling from each task's owner hint.
 
-Used by the data-on-device experiments (§IV-C) and by cuBLAS-MG's static 2D
-block-cyclic execution: every task runs on the device that owns its written
-tile under the distribution, no stealing.
+The libraries with a static distribution (cuBLAS-XT, cuBLAS-MG's 2D block
+cyclic, SLATE) set ``Task.owner_hint``; every task runs on that device, no
+stealing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 from repro.errors import SchedulingError
-from repro.memory.layout import BlockCyclicDistribution
 from repro.runtime.scheduler.base import Scheduler, SchedulerContext
 from repro.runtime.task import Task
 
@@ -19,36 +17,15 @@ from repro.runtime.task import Task
 class OwnerComputesScheduler(Scheduler):
     name = "owner-computes"
 
-    def __init__(
-        self,
-        num_devices: int,
-        owner_of: Callable[[Task], int] | None = None,
-        distribution: BlockCyclicDistribution | None = None,
-    ) -> None:
-        """``owner_of`` wins over ``distribution``; one of them is required
-        unless every task carries an ``owner_hint``."""
+    def __init__(self, num_devices: int) -> None:
         super().__init__(num_devices)
-        if owner_of is not None:
-            self._owner_of = owner_of
-        elif distribution is not None:
-            self._owner_of = lambda t: distribution.owner(
-                t.output_tile.i, t.output_tile.j
-            )
-        else:
-            self._owner_of = self._hint_owner
         self._queues: list[deque[Task]] = [deque() for _ in range(num_devices)]
         self._nonempty_mask = 0
 
-    @staticmethod
-    def _hint_owner(task: Task) -> int:
-        if task.owner_hint is None:
-            raise SchedulingError(
-                f"{task!r}: owner-computes needs owner_hint or a distribution"
-            )
-        return task.owner_hint
-
     def push(self, task: Task, ctx: SchedulerContext) -> None:
-        dev = self._owner_of(task)
+        dev = task.owner_hint
+        if dev is None:
+            raise SchedulingError(f"{task!r}: owner-computes needs an owner_hint")
         if not 0 <= dev < self.num_devices:
             raise SchedulingError(f"{task!r}: owner {dev} out of range")
         self._queues[dev].append(task)

@@ -11,7 +11,8 @@ terminal ``result`` (or ``error``) event.
 The typed surface is :class:`TuneQuery` (what a client asks), ``CellReport``
 (one evaluated cell plus where its number came from: the warm cache, another
 in-flight query's simulation, or a simulation this query owned), and
-:class:`TuneReply` (the assembled answer).  All three round-trip through
+:class:`TuneReply` (the answer each side assembles from the ``cell`` events
+and the terminal ``result``).  Queries and cell reports round-trip through
 plain JSON dicts; floats survive exactly (JSON text preserves the shortest
 repr round-trip), so a served TFlop/s equals the direct
 :func:`repro.bench.harness.run_point` number byte for byte.
@@ -241,23 +242,6 @@ class TuneReply:
     cells: tuple[CellReport, ...]
     best: CellReport | None
     simulated: int
-
-    def to_json(self) -> dict:
-        return {
-            "cells": [c.to_json() for c in self.cells],
-            "best": self.best.to_json() if self.best is not None else None,
-            "simulated": self.simulated,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> TuneReply:
-        cells = tuple(CellReport.from_json(c) for c in payload.get("cells", ()))
-        best_raw = payload.get("best")
-        return cls(
-            cells=cells,
-            best=CellReport.from_json(best_raw) if best_raw else None,
-            simulated=int(payload.get("simulated", 0)),
-        )
 
 
 def encode(message: dict) -> bytes:

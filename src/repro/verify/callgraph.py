@@ -1,13 +1,14 @@
 """Name-based call graph over a package tree.
 
-The determinism linter and the reclamation-safety pass both need the same
-question answered: *which functions are reachable from a given set of entry
-points?*  Precise points-to analysis is overkill for a single package with a
-consistent naming discipline, so the graph is **name-based and conservative**:
+The determinism linter's decision-path rules need one question answered:
+*which functions are reachable from a given set of entry points?*  Precise
+points-to analysis is overkill for a single package with a consistent naming
+discipline, so the graph is **name-based and conservative**:
 
 * a node is every ``def`` (function, method, lambda-holding assignment is
-  ignored) in every module under the root, identified by
-  ``module.py:Class.method`` qualnames;
+  ignored) in every loaded module, identified by ``module.py:Class.method``
+  qualnames (a nested def as ``outer.inner``, the determinism linter's
+  naming);
 * an edge goes from a function to *every* function whose name matches a name
   the body references — called directly (``foo()``, ``obj.foo()``) or passed
   as a callback (``sim.post(t, self._complete, ...)`` keeps ``_complete``
@@ -22,21 +23,19 @@ waives; an unreachable edge missed would silently skip a rule.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
+
+from repro.verify.base import Module
 
 
 class FunctionNode:
     """One ``def`` in the tree."""
 
-    __slots__ = ("module", "qualname", "name", "lineno", "refs")
+    __slots__ = ("module", "qualname", "name", "refs")
 
-    def __init__(
-        self, module: str, qualname: str, name: str, lineno: int, refs: set[str]
-    ) -> None:
+    def __init__(self, module: str, qualname: str, name: str, refs: set[str]) -> None:
         self.module = module  # posix relpath, e.g. "runtime/transfer.py"
         self.qualname = qualname  # e.g. "TransferManager._select_source"
         self.name = name  # unqualified, e.g. "_select_source"
-        self.lineno = lineno
         #: every Name id / Attribute attr referenced in the body — the
         #: superset of callees under name-based resolution.
         self.refs = refs
@@ -44,39 +43,6 @@ class FunctionNode:
     @property
     def key(self) -> str:
         return f"{self.module}:{self.qualname}"
-
-
-class _FunctionCollector(ast.NodeVisitor):
-    """Collect every function/method of a module with its referenced names."""
-
-    def __init__(self, module: str) -> None:
-        self.module = module
-        self.nodes: list[FunctionNode] = []
-        self._class_stack: list[str] = []
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class_stack.append(node.name)
-        self.generic_visit(node)
-        self._class_stack.pop()
-
-    def _visit_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        refs: set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
-                refs.add(sub.id)
-            elif isinstance(sub, ast.Attribute):
-                refs.add(sub.attr)
-        prefix = ".".join(self._class_stack)
-        qualname = f"{prefix}.{node.name}" if prefix else node.name
-        self.nodes.append(
-            FunctionNode(self.module, qualname, node.name, node.lineno, refs)
-        )
-        # Nested defs become their own nodes too (the outer body references
-        # their name, so reachability flows through them).
-        self.generic_visit(node)
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
 
 
 class CallGraph:
@@ -122,15 +88,20 @@ class CallGraph:
     # -------------------------------------------------------------- building
 
     @classmethod
-    def build(cls, root: Path) -> "CallGraph":
+    def build(cls, modules: list[Module]) -> "CallGraph":
+        """The graph of every function in the loaded package.
+
+        Files that do not parse contribute nothing (the AST lint reports
+        them as L000).
+        """
         nodes: list[FunctionNode] = []
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root).as_posix()
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"), filename=rel)
-            except SyntaxError:
-                continue  # the AST lint reports it as L000
-            collector = _FunctionCollector(rel)
-            collector.visit(tree)
-            nodes.extend(collector.nodes)
+        for module in modules:
+            for qualname, fn in module.functions:
+                refs: set[str] = set()
+                for sub in ast.walk(fn):
+                    if isinstance(sub, ast.Name):
+                        refs.add(sub.id)
+                    elif isinstance(sub, ast.Attribute):
+                        refs.add(sub.attr)
+                nodes.append(FunctionNode(module.name, qualname, fn.name, refs))
         return cls(nodes)

@@ -5,10 +5,10 @@ Five stages, any finding makes the exit status non-zero:
 1. **lint** — the project AST rules of :mod:`repro.verify.lint` over the
    installed ``repro`` package sources (override with ``--src``);
 2. **determinism** — the purity/determinism linter
-   (:mod:`repro.verify.determinism`) and the reclamation-safety pass
-   (:mod:`repro.verify.reclaim`), both reachability-aware over the shared
-   call graph and filtered against the committed fingerprint baseline
-   (``--baseline``, regenerate with ``--write-baseline``);
+   (:mod:`repro.verify.determinism`, whose decision-path rules use the
+   call graph of :mod:`repro.verify.callgraph`) and the reclamation-safety
+   pass (:mod:`repro.verify.reclaim`); a finding is suppressed only by a
+   ``# det: <reason>`` comment on its line or the line above;
 3. **graph** — build the task graphs of all six tiled BLAS-3 routines plus
    the TRSM+GEMM composition and certify them with the race/deadlock
    detector, pre-execution;
@@ -22,9 +22,12 @@ Five stages, any finding makes the exit status non-zero:
    path (``retain_tasks=False``) and race-check its trace (transfer-level:
    a reclaiming graph keeps no kernel access lists).
 
-``--json FILE`` additionally writes the findings as machine-readable JSON
-(``-`` for stdout); ``--github`` prints one ``::error``/``::warning``
-workflow command per finding so CI runs annotate the offending lines.
+The two static stages share one load of ``--src``
+(:func:`~repro.verify.base.load_package`): each file is read and parsed
+once per run.  ``--json FILE`` additionally writes the findings as
+machine-readable JSON (``-`` for stdout); ``--github`` prints one
+``::error`` workflow command per finding so CI runs annotate the offending
+lines.
 """
 
 from __future__ import annotations
@@ -43,16 +46,11 @@ from repro.memory.layout import BlockCyclicDistribution, TilePartition, default_
 from repro.memory.matrix import Matrix
 from repro.runtime.dataflow import TaskGraph
 from repro.topology.dgx1 import make_dgx1
-from repro.verify.base import Finding, render_report
+from repro.verify.base import Finding, load_package, render_report
 from repro.verify.coherence import check_directory
-from repro.verify.determinism import (
-    lint_determinism,
-    load_baseline,
-    new_findings,
-    write_baseline,
-)
+from repro.verify.determinism import lint_determinism
 from repro.verify.graph import verify_graph
-from repro.verify.lint import lint_path
+from repro.verify.lint import lint_package
 from repro.verify.races import detect_races
 from repro.verify.reclaim import lint_reclamation
 from repro.verify.trace_lint import lint_trace
@@ -180,13 +178,6 @@ def verify_distribution_phase(n: int, nb: int, gpus: int) -> list[Finding]:
     ]
 
 
-def analysis_findings(src: Path, baseline_path: Path) -> list[Finding]:
-    """Stage 2: determinism + reclamation findings not pinned by the baseline."""
-    detailed = lint_determinism(src)
-    detailed += lint_reclamation(src)
-    return new_findings(detailed, load_baseline(baseline_path))
-
-
 #: static-pass subjects are ``relative/path.py:lineno``.
 _SUBJECT_LINE = re.compile(r"^(?P<path>[\w./-]+\.py):(?P<line>\d+)$")
 
@@ -258,18 +249,6 @@ def main(argv: list[str] | None = None) -> int:
         "--fast", action="store_true", help="smaller problems (CI-friendly)"
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="fingerprint baseline for the determinism stage "
-        "(default: <src>/verify/determinism_baseline.json)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="regenerate the baseline from current findings and exit",
-    )
-    parser.add_argument(
         "--json",
         type=Path,
         default=None,
@@ -287,26 +266,16 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--n, --nb and --gpus must be positive (got {n}, {nb}, {args.gpus})")
     if not args.src.is_dir():
         parser.error(f"--src {args.src} is not a directory")
-    baseline_path = args.baseline or args.src / "verify" / "determinism_baseline.json"
-
-    if args.write_baseline:
-        detailed = lint_determinism(args.src)
-        detailed += lint_reclamation(args.src)
-        write_baseline(baseline_path, detailed)
-        print(f"baseline: {len(detailed)} fingerprint(s) -> {baseline_path}")
-        return 0
 
     findings: list[Finding] = []
+    modules = [] if args.skip_lint and args.skip_determinism else load_package(args.src)
     if not args.skip_lint:
-        lint = lint_path(args.src)
+        lint = lint_package(modules)
         print(f"lint: {len(lint)} finding(s) over {args.src}")
         findings += lint
     if not args.skip_determinism:
-        analysis = analysis_findings(args.src, baseline_path)
-        print(
-            f"determinism: {len(analysis)} unwaivered finding(s) not in "
-            f"baseline ({baseline_path.name})"
-        )
+        analysis = lint_determinism(modules) + lint_reclamation(modules)
+        print(f"determinism: {len(analysis)} unwaived finding(s)")
         findings += analysis
     if not args.skip_graph:
         graph_findings = verify_built_graphs(n, nb)

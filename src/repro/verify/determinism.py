@@ -12,18 +12,14 @@ skewed committed numbers.  This pass encodes the lesson statically:
   vary across processes and allocations; any comparison, container key or
   dedup keyed on ``id()`` is process-history-dependent.  (Value-identity —
   tile keys, names — is always available in this codebase.)
-* **D102 — builtin ``hash()`` outside the L002 scopes**: ``blas/`` and
-  ``bench/`` feed the runtime; a salted hash there poisons decisions
-  downstream.  (``sim/``/``runtime/``/``memory/`` are covered by L002.)
 * **D103 — module-level mutable state written from a function**: globals
   written at call time (``global`` rebinding, ``+=``, ``.append``/``.add``/
   ``.update`` on a module-level container, ``next()`` of a module-level
   ``itertools.count``) make any value derived from them depend on how often
   the process called the function before — exactly the ``Matrix.id`` shape.
-* **D104 — unseeded time/random sources**: ``random.*`` (except constructing
-  a seeded ``random.Random``) anywhere in the scanned scopes, plus wall-clock
-  reads in ``memory/``/``blas/`` (L001 owns ``sim/``/``runtime/``; ``bench/``
-  legitimately *measures* wall time, which is reporting, not deciding).
+* **D104 — unseeded random sources**: ``random.*`` (except constructing a
+  seeded ``random.Random``), ``np.random.seed`` and an unseeded
+  ``default_rng()`` anywhere in the scanned scopes.
 * **D105 — unordered-collection iteration on a decision path**: iterating a
   ``set``/``frozenset`` (literal, comprehension, constructor call, or a local
   assigned one) in a function reachable from the scheduler/transfer entry
@@ -44,23 +40,22 @@ skewed committed numbers.  This pass encodes the lesson statically:
 (``Scheduler.push``/``pop``/``on_complete``), the transfer manager's
 selection/residency entry points, and the executor's wake/launch/finish loop.
 
+Wall clocks and builtin ``hash()`` are the AST lint's rules L001/L002
+(:mod:`repro.verify.lint`), one rule each over the union of the scopes.
+
 **Waivers**: a ``# det: <reason>`` comment on the flagged line (or the line
 above it) suppresses the finding — the reason is free text, reviewed like
-code.  **Baseline**: intentional findings that deserve more prose than a
-line comment can instead be pinned in a committed baseline file of stable
-fingerprints (``code|module|scope|symbol`` — line-number-free, so unrelated
-edits do not churn it); the CLI fails only on findings that are neither
-waived nor baselined.
+code.  It is the only way to suppress one: every other finding fails the
+CLI run.  The rules walk the trees :func:`~repro.verify.base.load_package`
+parsed, so one CLI run reads each file once for every static pass.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-import json
-from pathlib import Path
 
-from repro.verify.base import Finding
+from repro.verify.base import Finding, Module, _dotted, _in_scope
 from repro.verify.callgraph import CallGraph
 
 _PASS = "determinism"
@@ -93,52 +88,9 @@ DECISION_ROOTS = [
 #: tainted attribute read inside a call to one of these is laundered.
 LAUNDERERS = {"matrix_index"}
 
-_WAIVER = "# det:"
-
-_WALL_CLOCKS = {
-    "time.time",
-    "time.monotonic",
-    "time.perf_counter",
-    "time.process_time",
-    "time.time_ns",
-    "time.monotonic_ns",
-    "time.perf_counter_ns",
-}
-
 #: reductions whose result does not depend on iteration order.
 _ORDER_INSENSITIVE = {"min", "max", "sorted", "sum", "len", "any", "all", "set",
                       "frozenset", "bool"}
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class DetFinding:
-    """A determinism finding plus its line-number-free baseline fingerprint."""
-
-    finding: Finding
-    fingerprint: str
-
-
-def _dotted(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _waived(source_lines: list[str], lineno: int) -> bool:
-    """True when the line (or the one above) carries a ``# det:`` waiver."""
-    for ln in (lineno, lineno - 1):
-        if 1 <= ln <= len(source_lines) and _WAIVER in source_lines[ln - 1]:
-            return True
-    return False
-
-
-def _in_scope(rel: Path, scopes: tuple[str, ...] = SCOPES) -> bool:
-    return bool(rel.parts) and rel.parts[0] in scopes
 
 
 # --------------------------------------------------------------------- taint
@@ -208,7 +160,7 @@ def _class_field_order(cls: ast.ClassDef) -> list[str]:
     return fields
 
 
-def discover_taint(trees: list[tuple[Path, ast.Module]]) -> TaintInfo:
+def discover_taint(modules: list[Module]) -> TaintInfo:
     """Find process-global counters and the attributes carrying their values.
 
     Three steps, all name-based:
@@ -224,11 +176,14 @@ def discover_taint(trees: list[tuple[Path, ast.Module]]) -> TaintInfo:
     """
     counters: dict[str, set[str]] = {}
     tainted: set[str] = set()
-    for rel, tree in trees:
-        module_counters = _module_counters(tree)
+    trees = [m.tree for m in modules if m.tree is not None]
+    for module in modules:
+        if module.tree is None:
+            continue
+        module_counters = _module_counters(module.tree)
         if module_counters:
-            counters[rel.as_posix()] = module_counters
-        for node in ast.walk(tree):
+            counters[module.name] = module_counters
+        for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             for sub in ast.walk(node):
@@ -252,34 +207,35 @@ def discover_taint(trees: list[tuple[Path, ast.Module]]) -> TaintInfo:
 
     # Constructor-hop propagation to a fixpoint.
     class_fields: dict[str, list[str]] = {}
-    for _rel, tree in trees:
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 class_fields[node.name] = _class_field_order(node)
+    ctor_calls = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in class_fields
+    ]
     changed = True
     while changed:
         changed = False
-        for _rel, tree in trees:
-            for node in ast.walk(tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in class_fields
+        for node in ctor_calls:
+            fields = class_fields[node.func.id]
+            for idx, arg in enumerate(node.args):
+                if idx < len(fields) and _expr_contains_tainted(arg, tainted):
+                    if fields[idx] not in tainted:
+                        tainted.add(fields[idx])
+                        changed = True
+            for kw in node.keywords:
+                if kw.arg is not None and _expr_contains_tainted(
+                    kw.value, tainted
                 ):
-                    continue
-                fields = class_fields[node.func.id]
-                for idx, arg in enumerate(node.args):
-                    if idx < len(fields) and _expr_contains_tainted(arg, tainted):
-                        if fields[idx] not in tainted:
-                            tainted.add(fields[idx])
-                            changed = True
-                for kw in node.keywords:
-                    if kw.arg is not None and _expr_contains_tainted(
-                        kw.value, tainted
-                    ):
-                        if kw.arg not in tainted:
-                            tainted.add(kw.arg)
-                            changed = True
+                    if kw.arg not in tainted:
+                        tainted.add(kw.arg)
+                        changed = True
     return TaintInfo(counters=counters, tainted_attrs=tainted)
 
 
@@ -296,6 +252,19 @@ class _ParentMap(dict):
             for child in ast.iter_child_nodes(node):
                 parents[child] = node
         return parents
+
+
+def _own_nodes(fn: ast.AST) -> list[ast.AST]:
+    """``ast.walk`` order over ``fn`` without descending into nested defs,
+    which are linted as functions of their own."""
+    nodes = [fn]
+    for node in nodes:
+        nodes.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+    return nodes
 
 
 def _set_like_locals(func: ast.AST) -> set[str]:
@@ -344,18 +313,14 @@ _ARITH_OPS = (ast.Mult, ast.Add, ast.Mod, ast.BitXor, ast.LShift, ast.RShift,
 
 
 def _lint_module(
-    rel: Path,
-    source: str,
-    tree: ast.Module,
-    graph: CallGraph,
-    decision_keys: set[str],
-    taint: TaintInfo,
-) -> list[DetFinding]:
-    findings: list[DetFinding] = []
-    lines = source.splitlines()
-    module = rel.as_posix()
+    module: Module, decision_keys: set[str], taint: TaintInfo
+) -> list[Finding]:
+    findings: list[Finding] = []
+    tree = module.tree
+    assert tree is not None
+    name = module.name
     parents = _ParentMap.of(tree)
-    module_counters = taint.counters.get(module, set())
+    module_counters = taint.counters.get(name, set())
     #: module-level names bound to mutable containers (or arbitrary calls).
     module_mutables: set[str] = set(module_counters)
     for node in tree.body:
@@ -375,42 +340,15 @@ def _lint_module(
                 if isinstance(target, ast.Name):
                     module_mutables.add(target.id)
 
-    def emit(code: str, lineno: int, scope: str, symbol: str, message: str) -> None:
-        if _waived(lines, lineno):
-            return
-        findings.append(
-            DetFinding(
-                Finding(_PASS, code, f"{module}:{lineno}", f"{scope}: {message}"),
-                f"{code}|{module}|{scope}|{symbol}",
+    def emit(code: str, lineno: int, scope: str, message: str) -> None:
+        if not module.waived(lineno):
+            findings.append(
+                Finding(_PASS, code, f"{name}:{lineno}", f"{scope}: {message}")
             )
-        )
 
-    # Enumerate functions with their AST subtrees (for scope labels and the
-    # reachability gate of D105/D106).
-    class _Funcs(ast.NodeVisitor):
-        def __init__(self) -> None:
-            self.out: list[tuple[str, ast.AST]] = []
-            self._stack: list[str] = []
-
-        def visit_ClassDef(self, node: ast.ClassDef) -> None:
-            self._stack.append(node.name)
-            self.generic_visit(node)
-            self._stack.pop()
-
-        def _fn(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-            prefix = ".".join(self._stack)
-            qual = f"{prefix}.{node.name}" if prefix else node.name
-            self.out.append((qual, node))
-            self._stack.append(node.name)
-            self.generic_visit(node)
-            self._stack.pop()
-
-        visit_FunctionDef = _fn
-        visit_AsyncFunctionDef = _fn
-
-    funcs = _Funcs()
-    funcs.visit(tree)
-    func_nodes = funcs.out
+    # Functions with their AST subtrees, for scope labels and the
+    # reachability gate of D105/D106.
+    func_nodes = module.functions
     #: every node inside any function body (to tell module scope apart).
     in_function: set[int] = set()
     for _qual, fn in func_nodes:
@@ -427,24 +365,31 @@ def _lint_module(
             and _expr_is_next_of_counter(node.body, module_counters)
         ):
             emit(
-                "D103", node.lineno, "<lambda>", "next",
+                "D103", node.lineno, "<lambda>",
                 "default_factory draws from a process-global counter; "
                 "values encode how many instances the process has ever "
                 "built (the PR-3 Matrix.id bug class)",
             )
 
     # ---- rules that apply to the whole module (any function) --------------
+    #: a nested def is on a decision path when its enclosing def is (its
+    #: body is checked once, as its own function).
+    on_path: dict[str, bool] = {}
     for qual, fn in func_nodes:
-        assert isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-        on_decision_path = f"{module}:{qual}" in decision_keys
+        on_decision_path = (
+            f"{name}:{qual}" in decision_keys
+            or on_path.get(qual.rpartition(".")[0], False)
+        )
+        on_path[qual] = on_decision_path
         is_dunder = fn.name.startswith("__") and fn.name.endswith("__")
+        body = _own_nodes(fn)
         globals_declared: set[str] = set()
         set_locals = _set_like_locals(fn)
-        for sub in ast.walk(fn):
+        for sub in body:
             if isinstance(sub, ast.Global):
                 globals_declared.update(sub.names)
 
-        for sub in ast.walk(fn):
+        for sub in body:
             lineno = getattr(sub, "lineno", fn.lineno)
 
             # D101: id() — process-address identity.
@@ -455,22 +400,9 @@ def _lint_module(
                 and len(sub.args) == 1
             ):
                 emit(
-                    "D101", lineno, qual, "id",
+                    "D101", lineno, qual,
                     "id() yields a process-local address; key on value "
                     "identity (tile keys, names) instead",
-                )
-
-            # D102: builtin hash() outside the L002 scopes.
-            if (
-                rel.parts[0] in ("blas", "bench")
-                and isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-                and sub.func.id == "hash"
-            ):
-                emit(
-                    "D102", lineno, qual, "hash",
-                    "builtin hash() is salted per process "
-                    "(PYTHONHASHSEED); derive integers arithmetically",
                 )
 
             # D103: module-global state written from a function.
@@ -484,7 +416,7 @@ def _lint_module(
                         and target.id in globals_declared
                     ):
                         emit(
-                            "D103", lineno, qual, target.id,
+                            "D103", lineno, qual,
                             f"rebinds module-global '{target.id}' at call "
                             "time; decisions derived from it depend on "
                             "process history",
@@ -495,7 +427,7 @@ def _lint_module(
                         and target.value.id in module_mutables
                     ):
                         emit(
-                            "D103", lineno, qual, target.value.id,
+                            "D103", lineno, qual,
                             f"writes module-level container "
                             f"'{target.value.id}' from a function",
                         )
@@ -511,7 +443,7 @@ def _lint_module(
                         "discard", "appendleft")
                 ):
                     emit(
-                        "D103", lineno, qual, func_expr.value.id,
+                        "D103", lineno, qual,
                         f"mutates module-level container "
                         f"'{func_expr.value.id}' from a function",
                     )
@@ -523,13 +455,13 @@ def _lint_module(
                     and sub.args[0].id in module_counters
                 ):
                     emit(
-                        "D103", lineno, qual, sub.args[0].id,
+                        "D103", lineno, qual,
                         f"advances process-global counter "
                         f"'{sub.args[0].id}'; values drawn from it encode "
                         "process history (the PR-3 Matrix.id bug class)",
                     )
 
-            # D104: unseeded randomness / wall clocks outside L001's scopes.
+            # D104: unseeded randomness.
             if isinstance(sub, ast.Call):
                 dotted = _dotted(sub.func)
                 if dotted is not None:
@@ -538,7 +470,7 @@ def _lint_module(
                         and dotted != "random.Random"
                     ) or dotted in ("np.random.seed", "numpy.random.seed"):
                         emit(
-                            "D104", lineno, qual, dotted,
+                            "D104", lineno, qual,
                             f"{dotted}() draws from global, process-seeded "
                             "state; construct a seeded Random/default_rng "
                             "and thread it through config",
@@ -549,15 +481,9 @@ def _lint_module(
                         "default_rng",
                     ) and not sub.args and not sub.keywords:
                         emit(
-                            "D104", lineno, qual, dotted,
+                            "D104", lineno, qual,
                             "default_rng() without a seed is entropy-seeded; "
                             "pass an explicit seed",
-                        )
-                    elif rel.parts[0] in ("memory", "blas") and dotted in _WALL_CLOCKS:
-                        emit(
-                            "D104", lineno, qual, dotted,
-                            f"wall-clock {dotted}() in a data-model module; "
-                            "virtual time is owned by the simulator",
                         )
 
             # ---- decision-path-only rules --------------------------------
@@ -588,7 +514,7 @@ def _lint_module(
                     and parent.func.id in _ORDER_INSENSITIVE
                 ):
                     emit(
-                        "D105", lineno, qual, "set-iteration",
+                        "D105", lineno, qual,
                         "iterates an unordered set on a decision path; "
                         "iteration order leaks PYTHONHASHSEED into "
                         "schedules — sort, or iterate an ordered source",
@@ -627,7 +553,7 @@ def _lint_module(
                     node_it = parent
             if tainted_attr is not None:
                 emit(
-                    "D106", lineno, qual, tainted_attr,
+                    "D106", lineno, qual,
                     f"process-global counter value '.{tainted_attr}' feeds "
                     f"{context} on a decision path; translate through the "
                     "run-local DataStore.matrix_index first (the PR-3 "
@@ -639,62 +565,18 @@ def _lint_module(
 # ----------------------------------------------------------------- tree pass
 
 
-def lint_determinism(
-    root: Path, graph: CallGraph | None = None
-) -> list[DetFinding]:
-    """Run the purity/determinism rules over the package tree at ``root``."""
-    if graph is None:
-        graph = CallGraph.build(root)
-    decision_keys = graph.reachable(DECISION_ROOTS)
-    trees: list[tuple[Path, ast.Module, str]] = []
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root)
-        if not _in_scope(rel):
-            continue
-        source = path.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=rel.as_posix())
-        except SyntaxError:
-            continue  # L000's job
-        trees.append((rel, tree, source))
-    taint = discover_taint([(rel, tree) for rel, tree, _ in trees])
-    findings: list[DetFinding] = []
-    for rel, tree, source in trees:
-        findings += _lint_module(rel, source, tree, graph, decision_keys, taint)
+def lint_determinism(modules: list[Module]) -> list[Finding]:
+    """Run the purity/determinism rules over the loaded package.
+
+    The call graph spans every module; the rules run over the parsed
+    modules of :data:`SCOPES`.
+    """
+    decision_keys = CallGraph.build(modules).reachable(DECISION_ROOTS)
+    scoped = [
+        m for m in modules if m.tree is not None and _in_scope(m.rel, SCOPES)
+    ]
+    taint = discover_taint(scoped)
+    findings: list[Finding] = []
+    for module in scoped:
+        findings += _lint_module(module, decision_keys, taint)
     return findings
-
-
-# ------------------------------------------------------------------ baseline
-
-
-def load_baseline(path: Path) -> set[str]:
-    """Committed fingerprints of intentional findings (empty if absent)."""
-    if not path.is_file():
-        return set()
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return set(data.get("fingerprints", []))
-
-
-def write_baseline(path: Path, findings: list[DetFinding]) -> None:
-    path.write_text(
-        json.dumps(
-            {
-                "comment": (
-                    "Baseline of intentional determinism/reclamation findings. "
-                    "Fingerprints are code|module|scope|symbol (line-free). "
-                    "Regenerate with: python -m repro.verify --write-baseline"
-                ),
-                "fingerprints": sorted({f.fingerprint for f in findings}),
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-
-
-def new_findings(
-    findings: list[DetFinding], baseline: set[str]
-) -> list[Finding]:
-    """Findings whose fingerprint is not pinned by the committed baseline."""
-    return [f.finding for f in findings if f.fingerprint not in baseline]

@@ -3,36 +3,41 @@
 Generic linters cannot know this codebase's invariants; these rules encode
 them and run over ``src/`` from the CLI (``python -m repro.verify``) and CI:
 
-* **L001 — wall-clock in virtual time** (``sim/``, ``runtime/``): the
-  simulator owns time; calling ``time.time``/``time.monotonic``/
-  ``time.perf_counter``/``time.process_time`` or ``datetime.now``/
-  ``datetime.utcnow`` inside the engine or the runtime would leak host time
-  into virtual time and break determinism (every benchmark figure depends on
-  bit-identical replays).
-* **L002 — salted hashing** (``sim/``, ``runtime/``, ``memory/``): builtin
-  ``hash()`` is salted per process (``PYTHONHASHSEED``); any decision keyed
-  on it (e.g. pseudo-random source selection over ``TileKey``\\ s) would vary
-  across processes.  The transfer manager's ``_mix`` exists precisely to
-  avoid this.
+* **L001 — wall-clock reads** (``sim/``, ``runtime/``, ``memory/``,
+  ``blas/``): the simulator owns time; a ``time.*`` clock or a
+  ``datetime``/``date`` "now"/"today", called as written or under any name
+  an import binds (``import time as t``, ``from time import perf_counter``),
+  anywhere in the engine, the runtime, the data model or the task builders
+  would leak host time into virtual time and break determinism (every
+  benchmark figure depends on bit-identical replays).  ``bench/`` is
+  exempt: it measures wall time, which is reporting, not deciding.
+* **L002 — salted hashing** (``sim/``, ``runtime/``, ``memory/``,
+  ``blas/``, ``bench/``): builtin ``hash()`` is salted per process
+  (``PYTHONHASHSEED``); any value derived from it (e.g. pseudo-random source
+  selection over ``TileKey``\\ s, a cell key) would vary across processes.
+  The transfer manager's ``_mix`` exists precisely to avoid this.
+  Module-level calls count as much as calls inside functions.
 * **L003 — hot-path dataclasses declare ``slots=True``** (``sim/``,
   ``runtime/``, ``memory/``): tasks, accesses, tiles, events, cache and
   directory entries are allocated millions of times in large runs; a
   ``__dict__`` per instance roughly doubles their memory and slows attribute
   access.
 * **L004 — ``Task.state`` mutated outside the owners**: only
-  ``runtime/executor.py`` and ``runtime/dataflow.py`` implement the task
-  lifecycle; any other module assigning ``.state`` bypasses the readiness
-  protocol the race detector certifies.
+  ``runtime/executor.py``, ``runtime/dataflow.py`` and ``runtime/task.py``
+  implement the task lifecycle; any other module assigning ``.state``
+  bypasses the readiness protocol the race detector certifies.
 * **L005 — unused private methods** (every subpackage): a ``_method`` never
   referenced anywhere in the package is dead code (the executor's ``_wake``
   rotted this way once its caller was refactored away).
-  This is a *tree-wide* rule — it only runs from :func:`lint_path`, because
-  subclass hooks are routinely defined in one module and invoked from
-  another (``Scheduler`` subclasses override methods ``base.py`` calls), so
-  per-file analysis would drown in false positives.
+  This is a *tree-wide* rule — it only runs from :func:`lint_package`,
+  because subclass hooks are routinely defined in one module and invoked
+  from another (``Scheduler`` subclasses override methods ``base.py``
+  calls), so per-file analysis would drown in false positives.
 
-Rules are path-scoped relative to the package root, so tests can lint
-synthetic trees: a file ``<root>/sim/x.py`` is treated as part of ``sim/``.
+The rules take no waivers: a finding here is fixed, not annotated.  They
+run over the modules :func:`~repro.verify.base.load_package` parsed, and are
+path-scoped relative to the package root, so tests can lint synthetic
+trees: a file ``<root>/sim/x.py`` is treated as part of ``sim/``.
 """
 
 from __future__ import annotations
@@ -40,12 +45,13 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.verify.base import Finding
+from repro.verify.base import Finding, Module, _dotted, _in_scope, parse_module
 
 _PASS = "lint"
 
-#: call roots considered wall clocks (module attribute chains, dotted).
-_WALL_CLOCK_CALLS = {
+#: wall-clock reads, as dotted calls; a call through an import alias is
+#: resolved to its origin first (:func:`_is_wall_clock`).
+_WALL_CLOCKS = frozenset({
     "time.time",
     "time.monotonic",
     "time.perf_counter",
@@ -53,6 +59,7 @@ _WALL_CLOCK_CALLS = {
     "time.time_ns",
     "time.monotonic_ns",
     "time.perf_counter_ns",
+    "time.process_time_ns",
     "datetime.now",
     "datetime.utcnow",
     "datetime.today",
@@ -60,39 +67,39 @@ _WALL_CLOCK_CALLS = {
     "datetime.datetime.utcnow",
     "datetime.datetime.today",
     "datetime.date.today",
-}
-#: bare names that count as wall clocks when imported directly
-#: (``from time import time``).
-_WALL_CLOCK_NAMES = {"time", "monotonic", "perf_counter", "process_time"}
+    "date.today",
+})
 
-_VIRTUAL_TIME_SCOPES = ("sim", "runtime")
-_HASH_SCOPES = ("sim", "runtime", "memory")
+_CLOCK_SCOPES = ("sim", "runtime", "memory", "blas")
+_HASH_SCOPES = ("sim", "runtime", "memory", "blas", "bench")
 _SLOTS_SCOPES = ("sim", "runtime", "memory")
 _STATE_OWNERS = {("runtime", "executor.py"), ("runtime", "dataflow.py"),
                  ("runtime", "task.py")}
 
 
-def _dotted(node: ast.expr) -> str | None:
-    """Render an attribute chain (``a.b.c``) as a dotted string."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _wall_clock_imports(tree: ast.Module) -> set[str]:
-    """Names bound by ``from time import ...`` that denote wall clocks."""
-    names: set[str] = set()
+def _import_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local name -> dotted origin of every absolute import that renames
+    (``import time as t``) or binds a module member (``from time import
+    perf_counter``)."""
+    aliases: dict[str, str] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "time":
+        if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name in _WALL_CLOCK_NAMES:
-                    names.add(alias.asname or alias.name)
-    return names
+                if alias.asname:
+                    aliases[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return aliases
+
+
+def _is_wall_clock(dotted: str, aliases: dict[str, str]) -> bool:
+    """Is the called name a wall clock, as written or through an import?"""
+    head, dot, rest = dotted.partition(".")
+    origin = aliases.get(head)
+    return dotted in _WALL_CLOCKS or (
+        origin is not None and origin + dot + rest in _WALL_CLOCKS
+    )
 
 
 def _is_dataclass_decorator(dec: ast.expr) -> ast.Call | str | None:
@@ -104,44 +111,46 @@ def _is_dataclass_decorator(dec: ast.expr) -> ast.Call | str | None:
     return None
 
 
-def _in_scope(rel_parts: tuple[str, ...], scopes: tuple[str, ...]) -> bool:
-    return bool(rel_parts) and rel_parts[0] in scopes
-
-
 def lint_source(source: str, rel_path: Path) -> list[Finding]:
-    """Lint one module; ``rel_path`` is relative to the package root."""
-    findings: list[Finding] = []
-    try:
-        tree = ast.parse(source, filename=str(rel_path))
-    except SyntaxError as exc:
+    """Per-file rules (L000–L004) over one module; ``rel_path`` is relative
+    to the package root."""
+    return _lint_module(parse_module(source, rel_path))
+
+
+def _lint_module(module: Module) -> list[Finding]:
+    rel_path = module.rel
+    tree = module.tree
+    if tree is None:
+        exc = module.error
+        assert exc is not None
         return [
             Finding(_PASS, "L000", f"{rel_path}:{exc.lineno}", f"syntax error: {exc.msg}")
         ]
+    findings: list[Finding] = []
     parts = rel_path.parts
-    wall_clock_names = _wall_clock_imports(tree)
+    aliases = _import_aliases(tree)
 
     for node in ast.walk(tree):
         where = f"{rel_path}:{getattr(node, 'lineno', 0)}"
         if isinstance(node, ast.Call):
             dotted = _dotted(node.func)
-            if _in_scope(parts, _VIRTUAL_TIME_SCOPES):
-                bare_clock = (
-                    isinstance(node.func, ast.Name)
-                    and node.func.id in wall_clock_names
-                )
-                if (dotted in _WALL_CLOCK_CALLS) or bare_clock:
-                    findings.append(
-                        Finding(
-                            _PASS,
-                            "L001",
-                            where,
-                            f"wall-clock call {dotted or node.func.id}() inside "
-                            "a virtual-time module breaks determinism; use "
-                            "the simulator clock",
-                        )
-                    )
             if (
-                _in_scope(parts, _HASH_SCOPES)
+                dotted is not None
+                and _in_scope(rel_path, _CLOCK_SCOPES)
+                and _is_wall_clock(dotted, aliases)
+            ):
+                findings.append(
+                    Finding(
+                        _PASS,
+                        "L001",
+                        where,
+                        f"wall-clock call {dotted}() in a module that feeds "
+                        "virtual time breaks determinism; use the simulator "
+                        "clock",
+                    )
+                )
+            if (
+                _in_scope(rel_path, _HASH_SCOPES)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "hash"
             ):
@@ -155,7 +164,7 @@ def lint_source(source: str, rel_path: Path) -> list[Finding]:
                         "transfer._mix)",
                     )
                 )
-        elif isinstance(node, ast.ClassDef) and _in_scope(parts, _SLOTS_SCOPES):
+        elif isinstance(node, ast.ClassDef) and _in_scope(rel_path, _SLOTS_SCOPES):
             for dec in node.decorator_list:
                 found = _is_dataclass_decorator(dec)
                 if found is None:
@@ -189,8 +198,8 @@ def lint_source(source: str, rel_path: Path) -> list[Finding]:
                             "L004",
                             where,
                             "Task.state may only be mutated by "
-                            "runtime/executor.py and runtime/dataflow.py "
-                            "(the readiness protocol owners)",
+                            "runtime/executor.py, runtime/dataflow.py and "
+                            "runtime/task.py (the readiness protocol owners)",
                         )
                     )
     return findings
@@ -237,9 +246,7 @@ def _attribute_uses(tree: ast.Module) -> set[str]:
     return uses
 
 
-def _lint_unused_private_methods(
-    trees: list[tuple[Path, ast.Module]]
-) -> list[Finding]:
+def _lint_unused_private_methods(modules: list[Module]) -> list[Finding]:
     """L005 over the whole package tree (two-phase: collect, then flag).
 
     Definitions are collected from every subpackage (the top-level modules
@@ -249,10 +256,12 @@ def _lint_unused_private_methods(
     """
     defs: list[tuple[str, str, str]] = []
     uses: set[str] = set()
-    for rel, tree in trees:
-        uses |= _attribute_uses(tree)
-        if len(rel.parts) > 1:
-            defs += _private_method_defs(tree, rel)
+    for module in modules:
+        if module.tree is None:
+            continue
+        uses |= _attribute_uses(module.tree)
+        if len(module.rel.parts) > 1:
+            defs += _private_method_defs(module.tree, module.rel)
     return [
         Finding(
             _PASS,
@@ -266,21 +275,14 @@ def _lint_unused_private_methods(
     ]
 
 
-def lint_path(root: Path) -> list[Finding]:
-    """Lint every ``*.py`` under ``root`` (the package directory).
+def lint_package(modules: list[Module]) -> list[Finding]:
+    """Lint every loaded module (:func:`~repro.verify.base.load_package`).
 
     Per-file rules (L000–L004) run module by module; the tree-wide L005
     pass runs once over all parsed modules at the end.
     """
     findings: list[Finding] = []
-    trees: list[tuple[Path, ast.Module]] = []
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root)
-        source = path.read_text(encoding="utf-8")
-        findings += lint_source(source, rel)
-        try:
-            trees.append((rel, ast.parse(source, filename=str(rel))))
-        except SyntaxError:
-            continue  # already reported as L000 by lint_source
-    findings += _lint_unused_private_methods(trees)
+    for module in modules:
+        findings += _lint_module(module)
+    findings += _lint_unused_private_methods(modules)
     return findings

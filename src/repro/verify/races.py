@@ -61,11 +61,11 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import re
 
 from repro.runtime.dataflow import TaskGraph
 from repro.sim.trace import TraceCategory, TraceRecorder
 from repro.verify.base import Finding
+from repro.verify.trace_lint import TRANSFER_LABELS, parse_transfer
 
 _PASS = "races"
 
@@ -73,10 +73,6 @@ _PASS = "races"
 HOST = -1
 
 _EPS = 1e-12
-
-_H2D = re.compile(r"^h2d (?P<key>T\(\d+:\d+,\d+\))$")
-_D2H = re.compile(r"^d2h (?P<key>T\(\d+:\d+,\d+\))$")
-_P2P = re.compile(r"^p2p (?P<src>-?\d+)->(?P<dst>-?\d+) (?P<key>T\(\d+:\d+,\d+\))$")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -124,49 +120,29 @@ def _events_from_trace(
     kernel_by_slot: dict[tuple[int, float, float], int] = {}
     for iv in trace:
         seq = len(events)
-        if iv.category is TraceCategory.MEMCPY_HTOD:
-            m = _H2D.match(iv.label)
-            if m is None:
-                continue  # trace_lint reports T001
-            key, dst = m["key"], iv.device
-            events.append(
-                Event(
-                    seq, iv.label, (HOST, dst), iv.start, iv.end,
-                    [Access(key, HOST, False, False),
-                     Access(key, dst, True, False)],
-                )
-            )
-        elif iv.category is TraceCategory.MEMCPY_DTOH:
-            m = _D2H.match(iv.label)
-            if m is None:
-                continue
-            key, src = m["key"], iv.device
-            events.append(
-                Event(
-                    seq, iv.label, (src, HOST), iv.start, iv.end,
-                    [Access(key, src, False, False),
-                     Access(key, HOST, True, False)],
-                )
-            )
-        elif iv.category is TraceCategory.MEMCPY_PTOP:
-            m = _P2P.match(iv.label)
-            if m is None:
-                continue
-            key, src, dst = m["key"], int(m["src"]), int(m["dst"])
-            if src == dst:
-                continue  # trace_lint reports T002
-            events.append(
-                Event(
-                    seq, iv.label, (src, dst), iv.start, iv.end,
-                    [Access(key, src, False, False),
-                     Access(key, dst, True, False)],
-                )
-            )
-        elif iv.category is TraceCategory.KERNEL:
+        if iv.category is TraceCategory.KERNEL:
             events.append(
                 Event(seq, iv.label, (iv.device,), iv.start, iv.end, [])
             )
             kernel_by_slot[(iv.device, iv.start, iv.end)] = seq
+            continue
+        if iv.category not in TRANSFER_LABELS:
+            continue
+        transfer = parse_transfer(iv)
+        if transfer is None:
+            continue  # trace_lint reports T001
+        src = HOST if transfer.src is None else transfer.src
+        dst = HOST if transfer.dst is None else transfer.dst
+        if iv.category is TraceCategory.MEMCPY_PTOP and src == dst:
+            continue  # trace_lint reports T002
+        # The transfer reads the source replica and writes the destination.
+        events.append(
+            Event(
+                seq, iv.label, (src, dst), iv.start, iv.end,
+                [Access(transfer.key, src, False, False),
+                 Access(transfer.key, dst, True, False)],
+            )
+        )
 
     extra_edges: list[tuple[int, int]] = []
     if graph is not None and graph.retain_tasks:

@@ -28,19 +28,19 @@ streaming runs.  Two rules make the contracts static:
   ``try/except TaskGraphError``.  :mod:`repro.runtime.dataflow` itself is
   exempt (it *implements* the contract).
 
-Waivers use the shared ``# det: <reason>`` syntax (e.g. ``# det: retained``
-on a line that only ever sees retained graphs), and findings carry the same
-line-free fingerprints as the determinism lint so intentional cases can live
-in the committed baseline instead.
+Waivers use the determinism linter's ``# det: <reason>`` comment (e.g.
+``# det: retained`` on a line that only ever sees retained graphs); it is
+the only way to suppress a finding.  The pass walks the trees
+:func:`~repro.verify.base.load_package` parsed and needs no call graph: the
+one M101 hop is resolved by function name.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-from repro.verify.base import Finding
-from repro.verify.determinism import DetFinding, _in_scope, _waived
+from repro.verify.base import Finding, Module, _dotted, _FunctionDef, _in_scope
+from repro.verify.determinism import SCOPES
 
 _PASS = "reclaim"
 
@@ -53,17 +53,6 @@ RETAINED_ONLY_METHODS = ("critical_path_priorities",)
 
 #: modules that implement (rather than consume) the reclamation contract.
 _EXEMPT = ("runtime/dataflow.py",)
-
-
-def _dotted(node: ast.expr) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _graphish(node: ast.expr) -> bool:
@@ -100,41 +89,13 @@ def _terminates(stmts: list[ast.stmt]) -> bool:
     )
 
 
-def _functions(tree: ast.Module) -> list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    out: list[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]] = []
-    stack: list[str] = []
-
-    class _V(ast.NodeVisitor):
-        def visit_ClassDef(self, node: ast.ClassDef) -> None:
-            stack.append(node.name)
-            self.generic_visit(node)
-            stack.pop()
-
-        def _fn(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-            prefix = ".".join(stack)
-            out.append((f"{prefix}.{node.name}" if prefix else node.name, node))
-            stack.append(node.name)
-            self.generic_visit(node)
-            stack.pop()
-
-        visit_FunctionDef = _fn
-        visit_AsyncFunctionDef = _fn
-
-    _V().visit(tree)
-    return out
-
-
-def _task_param(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> str | None:
-    """Name of the completed-task parameter (first after self/cls)."""
+def _params(fn: _FunctionDef) -> list[str]:
+    """Positional parameter names after ``self``/``cls``."""
     names = [a.arg for a in fn.args.posonlyargs + fn.args.args]
-    if names and names[0] in ("self", "cls"):
-        names = names[1:]
-    return names[0] if names else None
+    return names[1:] if names and names[0] in ("self", "cls") else names
 
 
-def _cleared_reads(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef, alias: str
-) -> list[tuple[int, str]]:
+def _cleared_reads(fn: _FunctionDef, alias: str) -> list[tuple[int, str]]:
     """(lineno, field) for each cleared-field read on ``alias`` in ``fn``."""
     reads: list[tuple[int, str]] = []
     for sub in ast.walk(fn):
@@ -149,9 +110,7 @@ def _cleared_reads(
     return reads
 
 
-def _forwarded_calls(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef, alias: str
-) -> list[tuple[str, int]]:
+def _forwarded_calls(fn: _FunctionDef, alias: str) -> list[tuple[str, int]]:
     """(callee name, argument position) of calls forwarding ``alias``."""
     out: list[tuple[str, int]] = []
     for sub in ast.walk(fn):
@@ -166,45 +125,28 @@ def _forwarded_calls(
     return out
 
 
-def lint_reclamation(root: Path) -> list[DetFinding]:
-    """Run both reclamation rules over the package tree at ``root``."""
-    findings: list[DetFinding] = []
-    modules: list[tuple[Path, ast.Module, list[str]]] = []
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root)
-        if not _in_scope(rel):
-            continue
-        source = path.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=rel.as_posix())
-        except SyntaxError:
-            continue  # L000's job
-        modules.append((rel, tree, source.splitlines()))
+def lint_reclamation(modules: list[Module]) -> list[Finding]:
+    """Run both reclamation rules over the loaded package's scoped modules."""
+    findings: list[Finding] = []
+    scoped = [
+        m for m in modules if m.tree is not None and _in_scope(m.rel, SCOPES)
+    ]
 
     #: every function by bare name, for the one-hop M101 follow.
-    _Fn = ast.FunctionDef | ast.AsyncFunctionDef
-    by_name: dict[str, list[tuple[Path, str, _Fn, list[str]]]] = {}
-    for rel, tree, lines in modules:
-        for qual, fn in _functions(tree):
-            by_name.setdefault(fn.name, []).append((rel, qual, fn, lines))
+    by_name: dict[str, list[tuple[Module, str, _FunctionDef]]] = {}
+    for module in scoped:
+        for qual, fn in module.functions:
+            by_name.setdefault(fn.name, []).append((module, qual, fn))
 
-    def emit(
-        code: str, rel: Path, lines: list[str], lineno: int, qual: str,
-        symbol: str, message: str,
-    ) -> None:
-        if _waived(lines, lineno):
-            return
-        module = rel.as_posix()
-        findings.append(
-            DetFinding(
-                Finding(_PASS, code, f"{module}:{lineno}", f"{qual}: {message}"),
-                f"{code}|{module}|{qual}|{symbol}",
+    def emit(code: str, module: Module, lineno: int, qual: str, message: str) -> None:
+        if not module.waived(lineno):
+            findings.append(
+                Finding(_PASS, code, f"{module.name}:{lineno}", f"{qual}: {message}")
             )
-        )
 
-    for rel, tree, lines in modules:
-        exempt = rel.as_posix() in _EXEMPT
-        for qual, fn in _functions(tree):
+    for module in scoped:
+        exempt = module.name in _EXEMPT
+        for qual, fn in module.functions:
 
             # ---- M101a: reads after <graph>.complete(var) ------------------
             # ast.walk is breadth-first; statement order matters here, so
@@ -236,8 +178,7 @@ def lint_reclamation(root: Path) -> list[DetFinding]:
                                 and sub.value.id in retired
                             ):
                                 emit(
-                                    "M101", rel, lines, sub.lineno, qual,
-                                    f"{sub.value.id}.{sub.attr}",
+                                    "M101", module, sub.lineno, qual,
                                     f"reads '{sub.value.id}.{sub.attr}' after "
                                     f"graph.complete({sub.value.id}) — cleared "
                                     "by the reclaiming graph (retain_tasks="
@@ -263,37 +204,29 @@ def lint_reclamation(root: Path) -> list[DetFinding]:
             scan(list(fn.body), set())
 
             # ---- M101b: retired-task fields inside on_complete -------------
-            if fn.name == "on_complete" and not exempt:
-                param = _task_param(fn)
-                if param is not None:
-                    for lineno, field in _cleared_reads(fn, param):
-                        emit(
-                            "M101", rel, lines, lineno, qual,
-                            f"{param}.{field}",
-                            f"'{param}.{field}' inside on_complete: the graph "
-                            "retires the task *before* the scheduler callback "
-                            "(Executor._finish), so this field is cleared in "
-                            "streaming mode",
-                        )
-                    # one hop: helpers the completed task is forwarded to.
-                    for callee, pos in _forwarded_calls(fn, param):
-                        for crel, cqual, cfn, clines in by_name.get(callee, ()):
-                            cnames = [
-                                a.arg
-                                for a in cfn.args.posonlyargs + cfn.args.args
-                            ]
-                            if cnames and cnames[0] in ("self", "cls"):
-                                cnames = cnames[1:]
-                            if pos >= len(cnames):
-                                continue
-                            for lineno, field in _cleared_reads(cfn, cnames[pos]):
-                                emit(
-                                    "M101", crel, clines, lineno, cqual,
-                                    f"{cnames[pos]}.{field}",
-                                    f"'{cnames[pos]}.{field}' reached from "
-                                    f"on_complete via {callee}(): the task is "
-                                    "already retired in streaming mode",
-                                )
+            if fn.name == "on_complete" and not exempt and (params := _params(fn)):
+                param = params[0]  # the completed task
+                for lineno, field in _cleared_reads(fn, param):
+                    emit(
+                        "M101", module, lineno, qual,
+                        f"'{param}.{field}' inside on_complete: the graph "
+                        "retires the task *before* the scheduler callback "
+                        "(Executor._finish), so this field is cleared in "
+                        "streaming mode",
+                    )
+                # one hop: helpers the completed task is forwarded to.
+                for callee, pos in _forwarded_calls(fn, param):
+                    for cmodule, cqual, cfn in by_name.get(callee, ()):
+                        cnames = _params(cfn)
+                        if pos >= len(cnames):
+                            continue
+                        for lineno, field in _cleared_reads(cfn, cnames[pos]):
+                            emit(
+                                "M101", cmodule, lineno, cqual,
+                                f"'{cnames[pos]}.{field}' reached from "
+                                f"on_complete via {callee}(): the task is "
+                                "already retired in streaming mode",
+                            )
 
             # ---- M102: retained-only API without a mode guard --------------
             if exempt:
@@ -327,7 +260,7 @@ def lint_reclamation(root: Path) -> list[DetFinding]:
                     flagged = expr.func.attr
                 if flagged is not None:
                     emit(
-                        "M102", rel, lines, expr.lineno, qual, flagged,
+                        "M102", module, expr.lineno, qual,
                         f"retained-only graph API '.{flagged}' without a "
                         "retain_tasks guard — raises TaskGraphError on a "
                         "reclaiming (streaming) graph",

@@ -47,15 +47,21 @@ from __future__ import annotations
 import dataclasses
 import re
 
-from repro.sim.trace import TraceCategory, TraceRecorder
+from repro.sim.trace import Interval, TraceCategory, TraceRecorder
 from repro.topology.platform import Platform
 from repro.verify.base import Finding
 
 _PASS = "trace"
 
-_H2D = re.compile(r"^h2d (?P<key>T\(\d+:\d+,\d+\))$")
-_D2H = re.compile(r"^d2h (?P<key>T\(\d+:\d+,\d+\))$")
-_P2P = re.compile(r"^p2p (?P<src>-?\d+)->(?P<dst>-?\d+) (?P<key>T\(\d+:\d+,\d+\))$")
+#: the runtime's label of each transfer category, naming the tile (and, for
+#: PtoP, both endpoints).  The race detector parses labels through here too.
+TRANSFER_LABELS = {
+    TraceCategory.MEMCPY_HTOD: re.compile(r"^h2d (?P<key>T\(\d+:\d+,\d+\))$"),
+    TraceCategory.MEMCPY_DTOH: re.compile(r"^d2h (?P<key>T\(\d+:\d+,\d+\))$"),
+    TraceCategory.MEMCPY_PTOP: re.compile(
+        r"^p2p (?P<src>-?\d+)->(?P<dst>-?\d+) (?P<key>T\(\d+:\d+,\d+\))$"
+    ),
+}
 
 _EPS = 1e-12
 
@@ -65,7 +71,7 @@ def _finding(code: str, subject: str, message: str) -> Finding:
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
-class _Transfer:
+class Transfer:
     """One parsed memcpy interval."""
 
     key: str
@@ -76,20 +82,29 @@ class _Transfer:
     category: TraceCategory
 
 
-def _parse(trace: TraceRecorder) -> tuple[list[_Transfer], list[Finding]]:
-    transfers: list[_Transfer] = []
+def parse_transfer(iv: Interval) -> Transfer | None:
+    """The transfer a memcpy interval of :data:`TRANSFER_LABELS`' categories
+    records, or ``None`` when its label does not parse (T001)."""
+    match = TRANSFER_LABELS[iv.category].match(iv.label)
+    if match is None:
+        return None
+    if iv.category is TraceCategory.MEMCPY_HTOD:
+        src, dst = None, iv.device
+    elif iv.category is TraceCategory.MEMCPY_DTOH:
+        src, dst = iv.device, None
+    else:
+        src, dst = int(match["src"]), int(match["dst"])
+    return Transfer(match["key"], src, dst, iv.start, iv.end, iv.category)
+
+
+def _parse(trace: TraceRecorder) -> tuple[list[Transfer], list[Finding]]:
+    transfers: list[Transfer] = []
     findings: list[Finding] = []
-    patterns = {
-        TraceCategory.MEMCPY_HTOD: _H2D,
-        TraceCategory.MEMCPY_DTOH: _D2H,
-        TraceCategory.MEMCPY_PTOP: _P2P,
-    }
     for iv in trace:
-        pattern = patterns.get(iv.category)
-        if pattern is None:
+        if iv.category not in TRANSFER_LABELS:
             continue
-        match = pattern.match(iv.label)
-        if match is None:
+        transfer = parse_transfer(iv)
+        if transfer is None:
             findings.append(
                 _finding(
                     "T001",
@@ -98,15 +113,7 @@ def _parse(trace: TraceRecorder) -> tuple[list[_Transfer], list[Finding]]:
                 )
             )
             continue
-        if iv.category is TraceCategory.MEMCPY_HTOD:
-            src, dst = None, iv.device
-        elif iv.category is TraceCategory.MEMCPY_DTOH:
-            src, dst = iv.device, None
-        else:
-            src, dst = int(match["src"]), int(match["dst"])
-        transfers.append(
-            _Transfer(match["key"], src, dst, iv.start, iv.end, iv.category)
-        )
+        transfers.append(transfer)
     return transfers, findings
 
 
@@ -148,7 +155,7 @@ def lint_trace(
                         )
                     )
 
-    by_key: dict[str, list[_Transfer]] = {}
+    by_key: dict[str, list[Transfer]] = {}
     for tr in transfers:
         by_key.setdefault(tr.key, []).append(tr)
     topology_certain = (

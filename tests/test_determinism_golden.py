@@ -22,6 +22,7 @@ file and say so in the commit — never loosen the comparison.
 
 import json
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.memory.layout import BlockCyclicDistribution
 from repro.memory.matrix import Matrix
 from repro.runtime.api import Runtime, RuntimeOptions
 from repro.runtime.policies import SourcePolicy
+from repro.runtime.task import Task
 from repro.topology.dgx1 import make_dgx1
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_makespans.json"
@@ -66,6 +68,16 @@ def _observe(routine: str, n: int, nb: int) -> dict:
     return _outcome(rt, res.seconds)
 
 
+def hint_block_cyclic_owners(tasks: Iterable[Task]) -> Iterator[Task]:
+    """Yield ``tasks``, each hinted onto the owner of its output tile under a
+    2x4 block-cyclic distribution: the owner-computes placement of the
+    golden ``scheduler_points``."""
+    dist = BlockCyclicDistribution(2, 4)
+    for task in tasks:
+        task.owner_hint = dist.owner(task.output_tile.i, task.output_tile.j)
+        yield task
+
+
 def _observe_with_scheduler(
     scheduler: str,
     n: int,
@@ -76,17 +88,19 @@ def _observe_with_scheduler(
     """One GEMM point under a specific scheduling and source policy.
 
     Mirrors the recording script for ``scheduler_points``: owner-computes
-    needs a distribution to derive owners from, every other policy runs with
-    its defaults.  Priorities are assigned exactly as ``Session.sync`` does.
-    A ``max_events`` budget turns submission folding off.
+    runs each task on the owner of its output tile under a 2x4 block-cyclic
+    distribution (:func:`hint_block_cyclic_owners`), every other policy runs
+    with its defaults.  Priorities are assigned exactly as ``Session.sync``
+    does.  A ``max_events`` budget turns submission folding off.
     """
-    opts: dict = {"scheduler": scheduler, "source_policy": source_policy}
-    if scheduler == "owner-computes":
-        opts["distribution"] = BlockCyclicDistribution(2, 4)
-    rt = Runtime(make_dgx1(8), RuntimeOptions(**opts))
+    opts = RuntimeOptions(scheduler=scheduler, source_policy=source_policy)
+    rt = Runtime(make_dgx1(8), opts)
     a, b, c = (Matrix.meta(n, n) for _ in range(3))
     pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
-    for task in build_gemm(1.0, pa, pb, 0.5, pc):
+    tasks = build_gemm(1.0, pa, pb, 0.5, pc)
+    if scheduler == "owner-computes":
+        tasks = hint_block_cyclic_owners(tasks)
+    for task in tasks:
         rt.submit(task)
     rt.memory_coherent_async(c, nb)
     rt.executor.graph.critical_path_priorities()

@@ -32,14 +32,13 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from tests.test_determinism_golden import eviction_runtime
+from tests.test_determinism_golden import eviction_runtime, hint_block_cyclic_owners
 
 from repro.blas.params import Uplo
 from repro.blas.tiled import build_gemm
 from repro.lapack.potrf import build_potrf
 from repro.lapack.solve import build_potrs
 from repro.libraries.registry import LIBRARIES
-from repro.memory.layout import BlockCyclicDistribution
 from repro.memory.matrix import Matrix
 from repro.runtime.api import Runtime, RuntimeOptions
 from repro.runtime.task import Task, make_access_list
@@ -71,14 +70,13 @@ def _gemm_runtime(scheduler: str, *, streaming: bool = False,
     """One GEMM point submitted, not yet run (the golden
     ``scheduler_points`` recipe).  The task list is kept for the per-task
     schedule; holding it does not change what the runtime does."""
-    opts: dict = {"scheduler": scheduler, "retain_tasks": retain,
-                  "trace": trace}
-    if scheduler == "owner-computes":
-        opts["distribution"] = BlockCyclicDistribution(2, 4)
-    rt = Runtime(make_dgx1(8), RuntimeOptions(**opts))
+    opts = RuntimeOptions(scheduler=scheduler, retain_tasks=retain, trace=trace)
+    rt = Runtime(make_dgx1(8), opts)
     a, b, c = (Matrix.meta(n, n) for _ in range(3))
     pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
     tasks = list(build_gemm(1.0, pa, pb, 0.5, pc))
+    if scheduler == "owner-computes":
+        tasks = list(hint_block_cyclic_owners(tasks))
     if streaming:
         rt.submit_stream(iter(tasks))
     else:

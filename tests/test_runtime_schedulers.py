@@ -145,10 +145,11 @@ def test_dmda_pop_respects_priority(ctx):
 
 
 def test_owner_computes_by_distribution(ctx):
+    """A static distribution reaches the scheduler as each task's hint."""
     rt, part, c = ctx
     dist = BlockCyclicDistribution(2, 2)
-    sched = OwnerComputesScheduler(4, distribution=dist)
-    t = make_task(part, 1, 1)
+    sched = OwnerComputesScheduler(4)
+    t = make_task(part, 1, 1, hint=dist.owner(1, 1))
     sched.push(t, c)
     assert sched.pop(dist.owner(1, 1), c) is t
 
@@ -164,9 +165,9 @@ def test_owner_computes_requires_hint_without_distribution(ctx):
 
 def test_owner_computes_out_of_range_owner(ctx):
     rt, part, c = ctx
-    sched = OwnerComputesScheduler(2, owner_of=lambda t: 5)
+    sched = OwnerComputesScheduler(2)
     with pytest.raises(SchedulingError):
-        sched.push(make_task(part, 0, 0), c)
+        sched.push(make_task(part, 0, 0, hint=5), c)
 
 
 # ------------------------------------------------------------ round-robin

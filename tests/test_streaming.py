@@ -20,11 +20,11 @@ import weakref
 from pathlib import Path
 
 import pytest
+from tests.test_determinism_golden import hint_block_cyclic_owners
 
 from repro.blas.tiled import build_gemm, materialize_tasks
 from repro.errors import TaskGraphError
 from repro.libraries import make_library
-from repro.memory.layout import BlockCyclicDistribution
 from repro.memory.matrix import Matrix
 from repro.runtime.api import Runtime, RuntimeOptions
 from repro.topology.dgx1 import make_dgx1
@@ -38,14 +38,15 @@ def _run_gemm(scheduler: str, *, streaming: bool, retain: bool = True,
               n: int = 4096, nb: int = 512, stream_window: int | None = 8192,
               keep_runtime: bool = False):
     """One GEMM point, mirroring the golden ``scheduler_points`` recipe."""
-    opts: dict = {"scheduler": scheduler, "retain_tasks": retain,
-                  "stream_window": stream_window}
-    if scheduler == "owner-computes":
-        opts["distribution"] = BlockCyclicDistribution(2, 4)
-    rt = Runtime(make_dgx1(8), RuntimeOptions(**opts))
+    opts = RuntimeOptions(
+        scheduler=scheduler, retain_tasks=retain, stream_window=stream_window
+    )
+    rt = Runtime(make_dgx1(8), opts)
     a, b, c = (Matrix.meta(n, n) for _ in range(3))
     pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
     tasks = build_gemm(1.0, pa, pb, 0.5, pc)
+    if scheduler == "owner-computes":
+        tasks = hint_block_cyclic_owners(tasks)
     if streaming:
         rt.submit_stream(tasks)
     else:

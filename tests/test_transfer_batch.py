@@ -573,9 +573,10 @@ def test_make_room_all_resident_dirty_batches_writebacks():
     assert is_valid(d, d.lookup(big.key), 0)
 
 
-def test_make_room_dirty_victim_with_host_copy_needs_no_writeback():
-    """A dirty victim whose write-back already landed (host valid) is dropped
-    without a second D2H."""
+def test_make_room_evicts_flushed_tile_without_second_writeback():
+    """A tile flushed before the eviction is evicted without a second D2H:
+    the flush's landing marked its cache entry clean, so it leaves as a clean
+    victim."""
     rt, part = tiny_setup(memory_tiles=2)
     t0, t1, t2 = part[(0, 0)], part[(0, 1)], part[(0, 2)]
     rt.transfer.ensure_resident(t0, dst=0)

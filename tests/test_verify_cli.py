@@ -1,15 +1,58 @@
 """Tests for ``python -m repro.verify`` (:mod:`repro.verify.cli`)."""
 
+import ast
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.verify import cli
 from repro.verify.base import Finding
+
+PACKAGE_ROOT = Path(repro.__file__).parent
 
 
 def test_static_stages_pass_on_the_repository():
     assert cli.main(["--skip-runtime", "--fast"]) == 0
+
+
+def test_py_only_package_copy_analyses_clean(tmp_path):
+    """What ``setup.py build`` ships — the ``*.py`` files alone — verifies
+    clean: every waiver lives in the sources, none in a data file."""
+    dst = tmp_path / "repro"
+    for path in PACKAGE_ROOT.rglob("*.py"):
+        target = dst / path.relative_to(PACKAGE_ROOT)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(path, target)
+    assert cli.main(["--src", str(dst), "--skip-graph", "--skip-runtime"]) == 0
+
+
+def test_static_run_parses_each_file_once(tmp_path, monkeypatch):
+    """The lint, call graph, determinism and reclamation passes of one run
+    share one parse of every file under ``--src``."""
+    files = {
+        "sim/engine.py": "def step(q):\n    return q.pop()\n",
+        "runtime/sched.py": "class S:\n    def pop(self, q):\n        return q[0]\n",
+        "bench/report.py": "def rows(xs):\n    return sorted(xs)\n",
+        "topology/grid.py": "SIZE = 8\n",
+        "config.py": "FLAG = True\n",
+    }
+    for rel, source in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    parsed: list[str] = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(Path(filename).as_posix())
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    assert cli.main(["--src", str(tmp_path), "--skip-graph", "--skip-runtime"]) == 0
+    assert sorted(parsed) == sorted(files)
 
 
 def test_cli_exit_code_and_report_on_findings(tmp_path, capsys):
@@ -102,42 +145,3 @@ def test_github_flag_emits_annotations(tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "::error file=" in out and "line=2" in out
-
-
-def test_write_baseline_roundtrip(tmp_path, capsys):
-    bad = tmp_path / "runtime"
-    bad.mkdir()
-    (bad / "g.py").write_text(
-        "def f(xs):\n    return id(xs)\n", encoding="utf-8"
-    )
-    baseline = tmp_path / "baseline.json"
-    # Fails without a baseline...
-    assert (
-        cli.main(
-            [
-                "--src", str(tmp_path),
-                "--skip-lint", "--skip-graph", "--skip-runtime",
-                "--baseline", str(baseline),
-            ]
-        )
-        == 1
-    )
-    # ...--write-baseline pins the current findings and exits 0...
-    assert (
-        cli.main(
-            ["--src", str(tmp_path), "--baseline", str(baseline), "--write-baseline"]
-        )
-        == 0
-    )
-    assert "1 fingerprint(s)" in capsys.readouterr().out
-    # ...after which the same tree verifies clean.
-    assert (
-        cli.main(
-            [
-                "--src", str(tmp_path),
-                "--skip-lint", "--skip-graph", "--skip-runtime",
-                "--baseline", str(baseline),
-            ]
-        )
-        == 0
-    )

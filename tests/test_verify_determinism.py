@@ -7,14 +7,15 @@ from pathlib import Path
 import pytest
 
 from repro.verify import callgraph
-from repro.verify.determinism import (
-    lint_determinism,
-    load_baseline,
-    new_findings,
-    write_baseline,
-)
+from repro.verify.base import load_package
+from repro.verify.determinism import lint_determinism
 
 PACKAGE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def lint_tree(root: Path):
+    """The determinism linter over the package tree at ``root``."""
+    return lint_determinism(load_package(root))
 
 
 def make_tree(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -26,7 +27,7 @@ def make_tree(tmp_path: Path, files: dict[str, str]) -> Path:
 
 
 def codes(findings) -> list[str]:
-    return sorted(f.finding.code for f in findings)
+    return sorted(f.code for f in findings)
 
 
 # --------------------------------------------------------------- rules D101+
@@ -36,18 +37,7 @@ def test_d101_flags_id_calls(tmp_path):
     root = make_tree(tmp_path, {
         "runtime/m.py": "def dedup(xs):\n    return {id(x) for x in xs}\n",
     })
-    assert codes(lint_determinism(root)) == ["D101"]
-
-
-def test_d102_flags_hash_in_bench_scope_only(tmp_path):
-    root = make_tree(tmp_path, {
-        "bench/h.py": "def key(x):\n    return hash(x)\n",
-        # sim/ is L002's scope, not D102's — no double reporting.
-        "sim/h.py": "def key(x):\n    return hash(x)\n",
-    })
-    found = lint_determinism(root)
-    assert codes(found) == ["D102"]
-    assert found[0].finding.subject.startswith("bench/h.py")
+    assert codes(lint_tree(root)) == ["D101"]
 
 
 def test_d103_flags_global_rebinding_and_container_writes(tmp_path):
@@ -62,7 +52,7 @@ def test_d103_flags_global_rebinding_and_container_writes(tmp_path):
             "    _count = _count + 1\n"
         ),
     })
-    assert codes(lint_determinism(root)) == ["D103", "D103"]
+    assert codes(lint_tree(root)) == ["D103", "D103"]
 
 
 def test_d103_flags_module_counter_draws_including_default_factory(tmp_path):
@@ -78,7 +68,7 @@ def test_d103_flags_module_counter_draws_including_default_factory(tmp_path):
             "    return next(_ids)\n"
         ),
     })
-    assert codes(lint_determinism(root)) == ["D103", "D103"]
+    assert codes(lint_tree(root)) == ["D103", "D103"]
 
 
 def test_d104_flags_unseeded_random_but_not_seeded_rng(tmp_path):
@@ -91,18 +81,7 @@ def test_d104_flags_unseeded_random_but_not_seeded_rng(tmp_path):
             "    return random.Random(seed)\n"
         ),
     })
-    assert codes(lint_determinism(root)) == ["D104"]
-
-
-def test_d104_wall_clock_scope_memory_yes_bench_no(tmp_path):
-    root = make_tree(tmp_path, {
-        "memory/t.py": "import time\ndef now():\n    return time.monotonic()\n",
-        # bench legitimately measures wall time (it benchmarks the simulator).
-        "bench/t.py": "import time\ndef now():\n    return time.monotonic()\n",
-    })
-    found = lint_determinism(root)
-    assert codes(found) == ["D104"]
-    assert found[0].finding.subject.startswith("memory/t.py")
+    assert codes(lint_tree(root)) == ["D104"]
 
 
 def test_d105_set_iteration_only_on_decision_paths(tmp_path):
@@ -124,9 +103,9 @@ def test_d105_set_iteration_only_on_decision_paths(tmp_path):
         "runtime/sched.py": decision,
         "bench/report.py": offline,
     })
-    found = lint_determinism(root)
+    found = lint_tree(root)
     assert codes(found) == ["D105"]
-    assert "helper" in found[0].finding.message
+    assert "helper" in found[0].message
 
 
 def test_d105_exempts_order_insensitive_reductions(tmp_path):
@@ -138,7 +117,7 @@ def test_d105_exempts_order_insensitive_reductions(tmp_path):
             "    return best + total\n"
         ),
     })
-    assert lint_determinism(root) == []
+    assert lint_tree(root) == []
 
 
 def test_d106_taint_flows_through_constructor_into_mix_call(tmp_path):
@@ -167,9 +146,9 @@ def test_d106_taint_flows_through_constructor_into_mix_call(tmp_path):
             "        return _mix(key.matrix_id, key.i)\n"
         ),
     })
-    found = lint_determinism(root)
+    found = lint_tree(root)
     assert codes(found) == ["D106"]
-    assert "matrix_id" in found[0].finding.message
+    assert "matrix_id" in found[0].message
 
 
 def test_d106_laundered_through_matrix_index_is_clean(tmp_path):
@@ -189,10 +168,27 @@ def test_d106_laundered_through_matrix_index_is_clean(tmp_path):
             "        return _mix(self.datastore.matrix_index(key.matrix_id), key.i)\n"
         ),
     })
-    assert lint_determinism(root) == []
+    assert lint_tree(root) == []
 
 
-# ------------------------------------------------------- waivers & baseline
+def test_nested_def_body_is_linted_once(tmp_path):
+    """A nested def is checked as its own function, on the decision path of
+    its enclosing one, not a second time inside the enclosing body."""
+    root = make_tree(tmp_path, {
+        "runtime/sched.py": (
+            "class Sched:\n"
+            "    def pop(self, q):\n"
+            "        def order():\n"
+            "            return [x for x in {id(q), 2}]\n"
+            "        return order()\n"
+        ),
+    })
+    found = lint_tree(root)
+    assert codes(found) == ["D101", "D105"]
+    assert all(f.message.startswith("Sched.pop.order:") for f in found)
+
+
+# ------------------------------------------------------------------- waivers
 
 
 def test_det_waiver_on_same_or_preceding_line(tmp_path):
@@ -207,45 +203,17 @@ def test_det_waiver_on_same_or_preceding_line(tmp_path):
             "    return {id(x) for x in xs}\n"
         ),
     })
-    found = lint_determinism(root)
+    found = lint_tree(root)
     assert codes(found) == ["D101"]
-    assert "naked" in found[0].finding.message
-
-
-def test_baseline_roundtrip_filters_fingerprints(tmp_path):
-    root = make_tree(tmp_path, {
-        "runtime/b.py": "def f(xs):\n    return id(xs)\n",
-    })
-    found = lint_determinism(root)
-    assert len(found) == 1
-    baseline_file = tmp_path / "baseline.json"
-    write_baseline(baseline_file, found)
-    baseline = load_baseline(baseline_file)
-    assert new_findings(found, baseline) == []
-    # Fingerprints are line-free: moving the finding does not churn them.
-    root2 = make_tree(tmp_path / "v2", {
-        "runtime/b.py": "# a new comment shifts every line\n\ndef f(xs):\n    return id(xs)\n",
-    })
-    assert new_findings(lint_determinism(root2), baseline) == []
-    # ...but a genuinely new finding is not absorbed.
-    root3 = make_tree(tmp_path / "v3", {
-        "runtime/b.py": "def f(xs):\n    return id(xs)\ndef g(xs):\n    return id(xs)\n",
-    })
-    fresh = new_findings(lint_determinism(root3), baseline)
-    assert [f.code for f in fresh] == ["D101"] and "g" in fresh[0].message
-
-
-def test_load_baseline_missing_file_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == set()
+    assert "naked" in found[0].message
 
 
 # ----------------------------------------------------------- the repository
 
 
-def test_repository_tree_is_clean_against_committed_baseline():
-    found = lint_determinism(PACKAGE_ROOT)
-    baseline = load_baseline(PACKAGE_ROOT / "verify" / "determinism_baseline.json")
-    assert new_findings(found, baseline) == []
+def test_repository_tree_is_determinism_clean():
+    """Every intentional finding carries an inline ``# det:`` waiver."""
+    assert lint_tree(PACKAGE_ROOT) == []
 
 
 def test_reseeded_pr3_purity_bug_is_caught(tmp_path):
@@ -261,8 +229,7 @@ def test_reseeded_pr3_purity_bug_is_caught(tmp_path):
         ),
         encoding="utf-8",
     )
-    baseline = load_baseline(dst / "verify" / "determinism_baseline.json")
-    fresh = new_findings(lint_determinism(dst), baseline)
+    fresh = lint_tree(dst)
     assert [f.code for f in fresh] == ["D106"]
     assert "transfer.py" in fresh[0].subject
 
@@ -284,7 +251,7 @@ def test_callgraph_reachability_follows_callbacks(tmp_path):
             "    pass\n"
         ),
     })
-    graph = callgraph.CallGraph.build(root)
+    graph = callgraph.CallGraph.build(load_package(root))
     keys = graph.reachable(["Executor._launch"])
     names = {k.split(":", 1)[1].rsplit(".", 1)[-1] for k in keys}
     assert {"_launch", "_complete", "helper"} <= names
@@ -296,7 +263,7 @@ def test_syntax_error_files_are_skipped(tmp_path):
         "runtime/bad.py": "def broken(:\n",
         "runtime/good.py": "def fine():\n    return id(fine)\n",
     })
-    found = lint_determinism(root)
+    found = lint_tree(root)
     assert codes(found) == ["D101"]  # bad.py skipped, L000 is lint's job
 
 
@@ -305,7 +272,7 @@ def test_all_five_scopes_are_scanned(tmp_path, scope):
     root = make_tree(tmp_path / scope, {
         f"{scope}/x.py": "def f(xs):\n    return id(xs)\n",
     })
-    assert codes(lint_determinism(root)) == ["D101"]
+    assert codes(lint_tree(root)) == ["D101"]
 
 
 def test_out_of_scope_trees_are_ignored(tmp_path):
@@ -313,4 +280,4 @@ def test_out_of_scope_trees_are_ignored(tmp_path):
         "verify/x.py": "def f(xs):\n    return id(xs)\n",
         "topology/y.py": "def f(xs):\n    return id(xs)\n",
     })
-    assert lint_determinism(root) == []
+    assert lint_tree(root) == []

@@ -2,10 +2,15 @@
 
 from pathlib import Path
 
-from repro.verify.determinism import load_baseline, new_findings
+from repro.verify.base import load_package
 from repro.verify.reclaim import lint_reclamation
 
 PACKAGE_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def lint_tree(root: Path):
+    """The reclamation pass over the package tree at ``root``."""
+    return lint_reclamation(load_package(root))
 
 
 def make_tree(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -17,7 +22,7 @@ def make_tree(tmp_path: Path, files: dict[str, str]) -> Path:
 
 
 def codes(findings) -> list[str]:
-    return sorted(f.finding.code for f in findings)
+    return sorted(f.code for f in findings)
 
 
 # ------------------------------------------------------------------- M101a
@@ -31,9 +36,9 @@ def test_m101a_read_of_cleared_field_after_complete(tmp_path):
             "    return task.successors\n"
         ),
     })
-    found = lint_reclamation(root)
+    found = lint_tree(root)
     assert codes(found) == ["M101"]
-    assert "successors" in found[0].finding.message
+    assert "successors" in found[0].message
 
 
 def test_m101a_read_before_complete_is_clean(tmp_path):
@@ -45,7 +50,7 @@ def test_m101a_read_before_complete_is_clean(tmp_path):
             "    return succ\n"
         ),
     })
-    assert lint_reclamation(root) == []
+    assert lint_tree(root) == []
 
 
 def test_m101a_uncleared_field_after_complete_is_clean(tmp_path):
@@ -56,7 +61,7 @@ def test_m101a_uncleared_field_after_complete_is_clean(tmp_path):
             "    return task.uid\n"
         ),
     })
-    assert lint_reclamation(root) == []
+    assert lint_tree(root) == []
 
 
 def test_m101a_only_the_completed_variable_is_tracked(tmp_path):
@@ -67,7 +72,7 @@ def test_m101a_only_the_completed_variable_is_tracked(tmp_path):
             "    return other.successors\n"
         ),
     })
-    assert lint_reclamation(root) == []
+    assert lint_tree(root) == []
 
 
 # ------------------------------------------------------------------- M101b
@@ -82,7 +87,7 @@ def test_m101b_on_complete_reads_cleared_field(tmp_path):
             "            ctx.wake(succ)\n"
         ),
     })
-    found = lint_reclamation(root)
+    found = lint_tree(root)
     assert codes(found) == ["M101"]
 
 
@@ -96,9 +101,9 @@ def test_m101b_follows_one_call_hop(tmp_path):
             "        return len(task.accesses)\n"
         ),
     })
-    found = lint_reclamation(root)
+    found = lint_tree(root)
     assert codes(found) == ["M101"]
-    assert "accesses" in found[0].finding.message
+    assert "accesses" in found[0].message
 
 
 def test_m101b_safe_fields_in_on_complete_are_clean(tmp_path):
@@ -110,7 +115,7 @@ def test_m101b_safe_fields_in_on_complete_are_clean(tmp_path):
             "        self.flops += task.flops\n"
         ),
     })
-    assert lint_reclamation(root) == []
+    assert lint_tree(root) == []
 
 
 # -------------------------------------------------------------------- M102
@@ -123,7 +128,7 @@ def test_m102_unguarded_graph_tasks_read(tmp_path):
             "    return len(graph.tasks)\n"
         ),
     })
-    found = lint_reclamation(root)
+    found = lint_tree(root)
     assert codes(found) == ["M102"]
 
 
@@ -134,7 +139,7 @@ def test_m102_retained_only_method_call(tmp_path):
             "    task_graph.critical_path_priorities()\n"
         ),
     })
-    assert codes(lint_reclamation(root)) == ["M102"]
+    assert codes(lint_tree(root)) == ["M102"]
 
 
 def test_m102_if_guard_dominates(tmp_path):
@@ -146,7 +151,7 @@ def test_m102_if_guard_dominates(tmp_path):
             "    return -1\n"
         ),
     })
-    assert lint_reclamation(root) == []
+    assert lint_tree(root) == []
 
 
 def test_m102_early_raise_guard_dominates_the_rest(tmp_path):
@@ -159,7 +164,7 @@ def test_m102_early_raise_guard_dominates_the_rest(tmp_path):
             "    return len(graph.tasks)\n"
         ),
     })
-    assert lint_reclamation(root) == []
+    assert lint_tree(root) == []
 
 
 def test_m102_try_except_taskgrapherror_dominates(tmp_path):
@@ -173,7 +178,7 @@ def test_m102_try_except_taskgrapherror_dominates(tmp_path):
             "        return -1\n"
         ),
     })
-    assert lint_reclamation(root) == []
+    assert lint_tree(root) == []
 
 
 def test_m102_unrelated_except_does_not_dominate(tmp_path):
@@ -186,7 +191,7 @@ def test_m102_unrelated_except_does_not_dominate(tmp_path):
             "        return -1\n"
         ),
     })
-    assert codes(lint_reclamation(root)) == ["M102"]
+    assert codes(lint_tree(root)) == ["M102"]
 
 
 def test_m102_non_graph_receiver_is_ignored(tmp_path):
@@ -196,7 +201,7 @@ def test_m102_non_graph_receiver_is_ignored(tmp_path):
             "    return len(pool.tasks)\n"
         ),
     })
-    assert lint_reclamation(root) == []
+    assert lint_tree(root) == []
 
 
 def test_m102_dataflow_module_is_exempt(tmp_path):
@@ -208,7 +213,7 @@ def test_m102_dataflow_module_is_exempt(tmp_path):
             "        return len(graph.tasks)\n"
         ),
     })
-    assert lint_reclamation(root) == []
+    assert lint_tree(root) == []
 
 
 # --------------------------------------------------------- waivers & repo
@@ -221,10 +226,8 @@ def test_det_waiver_silences_reclaim_findings(tmp_path):
             "    return len(graph.tasks)  # det: examples only pass retained graphs\n"
         ),
     })
-    assert lint_reclamation(root) == []
+    assert lint_tree(root) == []
 
 
 def test_repository_tree_is_reclamation_clean():
-    found = lint_reclamation(PACKAGE_ROOT)
-    baseline = load_baseline(PACKAGE_ROOT / "verify" / "determinism_baseline.json")
-    assert new_findings(found, baseline) == []
+    assert lint_tree(PACKAGE_ROOT) == []
