@@ -6,7 +6,8 @@ Beyond the paper's own ablation (Fig. 3 / Table II, covered by
 * eviction policy (XKaapi read-only-first vs LRU vs BLASX two-level) under
   memory pressure;
 * copy/compute overlap (XKaapi streams) vs same-stream serialization;
-* scheduler (locality work stealing vs DMDAS vs round-robin) on SYR2K;
+* scheduler (locality work stealing vs DMDAS vs cuBLAS-XT's blind cyclic
+  owner-computes) on SYR2K;
 * the shared-PCIe-switch contention model vs private host links;
 * the optimistic heuristic on a Summit-like node (the paper's §III-C
   prediction that its gain vanishes there).
@@ -20,6 +21,7 @@ from repro import Runtime, RuntimeOptions
 from repro.bench.harness import run_point
 from repro.blas.tiled import build_gemm, build_syr2k
 from repro.blas.params import Trans, Uplo
+from repro.libraries import make_library
 from repro.memory.matrix import Matrix
 from repro.runtime.policies import SourcePolicy
 from repro.topology.device import GpuSpec
@@ -81,20 +83,24 @@ def test_ablation_copy_compute_overlap(benchmark, dgx1):
 
 def test_ablation_scheduler_on_syr2k(benchmark, dgx1):
     """Scheduler comparison on the paper's problem routine: DMDAS and
-    locality work stealing should both beat blind round-robin."""
+    locality work stealing should both beat blind cyclic placement, i.e.
+    owner-computes on cuBLAS-XT's row-major cyclic owner hints."""
+    cyclic = make_library("cublas-xt", dgx1)
 
     def one(scheduler):
         rt = Runtime(dgx1, RuntimeOptions(scheduler=scheduler))
         a, b, c = (Matrix.meta(N, N, name=x) for x in "ABC")
         pa, pb, pc = (rt.partition(m, NB) for m in (a, b, c))
         for t in build_syr2k(Uplo.LOWER, Trans.NOTRANS, 1.0, pa, pb, 0.0, pc):
+            if scheduler == "owner-computes":
+                t.owner_hint = cyclic._owner_hint(t, pc.shape)
             rt.submit(t)
         rt.memory_coherent_async(c, NB)
         return rt.sync()
 
     def run():
         return {
-            s: one(s) for s in ("xkaapi-locality-ws", "starpu-dmdas", "round-robin")
+            s: one(s) for s in ("xkaapi-locality-ws", "starpu-dmdas", "owner-computes")
         }
 
     times = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -102,8 +108,8 @@ def test_ablation_scheduler_on_syr2k(benchmark, dgx1):
     for k, v in times.items():
         print(f"  scheduler={k:20s} makespan={v:.3f}s")
     benchmark.extra_info["makespans"] = times
-    assert times["xkaapi-locality-ws"] < times["round-robin"]
-    assert times["starpu-dmdas"] < times["round-robin"]
+    assert times["xkaapi-locality-ws"] < times["owner-computes"]
+    assert times["starpu-dmdas"] < times["owner-computes"]
 
 
 def test_ablation_pcie_switch_contention(benchmark):

@@ -16,10 +16,10 @@ from repro.bench.harness import (
     BestTileResult,
     ExperimentResult,
     best_over_tiles,
+    best_tiles,
     dod_tile_size,
     fmt_cell,
     run_point,
-    safe_point,
     tile_specs,
 )
 from repro.bench.workloads import matrices_for, paper_sizes
@@ -33,6 +33,7 @@ __all__ = [
     "PointCache",
     "SweepExecutor",
     "best_over_tiles",
+    "best_tiles",
     "code_fingerprint",
     "default_executor",
     "dod_tile_size",
@@ -40,7 +41,6 @@ __all__ = [
     "matrices_for",
     "paper_sizes",
     "run_point",
-    "safe_point",
     "set_default_executor",
     "tile_specs",
 ]

@@ -174,9 +174,6 @@ class SweepExecutor:
         # Submission order, including for the cached prefix.
         return {spec: results[spec] for spec in ordered}
 
-    def evaluate_one(self, spec: CellSpec) -> CellOutcome:
-        return self.evaluate([spec])[spec]
-
     async def evaluate_async(
         self, specs: Iterable[CellSpec]
     ) -> dict[CellSpec, CellOutcome]:

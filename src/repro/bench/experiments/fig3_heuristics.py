@@ -14,13 +14,8 @@ topo" (both disabled).  Shape criteria from the paper (§IV-B, Table II):
 from __future__ import annotations
 
 from repro.bench.cellspec import PlatformHandle
-from repro.bench.executor import SweepExecutor, default_executor
-from repro.bench.harness import (
-    ExperimentResult,
-    best_over_tiles,
-    series_to_rows,
-    tile_specs,
-)
+from repro.bench.executor import SweepExecutor
+from repro.bench.harness import ExperimentResult, best_tiles, every_point, series_to_rows
 from repro.bench.workloads import paper_sizes
 
 ROUTINES = ("gemm", "syr2k", "trsm")
@@ -39,34 +34,21 @@ def run(
     routines: tuple[str, ...] | None = None,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
-    ex = executor if executor is not None else default_executor()
     sizes = sizes if sizes is not None else paper_sizes(fast)
     if routines is None:
         # TRSM's heuristic gains live at the small/large ends of the full
         # sweep; the 3-point fast subset misrepresents it, so fast mode keeps
         # the two unambiguous routines (run the full sweep for all three).
         routines = ("gemm", "syr2k") if fast else ROUTINES
-    # Enumerate every cell up front and submit one batch: the executor
-    # parallelizes across the whole figure and deduplicates cells shared
-    # with other experiments, instead of walking point by point.
-    ex.evaluate(
-        [
-            spec
-            for routine in routines
-            for curve in CURVES
-            for n in sizes
-            for spec in tile_specs(curve, routine, n, platform, fast=fast)
-        ]
-    )
-    series: dict[str, dict[int, float | None]] = {}
-    for routine in routines:
-        for curve in CURVES:
-            key = f"{routine}/{curve}"
-            series[key] = {}
-            for n in sizes:
-                series[key][n] = best_over_tiles(
-                    curve, routine, n, platform, fast=fast, executor=ex
-                ).tflops
+    best = every_point(best_tiles(
+        [(curve, routine, n, "host") for routine in routines for curve in CURVES for n in sizes],
+        platform, fast=fast, executor=executor,
+    ))
+    series = {
+        f"{routine}/{curve}": {n: best[curve, routine, n, "host"].tflops for n in sizes}
+        for routine in routines
+        for curve in CURVES
+    }
 
     checks: dict[str, bool] = {}
     for routine in routines:

@@ -14,13 +14,8 @@ Chameleon Tile and cuBLAS-XT as references.  Shape criteria (§IV-C):
 from __future__ import annotations
 
 from repro.bench.cellspec import PlatformHandle
-from repro.bench.executor import SweepExecutor, default_executor
-from repro.bench.harness import (
-    ExperimentResult,
-    best_over_tiles,
-    series_to_rows,
-    tile_specs,
-)
+from repro.bench.executor import SweepExecutor
+from repro.bench.harness import ExperimentResult, best_tiles, every_point, series_to_rows
 from repro.bench.workloads import paper_sizes
 
 ROUTINES = ("gemm", "syr2k", "trsm")
@@ -41,31 +36,21 @@ def run(
     routines: tuple[str, ...] = ROUTINES,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
-    ex = executor if executor is not None else default_executor()
     sizes = sizes if sizes is not None else paper_sizes(fast)
-    ex.evaluate(
+    best = every_point(best_tiles(
         [
-            spec
+            (lib, routine, n, scenario)
             for routine in routines
             for _, lib, scenario in CURVES
             for n in sizes
-            for spec in tile_specs(
-                lib, routine, n, platform, scenario=scenario,
-                fast=fast if scenario == "host" else False,
-            )
-        ]
-    )
-    series: dict[str, dict[int, float | None]] = {}
-    for routine in routines:
-        for suffix, lib, scenario in CURVES:
-            series[f"{routine}/{suffix}"] = {
-                n: best_over_tiles(
-                    lib, routine, n, platform, scenario=scenario,
-                    fast=fast if scenario == "host" else False,
-                    executor=ex,
-                ).tflops
-                for n in sizes
-            }
+        ],
+        platform, fast=fast, executor=executor,
+    ))
+    series = {
+        f"{routine}/{suffix}": {n: best[lib, routine, n, scenario].tflops for n in sizes}
+        for routine in routines
+        for suffix, lib, scenario in CURVES
+    }
 
     checks: dict[str, bool] = {}
     for routine in routines:

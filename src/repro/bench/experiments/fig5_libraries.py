@@ -15,8 +15,8 @@ The paper's headline comparison.  Shape criteria (§IV-D):
 from __future__ import annotations
 
 from repro.bench.cellspec import PlatformHandle
-from repro.bench.executor import SweepExecutor, default_executor
-from repro.bench.harness import ExperimentResult, safe_point, series_to_rows, tile_specs
+from repro.bench.executor import SweepExecutor
+from repro.bench.harness import ExperimentResult, best_tiles, series_to_rows
 from repro.bench.workloads import paper_sizes
 from repro.libraries.registry import FIG5_LIBRARIES
 
@@ -31,28 +31,22 @@ def run(
     libraries: tuple[str, ...] = FIG5_LIBRARIES,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
-    ex = executor if executor is not None else default_executor()
     sizes = sizes if sizes is not None else paper_sizes(fast)
     routines = routines if routines is not None else (("gemm", "syr2k") if fast else ROUTINES)
-    ex.evaluate(
-        [
-            spec
-            for routine in routines
-            for lib in libraries
-            for n in sizes
-            for spec in tile_specs(lib, routine, n, platform, fast=fast)
-        ]
-    )
     notes = [
         "missing points ('-') = routine unsupported or allocation failure,"
         " matching the paper's missing curves",
     ]
+    best = best_tiles(
+        [(lib, routine, n, "host") for routine in routines for lib in libraries for n in sizes],
+        platform, fast=fast, executor=executor, notes=notes,
+    )
     series: dict[str, dict[int, float | None]] = {}
     for routine in routines:
         for lib in libraries:
+            found = {n: best[lib, routine, n, "host"] for n in sizes}
             series[f"{routine}/{lib}"] = {
-                n: safe_point(lib, routine, n, platform, notes=notes, fast=fast, executor=ex)
-                for n in sizes
+                n: None if point is None else point.tflops for n, point in found.items()
             }
 
     checks: dict[str, bool] = {}

@@ -16,8 +16,8 @@ percentages (our substrate is a simulator, §IV-A of DESIGN.md).
 from __future__ import annotations
 
 from repro.bench.cellspec import PlatformHandle
-from repro.bench.executor import SweepExecutor, default_executor
-from repro.bench.harness import ExperimentResult, best_over_tiles, tile_specs
+from repro.bench.executor import SweepExecutor
+from repro.bench.harness import ExperimentResult, best_tiles, every_point
 from repro.bench.workloads import paper_sizes
 
 ROUTINES = ("gemm", "syr2k", "trsm")
@@ -46,52 +46,26 @@ def run(
     sizes: tuple[int, ...] | None = None,
     executor: SweepExecutor | None = None,
 ) -> ExperimentResult:
-    ex = executor if executor is not None else default_executor()
     all_sizes = sizes if sizes is not None else paper_sizes(fast)
     sizes = tuple(n for n in all_sizes if n >= THRESHOLD)
-    # One up-front batch for the whole table; the host-scenario cells are
-    # the same cells Fig. 3 sweeps, so in an ``all`` run they are cache hits
-    # here, not re-simulations.
-    ex.evaluate(
+    # The host-scenario points are the points Fig. 3 sweeps, so in an
+    # ``all`` run their cells are memo hits here, not re-simulations.
+    best = every_point(best_tiles(
         [
-            spec
+            (lib, routine, n, scenario)
             for routine in ROUTINES
             for lib, scenario in VARIANTS
             for n in sizes
-            for spec in tile_specs(
-                lib, routine, n, platform, scenario=scenario,
-                fast=fast if scenario == "host" else False,
-            )
-        ]
-    )
+        ],
+        platform, fast=fast, executor=executor,
+    ))
     rows = []
     measured: dict[str, tuple[float, float, float]] = {}
     for routine in ROUTINES:
-        base = {
-            n: best_over_tiles(
-                "xkblas", routine, n, platform, fast=fast, executor=ex
-            ).tflops
-            for n in sizes
-        }
-        dod = {
-            n: best_over_tiles(
-                "xkblas", routine, n, platform, scenario="device", executor=ex
-            ).tflops
-            for n in sizes
-        }
-        noheur = {
-            n: best_over_tiles(
-                "xkblas-no-heuristic", routine, n, platform, fast=fast, executor=ex
-            ).tflops
-            for n in sizes
-        }
-        notopo = {
-            n: best_over_tiles(
-                "xkblas-no-heuristic-no-topo", routine, n, platform, fast=fast,
-                executor=ex,
-            ).tflops
-            for n in sizes
-        }
+        base, dod, noheur, notopo = (
+            {n: best[lib, routine, n, scenario].tflops for n in sizes}
+            for lib, scenario in VARIANTS
+        )
         gain_dod = max((dod[n] - base[n]) / base[n] for n in sizes) * 100
         loss_noheur = min((noheur[n] - base[n]) / base[n] for n in sizes) * 100
         loss_notopo = min((notopo[n] - base[n]) / base[n] for n in sizes) * 100

@@ -1,13 +1,14 @@
 """Measurement harness.
 
 ``run_point`` executes one (library, routine, N, nb, scenario) cell on a
-platform; ``best_over_tiles`` applies the paper's §IV-A methodology — "we only
+platform; ``best_tiles`` applies the paper's §IV-A methodology — "we only
 report results with a tile size that maximizes performance among the
 experimented tile sizes (1024, 2048, 4096) for each matrix dimension and
 library", extended up to 16384 for cuBLAS-XT and SLATE.
 
-Every best-tile search runs over :class:`~repro.bench.cellspec.PlatformHandle`
-cells through the sweep executor — an in-process memo plus optional worker
+``best_tiles`` is the one best-tile search: it evaluates every cell of a
+batch of points, over :class:`~repro.bench.cellspec.PlatformHandle` cells,
+in one call to the sweep executor — an in-process memo plus optional worker
 pool and persistent cache (see :mod:`repro.bench.executor`).  ``run_point``
 simulates one cell in this process, uncached: the executor's worker entry,
 and the path for numeric runs, ``keep_runtime`` runs and hand-built
@@ -18,13 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from repro import config
-from repro.bench.cellspec import CellSpec, PlatformHandle, as_handle
+from repro.bench.cellspec import CellOutcome, CellSpec, PlatformHandle, as_handle
 from repro.bench.executor import SweepExecutor, default_executor
 from repro.bench.workloads import default_args, matrices_for
-from repro.errors import BenchmarkError, LibraryError
+from repro.errors import BenchmarkError
 from repro.libraries.base import LibraryResult
 from repro.libraries.registry import make_library
 from repro.topology.platform import Platform
@@ -61,20 +62,25 @@ def run_point(
     )
 
 
+#: One best-tile point: ``(library, routine, N, scenario)``.
+Point = tuple[str, str, int, str]
+
+
 @dataclasses.dataclass
 class BestTileResult:
-    """The best-performing tile size for one cell, per the paper's method."""
+    """The winning cell of one best-tile point, per the paper's method."""
 
-    result: LibraryResult
-    tried: dict[int, float]  # nb -> TFlop/s
+    spec: CellSpec
+    outcome: CellOutcome
+    tried: dict[int, float]  # nb -> TFlop/s of every cell that succeeded
 
     @property
     def nb(self) -> int:
-        return self.result.nb
+        return self.spec.nb
 
     @property
     def tflops(self) -> float:
-        return self.result.tflops
+        return self.outcome.tflops
 
 
 def tile_candidates(library: str, fast: bool = False) -> tuple[int, ...]:
@@ -84,6 +90,25 @@ def tile_candidates(library: str, fast: bool = False) -> tuple[int, ...]:
     if library in ("cublas-xt", "slate"):
         return config.PAPER_TILE_SIZES_EXTENDED
     return config.PAPER_TILE_SIZES
+
+
+def _tile_ladder(
+    library: str,
+    n: int,
+    handle: PlatformHandle,
+    scenario: str,
+    tiles: Sequence[int] | None,
+    fast: bool,
+) -> tuple[int, ...]:
+    """The candidate tile sizes of one point, before pruning."""
+    if tiles is not None:
+        return tuple(tiles)
+    if scenario == "device":
+        # §IV-C slackness rule plus a finer candidate for routines whose
+        # dependency structure needs more parallelism (TRSM pivots).
+        coarse = dod_tile_size(n, handle.gpus)
+        return tuple(dict.fromkeys((coarse, max(512, coarse // 2), 2048)))
+    return tile_candidates(library, fast=fast)
 
 
 def tile_specs(
@@ -97,19 +122,11 @@ def tile_specs(
 ) -> tuple[CellSpec, ...]:
     """The cells one best-tile point expands to (§IV-A tile-size sweep).
 
-    This is what lets experiments *enumerate* every cell up front and submit
-    one batch to the executor: the candidate set is a pure function of the
-    point, so enumeration and assembly agree by construction.
+    The candidate set is a pure function of the point, so a whole figure's
+    cells can be enumerated up front and evaluated as one batch.  ``fast``
+    only shrinks the data-on-host ladder; device cells follow §IV-C.
     """
     handle = as_handle(platform)
-    if tiles is None:
-        if scenario == "device":
-            # §IV-C slackness rule plus a finer candidate for routines whose
-            # dependency structure needs more parallelism (TRSM pivots).
-            coarse = dod_tile_size(n, handle.gpus)
-            tiles = tuple(dict.fromkeys((coarse, max(512, coarse // 2), 2048)))
-        else:
-            tiles = tile_candidates(library, fast=fast)
     # nb >= n yields no tiling; n/nb > 32 is pruned for tractability: tile
     # sizes yielding more than 32x32 output tiles never maximized performance
     # in our sweeps (kernel efficiency drops and runtime overhead grows), and
@@ -119,28 +136,85 @@ def tile_specs(
             library=library, routine=routine, n=n, nb=nb,
             scenario=scenario, platform=handle,
         )
-        for nb in tiles
+        for nb in _tile_ladder(library, n, handle, scenario, tiles, fast)
         if nb < n and n / nb <= 32
     )
 
 
-def result_from_outcome(spec: CellSpec, outcome) -> LibraryResult:
-    """Rebuild a (runtime-free) :class:`LibraryResult` from a cached outcome;
-    deterministic library failures re-raise as the original error kind."""
-    if not outcome.ok:
-        raise LibraryError(outcome.error or f"{spec.library} failed")
-    k = spec.n if spec.k is None else spec.k
-    return LibraryResult(
-        library=spec.library,
-        routine=spec.routine,
-        m=spec.n,
-        n=spec.n,
-        k=k,
-        nb=spec.nb,
-        seconds=outcome.seconds,
-        flops=outcome.flops,
-        scenario=spec.scenario,
-    )
+Cell = TypeVar("Cell")
+
+
+def pick_best(cells: Iterable[Cell]) -> Cell | None:
+    """The first strict maximum of ``tflops`` over the cells that succeeded.
+
+    Cells are ranked in the order given, so a tie keeps the earlier one.
+    Anything with ``ok`` and ``tflops`` ranks: the harness's executor
+    outcomes and the tuning service's cell reports use this one rule.
+    """
+    best = None
+    for cell in cells:
+        if not cell.ok or cell.tflops is None:
+            continue
+        if best is None or cell.tflops > best.tflops:
+            best = cell
+    return best
+
+
+def best_tiles(
+    points: Iterable[Point],
+    platform: PlatformHandle | None = None,
+    *,
+    fast: bool = False,
+    tiles: Sequence[int] | None = None,
+    executor: SweepExecutor | None = None,
+    notes: list[str] | None = None,
+) -> dict[Point, BestTileResult | None]:
+    """Each point's best tile size, from one executor batch (§IV-A).
+
+    Every point expands to its :func:`tile_specs` cells, all cells of all
+    points are evaluated in one :meth:`SweepExecutor.evaluate` call, and each
+    point keeps :func:`pick_best` of its own cells in enumeration order.
+    A point maps to ``None`` when none of its cells succeeds (unsupported
+    routine, BLASX allocation failure: the paper's missing points) or when
+    it admits no tile size; the latter is recorded in ``notes``, if given,
+    so the missing point stays visible on the figure.
+    """
+    handle = as_handle(platform)
+    cells: dict[Point, tuple[CellSpec, ...]] = {}
+    for library, routine, n, scenario in points:
+        cells[library, routine, n, scenario] = tile_specs(
+            library, routine, n, handle, scenario=scenario, tiles=tiles, fast=fast
+        )
+    ex = executor if executor is not None else default_executor()
+    outcomes = ex.evaluate(spec for specs in cells.values() for spec in specs)
+    best: dict[Point, BestTileResult | None] = {}
+    for point, specs in cells.items():
+        library, routine, n, scenario = point
+        if not specs and notes is not None:
+            ladder = _tile_ladder(library, n, handle, scenario, tiles, fast)
+            notes.append(
+                f"skipped {library}/{routine} N={n}: no admissible tile size"
+                f" among {ladder} (needs nb < N and N/nb <= 32)"
+            )
+        ranked = {spec: outcomes[spec] for spec in specs}
+        winner = pick_best(ranked.values())
+        best[point] = None if winner is None else BestTileResult(
+            spec=next(s for s, o in ranked.items() if o is winner),
+            outcome=winner,
+            tried={s.nb: o.tflops for s, o in ranked.items() if o.ok},
+        )
+    return best
+
+
+def every_point(
+    best: dict[Point, BestTileResult | None],
+) -> dict[Point, BestTileResult]:
+    """``best`` for a figure whose checks need every point: a missing point
+    (no admissible tile, or no cell succeeded) is a :class:`BenchmarkError`."""
+    missing = [point for point, found in best.items() if found is None]
+    if missing:
+        raise BenchmarkError(f"no best tile size for {missing}")
+    return {point: found for point, found in best.items() if found is not None}
 
 
 def best_over_tiles(
@@ -152,34 +226,12 @@ def best_over_tiles(
     tiles: Sequence[int] | None = None,
     fast: bool = False,
     executor: SweepExecutor | None = None,
-) -> BestTileResult:
-    """Evaluate the cell at each candidate tile size and keep the fastest:
-    the first strict maximum over the cells that succeeded, the same rule
-    as the tuning service's ``pick_best``."""
-    specs = tile_specs(
-        library, routine, n, platform, scenario=scenario, tiles=tiles, fast=fast
-    )
-    if not specs:
-        raise BenchmarkError(f"no valid tile size among {tiles} for N={n}")
-    ex = executor if executor is not None else default_executor()
-    outcomes = ex.evaluate(specs)
-    tried: dict[int, float] = {}
-    best_spec: CellSpec | None = None
-    for spec in specs:
-        outcome = outcomes[spec]
-        if not outcome.ok:
-            continue
-        tried[spec.nb] = outcome.tflops
-        if best_spec is None or outcome.tflops > outcomes[best_spec].tflops:
-            best_spec = spec
-    if best_spec is None:
-        # Every tile failed the same deterministic way (unsupported routine,
-        # allocation failure); surface it as the library error it is.
-        first = outcomes[specs[0]]
-        raise LibraryError(first.error or f"{library} failed for N={n}")
-    return BestTileResult(
-        result=result_from_outcome(best_spec, outcomes[best_spec]), tried=tried
-    )
+) -> BestTileResult | None:
+    """:func:`best_tiles` for one point."""
+    point = (library, routine, n, scenario)
+    return best_tiles(
+        [point], platform, fast=fast, tiles=tiles, executor=executor
+    )[point]
 
 
 @dataclasses.dataclass
@@ -240,28 +292,3 @@ def series_to_rows(
         rows.append(row)
     return rows
 
-
-def safe_point(
-    library: str,
-    routine: str,
-    n: int,
-    platform: PlatformHandle | None = None,
-    notes: list[str] | None = None,
-    **kw,
-) -> float | None:
-    """Best-tile TFlop/s, or ``None`` for the figure's missing points
-    (unsupported routines, BLASX allocation failures).
-
-    A :class:`BenchmarkError` — no valid tile size for this (N, tiles)
-    combination — also yields ``None`` instead of aborting the whole figure;
-    when ``notes`` is given, the skip is recorded there so the missing point
-    stays visible on the :class:`ExperimentResult`.
-    """
-    try:
-        return best_over_tiles(library, routine, n, platform, **kw).tflops
-    except LibraryError:
-        return None
-    except BenchmarkError as exc:
-        if notes is not None:
-            notes.append(f"skipped {library}/{routine} N={n}: {exc}")
-        return None

@@ -5,15 +5,13 @@ objects in a valid submission order; the caller (a simulated library) submits
 them to a runtime, whose dataflow builder derives the DAG.  Because builders
 are generators, a graph is never materialized unless someone asks: feeding
 one to :meth:`Runtime.submit_stream` keeps peak task residency bounded by the
-active window, while :func:`materialize_tasks` recovers the historical
-all-at-once list for callers that need the whole DAG (e.g. critical-path
-priority passes).  The algorithms are the PLASMA/Chameleon tile algorithms
-restated over LAPACK sub-matrix views — the paper's §III states XKBLAS's
-numerical algorithms "have the same behavior of those from PLASMA or
-Chameleon".
+active window, while ``list(build_*(...))`` gives callers that need the whole
+DAG (e.g. critical-path priority passes) the all-at-once list.  The
+algorithms are the PLASMA/Chameleon tile algorithms restated over LAPACK
+sub-matrix views — the paper's §III states XKBLAS's numerical algorithms
+"have the same behavior of those from PLASMA or Chameleon".
 """
 
-from repro.blas.tiled.common import materialize_tasks
 from repro.blas.tiled.gemm import build_gemm
 from repro.blas.tiled.symm import build_hemm, build_symm
 from repro.blas.tiled.syr2k import build_her2k, build_syr2k
@@ -31,5 +29,4 @@ __all__ = [
     "build_syrk",
     "build_trmm",
     "build_trsm",
-    "materialize_tasks",
 ]

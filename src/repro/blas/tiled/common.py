@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.blas.flops import KERNEL_REGULARITY
 from repro.errors import BlasValidationError
 from repro.memory.layout import TilePartition
@@ -49,17 +47,6 @@ def make_task(
             name.lstrip("dszc"), 1.0
         )
     return Task(name, accesses, flops, dim, kernel, regularity)
-
-
-def materialize_tasks(tasks: Iterable[Task]) -> list[Task]:
-    """Exhaust a builder generator into a list.
-
-    The ``build_*`` functions are lazy so million-task graphs can stream
-    through :meth:`Runtime.submit_stream` without ever existing all at once;
-    callers that want the historical list shape (tests, priority passes that
-    need the whole DAG) wrap the generator with this.
-    """
-    return list(tasks)
 
 
 def check_same_nb(*partitions: TilePartition) -> int:

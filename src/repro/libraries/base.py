@@ -18,7 +18,7 @@ synchronization gaps.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.blas import flops as fl
 from repro.blas.params import Diag, Side, Trans, Uplo
@@ -112,6 +112,10 @@ class SimulatedLibrary:
 
     def __init__(self, platform: Platform) -> None:
         self.platform = platform
+        #: the 2D block-cyclic tile owners over the platform's GPUs (§IV-C):
+        #: data-on-device placement, cuBLAS-MG's scatter, and the static
+        #: owners of cuBLAS-MG and SLATE.
+        self.distribution = BlockCyclicDistribution(*default_grid(platform.num_gpus))
 
     # ------------------------------------------------------------ overrides
 
@@ -249,44 +253,36 @@ class Session:
             list(matrices[:-1]), output
         )
         parts = [self.runtime.partition(m, nb) for m in matrices]
-        if scenario == "device" and self._calls == 0:
-            grid_p, grid_q = default_grid(self.library.platform.num_gpus)
-            dist = BlockCyclicDistribution(grid_p, grid_q)
+        # Data-on-device starts every operand on its 2D block-cyclic owner;
+        # cuBLAS-MG's phases scatter it there over PCIe, then barrier before
+        # the first kernel.
+        scatter = scenario == "host" and self.library.predistribute
+        if scatter or (scenario == "device" and self._calls == 0):
             for m in matrices:
                 self.runtime.distribute_2d_block_cyclic_async(
-                    m, nb, dist, upload=False
+                    m, nb, self.library.distribution, upload=scatter
                 )
-        elif scenario == "host" and self.library.predistribute:
-            # cuBLAS-MG phases: scatter every operand to its 2D block-cyclic
-            # owner over PCIe, then barrier before the first kernel.
-            grid_p, grid_q = default_grid(self.library.platform.num_gpus)
-            dist = BlockCyclicDistribution(grid_p, grid_q)
-            for m in matrices:
-                self.runtime.distribute_2d_block_cyclic_async(m, nb, dist, upload=True)
-            self.runtime.sync()
+            if scatter:
+                self.runtime.sync()
         return parts
 
     def _submit(self, routine: str, tasks: Iterable[Task], grid_shape, scenario: str,
                 output: Matrix, nb: int) -> None:
         lib = self.library
-        if self.runtime.options.streaming:
-            # Streaming intake: the builder generator is handed to the
-            # runtime unconsumed; owner hints are applied per task as it is
-            # pulled, so no task of the call is materialized ahead of its
-            # submission instant.
-            def hinted() -> Iterable[Task]:
-                for task in tasks:
-                    hint = lib._owner_hint(task, grid_shape)
-                    if hint is not None:
-                        task.owner_hint = hint
-                    yield task
 
-            self.runtime.submit_stream(hinted())
-        else:
+        # Owner hints are applied per task as it is pulled, so a streaming
+        # runtime still materializes no task ahead of its submission instant.
+        def hinted() -> Iterator[Task]:
             for task in tasks:
                 hint = lib._owner_hint(task, grid_shape)
                 if hint is not None:
                     task.owner_hint = hint
+                yield task
+
+        if self.runtime.options.streaming:
+            self.runtime.submit_stream(hinted())
+        else:
+            for task in hinted():
                 self.runtime.submit(task)
         self._calls += 1
         self._outputs.append((output, nb))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.libraries.base import SimulatedLibrary
 from repro.memory.cache import LruPolicy
-from repro.memory.layout import default_grid
 from repro.runtime.api import RuntimeOptions
 from repro.runtime.policies import SourcePolicy
 from repro.runtime.task import Task
@@ -38,7 +37,6 @@ class CublasMg(SimulatedLibrary):
         )
 
     def _owner_hint(self, task: Task, grid_shape: tuple[int, int]) -> int | None:
-        """2D block-cyclic ownership of the output tile over a (p, q) grid."""
+        """2D block-cyclic ownership of the output tile."""
         out = task.output_tile
-        p, q = default_grid(self.platform.num_gpus)
-        return (out.i % p) * q + (out.j % q)
+        return self.distribution.owner(out.i, out.j)

@@ -12,7 +12,7 @@ The paper's two heuristics live here, in the transfer manager
 The rest of the subpackage is the substrate the heuristics plug into: task
 graphs derived from data access modes, per-device workers with XKaapi's
 stream-per-operation-type model, schedulers (locality work stealing, DMDAS,
-owner-computes, round-robin), and the asynchronous user API.
+owner-computes), and the asynchronous user API.
 """
 
 from repro.runtime.access import Access, AccessMode

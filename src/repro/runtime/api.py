@@ -52,7 +52,7 @@ class RuntimeOptions:
     #: transfer source-selection policy — the paper's ablation axis.
     source_policy: SourcePolicy = SourcePolicy.TOPOLOGY_OPTIMISTIC
     #: scheduler name (see :data:`repro.runtime.scheduler.SCHEDULERS`):
-    #: "xkaapi-locality-ws", "starpu-dmdas", "owner-computes", "round-robin".
+    #: "xkaapi-locality-ws", "starpu-dmdas", "owner-computes".
     scheduler: str = "xkaapi-locality-ws"
     #: eviction policy name (see :data:`repro.memory.cache.POLICIES`).
     eviction: str = ReadOnlyFirstPolicy.name

@@ -8,9 +8,8 @@
   (deque model data aware, sorted), used by Chameleon (§IV-A).
 * :class:`~repro.runtime.scheduler.owner_computes.OwnerComputesScheduler` —
   strict owner-computes from each task's owner hint (the static
-  distributions of cuBLAS-XT, cuBLAS-MG and SLATE).
-* :class:`~repro.runtime.scheduler.round_robin.RoundRobinScheduler` — static
-  cyclic assignment of output blocks (cuBLAS-XT's behaviour).
+  distributions of cuBLAS-XT, cuBLAS-MG and SLATE; cuBLAS-XT's hints deal
+  output blocks to GPUs cyclically).
 
 :data:`SCHEDULERS` maps each policy's name (``RuntimeOptions.scheduler``) to
 its constructor.
@@ -22,13 +21,11 @@ from repro.runtime.scheduler.base import Scheduler
 from repro.runtime.scheduler.dmdas import DmdaScheduler
 from repro.runtime.scheduler.locality_ws import LocalityWorkStealing
 from repro.runtime.scheduler.owner_computes import OwnerComputesScheduler
-from repro.runtime.scheduler.round_robin import RoundRobinScheduler
 
 SCHEDULERS: dict[str, Callable[[int], Scheduler]] = {
     LocalityWorkStealing.name: LocalityWorkStealing,
     DmdaScheduler.name: DmdaScheduler,
     OwnerComputesScheduler.name: OwnerComputesScheduler,
-    RoundRobinScheduler.name: RoundRobinScheduler,
 }
 
 __all__ = [
@@ -36,6 +33,5 @@ __all__ = [
     "DmdaScheduler",
     "LocalityWorkStealing",
     "OwnerComputesScheduler",
-    "RoundRobinScheduler",
     "Scheduler",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 from typing import AsyncIterator, Callable
 
+from repro.bench.harness import pick_best
 from repro.tuning.service import protocol
 from repro.tuning.service.protocol import (
     CellReport,
@@ -106,7 +107,7 @@ class TuningClient:
                 simulated = int(event.get("simulated", 0))
         return TuneReply(
             cells=tuple(cells),
-            best=protocol.pick_best(cells),
+            best=pick_best(cells),
             simulated=simulated,
         )
 

@@ -223,18 +223,6 @@ def report_from_outcome(
     )
 
 
-def pick_best(cells: tuple[CellReport, ...] | list[CellReport]) -> CellReport | None:
-    """First strict maximum over ok cells, in enumeration order — the same
-    rule as :func:`repro.bench.harness.best_over_tiles`."""
-    best: CellReport | None = None
-    for cell in cells:
-        if not cell.ok or cell.tflops is None:
-            continue
-        if best is None or cell.tflops > best.tflops:
-            best = cell
-    return best
-
-
 @dataclasses.dataclass(frozen=True)
 class TuneReply:
     """The assembled answer to one :class:`TuneQuery`."""

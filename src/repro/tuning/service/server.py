@@ -32,6 +32,7 @@ from typing import AsyncIterator, Awaitable, Callable
 
 from repro.bench.cellspec import CellOutcome, CellSpec
 from repro.bench.executor import SweepExecutor
+from repro.bench.harness import pick_best
 from repro.errors import BenchmarkError, ReproError
 from repro.tuning.service import protocol
 from repro.tuning.service.protocol import TuneQuery
@@ -145,7 +146,7 @@ class TuningService:
             report = protocol.report_from_outcome(spec, outcome, source)
             reports.append(report)
             yield {"event": "cell", "cell": report.to_json()}
-        best = protocol.pick_best(reports)
+        best = pick_best(reports)
         yield {
             "event": "result",
             "best": best.to_json() if best is not None else None,
@@ -163,7 +164,7 @@ class TuningService:
             else:
                 simulated = event["simulated"]
         return protocol.TuneReply(
-            cells=tuple(cells), best=protocol.pick_best(cells), simulated=simulated
+            cells=tuple(cells), best=pick_best(cells), simulated=simulated
         )
 
     # ------------------------------------------------------------- batching

@@ -51,7 +51,7 @@ def test_deterministic_failures_become_outcomes():
     spec = CellSpec(library="blasx", routine="syrk", n=4096, nb=1024,
                     platform=HANDLE)
     with SweepExecutor(jobs=1) as ex:
-        outcome = ex.evaluate_one(spec)
+        outcome = ex.evaluate([spec])[spec]
     assert outcome.ok is False
     assert outcome.error
 
@@ -72,7 +72,7 @@ def test_executor_matches_direct_run_point():
     with SweepExecutor(jobs=1) as ex:
         spec = CellSpec(library="xkblas", routine="gemm", n=4096, nb=1024,
                         platform=HANDLE)
-        cached = ex.evaluate_one(spec)
+        cached = ex.evaluate([spec])[spec]
     assert cached.seconds == direct.seconds
     assert cached.tflops == direct.tflops
 

@@ -9,9 +9,9 @@ from repro.bench.harness import (
     BestTileResult,
     ExperimentResult,
     best_over_tiles,
+    best_tiles,
     dod_tile_size,
     run_point,
-    safe_point,
     series_to_rows,
     tile_candidates,
     tile_specs,
@@ -101,28 +101,45 @@ def test_best_over_tiles_picks_the_fastest(plat):
     assert set(best.tried) == {1024, 2048}
     assert best.tflops == max(best.tried.values())
     assert best.nb in best.tried
+    assert best.spec.nb == best.nb and best.outcome.ok
 
 
 def test_best_over_tiles_prunes_oversized_and_overfine(plat):
-    # nb >= n pruned entirely -> error when nothing remains
-    with pytest.raises(BenchmarkError):
-        best_over_tiles("xkblas", "gemm", 512, plat, tiles=(1024,))
+    # nb >= n pruned entirely -> a missing point when nothing remains
+    assert best_over_tiles("xkblas", "gemm", 512, plat, tiles=(1024,)) is None
     # n/nb > 32 pruned for tractability
     best = best_over_tiles("xkblas", "gemm", 40960, plat, tiles=(1024, 2048))
     assert 1024 not in best.tried
 
 
-def test_safe_point_returns_none_for_unsupported(plat):
-    assert safe_point("blasx", "syrk", 4096, plat, tiles=(1024,)) is None
-    assert safe_point("xkblas", "gemm", 4096, plat, tiles=(1024,)) is not None
+def test_best_tiles_unsupported_routine_is_a_missing_point(plat):
+    unsupported, supported = ("blasx", "syrk", 4096, "host"), ("xkblas", "gemm", 4096, "host")
+    best = best_tiles([unsupported, supported], plat, tiles=(1024,))
+    assert list(best) == [unsupported, supported]
+    assert best[unsupported] is None
+    assert best[supported] is not None
 
 
-def test_safe_point_records_benchmark_skip():
+def test_best_tiles_notes_a_point_with_no_admissible_tile():
     # No valid tile size (nb >= n prunes everything): the point is skipped,
-    # not fatal, and the skip lands in the caller's notes.
+    # not fatal, and the skip lands in the caller's notes, naming the
+    # candidates it pruned, for the default ladder too.
     notes: list[str] = []
-    assert safe_point("xkblas", "gemm", 512, tiles=(1024,), notes=notes) is None
-    assert notes and notes[0].startswith("skipped xkblas/gemm N=512")
+    point = ("xkblas", "gemm", 512, "host")
+    assert best_tiles([point], notes=notes) == {point: None}
+    assert best_tiles([point], tiles=(1024,), notes=notes) == {point: None}
+    assert notes[0].startswith("skipped xkblas/gemm N=512")
+    assert "among (1024, 2048, 4096)" in notes[0]
+    assert "among (1024,)" in notes[1]
+
+
+def test_a_figure_that_needs_every_point_names_the_missing_one():
+    # Fig. 3 compares every point; one below the tile ladder (N=2048 with
+    # the --fast ladder 2048/4096) is a BenchmarkError naming the point.
+    from repro.bench.experiments import fig3_heuristics
+
+    with pytest.raises(BenchmarkError, match="'xkblas', 'gemm', 2048, 'host'"):
+        fig3_heuristics.run(fast=True, sizes=(2048,), routines=("gemm",))
 
 
 def test_tile_specs_enumeration():
@@ -137,6 +154,8 @@ def test_best_over_tiles_rejects_a_hand_built_platform():
     # run_point's job, and the error says so.
     with pytest.raises(TypeError, match="run_point"):
         best_over_tiles("xkblas", "gemm", 8192, make_dgx1(4), tiles=(1024,))
+    with pytest.raises(TypeError, match="run_point"):
+        best_tiles([("xkblas", "gemm", 8192, "host")], make_dgx1(4), tiles=(1024,))
 
 
 def test_series_to_rows_layout():

@@ -6,6 +6,9 @@ just has to execute end-to-end on reduced inputs and produce a well-formed
 sizes are outside their calibrated regime.
 """
 
+import pytest
+
+from repro.bench.executor import SweepExecutor, default_executor
 from repro.bench.experiments import (
     EXPERIMENTS,
     fig2_bandwidth,
@@ -114,6 +117,37 @@ def test_fig5_smoke():
     )
     # Missing-point machinery reachable through the result grid.
     assert all(len(row) == len(result.columns) for row in result.rows)
+
+
+class CountingExecutor(SweepExecutor):
+    """Counts ``evaluate`` batches; shares the default executor's memo."""
+
+    calls = 0
+
+    def evaluate(self, specs):
+        self.calls += 1
+        return super().evaluate(specs)
+
+
+@pytest.mark.parametrize(
+    "run, kwargs",
+    [
+        (fig3_heuristics.run, dict(sizes=TINY, routines=("gemm",))),
+        (fig4_dod.run, dict(sizes=TINY, routines=("gemm",))),
+        (
+            fig5_libraries.run,
+            dict(sizes=TINY, routines=("gemm",), libraries=("xkblas", "cublas-xt", "blasx")),
+        ),
+        (table2_gain.run, dict(sizes=(16384,))),
+    ],
+    ids=["fig3", "fig4", "fig5", "table2"],
+)
+def test_sweep_figure_asks_the_executor_once(run, kwargs):
+    # Every point's best tile comes out of one batch: the figure enumerates
+    # its cells once and never re-asks the executor point by point.
+    executor = CountingExecutor(jobs=1, cache=default_executor().cache)
+    check(run(fast=True, executor=executor, **kwargs))
+    assert executor.calls == 1
 
 
 def test_fig6_smoke():

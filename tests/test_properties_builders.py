@@ -220,6 +220,6 @@ def test_builders_share_one_kernel_per_variant(build):
     nb = 8
     counts = []
     for nt in (4, 8):
-        tasks = tiled.materialize_tasks(build(lambda: part(nt * nb, nt * nb, nb)))
+        tasks = list(build(lambda: part(nt * nb, nt * nb, nb)))
         counts.append(len({t.kernel for t in tasks}))
     assert counts[0] == counts[1] <= 8

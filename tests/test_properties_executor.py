@@ -89,7 +89,7 @@ def build_and_run(specs, policy, scheduler, numeric=False):
 
 @settings(max_examples=40, deadline=None)
 @given(task_specs(), st.sampled_from(list(SourcePolicy)),
-       st.sampled_from(["xkaapi-locality-ws", "starpu-dmdas", "round-robin"]))
+       st.sampled_from(["xkaapi-locality-ws", "starpu-dmdas"]))
 def test_property_random_graphs_complete_with_invariants(specs, policy, scheduler):
     rt, mat, part, tasks = build_and_run(specs, policy, scheduler)
     # 1. everything completed

@@ -10,7 +10,6 @@ from repro.runtime.scheduler import (
     DmdaScheduler,
     LocalityWorkStealing,
     OwnerComputesScheduler,
-    RoundRobinScheduler,
 )
 from repro.runtime.task import Task, make_access_list
 from repro.topology.dgx1 import make_dgx1
@@ -168,26 +167,3 @@ def test_owner_computes_out_of_range_owner(ctx):
     sched = OwnerComputesScheduler(2)
     with pytest.raises(SchedulingError):
         sched.push(make_task(part, 0, 0, hint=5), c)
-
-
-# ------------------------------------------------------------ round-robin
-
-
-def test_round_robin_cycles(ctx):
-    rt, part, c = ctx
-    rr = RoundRobinScheduler(3)
-    ts = [make_task(part, j % 2, j // 2) for j in range(6)]
-    for t in ts:
-        rr.push(t, c)
-    assert rr.pop(0, c) is ts[0]
-    assert rr.pop(1, c) is ts[1]
-    assert rr.pop(2, c) is ts[2]
-    assert rr.pop(0, c) is ts[3]
-
-
-def test_round_robin_respects_hint(ctx):
-    rt, part, c = ctx
-    rr = RoundRobinScheduler(3)
-    t = make_task(part, 0, 0, hint=2)
-    rr.push(t, c)
-    assert rr.pop(2, c) is t

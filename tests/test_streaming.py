@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 from tests.test_determinism_golden import hint_block_cyclic_owners
 
-from repro.blas.tiled import build_gemm, materialize_tasks
+from repro.blas.tiled import build_gemm
 from repro.errors import TaskGraphError
 from repro.libraries import make_library
 from repro.memory.matrix import Matrix
@@ -31,7 +31,7 @@ from repro.topology.dgx1 import make_dgx1
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_makespans.json"
 
-SCHEDULERS = ("xkaapi-locality-ws", "starpu-dmdas", "owner-computes", "round-robin")
+SCHEDULERS = ("xkaapi-locality-ws", "starpu-dmdas", "owner-computes")
 
 
 def _run_gemm(scheduler: str, *, streaming: bool, retain: bool = True,
@@ -113,15 +113,6 @@ def test_session_streaming_equals_eager():
         res = lib.gemm(1.0, a, b, 0.0, c, nb=nb)
         results[streaming] = res.seconds.hex()
     assert results[True] == results[False]
-
-
-def test_materialize_tasks_wraps_the_generator():
-    rt = Runtime(make_dgx1(8))
-    a, b, c = (Matrix.meta(1024, 1024) for _ in range(3))
-    pa, pb, pc = (rt.partition(m, 512) for m in (a, b, c))
-    tasks = materialize_tasks(build_gemm(1.0, pa, pb, 0.5, pc))
-    assert isinstance(tasks, list)
-    assert len(tasks) == 8  # 2x2 output tiles x 2 k-steps
 
 
 # -------------------------------------------------------------- reclamation

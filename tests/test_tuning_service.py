@@ -109,13 +109,20 @@ def test_query_spec_enumeration_is_deterministic_cross_product():
 
 
 def test_pick_best_is_first_strict_maximum():
+    # One rule ranks the service's wire-level cell reports and the harness's
+    # executor outcomes.
+    from repro.bench.harness import pick_best
+
     mk = lambda nb, tflops, ok=True: protocol.CellReport(
         library="xkblas", routine="gemm", n=8192, nb=nb, scenario="host",
         ok=ok, tflops=tflops,
     )
     cells = [mk(512, 10.0), mk(1024, 12.0), mk(2048, 12.0), mk(4096, 1.0, ok=False)]
-    assert protocol.pick_best(cells).nb == 1024  # tie keeps the first
-    assert protocol.pick_best([mk(512, None, ok=False)]) is None
+    assert pick_best(cells).nb == 1024  # tie keeps the first
+    assert pick_best([mk(512, None, ok=False)]) is None
+    outcomes = [CellOutcome(ok=c.ok, tflops=c.tflops) for c in cells]
+    assert pick_best(outcomes) is outcomes[1]
+    assert pick_best([CellOutcome(ok=False, error="unsupported")]) is None
 
 
 # -------------------------------------------------------------- single-flight
