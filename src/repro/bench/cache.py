@@ -173,10 +173,11 @@ class PointCache:
     ``(CellSpec.cache_key(), code fingerprint)``.
 
     The cache is thread-safe: the tuning server's dispatch threads and event
-    loop share one instance, so memo mutation and hit/miss accounting happen
+    loop share one instance, so memo mutation and hit accounting happen
     under a lock (the store guards its own I/O).  On a memo miss the store is
     re-checked live before the miss is declared, so concurrent server
-    processes see each other's writes.
+    processes see each other's writes.  The cache counts hits only: a miss
+    is a cell its executor simulates, counted there as ``cells_simulated``.
     """
 
     def __init__(self, path: Path | str | None = None) -> None:
@@ -186,7 +187,6 @@ class PointCache:
         self._lock = threading.Lock()
         self.memo_hits = 0
         self.store_hits = 0
-        self.misses = 0
         if self.store is not None:
             self._load()
 
@@ -210,9 +210,9 @@ class PointCache:
     def get_memo(self, spec: CellSpec, fingerprint: str) -> CellOutcome | None:
         """Memo-only lookup: no store I/O, safe to call on an event loop.
 
-        A hit counts toward hit stats exactly like :meth:`get`; a miss counts
-        nothing — callers that care follow up with :meth:`get` (off-loop for
-        a persistent cache), which does the store-hit/miss accounting.
+        A hit counts toward hit stats exactly like :meth:`get`; on a miss,
+        callers of a persistent cache follow up with :meth:`get` (off-loop),
+        which re-checks the store.
         """
         key = (spec.cache_key(), fingerprint)
         with self._lock:
@@ -226,23 +226,19 @@ class PointCache:
 
     def get(self, spec: CellSpec, fingerprint: str) -> CellOutcome | None:
         outcome = self.get_memo(spec, fingerprint)
-        if outcome is not None:
+        if outcome is not None or self.store is None:
             return outcome
+        # Memo miss: another process may have filled the cell since we
+        # loaded — ask the store before declaring a (simulating) miss.
         key = (spec.cache_key(), fingerprint)
-        if self.store is not None:
-            # Memo miss: another process may have filled the cell since we
-            # loaded — ask the store before declaring a (simulating) miss.
-            payload = self.store.lookup(*key)
-            outcome = _decode_outcome(payload) if payload is not None else None
-            if outcome is not None:
-                with self._lock:
-                    self._memo[key] = outcome
-                    self._from_store.add(key)
-                    self.store_hits += 1
-                return outcome
-        with self._lock:
-            self.misses += 1
-        return None
+        payload = self.store.lookup(*key)
+        outcome = _decode_outcome(payload) if payload is not None else None
+        if outcome is not None:
+            with self._lock:
+                self._memo[key] = outcome
+                self._from_store.add(key)
+                self.store_hits += 1
+        return outcome
 
     def put(self, spec: CellSpec, fingerprint: str, outcome: CellOutcome) -> None:
         key = (spec.cache_key(), fingerprint)
@@ -259,7 +255,6 @@ class PointCache:
                 "entries": len(self._memo),
                 "memo_hits": self.memo_hits,
                 "store_hits": self.store_hits,
-                "misses": self.misses,
             }
 
     def close(self) -> None:

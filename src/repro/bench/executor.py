@@ -16,7 +16,6 @@ experiments in one ``all`` run collapse to a single simulation.
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import os
 import threading
@@ -70,15 +69,9 @@ class SweepExecutor:
     lazily on the first parallel batch and reused until :meth:`close`.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        cache: PointCache | None = None,
-        start_method: str | None = None,
-    ):
+    def __init__(self, jobs: int | None = None, cache: PointCache | None = None):
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.cache = cache if cache is not None else PointCache()
-        self.start_method = start_method
         self.cells_simulated = 0
         self._fingerprint = code_fingerprint()
         self._stats_lock = threading.Lock()
@@ -92,38 +85,33 @@ class SweepExecutor:
 
     # ------------------------------------------------------------- pooling
 
-    def _pick_start_method(self) -> str:
-        """Worker start method: explicit choice, else fork only while safe.
+    def _pool_method(self) -> str:
+        """The workers' start method: fork only while it is safe.
 
         Fork is the cheapest start-up (workers inherit the loaded package,
         immune to sys.path differences under spawn) — but forking a process
         with live threads (the asyncio tuning server's dispatch threads)
         clones locks in whatever state the other threads held them, which
-        can deadlock the child pool.  So fork is only auto-selected while
-        this process is single-threaded; otherwise forkserver/spawn.
+        can deadlock the child pool.  So fork is only picked while this
+        process is single-threaded; otherwise forkserver, else spawn (which
+        every platform has).
         """
-        available = multiprocessing.get_all_start_methods()
-        if self.start_method is not None:
-            if self.start_method not in available:
-                raise BenchmarkError(
-                    f"start method {self.start_method!r} unavailable; "
-                    f"choose from {available}"
-                )
-            return self.start_method
-        if "fork" in available and threading.active_count() == 1:
-            return "fork"
-        for method in ("forkserver", "spawn"):
-            if method in available:
-                return method
-        return available[0]
+        single = threading.active_count() == 1
+        for method in ("fork", "forkserver") if single else ("forkserver",):
+            try:
+                multiprocessing.get_context(method)
+            except ValueError:  # not available on this platform
+                continue
+            return method
+        return "spawn"
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        # evaluate_async batches overlap, so creation is check-and-set under
-        # a lock — racing threads must never overwrite (and thereby leak the
-        # live workers of) each other's pool.
+        # The tuning service's off-loop batches overlap, so creation is
+        # check-and-set under a lock — racing threads must never overwrite
+        # (and thereby leak the live workers of) each other's pool.
         with self._pool_lock:
             if self._pool is None:
-                context = multiprocessing.get_context(self._pick_start_method())
+                context = multiprocessing.get_context(self._pool_method())
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.jobs, mp_context=context
                 )
@@ -146,9 +134,14 @@ class SweepExecutor:
     def evaluate(self, specs: Iterable[CellSpec]) -> dict[CellSpec, CellOutcome]:
         """Evaluate a batch; returns an outcome for every distinct spec.
 
-        Duplicate specs in the batch are simulated once.  Results are keyed
+        Duplicate specs in the batch are simulated once, and only the cells
+        found in neither the memo nor the store are simulated, so
+        ``cells_simulated`` is the cache's miss count.  Results are keyed
         by spec and assembled in submission order, so callers' iteration
         (and therefore rendered rows) never depends on completion order.
+        Safe to call from several threads at once (the tuning service runs
+        batches off its event loop): the cache and the simulation counter
+        are lock-guarded.
         """
         ordered = list(dict.fromkeys(specs))
         results: dict[CellSpec, CellOutcome] = {}
@@ -173,19 +166,6 @@ class SweepExecutor:
                 results[spec] = outcome
         # Submission order, including for the cached prefix.
         return {spec: results[spec] for spec in ordered}
-
-    async def evaluate_async(
-        self, specs: Iterable[CellSpec]
-    ) -> dict[CellSpec, CellOutcome]:
-        """:meth:`evaluate` off the event loop, for the asyncio service layer.
-
-        The batch runs on a worker thread so cache I/O and serial simulation
-        never block the loop; stats stay coherent because the cache and the
-        simulation counter are lock-guarded.  Concurrent calls are safe —
-        callers wanting single-simulation guarantees for identical concurrent
-        specs add single-flight on top (see :mod:`repro.tuning.service`).
-        """
-        return await asyncio.to_thread(self.evaluate, list(specs))
 
     def stats(self) -> dict[str, int]:
         with self._stats_lock:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.bench.cellspec import CellSpec, PlatformHandle
 from repro.bench.executor import SweepExecutor, default_executor
 from repro.bench.harness import ExperimentResult
-from repro.topology.platform import Platform
 
 GPU_COUNTS = (1, 2, 4, 6, 8)
 N, NB = 16384, 2048
@@ -20,7 +19,6 @@ VARIANTS = ("xkblas", "xkblas-no-heuristic-no-topo")
 
 
 def run(
-    platform: Platform | None = None,  # unused; per-count platforms are built
     fast: bool = False,
     n: int = N,
     nb: int = NB,

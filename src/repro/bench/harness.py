@@ -160,6 +160,38 @@ def pick_best(cells: Iterable[Cell]) -> Cell | None:
     return best
 
 
+def point_cells(
+    points: Iterable[Point],
+    platform: PlatformHandle | None = None,
+    *,
+    tiles: Sequence[int] | None = None,
+    fast: bool = False,
+    notes: list[str] | None = None,
+) -> dict[Point, tuple[CellSpec, ...]]:
+    """Each distinct point's :func:`tile_specs` cells, in point order.
+
+    The one cell enumeration of a best-tile search: the sweeps'
+    :func:`best_tiles` and the tuning service's queries both call it.  A
+    point that admits no tile size maps to ``()`` and its skip is recorded
+    in ``notes``, if given, naming the candidates it pruned.
+    """
+    handle = as_handle(platform)
+    cells: dict[Point, tuple[CellSpec, ...]] = {}
+    for point in dict.fromkeys(points):
+        library, routine, n, scenario = point
+        specs = cells[point] = tile_specs(
+            library, routine, n, handle, scenario=scenario, tiles=tiles, fast=fast
+        )
+        if not specs and notes is not None:
+            ladder = _tile_ladder(library, n, handle, scenario, tiles, fast)
+            where = "" if scenario == "host" else f" ({scenario})"
+            notes.append(
+                f"skipped {library}/{routine} N={n}{where}: no admissible tile"
+                f" size among {ladder} (needs nb < N and N/nb <= 32)"
+            )
+    return cells
+
+
 def best_tiles(
     points: Iterable[Point],
     platform: PlatformHandle | None = None,
@@ -171,31 +203,19 @@ def best_tiles(
 ) -> dict[Point, BestTileResult | None]:
     """Each point's best tile size, from one executor batch (§IV-A).
 
-    Every point expands to its :func:`tile_specs` cells, all cells of all
-    points are evaluated in one :meth:`SweepExecutor.evaluate` call, and each
-    point keeps :func:`pick_best` of its own cells in enumeration order.
-    A point maps to ``None`` when none of its cells succeeds (unsupported
-    routine, BLASX allocation failure: the paper's missing points) or when
-    it admits no tile size; the latter is recorded in ``notes``, if given,
-    so the missing point stays visible on the figure.
+    The :func:`point_cells` of all points are evaluated in one
+    :meth:`SweepExecutor.evaluate` call, and each point keeps
+    :func:`pick_best` of its own cells in enumeration order.  A point maps
+    to ``None`` when none of its cells succeeds (unsupported routine, BLASX
+    allocation failure: the paper's missing points) or when it admits no
+    tile size; the latter is recorded in ``notes``, if given, so the missing
+    point stays visible on the figure.
     """
-    handle = as_handle(platform)
-    cells: dict[Point, tuple[CellSpec, ...]] = {}
-    for library, routine, n, scenario in points:
-        cells[library, routine, n, scenario] = tile_specs(
-            library, routine, n, handle, scenario=scenario, tiles=tiles, fast=fast
-        )
+    cells = point_cells(points, platform, tiles=tiles, fast=fast, notes=notes)
     ex = executor if executor is not None else default_executor()
     outcomes = ex.evaluate(spec for specs in cells.values() for spec in specs)
     best: dict[Point, BestTileResult | None] = {}
     for point, specs in cells.items():
-        library, routine, n, scenario = point
-        if not specs and notes is not None:
-            ladder = _tile_ladder(library, n, handle, scenario, tiles, fast)
-            notes.append(
-                f"skipped {library}/{routine} N={n}: no admissible tile size"
-                f" among {ladder} (needs nb < N and N/nb <= 32)"
-            )
         ranked = {spec: outcomes[spec] for spec in specs}
         winner = pick_best(ranked.values())
         best[point] = None if winner is None else BestTileResult(

@@ -266,8 +266,7 @@ class Session:
                 self.runtime.sync()
         return parts
 
-    def _submit(self, routine: str, tasks: Iterable[Task], grid_shape, scenario: str,
-                output: Matrix, nb: int) -> None:
+    def _submit(self, tasks: Iterable[Task], grid_shape, output: Matrix, nb: int) -> None:
         lib = self.library
 
         # Owner hints are applied per task as it is pulled, so a streaming
@@ -322,55 +321,55 @@ class Session:
         self.library._check_routine("gemm", (a.m, a.n, b.n, c.m, c.n))
         pa, pb, pc = self._prepare([a, b, c], nb, scenario)
         tasks = build_gemm(alpha, pa, pb, beta, pc, transa, transb)
-        self._submit("gemm", tasks, pc.shape, scenario, c, nb)
+        self._submit(tasks, pc.shape, c, nb)
 
     def symm_async(self, side, uplo, alpha, a, b, beta, c, nb, scenario="host") -> None:
         self.library._check_routine("symm", (a.m, c.m, c.n))
         pa, pb, pc = self._prepare([a, b, c], nb, scenario)
         tasks = build_symm(side, uplo, alpha, pa, pb, beta, pc)
-        self._submit("symm", tasks, pc.shape, scenario, c, nb)
+        self._submit(tasks, pc.shape, c, nb)
 
     def syrk_async(self, uplo, trans, alpha, a, beta, c, nb, scenario="host") -> None:
         self.library._check_routine("syrk", (a.m, a.n, c.m))
         pa, pc = self._prepare([a, c], nb, scenario)
         tasks = build_syrk(uplo, trans, alpha, pa, beta, pc)
-        self._submit("syrk", tasks, pc.shape, scenario, c, nb)
+        self._submit(tasks, pc.shape, c, nb)
 
     def syr2k_async(self, uplo, trans, alpha, a, b, beta, c, nb, scenario="host") -> None:
         self.library._check_routine("syr2k", (a.m, a.n, c.m))
         pa, pb, pc = self._prepare([a, b, c], nb, scenario)
         tasks = build_syr2k(uplo, trans, alpha, pa, pb, beta, pc)
-        self._submit("syr2k", tasks, pc.shape, scenario, c, nb)
+        self._submit(tasks, pc.shape, c, nb)
 
     def trmm_async(self, side, uplo, transa, diag, alpha, a, b, nb, scenario="host") -> None:
         self.library._check_routine("trmm", (a.m, b.m, b.n))
         pa, pb = self._prepare([a, b], nb, scenario)
         tasks = build_trmm(side, uplo, transa, diag, alpha, pa, pb)
-        self._submit("trmm", tasks, pb.shape, scenario, b, nb)
+        self._submit(tasks, pb.shape, b, nb)
 
     def trsm_async(self, side, uplo, transa, diag, alpha, a, b, nb, scenario="host") -> None:
         self.library._check_routine("trsm", (a.m, b.m, b.n))
         pa, pb = self._prepare([a, b], nb, scenario)
         tasks = build_trsm(side, uplo, transa, diag, alpha, pa, pb)
-        self._submit("trsm", tasks, pb.shape, scenario, b, nb)
+        self._submit(tasks, pb.shape, b, nb)
 
     def hemm_async(self, side, uplo, alpha, a, b, beta, c, nb, scenario="host") -> None:
         self.library._check_routine("hemm", (a.m, c.m, c.n))
         pa, pb, pc = self._prepare([a, b, c], nb, scenario)
         tasks = build_hemm(side, uplo, alpha, pa, pb, beta, pc)
-        self._submit("hemm", tasks, pc.shape, scenario, c, nb)
+        self._submit(tasks, pc.shape, c, nb)
 
     def herk_async(self, uplo, trans, alpha, a, beta, c, nb, scenario="host") -> None:
         self.library._check_routine("herk", (a.m, a.n, c.m))
         pa, pc = self._prepare([a, c], nb, scenario)
         tasks = build_herk(uplo, trans, alpha, pa, beta, pc)
-        self._submit("herk", tasks, pc.shape, scenario, c, nb)
+        self._submit(tasks, pc.shape, c, nb)
 
     def her2k_async(self, uplo, trans, alpha, a, b, beta, c, nb, scenario="host") -> None:
         self.library._check_routine("her2k", (a.m, a.n, c.m))
         pa, pb, pc = self._prepare([a, b, c], nb, scenario)
         tasks = build_her2k(uplo, trans, alpha, pa, pb, beta, pc)
-        self._submit("her2k", tasks, pc.shape, scenario, c, nb)
+        self._submit(tasks, pc.shape, c, nb)
 
     def memory_coherent_async(self, matrix: Matrix, nb: int | None = None) -> None:
         self.runtime.memory_coherent_async(matrix, nb)

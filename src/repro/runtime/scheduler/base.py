@@ -78,7 +78,6 @@ class Scheduler(abc.ABC):
 
     def __init__(self, num_devices: int) -> None:
         self.num_devices = num_devices
-        self.scheduled = 0
         #: bitmask with every device bit set; basis for ready-device masks.
         self._all_mask = (1 << num_devices) - 1
 

@@ -81,7 +81,6 @@ class DmdaScheduler(Scheduler):
         queue = self._queues[device]
         if not queue:
             return None
-        self.scheduled += 1
         task = heapq.heappop(queue)[2]
         if not queue:
             self._nonempty_mask &= ~(1 << device)

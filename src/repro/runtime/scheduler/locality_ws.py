@@ -106,7 +106,6 @@ class LocalityWorkStealing(Scheduler):
     ) -> Task | None:
         own = self._deques[device]
         if own:
-            self.scheduled += 1
             task = own.pop()  # LIFO on own deque
             if not own:
                 self._deque_mask &= ~(1 << device)
@@ -117,13 +116,11 @@ class LocalityWorkStealing(Scheduler):
             return None  # busy workers do not steal
         if self._host_queue:
             self.steals += 1
-            self.scheduled += 1
             return self._steal_from_host_queue(device, ctx)
         victim = self._choose_victim(device, ctx)
         if victim is None:
             return None
         self.steals += 1
-        self.scheduled += 1
         raided = self._deques[victim]
         task = raided.popleft()  # FIFO steal
         if not raided:

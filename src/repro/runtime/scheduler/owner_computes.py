@@ -37,7 +37,6 @@ class OwnerComputesScheduler(Scheduler):
         queue = self._queues[device]
         if not queue:
             return None
-        self.scheduled += 1
         task = queue.popleft()
         if not queue:
             self._nonempty_mask &= ~(1 << device)

@@ -51,11 +51,6 @@ def main(argv: list[str] | None = None) -> int:
                             "default: in-memory only")
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="simulation worker processes (default 1: in-thread)")
-    serve.add_argument("--start-method", default=None,
-                       choices=("fork", "forkserver", "spawn"),
-                       help="worker start method (default: auto, thread-safe)")
-    serve.add_argument("--batch-window", type=float, default=0.0, metavar="SEC",
-                       help="extra wait to coalesce cold cells into one batch")
 
     query = sub.add_parser("query", help="one tune query against a server")
     query.add_argument("routine")
@@ -115,15 +110,10 @@ def _net_args(cmd: argparse.ArgumentParser) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     cache = PointCache(args.store)
-    executor = SweepExecutor(
-        jobs=args.jobs, cache=cache, start_method=args.start_method
-    )
+    executor = SweepExecutor(jobs=args.jobs, cache=cache)
 
     async def run() -> None:
-        server = TuningServer(
-            executor, host=args.host, port=args.port,
-            batch_window=args.batch_window,
-        )
+        server = TuningServer(executor, host=args.host, port=args.port)
         host, port = await server.start()
         store_note = f", store={args.store}" if args.store else ""
         print(
@@ -200,7 +190,9 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             store_path = args.store
 
         # Phase 1: fresh store, N concurrent identical queries in-process.
-        replies, stats = asyncio.run(_smoke_concurrent(store_path, args.clients))
+        replies, stats = asyncio.run(
+            _smoke_concurrent(store_path, query, args.clients)
+        )
         distinct = len(query.specs())
         ok = True
         ok &= _check(
@@ -237,8 +229,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-async def _smoke_concurrent(store_path: str, clients: int):
-    query = TuneQuery(routine="gemm", n=4096, tiles=(1024, 2048))
+async def _smoke_concurrent(store_path: str, query: TuneQuery, clients: int):
     cache = PointCache(store_path)
     executor = SweepExecutor(jobs=1, cache=cache)
     server = TuningServer(executor, port=0)

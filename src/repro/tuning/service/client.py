@@ -10,7 +10,6 @@ from __future__ import annotations
 import asyncio
 from typing import AsyncIterator, Callable
 
-from repro.bench.harness import pick_best
 from repro.tuning.service import protocol
 from repro.tuning.service.protocol import (
     CellReport,
@@ -79,37 +78,13 @@ class TuningClient:
 
     async def tune(
         self,
-        query: TuneQuery | None = None,
+        query: TuneQuery,
         *,
-        routine: str | None = None,
-        n: int | None = None,
         on_cell: Callable[[CellReport], None] | None = None,
-        **query_kwargs: object,
     ) -> TuneReply:
-        """Run one tune query; ``on_cell`` observes each cell as it streams.
-
-        Pass either a prebuilt :class:`TuneQuery` or ``routine``/``n`` plus
-        any other :class:`TuneQuery` field as keyword arguments.
-        """
-        if query is None:
-            if routine is None or n is None:
-                raise ServiceError("tune needs a query or routine= and n=")
-            query = TuneQuery(routine=routine, n=int(n), **query_kwargs)  # type: ignore[arg-type]
-        cells: list[CellReport] = []
-        simulated = 0
-        async for event in self._request({"op": "tune", "query": query.to_json()}):
-            if event["event"] == "cell":
-                cell = CellReport.from_json(event["cell"])
-                cells.append(cell)
-                if on_cell is not None:
-                    on_cell(cell)
-            elif event["event"] == "result":
-                simulated = int(event.get("simulated", 0))
-        return TuneReply(
-            cells=tuple(cells),
-            best=pick_best(cells),
-            simulated=simulated,
-        )
+        """Run one tune query; ``on_cell`` observes each cell as it streams."""
+        events = self._request({"op": "tune", "query": query.to_json()})
+        return await protocol.fold_reply(events, on_cell)
 
     async def stats(self) -> dict:
         async for event in self._request({"op": "stats"}):

@@ -11,17 +11,19 @@ terminal ``result`` (or ``error``) event.
 The typed surface is :class:`TuneQuery` (what a client asks), ``CellReport``
 (one evaluated cell plus where its number came from: the warm cache, another
 in-flight query's simulation, or a simulation this query owned), and
-:class:`TuneReply` (the answer each side assembles from the ``cell`` events
-and the terminal ``result``).  Queries and cell reports round-trip through
-plain JSON dicts; floats survive exactly (JSON text preserves the shortest
-repr round-trip), so a served TFlop/s equals the direct
-:func:`repro.bench.harness.run_point` number byte for byte.
+:class:`TuneReply` (the answer :func:`fold_reply` assembles, on either side
+of the wire, from the ``cell`` events and the terminal ``result``).  Queries
+and cell reports round-trip through plain JSON dicts; floats survive exactly
+(JSON text preserves the shortest repr round-trip), so a served TFlop/s
+equals the direct :func:`repro.bench.harness.run_point` number byte for
+byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from typing import AsyncIterable, Callable
 
 from repro.bench.cellspec import (
     DEFAULT_PLATFORM,
@@ -30,7 +32,7 @@ from repro.bench.cellspec import (
     CellSpec,
     PlatformHandle,
 )
-from repro.bench.harness import tile_specs
+from repro.bench.harness import pick_best, point_cells
 from repro.errors import BenchmarkError, ReproError
 
 #: Bumped on incompatible wire changes; servers echo it in ``pong`` events.
@@ -93,18 +95,22 @@ class TuneQuery:
     tiles: tuple[int, ...] | None = None
     fast: bool = False
 
-    def specs(self) -> tuple[CellSpec, ...]:
-        """Deterministic cell enumeration: libraries × scenarios × tile set."""
-        out: list[CellSpec] = []
-        for library in self.libraries:
-            for scenario in self.scenarios:
-                out.extend(
-                    tile_specs(
-                        library, self.routine, self.n, self.platform,
-                        scenario=scenario, tiles=self.tiles, fast=self.fast,
-                    )
-                )
-        return tuple(dict.fromkeys(out))
+    def specs(self, notes: list[str] | None = None) -> tuple[CellSpec, ...]:
+        """Deterministic cell enumeration: libraries × scenarios × tile set.
+
+        The harness's :func:`~repro.bench.harness.point_cells` expands each
+        (library, scenario) point; one that admits no tile size adds its
+        skip note to ``notes``, if given.
+        """
+        cells = point_cells(
+            [
+                (library, self.routine, self.n, scenario)
+                for library in self.libraries
+                for scenario in self.scenarios
+            ],
+            self.platform, tiles=self.tiles, fast=self.fast, notes=notes,
+        )
+        return tuple(dict.fromkeys(spec for group in cells.values() for spec in group))
 
     def to_json(self) -> dict:
         payload: dict = {
@@ -230,6 +236,29 @@ class TuneReply:
     cells: tuple[CellReport, ...]
     best: CellReport | None
     simulated: int
+
+
+async def fold_reply(
+    events: AsyncIterable[dict],
+    on_cell: Callable[[CellReport], None] | None = None,
+) -> TuneReply:
+    """Fold one tune stream (``cell`` events, then ``result``) into a reply.
+
+    The one fold: the in-process service and the TCP client both call it.
+    ``on_cell`` observes each cell as it streams; the winner is the
+    harness's :func:`~repro.bench.harness.pick_best` over the cells.
+    """
+    cells: list[CellReport] = []
+    simulated = 0
+    async for event in events:
+        if event["event"] == "cell":
+            cell = CellReport.from_json(event["cell"])
+            cells.append(cell)
+            if on_cell is not None:
+                on_cell(cell)
+        elif event["event"] == "result":
+            simulated = int(event.get("simulated", 0))
+    return TuneReply(cells=tuple(cells), best=pick_best(cells), simulated=simulated)
 
 
 def encode(message: dict) -> bytes:

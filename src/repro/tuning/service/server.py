@@ -7,12 +7,13 @@ Three layers, smallest surface first:
   concurrent identical asker awaits the same future.  This is what makes N
   simultaneous identical queries cost exactly one simulation.
 * :class:`TuningService` — transport-independent query engine.  A tune query
-  expands to its deterministic cell enumeration; warm cells answer from the
-  :class:`~repro.bench.cache.PointCache` immediately, cold cells are claimed
-  through single-flight and coalesced into one batch per event-loop tick
-  (plus an optional ``batch_window``) before dispatching to the
-  :class:`~repro.bench.executor.SweepExecutor` on a worker thread.  Results
-  stream back per cell, in enumeration order, as they resolve.
+  expands to the harness's cell enumeration (:meth:`TuneQuery.specs`); warm
+  cells answer from the :class:`~repro.bench.cache.PointCache` immediately,
+  cold cells are claimed through single-flight and coalesced into one batch
+  per event-loop tick before dispatching to
+  :meth:`SweepExecutor.evaluate <repro.bench.executor.SweepExecutor.evaluate>`
+  on a worker thread.  Results stream back per cell, in enumeration order,
+  as they resolve.
 * :class:`TuningServer` — the asyncio TCP front end speaking the
   newline-delimited JSON protocol of :mod:`repro.tuning.service.protocol`,
   with per-connection write serialization and multiple requests in flight
@@ -72,9 +73,8 @@ class SingleFlight:
 class TuningService:
     """Transport-independent tune-query engine (single-flight + batching)."""
 
-    def __init__(self, executor: SweepExecutor, batch_window: float = 0.0) -> None:
+    def __init__(self, executor: SweepExecutor) -> None:
         self.executor = executor
-        self.batch_window = batch_window
         self.queries = 0
         self.batches_dispatched = 0
         self._flight = SingleFlight()
@@ -87,41 +87,32 @@ class TuningService:
         """Stream one query's events: ``cell`` per evaluated cell (in
         enumeration order, as each resolves), then the terminal ``result``."""
         self.queries += 1
-        specs = query.specs()
+        notes: list[str] = []
+        specs = query.specs(notes)
         if not specs:
             raise BenchmarkError(
-                f"no admissible cell for {query.routine} n={query.n}: every "
-                f"candidate tile (tiles={query.tiles}) violates nb < n and "
-                f"n/nb <= 32"
+                f"no admissible cell for {query.routine} n={query.n}: "
+                + "; ".join(notes)
             )
         fingerprint = self.executor.fingerprint
         cache = self.executor.cache
-        hits: dict[CellSpec, CellOutcome] = {}
-        cold: list[CellSpec] = []
-        for spec in specs:
-            hit = cache.get_memo(spec, fingerprint)
-            if hit is not None:
-                hits[spec] = hit
-            else:
-                cold.append(spec)
-        if cold:
-            # The store re-check is synchronous I/O behind the store's lock,
-            # which an off-loop evaluate batch may be holding — run it on a
-            # worker thread (one hop for every cold cell of the query) so the
-            # event loop never stalls on it.  Memory-only caches have no I/O;
-            # the inline call just keeps the miss accounting of ``get``.
-            if cache.persistent:
-                found = await asyncio.to_thread(
-                    lambda: [(s, cache.get(s, fingerprint)) for s in cold]
-                )
-            else:
-                found = [(s, cache.get(s, fingerprint)) for s in cold]
-            hits.update((s, hit) for s, hit in found if hit is not None)
+        hits = {spec: cache.get_memo(spec, fingerprint) for spec in specs}
+        cold = [spec for spec, hit in hits.items() if hit is None]
+        if cold and cache.persistent:
+            # Re-check the store before claiming, so a row another process
+            # wrote answers as a cache hit.  The lookup is synchronous I/O
+            # behind the store's lock, which an off-loop evaluate batch may
+            # be holding — run it on a worker thread (one hop for every cold
+            # cell of the query) so the event loop never stalls on it.
+            found = await asyncio.to_thread(
+                lambda: [cache.get(spec, fingerprint) for spec in cold]
+            )
+            hits.update(zip(cold, found))
         # Claim every remaining miss in one synchronous stretch, so all cold
         # cells of this query land in the same flush batch.
         plan: list[tuple[CellSpec, str, CellOutcome | asyncio.Future]] = []
         for spec in specs:
-            hit = hits.get(spec)
+            hit = hits[spec]
             if hit is not None:
                 plan.append((spec, protocol.SOURCE_CACHE, hit))
                 continue
@@ -155,17 +146,8 @@ class TuningService:
         }
 
     async def tune(self, query: TuneQuery) -> protocol.TuneReply:
-        """In-process convenience: drain :meth:`handle_tune` into a reply."""
-        cells: list[protocol.CellReport] = []
-        simulated = 0
-        async for event in self.handle_tune(query):
-            if event["event"] == "cell":
-                cells.append(protocol.CellReport.from_json(event["cell"]))
-            else:
-                simulated = event["simulated"]
-        return protocol.TuneReply(
-            cells=tuple(cells), best=pick_best(cells), simulated=simulated
-        )
+        """In-process convenience: :meth:`handle_tune` folded into a reply."""
+        return await protocol.fold_reply(self.handle_tune(query))
 
     # ------------------------------------------------------------- batching
 
@@ -175,27 +157,23 @@ class TuningService:
             self._flush_task = asyncio.ensure_future(self._flush_soon())
 
     async def _flush_soon(self) -> None:
-        # Cold cells claimed in the same tick (or window) coalesce into one
-        # executor batch: concurrent distinct queries share pool dispatch.
-        if self.batch_window > 0:
-            await asyncio.sleep(self.batch_window)
-        else:
-            await asyncio.sleep(0)
+        # Cold cells claimed in the same tick coalesce into one executor
+        # batch: concurrent distinct queries share pool dispatch.  The batch
+        # runs on a worker thread, so simulation never blocks the loop.
+        await asyncio.sleep(0)
         batch, self._pending = self._pending, []
         self._flush_task = None
-        if not batch:
-            return
         self.batches_dispatched += 1
-        specs = [spec for spec, _ in batch]
+        evaluate = self.executor.evaluate
         try:
-            outcomes = await self.executor.evaluate_async(specs)
+            outcomes = await asyncio.to_thread(evaluate, [s for s, _ in batch])
         except Exception:  # noqa: BLE001 — isolate the failure per cell
             # A batch fails as one unit, but its cells were coalesced from
             # unrelated queries: retry each alone so one poisoned spec cannot
             # opaquely fail the others, and name the cell in terminal errors.
             for spec, future in batch:
                 try:
-                    outcome = (await self.executor.evaluate_async([spec]))[spec]
+                    outcome = (await asyncio.to_thread(evaluate, [spec]))[spec]
                 except Exception as exc:  # noqa: BLE001
                     if not future.done():
                         future.set_exception(BenchmarkError(
@@ -228,9 +206,8 @@ class TuningServer:
         executor: SweepExecutor,
         host: str = "127.0.0.1",
         port: int = 0,
-        batch_window: float = 0.0,
     ) -> None:
-        self.service = TuningService(executor, batch_window=batch_window)
+        self.service = TuningService(executor)
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None

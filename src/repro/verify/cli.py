@@ -22,9 +22,10 @@ Five stages, any finding makes the exit status non-zero:
    path (``retain_tasks=False``) and race-check its trace (transfer-level:
    a reclaiming graph keeps no kernel access lists).
 
-The two static stages share one load of ``--src``
+The two static stages always run and share one load of ``--src``
 (:func:`~repro.verify.base.load_package`): each file is read and parsed
-once per run.  ``--json FILE`` additionally writes the findings as
+once per run.  ``--skip-graph`` drops stage 3, ``--skip-runtime`` stages 4
+and 5.  ``--json FILE`` additionally writes the findings as
 machine-readable JSON (``-`` for stdout); ``--github`` prints one
 ``::error`` workflow command per finding so CI runs annotate the offending
 lines.
@@ -105,9 +106,7 @@ def verify_built_graphs(n: int, nb: int) -> list[Finding]:
     return findings
 
 
-def verify_executed_run(
-    routine: str, n: int, nb: int, gpus: int, races: bool = True
-) -> list[Finding]:
+def verify_executed_run(routine: str, n: int, nb: int, gpus: int) -> list[Finding]:
     """Stage 4 (per routine): run with the sanitizer on, then post-mortem."""
     platform = make_dgx1(gpus)
     rt = Runtime(platform, RuntimeOptions(verify_coherence=True))
@@ -120,8 +119,7 @@ def verify_executed_run(
     findings += check_directory(rt.directory, platform)
     evictions = sum(int(c.stats()["evictions"]) for c in rt.caches.values())
     findings += lint_trace(rt.trace, platform, evictions=evictions)
-    if races:
-        findings += detect_races(rt.trace, rt.executor.graph)
+    findings += detect_races(rt.trace, rt.executor.graph)
     return [
         Finding(f.pass_name, f.code, f"{routine}: {f.subject}", f.message)
         for f in findings
@@ -240,11 +238,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, default=256, help="matrix order")
     parser.add_argument("--nb", type=int, default=64, help="tile size")
     parser.add_argument("--gpus", type=int, default=4, help="simulated GPUs")
-    parser.add_argument("--skip-lint", action="store_true")
-    parser.add_argument("--skip-determinism", action="store_true")
     parser.add_argument("--skip-graph", action="store_true")
     parser.add_argument("--skip-runtime", action="store_true")
-    parser.add_argument("--skip-races", action="store_true")
     parser.add_argument(
         "--fast", action="store_true", help="smaller problems (CI-friendly)"
     )
@@ -268,15 +263,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--src {args.src} is not a directory")
 
     findings: list[Finding] = []
-    modules = [] if args.skip_lint and args.skip_determinism else load_package(args.src)
-    if not args.skip_lint:
-        lint = lint_package(modules)
-        print(f"lint: {len(lint)} finding(s) over {args.src}")
-        findings += lint
-    if not args.skip_determinism:
-        analysis = lint_determinism(modules) + lint_reclamation(modules)
-        print(f"determinism: {len(analysis)} unwaived finding(s)")
-        findings += analysis
+    modules = load_package(args.src)
+    lint = lint_package(modules)
+    print(f"lint: {len(lint)} finding(s) over {args.src}")
+    findings += lint
+    analysis = lint_determinism(modules) + lint_reclamation(modules)
+    print(f"determinism: {len(analysis)} unwaived finding(s)")
+    findings += analysis
     if not args.skip_graph:
         graph_findings = verify_built_graphs(n, nb)
         print(
@@ -287,23 +280,20 @@ def main(argv: list[str] | None = None) -> int:
     if not args.skip_runtime:
         runtime: list[Finding] = []
         for routine in ROUTINES:
-            runtime += verify_executed_run(
-                routine, n, nb, args.gpus, races=not args.skip_races
-            )
+            runtime += verify_executed_run(routine, n, nb, args.gpus)
         runtime += verify_distribution_phase(n, nb, args.gpus)
         print(
             f"runtime: {len(runtime)} finding(s) over {len(ROUTINES)} "
             f"sanitized runs + distribution phase ({args.gpus} GPUs)"
         )
         findings += runtime
-        if not args.skip_races:
-            streaming = verify_streaming_run("gemm", n, nb, args.gpus)
-            streaming += verify_streaming_run("composition", n, nb, args.gpus)
-            print(
-                f"streaming: {len(streaming)} finding(s) over 2 reclaiming "
-                "streamed runs"
-            )
-            findings += streaming
+        streaming = verify_streaming_run("gemm", n, nb, args.gpus)
+        streaming += verify_streaming_run("composition", n, nb, args.gpus)
+        print(
+            f"streaming: {len(streaming)} finding(s) over 2 reclaiming "
+            "streamed runs"
+        )
+        findings += streaming
 
     exit_code = 1 if findings else 0
     if args.json is not None:

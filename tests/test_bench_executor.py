@@ -34,7 +34,8 @@ def test_evaluate_dedupes_and_memoizes():
         assert ex.cells_simulated == len(specs)
         assert set(outcomes) == set(specs)
         again = ex.evaluate(specs)
-        assert ex.cells_simulated == len(specs)  # all memo hits
+        assert ex.cells_simulated == len(specs)
+        assert ex.stats()["memo_hits"] == len(specs)  # second pass: all memo hits
         assert again == outcomes
 
 
@@ -88,34 +89,29 @@ def test_set_default_executor_restores():
     assert default_executor() is original
 
 
-def test_start_method_explicit_choice_validated():
-    from repro.errors import BenchmarkError
-
-    with SweepExecutor(jobs=2, start_method="spawn") as ex:
-        assert ex._pick_start_method() == "spawn"
-    with SweepExecutor(jobs=2, start_method="not-a-method") as ex:
-        with pytest.raises(BenchmarkError, match="unavailable"):
-            ex._pick_start_method()
-
-
-def test_start_method_avoids_fork_with_live_threads(monkeypatch):
+def test_pool_method_avoids_fork_with_live_threads(monkeypatch):
     # Forking with live threads (the asyncio server's dispatch threads)
-    # clones locks mid-flight; the auto choice must fall back.
+    # clones locks mid-flight; the pick must fall back.
+    import multiprocessing
     import threading
 
     import repro.bench.executor as executor_mod
 
     with SweepExecutor(jobs=2) as ex:
         monkeypatch.setattr(executor_mod.threading, "active_count", lambda: 1)
-        if "fork" in __import__("multiprocessing").get_all_start_methods():
-            assert ex._pick_start_method() == "fork"
+        try:
+            multiprocessing.get_context("fork")
+        except ValueError:
+            pass  # no fork on this platform
+        else:
+            assert ex._pool_method() == "fork"
         monkeypatch.setattr(executor_mod.threading, "active_count", lambda: 3)
-        assert ex._pick_start_method() in ("forkserver", "spawn")
+        assert ex._pool_method() in ("forkserver", "spawn")
     assert threading.active_count() >= 1  # the real function is untouched
 
 
 def test_ensure_pool_single_instance_under_racing_threads(monkeypatch):
-    # Concurrent evaluate_async batches can hit _ensure_pool simultaneously;
+    # Concurrent off-loop evaluate batches can hit _ensure_pool at once;
     # a check-then-create race would leak a pool of live worker processes.
     import threading
 
@@ -146,17 +142,6 @@ def test_ensure_pool_single_instance_under_racing_threads(monkeypatch):
             t.join()
         assert len(created) == 1
         assert all(pool is created[0] for pool in pools)
-
-
-def test_evaluate_async_matches_sync():
-    import asyncio
-
-    with SweepExecutor(jobs=1) as ex:
-        specs = _specs()
-        sync_outcomes = ex.evaluate(specs)
-        async_outcomes = asyncio.run(ex.evaluate_async(specs))
-        assert async_outcomes == sync_outcomes
-        assert ex.cells_simulated == len(specs)  # second pass was all memo hits
 
 
 def test_parallel_results_bit_identical_to_serial():

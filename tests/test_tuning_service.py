@@ -241,6 +241,53 @@ def test_inadmissible_query_raises_not_zero():
         asyncio.run(go())
 
 
+def test_inadmissible_query_names_each_pruned_ladder():
+    # The default ladders too: each library's candidates, not "tiles=None".
+    query = TuneQuery(routine="gemm", n=512, libraries=("xkblas", "cublas-xt"))
+    with pytest.raises(BenchmarkError) as info:
+        asyncio.run(TuningService(CountingExecutor()).tune(query))
+    message = str(info.value)
+    assert message.startswith("no admissible cell for gemm n=512")
+    assert "(1024, 2048, 4096)" in message
+    assert "(1024, 2048, 4096, 8192, 16384)" in message
+
+
+def test_query_skip_notes_are_the_sweeps_notes():
+    # One cell enumeration: a query point that admits no tile is noted
+    # exactly as a figure notes it, and a device point names its scenario.
+    from repro.bench.harness import best_tiles
+
+    figure_notes: list[str] = []
+    best_tiles([("xkblas", "gemm", 512, "host")], notes=figure_notes)
+    query_notes: list[str] = []
+    assert TuneQuery(routine="gemm", n=512).specs(query_notes) == ()
+    assert query_notes == figure_notes
+    device_notes: list[str] = []
+    query = TuneQuery(routine="gemm", n=256, scenarios=("host", "device"))
+    assert query.specs(device_notes) == ()
+    assert device_notes[0].startswith("skipped xkblas/gemm N=256:")
+    assert device_notes[1].startswith("skipped xkblas/gemm N=256 (device):")
+    assert "among (256, 512, 2048)" in device_notes[1]
+
+
+def test_cold_then_warm_query_counts_each_cell_once():
+    # One miss count: the executor simulates exactly the cells it found in
+    # neither the memo nor the store; the cache counts hits only.
+    query = TuneQuery(routine="gemm", n=4096, tiles=(1024, 2048))
+    with SweepExecutor(jobs=1) as executor:
+        service = TuningService(executor)
+        cold = asyncio.run(service.tune(query))
+        assert executor.stats() == {
+            "cells_simulated": 2, "entries": 2, "memo_hits": 0, "store_hits": 0,
+        }
+        warm = asyncio.run(service.tune(query))
+        assert executor.stats() == {
+            "cells_simulated": 2, "entries": 2, "memo_hits": 2, "store_hits": 0,
+        }
+    assert (cold.simulated, warm.simulated) == (2, 0)
+    assert all(c.source == protocol.SOURCE_CACHE for c in warm.cells)
+
+
 def test_failed_cells_stream_and_best_is_none():
     class FailingExecutor(CountingExecutor):
         def evaluate(self, specs):
@@ -317,7 +364,7 @@ def test_tcp_concurrent_clients_single_flight():
 def test_tcp_error_event_raises_client_side():
     async def scenario(executor, host, port):
         async with await TuningClient.connect(host, port) as client:
-            await client.tune(routine="gemm", n=512, tiles=(1024,))
+            await client.tune(TuneQuery(routine="gemm", n=512, tiles=(1024,)))
 
     with pytest.raises(ServiceError, match="no admissible cell"):
         _tcp(scenario)
