@@ -98,16 +98,14 @@ class CellSpec:
     n: int
     nb: int
     scenario: str = "host"
-    k: int | None = None
     platform: PlatformHandle = DEFAULT_PLATFORM
     mode: str = "perf"
 
     def cache_key(self) -> str:
         """Canonical key: every field, fixed order, fixed formatting."""
-        k = self.n if self.k is None else self.k
         return (
             f"{self.mode}|{self.platform.key}|{self.library}|{self.routine}"
-            f"|n={self.n}|nb={self.nb}|k={k}|{self.scenario}"
+            f"|n={self.n}|nb={self.nb}|{self.scenario}"
         )
 
 

@@ -52,7 +52,7 @@ def evaluate_cell(spec: CellSpec) -> CellOutcome:
             raise BenchmarkError(f"unknown cell mode {spec.mode!r}")
         result = harness.run_point(
             spec.library, spec.routine, spec.n, spec.nb, platform,
-            scenario=spec.scenario, k=spec.k,
+            scenario=spec.scenario,
         )
     except LibraryError as exc:
         return CellOutcome(ok=False, error=str(exc))

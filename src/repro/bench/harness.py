@@ -24,7 +24,8 @@ from typing import Iterable, Sequence, TypeVar
 from repro import config
 from repro.bench.cellspec import CellOutcome, CellSpec, PlatformHandle, as_handle
 from repro.bench.executor import SweepExecutor, default_executor
-from repro.bench.workloads import default_args, matrices_for
+from repro.bench.workloads import matrices_for
+from repro.blas.routines import ROUTINES
 from repro.errors import BenchmarkError
 from repro.libraries.base import LibraryResult
 from repro.libraries.registry import make_library
@@ -46,19 +47,16 @@ def run_point(
     scenario: str = "host",
     numeric: bool = False,
     keep_runtime: bool = False,
-    k: int | None = None,
 ) -> LibraryResult:
     """Simulate one benchmark cell in this process, uncached, and return its
     :class:`LibraryResult` (``None`` means the paper's 8-GPU DGX-1)."""
     if platform is None or isinstance(platform, PlatformHandle):
         platform = as_handle(platform).build()
     lib = make_library(library, platform)
-    # Every library method takes its BLAS parameters and operands under the
-    # names default_args and matrices_for use (tests pin the agreement).
-    mats = matrices_for(routine, n, k=k, numeric=numeric)
-    return getattr(lib, routine.lower())(
-        **default_args(routine), **mats,
-        nb=nb, scenario=scenario, keep_runtime=keep_runtime,
+    routine = routine.lower()
+    mats = matrices_for(routine, n, numeric=numeric)
+    return lib.call(
+        routine, nb, scenario, keep_runtime, **ROUTINES[routine].defaults, **mats
     )
 
 

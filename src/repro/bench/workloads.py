@@ -7,7 +7,7 @@ sweeps of the paper's figures.
 
 from __future__ import annotations
 
-from repro.blas.params import Side, Trans, Uplo
+from repro.blas.routines import ROUTINES
 from repro.errors import BenchmarkError
 from repro.memory.matrix import Matrix
 
@@ -24,59 +24,30 @@ def paper_sizes(fast: bool = False) -> tuple[int, ...]:
 def matrices_for(
     routine: str,
     n: int,
-    k: int | None = None,
     numeric: bool = False,
     seed: int = 0,
 ) -> dict[str, Matrix]:
-    """Operand matrices of one routine invocation (square C, inner dim k=n).
+    """Square ``n``×``n`` operands of one routine invocation, keyed by the
+    BLAS names of its routine-table row (the written operand last).
 
-    Keys follow the BLAS argument names: ``a``, ``b`` (when present), ``c``
-    (GEMM/SYMM/SYRK/SYR2K) or ``b`` as the in-place operand (TRMM/TRSM).
+    Numeric mode fills them with seeded random values; a triangular
+    routine's (TRMM/TRSM: the ones with a ``diag`` parameter) ``a`` is made
+    diagonally dominant so its solves stay well conditioned.
     """
-    k = n if k is None else k
-
-    def make(m_, n_, name, spd=False):
+    try:
+        row = ROUTINES[routine.lower()]
+    except KeyError:
+        raise BenchmarkError(f"unknown routine {routine!r}") from None
+    mats = {}
+    for operand in row.operands:
+        name = operand.upper()
         if not numeric:
-            return Matrix.meta(m_, n_, name=name)
-        mat = Matrix.random(m_, n_, seed=seed + sum(ord(ch) for ch in name), name=name)
-        if spd:
+            mats[operand] = Matrix.meta(n, n, name=name)
+            continue
+        mat = Matrix.random(n, n, seed=seed + ord(name), name=name)
+        if operand == "a" and "diag" in row.defaults:
             arr = mat.to_array()
             arr += arr.T.copy()
-            arr[range(m_), range(m_)] += m_  # diagonally dominant
-        return mat
-
-    routine = routine.lower()
-    if routine == "gemm":
-        return {"a": make(n, k, "A"), "b": make(k, n, "B"), "c": make(n, n, "C")}
-    if routine in ("symm", "hemm"):
-        return {"a": make(n, n, "A"), "b": make(n, n, "B"), "c": make(n, n, "C")}
-    if routine in ("syrk", "herk"):
-        return {"a": make(n, k, "A"), "c": make(n, n, "C")}
-    if routine in ("syr2k", "her2k"):
-        return {"a": make(n, k, "A"), "b": make(n, k, "B"), "c": make(n, n, "C")}
-    if routine in ("trmm", "trsm"):
-        return {"a": make(n, n, "A", spd=True), "b": make(n, n, "B")}
-    raise BenchmarkError(f"unknown routine {routine!r}")
-
-
-def default_args(routine: str) -> dict:
-    """Default BLAS parameters used across the paper's experiments (FP64,
-    lower/left/non-transposed, alpha=1)."""
-    routine = routine.lower()
-    if routine == "gemm":
-        return {"alpha": 1.0, "beta": 0.0, "transa": Trans.NOTRANS, "transb": Trans.NOTRANS}
-    if routine in ("symm", "hemm"):
-        return {"side": Side.LEFT, "uplo": Uplo.LOWER, "alpha": 1.0, "beta": 0.0}
-    if routine in ("syrk", "herk", "syr2k", "her2k"):
-        return {"uplo": Uplo.LOWER, "trans": Trans.NOTRANS, "alpha": 1.0, "beta": 0.0}
-    if routine in ("trmm", "trsm"):
-        from repro.blas.params import Diag
-
-        return {
-            "side": Side.LEFT,
-            "uplo": Uplo.LOWER,
-            "transa": Trans.NOTRANS,
-            "diag": Diag.NONUNIT,
-            "alpha": 1.0,
-        }
-    raise BenchmarkError(f"unknown routine {routine!r}")
+            arr[range(n), range(n)] += n  # diagonally dominant
+        mats[operand] = mat
+    return mats

@@ -11,11 +11,14 @@ LAPACK-layout sub-matrix views (§III).  This subpackage provides:
   validate every tiled algorithm numerically;
 * :mod:`repro.blas.tiled` — task-graph builders for GEMM, SYMM, SYR2K, SYRK,
   TRMM, TRSM and the Hermitian variants HEMM, HER2K, HERK (the paper's "9
-  standard BLAS subroutines", §IV-D).
+  standard BLAS subroutines", §IV-D);
+* :mod:`repro.blas.routines` — the routine table: per routine its builder,
+  matrix operands, default parameters and flop count, which the libraries,
+  the benchmark harness and the verifier all call through.
 """
 
-from repro.blas.flops import routine_flops
 from repro.blas.params import Diag, Side, Trans, Uplo
+from repro.blas.routines import ROUTINES, Routine
 from repro.blas.tiled import (
     build_gemm,
     build_hemm,
@@ -29,7 +32,9 @@ from repro.blas.tiled import (
 )
 
 __all__ = [
+    "ROUTINES",
     "Diag",
+    "Routine",
     "Side",
     "Trans",
     "Uplo",
@@ -42,5 +47,4 @@ __all__ = [
     "build_syrk",
     "build_trmm",
     "build_trsm",
-    "routine_flops",
 ]

@@ -11,8 +11,6 @@ on real data where they coincide with the symmetric counts.
 
 from __future__ import annotations
 
-from repro.errors import BlasValidationError
-
 
 def gemm_flops(m: int, n: int, k: int) -> float:
     """C(m,n) += A(m,k) B(k,n): 2mnk."""
@@ -84,42 +82,3 @@ KERNEL_REGULARITY: dict[str, float] = {
     "lascl": 0.50,
     "flush": 1.0,
 }
-
-
-def routine_flops(routine: str, m: int, n: int, k: int | None = None) -> float:
-    """Whole-routine flop count by name.
-
-    ``m``/``n``/``k`` follow each routine's own convention:
-
-    * ``gemm(m, n, k)``;
-    * ``symm``/``hemm``/``trmm``/``trsm``: ``(m, n)`` of C/B, ``k`` selects the
-      side (``k == m`` → left, default; ``k == n`` → right);
-    * ``syrk``/``herk``/``syr2k``/``her2k``: ``n`` is the order of C, ``k`` the
-      inner dimension.
-    """
-    name = routine.lower()
-    known = ("gemm", "symm", "hemm", "syrk", "herk", "syr2k", "her2k", "trmm", "trsm")
-    if name not in known and name[1:] in known:
-        name = name[1:]  # accept precision-prefixed names: "dgemm", "ssyr2k"...
-    if name == "gemm":
-        if k is None:
-            raise BlasValidationError("gemm flops need k")
-        return gemm_flops(m, n, k)
-    if name in ("symm", "hemm"):
-        side_left = k is None or k == m
-        return symm_flops(side_left, m, n)
-    if name in ("syrk", "herk"):
-        if k is None:
-            raise BlasValidationError(f"{name} flops need k")
-        return syrk_flops(n, k)
-    if name in ("syr2k", "her2k"):
-        if k is None:
-            raise BlasValidationError(f"{name} flops need k")
-        return syr2k_flops(n, k)
-    if name == "trmm":
-        side_left = k is None or k == m
-        return trmm_flops(side_left, m, n)
-    if name == "trsm":
-        side_left = k is None or k == m
-        return trsm_flops(side_left, m, n)
-    raise BlasValidationError(f"unknown routine {routine!r}")

@@ -266,22 +266,3 @@ def k_getrf_nopiv() -> Kernel:
         a[...] = _lu_nopivot(a)
 
     return kernel
-
-
-# ------------------------------------------------------------------- scale
-
-
-def k_scale(beta: float) -> Kernel:
-    """``c = beta c`` (used when a tile receives no accumulation term)."""
-
-    def kernel(c: np.ndarray) -> None:
-        c *= beta
-
-    return kernel
-
-
-def validate_tile_shapes(*arrays: np.ndarray) -> None:
-    """Cheap debugging guard used by tests: all arrays 2-D and F-ordered."""
-    for arr in arrays:
-        if arr.ndim != 2:
-            raise BlasValidationError(f"tile array must be 2-D, got {arr.ndim}-D")

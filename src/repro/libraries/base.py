@@ -1,11 +1,12 @@
 """Common machinery of the simulated libraries.
 
 :class:`SimulatedLibrary` turns a library description (runtime options +
-per-call semantics + supported routines) into the six BLAS-3 entry points the
-paper benchmarks.  Every call follows the paper's data-on-host methodology by
-default — operands start on the host, the measured time includes moving the
-result back (§IV-A) — and a ``scenario="device"`` variant implements the
-data-on-device methodology of §IV-C.
+per-call semantics + supported routines) into the BLAS-3 calls of the
+routine table (:mod:`repro.blas.routines`) the paper benchmarks.  Every call
+follows the paper's data-on-host methodology by default — operands start on
+the host, the measured time includes moving the result back (§IV-A) — and a
+``scenario="device"`` variant implements the data-on-device methodology of
+§IV-C.
 
 :class:`Session` exposes the asynchronous composition interface (§IV-F): on
 libraries with asynchronous semantics (XKBLAS) consecutive calls share one
@@ -20,19 +21,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Iterator
 
-from repro.blas import flops as fl
 from repro.blas.params import Diag, Side, Trans, Uplo
-from repro.blas.tiled import (
-    build_gemm,
-    build_hemm,
-    build_her2k,
-    build_herk,
-    build_symm,
-    build_syr2k,
-    build_syrk,
-    build_trmm,
-    build_trsm,
-)
+from repro.blas.routines import ROUTINES
 from repro.errors import LibraryError
 from repro.memory.layout import BlockCyclicDistribution, default_grid
 from repro.memory.matrix import Matrix
@@ -40,21 +30,10 @@ from repro.runtime.api import Runtime, RuntimeOptions
 from repro.runtime.task import Task
 from repro.topology.platform import Platform
 
-#: The paper's "9 standard BLAS subroutines" (§IV-D): the six of Fig. 5 plus
-#: the Hermitian versions of SYMM, SYR2K and SYRK.  Full-featured libraries
-#: (cuBLAS-XT, Chameleon, XKBLAS, SLATE, DPLASMA-CPU) expose all of them; each
-#: library class declares its subset.
-ALL_ROUTINES = (
-    "gemm",
-    "symm",
-    "syr2k",
-    "syrk",
-    "trmm",
-    "trsm",
-    "hemm",
-    "her2k",
-    "herk",
-)
+#: The paper's "9 standard BLAS subroutines" (§IV-D), in routine-table
+#: order.  Full-featured libraries (cuBLAS-XT, Chameleon, XKBLAS, SLATE,
+#: DPLASMA-CPU) expose all of them; each library class declares its subset.
+ALL_ROUTINES = tuple(ROUTINES)
 
 
 @dataclasses.dataclass
@@ -65,7 +44,6 @@ class LibraryResult:
     routine: str
     m: int
     n: int
-    k: int
     nb: int
     seconds: float
     flops: float
@@ -91,8 +69,8 @@ class SimulatedLibrary:
     """Base class: a library is a runtime configuration + call semantics.
 
     Subclasses override the class attributes and, where needed,
-    :meth:`_owner_hint` (static distributions) and :meth:`_host_overhead`
-    (layout conversions).
+    :meth:`_owner_hint` (static distributions) and
+    :meth:`_call_conversion_cost` (layout conversions).
     """
 
     name = "abstract"
@@ -139,6 +117,19 @@ class SimulatedLibrary:
         """Open a composition session (one shared runtime across calls)."""
         return Session(self, keep_runtime=keep_runtime)
 
+    def call(self, routine: str, nb: int, scenario: str = "host",
+             keep_runtime: bool = False, **args) -> LibraryResult:
+        """One routine call in its own session, measured per the scenario.
+
+        ``args`` are the call's BLAS arguments by name (see
+        :data:`~repro.blas.routines.ROUTINES`); the named methods below are
+        this call with their positional BLAS signatures.
+        """
+        session = self.session(keep_runtime=keep_runtime)
+        output = session.call_async(routine, nb, scenario, **args)
+        flops = ROUTINES[routine].flops(**args)
+        return session.finish(routine, flops, nb, scenario, output)
+
     def gemm(
         self,
         alpha: float,
@@ -153,85 +144,51 @@ class SimulatedLibrary:
         keep_runtime: bool = False,
     ) -> LibraryResult:
         """``C = alpha op(A) op(B) + beta C`` on the simulated platform."""
-        session = self.session(keep_runtime=keep_runtime)
-        session.gemm_async(alpha, a, b, beta, c, nb, transa, transb, scenario=scenario)
-        return session.finish("gemm", c.m, c.n, _inner_dim(a, transa), nb, scenario, c)
+        return self.call("gemm", nb, scenario, keep_runtime, alpha=alpha, a=a, b=b,
+                         beta=beta, c=c, transa=transa, transb=transb)
 
     def symm(self, side: Side, uplo: Uplo, alpha, a, b, beta, c, nb,
              scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        session = self.session(keep_runtime=keep_runtime)
-        session.symm_async(side, uplo, alpha, a, b, beta, c, nb, scenario=scenario)
-        k = c.m if side is Side.LEFT else c.n
-        return session.finish("symm", c.m, c.n, k, nb, scenario, c)
+        return self.call("symm", nb, scenario, keep_runtime, side=side, uplo=uplo,
+                         alpha=alpha, a=a, b=b, beta=beta, c=c)
 
     def syrk(self, uplo: Uplo, trans: Trans, alpha, a, beta, c, nb,
              scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        session = self.session(keep_runtime=keep_runtime)
-        session.syrk_async(uplo, trans, alpha, a, beta, c, nb, scenario=scenario)
-        k = a.n if trans is Trans.NOTRANS else a.m
-        return session.finish("syrk", c.m, c.n, k, nb, scenario, c)
+        return self.call("syrk", nb, scenario, keep_runtime, uplo=uplo, trans=trans,
+                         alpha=alpha, a=a, beta=beta, c=c)
 
     def syr2k(self, uplo: Uplo, trans: Trans, alpha, a, b, beta, c, nb,
               scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        session = self.session(keep_runtime=keep_runtime)
-        session.syr2k_async(uplo, trans, alpha, a, b, beta, c, nb, scenario=scenario)
-        k = a.n if trans is Trans.NOTRANS else a.m
-        return session.finish("syr2k", c.m, c.n, k, nb, scenario, c)
+        return self.call("syr2k", nb, scenario, keep_runtime, uplo=uplo, trans=trans,
+                         alpha=alpha, a=a, b=b, beta=beta, c=c)
 
     def trmm(self, side: Side, uplo: Uplo, transa: Trans, diag: Diag, alpha, a, b, nb,
              scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        session = self.session(keep_runtime=keep_runtime)
-        session.trmm_async(side, uplo, transa, diag, alpha, a, b, nb, scenario=scenario)
-        k = b.m if side is Side.LEFT else b.n
-        return session.finish("trmm", b.m, b.n, k, nb, scenario, b)
+        return self.call("trmm", nb, scenario, keep_runtime, side=side, uplo=uplo,
+                         transa=transa, diag=diag, alpha=alpha, a=a, b=b)
 
     def trsm(self, side: Side, uplo: Uplo, transa: Trans, diag: Diag, alpha, a, b, nb,
              scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        session = self.session(keep_runtime=keep_runtime)
-        session.trsm_async(side, uplo, transa, diag, alpha, a, b, nb, scenario=scenario)
-        k = b.m if side is Side.LEFT else b.n
-        return session.finish("trsm", b.m, b.n, k, nb, scenario, b)
+        return self.call("trsm", nb, scenario, keep_runtime, side=side, uplo=uplo,
+                         transa=transa, diag=diag, alpha=alpha, a=a, b=b)
 
     def hemm(self, side: Side, uplo: Uplo, alpha, a, b, beta, c, nb,
              scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
         """Hermitian SYMM (one of the 9 standard routines, §IV-D)."""
-        session = self.session(keep_runtime=keep_runtime)
-        session.hemm_async(side, uplo, alpha, a, b, beta, c, nb, scenario=scenario)
-        k = c.m if side is Side.LEFT else c.n
-        return session.finish("hemm", c.m, c.n, k, nb, scenario, c)
+        return self.call("hemm", nb, scenario, keep_runtime, side=side, uplo=uplo,
+                         alpha=alpha, a=a, b=b, beta=beta, c=c)
 
     def herk(self, uplo: Uplo, trans: Trans, alpha, a, beta, c, nb,
              scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
         """Hermitian SYRK."""
-        session = self.session(keep_runtime=keep_runtime)
-        session.herk_async(uplo, trans, alpha, a, beta, c, nb, scenario=scenario)
-        k = a.n if trans is Trans.NOTRANS else a.m
-        return session.finish("herk", c.m, c.n, k, nb, scenario, c)
+        return self.call("herk", nb, scenario, keep_runtime, uplo=uplo, trans=trans,
+                         alpha=alpha, a=a, beta=beta, c=c)
 
     def her2k(self, uplo: Uplo, trans: Trans, alpha, a, b, beta, c, nb,
               scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
         """Hermitian SYR2K."""
-        session = self.session(keep_runtime=keep_runtime)
-        session.her2k_async(uplo, trans, alpha, a, b, beta, c, nb, scenario=scenario)
-        k = a.n if trans is Trans.NOTRANS else a.m
-        return session.finish("her2k", c.m, c.n, k, nb, scenario, c)
-
-    # ------------------------------------------------------------ internals
-
-    def _check_routine(self, routine: str, dims: Iterable[int]) -> None:
-        if routine not in self.routines:
-            raise LibraryError(f"{self.name} does not implement {routine.upper()}")
-        if self.max_dimension is not None:
-            big = max(dims)
-            if big > self.max_dimension:
-                raise LibraryError(
-                    f"{self.name}: memory allocation error for dimension {big} "
-                    f"(> {self.max_dimension})"
-                )
-
-
-def _inner_dim(a: Matrix, transa: Trans) -> int:
-    return a.n if transa is Trans.NOTRANS else a.m
+        return self.call("her2k", nb, scenario, keep_runtime, uplo=uplo, trans=trans,
+                         alpha=alpha, a=a, b=b, beta=beta, c=c)
 
 
 class Session:
@@ -242,7 +199,6 @@ class Session:
         self.runtime = Runtime(library.platform, library.runtime_options())
         self.keep_runtime = keep_runtime
         self._calls = 0
-        self._outputs: list[tuple[Matrix, int]] = []
         self._extra_host_seconds = 0.0
 
     # ------------------------------------------------------------- plumbing
@@ -284,7 +240,6 @@ class Session:
             for task in hinted():
                 self.runtime.submit(task)
         self._calls += 1
-        self._outputs.append((output, nb))
         if lib.synchronous:
             # cuBLAS-XT semantics: result home after every call, device
             # replicas dropped (data "transferred back and forth", §IV-F).
@@ -315,61 +270,63 @@ class Session:
 
     # -------------------------------------------------------- async methods
 
+    def call_async(self, routine: str, nb: int, scenario: str = "host", **args) -> Matrix:
+        """Submit one routine call (BLAS arguments by name); returns the
+        matrix it writes."""
+        lib = self.library
+        if routine not in lib.routines:
+            raise LibraryError(f"{lib.name} does not implement {routine.upper()}")
+        row = ROUTINES[routine]
+        matrices = [args[name] for name in row.operands]
+        if lib.max_dimension is not None:
+            big = max(max(m.m, m.n) for m in matrices)
+            if big > lib.max_dimension:
+                raise LibraryError(
+                    f"{lib.name}: memory allocation error for dimension {big} "
+                    f"(> {lib.max_dimension})"
+                )
+        parts = self._prepare(matrices, nb, scenario)
+        tasks = row.build(**{**args, **dict(zip(row.operands, parts))})
+        self._submit(tasks, parts[-1].shape, matrices[-1], nb)
+        return matrices[-1]
+
     def gemm_async(self, alpha, a, b, beta, c, nb,
                    transa: Trans = Trans.NOTRANS, transb: Trans = Trans.NOTRANS,
                    scenario: str = "host") -> None:
-        self.library._check_routine("gemm", (a.m, a.n, b.n, c.m, c.n))
-        pa, pb, pc = self._prepare([a, b, c], nb, scenario)
-        tasks = build_gemm(alpha, pa, pb, beta, pc, transa, transb)
-        self._submit(tasks, pc.shape, c, nb)
+        self.call_async("gemm", nb, scenario, alpha=alpha, a=a, b=b, beta=beta, c=c,
+                        transa=transa, transb=transb)
 
     def symm_async(self, side, uplo, alpha, a, b, beta, c, nb, scenario="host") -> None:
-        self.library._check_routine("symm", (a.m, c.m, c.n))
-        pa, pb, pc = self._prepare([a, b, c], nb, scenario)
-        tasks = build_symm(side, uplo, alpha, pa, pb, beta, pc)
-        self._submit(tasks, pc.shape, c, nb)
+        self.call_async("symm", nb, scenario, side=side, uplo=uplo, alpha=alpha,
+                        a=a, b=b, beta=beta, c=c)
 
     def syrk_async(self, uplo, trans, alpha, a, beta, c, nb, scenario="host") -> None:
-        self.library._check_routine("syrk", (a.m, a.n, c.m))
-        pa, pc = self._prepare([a, c], nb, scenario)
-        tasks = build_syrk(uplo, trans, alpha, pa, beta, pc)
-        self._submit(tasks, pc.shape, c, nb)
+        self.call_async("syrk", nb, scenario, uplo=uplo, trans=trans, alpha=alpha,
+                        a=a, beta=beta, c=c)
 
     def syr2k_async(self, uplo, trans, alpha, a, b, beta, c, nb, scenario="host") -> None:
-        self.library._check_routine("syr2k", (a.m, a.n, c.m))
-        pa, pb, pc = self._prepare([a, b, c], nb, scenario)
-        tasks = build_syr2k(uplo, trans, alpha, pa, pb, beta, pc)
-        self._submit(tasks, pc.shape, c, nb)
+        self.call_async("syr2k", nb, scenario, uplo=uplo, trans=trans, alpha=alpha,
+                        a=a, b=b, beta=beta, c=c)
 
     def trmm_async(self, side, uplo, transa, diag, alpha, a, b, nb, scenario="host") -> None:
-        self.library._check_routine("trmm", (a.m, b.m, b.n))
-        pa, pb = self._prepare([a, b], nb, scenario)
-        tasks = build_trmm(side, uplo, transa, diag, alpha, pa, pb)
-        self._submit(tasks, pb.shape, b, nb)
+        self.call_async("trmm", nb, scenario, side=side, uplo=uplo, transa=transa,
+                        diag=diag, alpha=alpha, a=a, b=b)
 
     def trsm_async(self, side, uplo, transa, diag, alpha, a, b, nb, scenario="host") -> None:
-        self.library._check_routine("trsm", (a.m, b.m, b.n))
-        pa, pb = self._prepare([a, b], nb, scenario)
-        tasks = build_trsm(side, uplo, transa, diag, alpha, pa, pb)
-        self._submit(tasks, pb.shape, b, nb)
+        self.call_async("trsm", nb, scenario, side=side, uplo=uplo, transa=transa,
+                        diag=diag, alpha=alpha, a=a, b=b)
 
     def hemm_async(self, side, uplo, alpha, a, b, beta, c, nb, scenario="host") -> None:
-        self.library._check_routine("hemm", (a.m, c.m, c.n))
-        pa, pb, pc = self._prepare([a, b, c], nb, scenario)
-        tasks = build_hemm(side, uplo, alpha, pa, pb, beta, pc)
-        self._submit(tasks, pc.shape, c, nb)
+        self.call_async("hemm", nb, scenario, side=side, uplo=uplo, alpha=alpha,
+                        a=a, b=b, beta=beta, c=c)
 
     def herk_async(self, uplo, trans, alpha, a, beta, c, nb, scenario="host") -> None:
-        self.library._check_routine("herk", (a.m, a.n, c.m))
-        pa, pc = self._prepare([a, c], nb, scenario)
-        tasks = build_herk(uplo, trans, alpha, pa, beta, pc)
-        self._submit(tasks, pc.shape, c, nb)
+        self.call_async("herk", nb, scenario, uplo=uplo, trans=trans, alpha=alpha,
+                        a=a, beta=beta, c=c)
 
     def her2k_async(self, uplo, trans, alpha, a, b, beta, c, nb, scenario="host") -> None:
-        self.library._check_routine("her2k", (a.m, a.n, c.m))
-        pa, pb, pc = self._prepare([a, b, c], nb, scenario)
-        tasks = build_her2k(uplo, trans, alpha, pa, pb, beta, pc)
-        self._submit(tasks, pc.shape, c, nb)
+        self.call_async("her2k", nb, scenario, uplo=uplo, trans=trans, alpha=alpha,
+                        a=a, b=b, beta=beta, c=c)
 
     def memory_coherent_async(self, matrix: Matrix, nb: int | None = None) -> None:
         self.runtime.memory_coherent_async(matrix, nb)
@@ -389,21 +346,19 @@ class Session:
 
     # ---------------------------------------------------------- measurement
 
-    def finish(self, routine: str, m: int, n: int, k: int, nb: int,
-               scenario: str, output: Matrix) -> LibraryResult:
+    def finish(self, routine: str, flops: float, nb: int, scenario: str,
+               output: Matrix) -> LibraryResult:
         """Flush the result home (host scenario), sync, and build the result."""
         lib = self.library
         if scenario == "host" and not lib.synchronous:
             self.runtime.memory_coherent_async(output, nb)
         seconds = self.sync()
         seconds += self._extra_host_seconds
-        flops = fl.routine_flops(routine, m, n, k)
         return LibraryResult(
             library=lib.name,
             routine=routine,
-            m=m,
-            n=n,
-            k=k,
+            m=output.m,
+            n=output.n,
             nb=nb,
             seconds=seconds,
             flops=flops,

@@ -36,12 +36,3 @@ class SourcePolicy(enum.Enum):
     @property
     def optimistic(self) -> bool:
         return self is SourcePolicy.TOPOLOGY_OPTIMISTIC
-
-    @classmethod
-    def xkblas_variant(cls, label: str) -> "SourcePolicy":
-        """Map the paper's figure labels onto policies."""
-        return {
-            "xkblas": cls.TOPOLOGY_OPTIMISTIC,
-            "xkblas-no-heuristic": cls.TOPOLOGY,
-            "xkblas-no-heuristic-no-topo": cls.ANY_VALID,
-        }[label]

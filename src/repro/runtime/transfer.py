@@ -197,7 +197,7 @@ class TransferManager:
         pinned: list[TileKey] = []
         pinned_append = pinned.append
         cache = self.caches[dst]
-        resident_get = cache._resident.get
+        resident = cache._resident
         dir_ids_get = self._dir_ids.get
         dir_valid = self._dir_valid
         dstbit = 1 << (dst + 1)
@@ -207,17 +207,13 @@ class TransferManager:
             if access.reads:
                 tid = dir_ids_get(key)
                 if tid is not None and dir_valid[tid] & dstbit:
-                    entry = resident_get(key)
-                    if entry is None:
-                        # Valid in the directory but not byte-accounted:
-                        # mirrors the defensive miss of the slow path.
-                        cache.misses += 1
-                    else:
-                        cache.hits += 1
-                        if now > entry.last_use:
-                            entry.last_use = now
-                        entry.pins += 1
-                        pinned_append(key)
+                    # A valid replica is byte-accounted on its device.
+                    entry = resident[key]
+                    cache.hits += 1
+                    if now > entry.last_use:
+                        entry.last_use = now
+                    entry.pins += 1
+                    pinned_append(key)
                     continue
                 if tid is None:
                     tid = self.directory.lookup(key)
@@ -226,13 +222,10 @@ class TransferManager:
                     # replica was byte-accounted (and landing-pinned) when
                     # the transfer was issued, so the launch pin is one
                     # entry probe (record_access + pin_if_resident, fused).
-                    entry = resident_get(key)
-                    if entry is None:
-                        cache.misses += 1
-                    else:
-                        cache.hits += 1
-                        entry.pins += 1
-                        pinned_append(key)
+                    entry = resident[key]
+                    cache.hits += 1
+                    entry.pins += 1
+                    pinned_append(key)
                     ready = self._dir_flights[tid][dst].completes_at
                 else:
                     ready = self._issue_transfer(
@@ -246,7 +239,7 @@ class TransferManager:
                         inputs_ready = ready
             else:  # WRITE-only output: room for its allocation
                 self.datastore.register(tile)
-                if resident_get(key) is None:
+                if key not in resident:
                     tid = dir_ids_get(key)
                     if tid is None:
                         tid = self.directory.lookup(key)
@@ -390,11 +383,7 @@ class TransferManager:
                 self.optimistic_forwards += 1
                 return best_flight.dst, best_flight.completes_at
         # Fall back to the host.
-        if self._dir_valid[tid] & _HOST_BIT:
-            return HOST, now
-        if fmask & _HOST_BIT:
-            return HOST, self._dir_flights[tid][HOST].completes_at
-        return HOST, self.ensure_host_valid(self.datastore.tile(key), now)
+        return HOST, self._host_ready(key, tid, now)
 
     def _device_source(self, key: TileKey, dst: int, dmask: int) -> int:
         """The device replica a transfer of ``key`` to ``dst`` reads from,
@@ -533,18 +522,29 @@ class TransferManager:
     def ensure_host_valid(self, tile: Tile, earliest: float | None = None) -> float:
         """Make the host copy of ``tile`` valid (D2H write-back); return time.
 
-        Used both by the HOST_ONLY fallback above and by the user-facing
-        ``memory_coherent_async`` (lazy coherence, §IV-F).
+        The user-facing flush of ``memory_coherent_async`` (lazy coherence,
+        §IV-F), no earlier than ``earliest``; :meth:`_host_ready` decides.
         """
         now = self.sim.now if earliest is None else max(self.sim.now, earliest)
         key = tile.key
         tid = self._dir_ids.get(key)
         if tid is None:
             tid = self.directory.lookup(key)
+        return self._host_ready(key, tid, now)
+
+    def _host_ready(self, key: TileKey, tid: int, now: float) -> float:
+        """When the host copy of ``key`` is valid, from ``now`` on.
+
+        The one rule for the host-fallback source, the user flush and dirty
+        eviction victims: ``now`` if the host copy is valid, the landing
+        of a write-back already in flight, else the landing of a write-back
+        reserved and issued here from :meth:`_writeback_source`.
+        """
         if self._dir_valid[tid] & _HOST_BIT:
             return now
         if self._dir_fmask[tid] & _HOST_BIT:
             return max(now, self._dir_flights[tid][HOST].completes_at)
+        tile = self.datastore.tile(key)
         source = self._writeback_source(key, tid)
         start, end = self.fabric.reserve_d2h(source, tile.nbytes, now)
         self._issue_writeback(tile, key, tid, source, start, end, now)
@@ -673,12 +673,13 @@ class TransferManager:
 
         One loop over the entries :meth:`DeviceCache.take_victims` removed,
         best victim first.  A clean victim is evicted and its device tile
-        dropped.  A dirty one is forgotten eagerly once its data is safe: its
-        host copy is valid, its write-back is already in flight, or a new
-        write-back is reserved and issued.  The in-flight record to HOST
-        keeps the tile alive in the directory, so later requests chain on
-        the write-back instead of seeing a phantom device copy; the DMA's
-        source buffer survives in the data store until the flight lands.
+        dropped.  A dirty one is forgotten eagerly once its data is safe
+        (:meth:`_host_ready`): its host copy is valid, its write-back is
+        already in flight, or a new write-back is reserved and issued.  The
+        in-flight record to HOST keeps the tile alive in the directory, so
+        later requests chain on the write-back instead of seeing a phantom
+        device copy; the DMA's source buffer survives in the data store
+        until the flight lands.
 
         The loop issues the same reservations, directory transitions and
         completion posts in the same order as reserving every fresh
@@ -700,15 +701,7 @@ class TransferManager:
             if tid is None:
                 tid = directory.lookup(vkey)
             if entry.dirty:
-                if self._dir_valid[tid] & _HOST_BIT:
-                    end = now
-                elif self._dir_fmask[tid] & _HOST_BIT:
-                    end = max(now, self._dir_flights[tid][HOST].completes_at)
-                else:
-                    vtile = datastore.tile(vkey)
-                    source = self._writeback_source(vkey, tid)
-                    start, end = self.fabric.reserve_d2h(source, vtile.nbytes, now)
-                    self._issue_writeback(vtile, vkey, tid, source, start, end, now)
+                end = self._host_ready(vkey, tid, now)
                 if end > ready:
                     ready = end
                 directory.discard(tid, device)

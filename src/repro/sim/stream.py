@@ -47,9 +47,5 @@ class Stream:
         self.ops += 1
         return start, end
 
-    def available_at(self, earliest: float) -> float:
-        """Earliest time an op could start given the backlog and ``earliest``."""
-        return max(earliest, self.busy_until)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Stream({self.name!r}, busy_until={self.busy_until:.6f}, ops={self.ops})"

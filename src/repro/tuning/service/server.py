@@ -212,6 +212,8 @@ class TuningServer:
         self.port = port
         self._server: asyncio.AbstractServer | None = None
         self._stop = asyncio.Event()
+        #: open connections: handler task -> its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # ------------------------------------------------------------ lifecycle
 
@@ -236,8 +238,20 @@ class TuningServer:
         self._stop.set()
 
     async def close(self) -> None:
+        """Stop listening, close every open connection, and return once each
+        connection handler has returned and the server is closed.
+
+        Connections are closed first: their handlers then read EOF and
+        return.  ``Server.wait_closed`` waits for open connections on
+        Python 3.12+, and a handler still pending when the loop ends is
+        cancelled inside ``readline`` and logged as a crash on 3.10/3.11.
+        """
         if self._server is not None:
             self._server.close()
+            handlers = list(self._connections)
+            for writer in self._connections.values():
+                writer.close()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         self._stop.set()
@@ -252,6 +266,8 @@ class TuningServer:
     ) -> None:
         send = _locked_sender(writer)
         tasks: set[asyncio.Task] = set()
+        handler = asyncio.current_task()
+        self._connections[handler] = writer
         try:
             while True:
                 line = await reader.readline()
@@ -268,12 +284,12 @@ class TuningServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[handler]
             for task in tasks:
                 task.cancel()
             writer.close()
-            # CancelledError included: the handler itself may be cancelled by
-            # server shutdown while draining the close — benign either way.
-            with contextlib.suppress(Exception, asyncio.CancelledError):
+            # The peer may have reset the connection already.
+            with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
     async def _dispatch(

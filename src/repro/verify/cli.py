@@ -41,8 +41,7 @@ from pathlib import Path
 
 import repro
 from repro import Runtime, RuntimeOptions
-from repro.bench.workloads import default_args, matrices_for
-from repro.blas import tiled
+from repro.blas import routines as blas_routines, tiled
 from repro.memory.layout import BlockCyclicDistribution, TilePartition, default_grid
 from repro.memory.matrix import Matrix
 from repro.runtime.dataflow import TaskGraph
@@ -67,28 +66,23 @@ def _partition(n: int, nb: int, name: str) -> TilePartition:
 def build_tasks(routine: str, n: int, nb: int) -> list:
     """Submission-ordered task list of one routine (metadata matrices).
 
-    Every builder runs with the benchmark's parameters
-    (:func:`~repro.bench.workloads.default_args`, whose names the builders
-    share) except ``beta=0.5``, which keeps the C chains RW.
+    Every builder runs with its routine-table defaults
+    (:data:`repro.blas.routines.ROUTINES`) except ``beta=0.5``, which keeps
+    the C chains RW.
     """
-    a = _partition(n, nb, "A")
-    b = _partition(n, nb, "B")
-    c = _partition(n, nb, "C")
+    operands = {name: _partition(n, nb, name.upper()) for name in ("a", "b", "c")}
     # The composition is a TRSM producing B, then a GEMM consuming it (§IV-F).
     first = "trsm" if routine == "composition" else routine
     if first not in ROUTINES:
         raise ValueError(f"unknown routine {routine!r}")
-    args = default_args(first)
+    row = blas_routines.ROUTINES[first]
+    args = dict(row.defaults)
     if "beta" in args:
         args["beta"] = 0.5
-    operands = {"a": a, "b": b, "c": c}
-    tasks = list(
-        getattr(tiled, f"build_{first}")(
-            **args, **{name: operands[name] for name in matrices_for(first, n)}
-        )
-    )
+    tasks = list(row.build(**args, **{name: operands[name] for name in row.operands}))
     if routine == "composition":
-        tasks += tiled.build_gemm(1.0, b, c, 0.5, _partition(n, nb, "D"))
+        d = _partition(n, nb, "D")
+        tasks += tiled.build_gemm(1.0, operands["b"], operands["c"], 0.5, d)
     return tasks
 
 

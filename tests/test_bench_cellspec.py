@@ -19,7 +19,7 @@ def test_cache_key_golden():
     # The key format is a persistence contract: changing it silently orphans
     # every record in users' .bench_cache stores, so pin it exactly.
     spec = CellSpec(library="xkblas", routine="gemm", n=8192, nb=1024)
-    assert spec.cache_key() == "perf|dgx1x8|xkblas|gemm|n=8192|nb=1024|k=8192|host"
+    assert spec.cache_key() == "perf|dgx1x8|xkblas|gemm|n=8192|nb=1024|host"
 
 
 def test_cache_key_covers_every_field():
@@ -29,7 +29,6 @@ def test_cache_key_covers_every_field():
         CellSpec(library="xkblas", routine="trsm", n=8192, nb=1024),
         CellSpec(library="xkblas", routine="gemm", n=4096, nb=1024),
         CellSpec(library="xkblas", routine="gemm", n=8192, nb=2048),
-        CellSpec(library="xkblas", routine="gemm", n=8192, nb=1024, k=512),
         CellSpec(library="xkblas", routine="gemm", n=8192, nb=1024, scenario="device"),
         CellSpec(library="xkblas", routine="gemm", n=8192, nb=1024,
                  platform=PlatformHandle("dgx1", 4)),
@@ -39,13 +38,6 @@ def test_cache_key_covers_every_field():
     keys = {spec.cache_key() for spec in variants}
     assert len(keys) == len(variants)
     assert base.cache_key() not in keys
-
-
-def test_explicit_k_equal_to_n_matches_default():
-    # k=None means k=n; the key must not distinguish the two spellings.
-    implicit = CellSpec(library="xkblas", routine="gemm", n=8192, nb=1024)
-    explicit = CellSpec(library="xkblas", routine="gemm", n=8192, nb=1024, k=8192)
-    assert implicit.cache_key() == explicit.cache_key()
 
 
 def test_specs_are_hashable_dict_keys():

@@ -16,10 +16,10 @@ from repro.bench.harness import (
     tile_candidates,
     tile_specs,
 )
-from repro.bench.workloads import default_args, matrices_for, paper_sizes
-from repro.blas import tiled
+from repro.bench.workloads import matrices_for, paper_sizes
+from repro.blas.routines import ROUTINES as BLAS3
 from repro.errors import BenchmarkError
-from repro.libraries.base import SimulatedLibrary
+from repro.libraries.base import Session, SimulatedLibrary
 from repro.topology.dgx1 import make_dgx1
 
 
@@ -42,30 +42,36 @@ def test_paper_sizes():
 
 @pytest.mark.parametrize("routine", ROUTINES)
 def test_matrices_for_all_routines(routine):
-    mats = matrices_for(routine, 256, k=128)
-    assert all(not m.numeric for m in mats.values())
-    args = default_args(routine)
-    assert "alpha" in args
+    mats = matrices_for(routine, 256)
+    assert list(mats) == list(BLAS3[routine].operands)
+    assert all(not m.numeric and (m.m, m.n) == (256, 256) for m in mats.values())
+    assert "alpha" in BLAS3[routine].defaults
     numeric = matrices_for(routine, 64, numeric=True)
     assert all(m.numeric for m in numeric.values())
 
 
 @pytest.mark.parametrize("routine", ROUTINES)
 def test_routine_parameter_names_match_workload_keys(routine):
-    """``run_point`` and ``repro.verify``'s graph builder call every library
-    method and tiled builder with the keys of ``default_args`` and
-    ``matrices_for`` as keyword arguments; the signatures must bind them."""
-    names = dict.fromkeys([*default_args(routine), *matrices_for(routine, 64)])
-    library_method = inspect.signature(getattr(SimulatedLibrary, routine))
-    library_method.bind(None, **names, nb=64, scenario="host", keep_runtime=False)
-    inspect.signature(getattr(tiled, f"build_{routine}")).bind(**names)
+    """Each routine-table row's builder binds its defaults plus operands, and
+    the library's named sync and ``_async`` methods take the same names: the
+    named methods, ``call``/``call_async``, ``run_point`` and
+    ``repro.verify``'s graph builder all pass them by keyword."""
+    row = BLAS3[routine]
+    names = dict.fromkeys([*row.defaults, *row.operands])
+    inspect.signature(row.build).bind(**names)
+    inspect.signature(getattr(SimulatedLibrary, routine)).bind(
+        None, **names, nb=64, scenario="host", keep_runtime=False
+    )
+    inspect.signature(getattr(Session, f"{routine}_async")).bind(
+        None, **names, nb=64, scenario="host"
+    )
 
 
 def test_matrices_for_unknown_routine():
     with pytest.raises(BenchmarkError):
         matrices_for("getrf", 64)
-    with pytest.raises(BenchmarkError):
-        default_args("getrf")
+    with pytest.raises(BenchmarkError, match="unknown routine"):
+        run_point("xkblas", "getrf", 4096, 1024)
 
 
 def test_dod_tile_size_rule():

@@ -1,9 +1,9 @@
 """Tests for flop-count formulas."""
 
-import pytest
-
 from repro.blas import flops as fl
-from repro.errors import BlasValidationError
+from repro.blas.params import Side, Trans
+from repro.blas.routines import ROUTINES
+from repro.memory.matrix import Matrix
 
 
 def test_gemm_flops():
@@ -27,21 +27,29 @@ def test_trmm_trsm_flops():
     assert fl.trsm_flops(False, 8, 4) == 8 * 4 * 4
 
 
-def test_routine_flops_dispatch():
-    assert fl.routine_flops("gemm", 4, 5, 6) == fl.gemm_flops(4, 5, 6)
-    assert fl.routine_flops("DGEMM", 4, 5, 6) == fl.gemm_flops(4, 5, 6)
-    assert fl.routine_flops("dsyr2k", 8, 8, 3) == fl.syr2k_flops(8, 3)
-    assert fl.routine_flops("herk", 8, 8, 3) == fl.syrk_flops(8, 3)
-    assert fl.routine_flops("symm", 4, 6, 4) == fl.symm_flops(True, 4, 6)
-    assert fl.routine_flops("symm", 4, 6, 6) == fl.symm_flops(False, 4, 6)
-    assert fl.routine_flops("trsm", 4, 6, 4) == fl.trsm_flops(True, 4, 6)
-
-
-def test_routine_flops_errors():
-    with pytest.raises(BlasValidationError):
-        fl.routine_flops("gemm", 4, 5)  # k required
-    with pytest.raises(BlasValidationError):
-        fl.routine_flops("qrf", 4, 5, 6)
+def test_routine_table_flops_on_non_square_operands():
+    """Each row counts from the written operand's shape, the inner dimension
+    through the transpose, and the side as given: a right-side SYMM with
+    m != n is ``symm_flops(False, m, n)``."""
+    m, n, k = 4, 6, 3
+    meta = Matrix.meta
+    out = meta(m, n)
+    for trans, a in ((Trans.NOTRANS, meta(m, k)), (Trans.TRANS, meta(k, m))):
+        assert ROUTINES["gemm"].flops(a=a, c=out, transa=trans) == fl.gemm_flops(m, n, k)
+    for trans, a in ((Trans.NOTRANS, meta(n, k)), (Trans.TRANS, meta(k, n))):
+        c = meta(n, n)
+        for name in ("syrk", "herk"):
+            assert ROUTINES[name].flops(trans=trans, a=a, c=c) == fl.syrk_flops(n, k)
+        for name in ("syr2k", "her2k"):
+            assert ROUTINES[name].flops(trans=trans, a=a, b=a, c=c) == fl.syr2k_flops(n, k)
+    for side in (Side.LEFT, Side.RIGHT):
+        left = side is Side.LEFT
+        a = meta(m, m) if left else meta(n, n)
+        for name in ("symm", "hemm"):
+            flops = ROUTINES[name].flops(side=side, a=a, b=out, c=out)
+            assert flops == fl.symm_flops(left, m, n)
+        assert ROUTINES["trmm"].flops(side=side, a=a, b=out) == fl.trmm_flops(left, m, n)
+        assert ROUTINES["trsm"].flops(side=side, a=a, b=out) == fl.trsm_flops(left, m, n)
 
 
 def test_kernel_regularity_table():

@@ -115,20 +115,6 @@ def test_herk_hermitian_result():
     assert np.allclose(np.diag(c).imag, 0.0)
 
 
-def test_scale_kernel():
-    c = np.asfortranarray(np.ones((3, 3)))
-    K.k_scale(0.5)(c)
-    assert np.all(c == 0.5)
-
-
-def test_validate_tile_shapes():
-    from repro.errors import BlasValidationError
-
-    K.validate_tile_shapes(np.zeros((2, 2)))
-    with pytest.raises(BlasValidationError):
-        K.validate_tile_shapes(np.zeros(3))
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     m=st.integers(1, 8),

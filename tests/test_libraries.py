@@ -34,7 +34,7 @@ def test_unknown_library_rejected(dgx1_small):
         make_library("mkl", dgx1_small)
 
 
-def test_xkblas_variant_policies(dgx1_small):
+def test_xkblas_labels_map_to_source_policies(dgx1_small):
     assert (
         make_library("xkblas", dgx1_small).runtime_options().source_policy
         is SourcePolicy.TOPOLOGY_OPTIMISTIC
@@ -49,7 +49,6 @@ def test_xkblas_variant_policies(dgx1_small):
         .source_policy
         is SourcePolicy.ANY_VALID
     )
-    assert SourcePolicy.xkblas_variant("xkblas") is SourcePolicy.TOPOLOGY_OPTIMISTIC
 
 
 # ------------------------------------------------------------- correctness

@@ -13,6 +13,7 @@ def test_operations_serialize():
     s2, e2 = stream.reserve(2.0)
     assert (s1, e1) == (0.0, 1.0)
     assert (s2, e2) == (1.0, 3.0)
+    assert stream.busy_until == 3.0
     assert stream.ops == 2
 
 
@@ -35,10 +36,12 @@ def test_negative_duration_rejected():
 
 
 def test_available_at():
+    # An op starts at max(earliest, backlog): zero-length probes leave the
+    # backlog where the first op put it.
     stream = Stream(Simulator())
     stream.reserve(3.0)
-    assert stream.available_at(1.0) == 3.0
-    assert stream.available_at(4.0) == 4.0
+    assert stream.reserve(0.0, earliest=1.0)[0] == 3.0
+    assert stream.reserve(0.0, earliest=4.0)[0] == 4.0
 
 
 def test_zero_duration_op_allowed():

@@ -405,6 +405,32 @@ def test_tcp_shutdown_op_stops_the_server():
     assert asyncio.run(go())
 
 
+def test_shutdown_closes_idle_connections_and_leaves_no_task():
+    """A ``shutdown`` while another client holds an idle connection: the
+    server closes that connection too, and ``serve_until_stopped`` returns
+    with no connection handler left pending.  On Python 3.12+ an open
+    connection keeps ``Server.wait_closed`` waiting; on 3.10/3.11 a handler
+    still in ``readline`` when the loop ends is cancelled and logged."""
+
+    async def go():
+        server = TuningServer(CountingExecutor(), port=0)
+        host, port = await server.start()
+        serve_task = asyncio.ensure_future(server.serve_until_stopped())
+        idle_reader, idle_writer = await asyncio.open_connection(host, port)
+        async with await TuningClient.connect(host, port) as client:
+            await client.ping()  # the idle connection's handler is running
+            await client.shutdown()
+        await asyncio.wait_for(serve_task, timeout=10)
+        left = asyncio.all_tasks() - {asyncio.current_task()}
+        eof = await asyncio.wait_for(idle_reader.read(), timeout=10)
+        idle_writer.close()
+        return left, eof
+
+    left, eof = asyncio.run(go())
+    assert left == set()
+    assert eof == b""
+
+
 # ------------------------------------------------------------- persistence
 
 
