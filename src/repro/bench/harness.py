@@ -10,8 +10,8 @@ library", extended up to 16384 for cuBLAS-XT and SLATE.
 batch of points, over :class:`~repro.bench.cellspec.PlatformHandle` cells,
 in one call to the sweep executor — an in-process memo plus optional worker
 pool and persistent cache (see :mod:`repro.bench.executor`).  ``run_point``
-simulates one cell in this process, uncached: the executor's worker entry,
-and the path for numeric runs, ``keep_runtime`` runs and hand-built
+simulates one perf-mode cell in this process, uncached: the executor's worker
+entry, and the path for ``keep_runtime`` runs and hand-built
 :class:`Platform` objects.
 """
 
@@ -45,7 +45,6 @@ def run_point(
     nb: int,
     platform: Platform | PlatformHandle | None = None,
     scenario: str = "host",
-    numeric: bool = False,
     keep_runtime: bool = False,
 ) -> LibraryResult:
     """Simulate one benchmark cell in this process, uncached, and return its
@@ -54,7 +53,7 @@ def run_point(
         platform = as_handle(platform).build()
     lib = make_library(library, platform)
     routine = routine.lower()
-    mats = matrices_for(routine, n, numeric=numeric)
+    mats = matrices_for(routine, n)
     return lib.call(
         routine, nb, scenario, keep_runtime, **ROUTINES[routine].defaults, **mats
     )

@@ -21,12 +21,7 @@ def paper_sizes(fast: bool = False) -> tuple[int, ...]:
     return FAST_SIZES if fast else FULL_SIZES
 
 
-def matrices_for(
-    routine: str,
-    n: int,
-    numeric: bool = False,
-    seed: int = 0,
-) -> dict[str, Matrix]:
+def matrices_for(routine: str, n: int, numeric: bool = False) -> dict[str, Matrix]:
     """Square ``n``×``n`` operands of one routine invocation, keyed by the
     BLAS names of its routine-table row (the written operand last).
 
@@ -44,7 +39,7 @@ def matrices_for(
         if not numeric:
             mats[operand] = Matrix.meta(n, n, name=name)
             continue
-        mat = Matrix.random(n, n, seed=seed + ord(name), name=name)
+        mat = Matrix.random(n, n, seed=ord(name), name=name)
         if operand == "a" and "diag" in row.defaults:
             arr = mat.to_array()
             arr += arr.T.copy()

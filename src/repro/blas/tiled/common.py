@@ -24,9 +24,8 @@ def make_task(
     flops: float,
     kernel,
     dims: tuple[int, ...],
-    write_only: bool = False,
 ) -> Task:
-    """Build one tile task: ``reads`` then the output tile accessed RW (or W).
+    """Build one tile task: ``reads`` then the output tile accessed RW.
 
     ``kernel`` is shared: builders create each kernel variant once per call
     and pass the same closure to every task of that variant.  The regularity
@@ -36,7 +35,7 @@ def make_task(
     The golden makespans pin this behaviour.
     """
     accesses = [t.read_access for t in reads]
-    accesses.append(rw.write_access if write_only else rw.rw_access)
+    accesses.append(rw.rw_access)
     dim = _DIM_CACHE.get(dims)
     if dim is None:
         dim = _DIM_CACHE[dims] = characteristic_dim(*dims)  # det: memo of a pure function

@@ -19,24 +19,17 @@ from __future__ import annotations
 
 GB = 1e9  #: bytes in a (decimal) gigabyte, matching GB/s link figures.
 MB = 1e6
-KB = 1e3
 
 TFLOP = 1e12
-GFLOP = 1e9
 
 # --- GPU compute model (NVIDIA V100-SXM2) ------------------------------------
 
 #: FP64 peak of one V100-SXM2 in flop/s (paper §I).
 V100_FP64_PEAK = 7.8 * TFLOP
-#: FP32 peak of one V100-SXM2 in flop/s.
-V100_FP32_PEAK = 15.7 * TFLOP
 #: Device memory per V100 on the DGX-1 of Table I (32 GB variant).
 V100_MEMORY_BYTES = int(32 * GB)
 #: Fixed launch latency charged per kernel, seconds.
 KERNEL_LAUNCH_LATENCY = 5e-6
-#: Number of concurrent kernel streams per device (XKaapi strategy uses
-#: several kernel streams plus dedicated copy streams).
-DEFAULT_KERNEL_STREAMS = 4
 
 # --- link bandwidths (paper Fig. 2, GB/s -> bytes/s) --------------------------
 
@@ -73,9 +66,6 @@ SCHEDULE_POP_OVERHEAD = 0.5e-6
 
 # --- matrix / tiling defaults --------------------------------------------------
 
-#: Word size of FP64 elements.
-FP64_WORDSIZE = 8
-FP32_WORDSIZE = 4
 #: Default tile size used when none is specified.
 DEFAULT_TILE_SIZE = 2048
 #: Candidate tile sizes explored by the paper's methodology (§IV-A).

@@ -33,6 +33,6 @@ class Blasx(SimulatedLibrary):
             scheduler="xkaapi-locality-ws",
             eviction=Blasx2LevelPolicy.name,
             task_overhead=2.5e-6,
-            kernel_streams=2,
+            pipeline_window=4,
             overlap=True,
         )

@@ -38,7 +38,7 @@ class ChameleonTile(SimulatedLibrary):
             eviction=LruPolicy.name,
             task_overhead=config.STARPU_TASK_OVERHEAD,
             pop_overhead=2e-6,
-            kernel_streams=2,  # STARPU_NWORKER_PER_CUDA=2 (§IV-A)
+            pipeline_window=4,  # STARPU_NWORKER_PER_CUDA=2 (§IV-A)
             overlap=True,
         )
 

@@ -32,7 +32,7 @@ class CublasMg(SimulatedLibrary):
             scheduler="owner-computes",
             eviction=LruPolicy.name,
             task_overhead=0.8e-6,
-            kernel_streams=2,
+            pipeline_window=4,
             overlap=True,
         )
 

@@ -31,7 +31,6 @@ class CublasXt(SimulatedLibrary):
             scheduler="owner-computes",
             eviction=LruPolicy.name,
             task_overhead=0.5e-6,  # no DAG construction, just block loops
-            kernel_streams=2,
             pipeline_window=3,
             overlap=False,  # operands and kernels share each stream (§II-B)
         )

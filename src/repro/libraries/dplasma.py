@@ -26,6 +26,6 @@ class Dplasma(SimulatedLibrary):
             scheduler="xkaapi-locality-ws",
             eviction=LruPolicy.name,
             task_overhead=2e-6,
-            kernel_streams=3,
+            pipeline_window=6,
             overlap=True,
         )

@@ -8,9 +8,9 @@ Consequently, all data transfers between CPUs and GPUs pass through the 4 PCIe
 16x Gen3 buses", the DGX-1 bottleneck.
 
 Model: HOST_ONLY transfers (no P2P), 2D block-cyclic static ownership, one
-batched kernel lane per device (``kernel_streams=1``) with copies and compute
-overlapping only across the copy/kernel engines, and coarse per-panel task
-granularity.
+batched kernel lane per device (a lookahead window of 2 tasks in flight) with
+copies and compute overlapping only across the copy/kernel engines, and coarse
+per-panel task granularity.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ class Slate(SimulatedLibrary):
             scheduler="owner-computes",
             eviction=LruPolicy.name,
             task_overhead=3e-6,
-            kernel_streams=1,  # one batched-GEMM lane per device
-            pipeline_window=2,
+            pipeline_window=2,  # one batched-GEMM lane per device
             overlap=False,
             retain_inputs=False,  # panels are batched workspaces, not a cache
         )

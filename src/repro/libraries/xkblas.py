@@ -10,8 +10,9 @@ called with ``scenario="device"``.
 
 All variants share the XKaapi substrate: lightweight task creation,
 locality-aware work stealing, read-only-first eviction, one stream per
-operation type with several kernel streams, asynchronous semantics with lazy
-CPU coherence.
+operation type (several kernel streams per GPU, modelled as a lookahead window
+of 8 tasks in flight on the device's one compute engine), asynchronous
+semantics with lazy CPU coherence.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class XkBlas(SimulatedLibrary):
             scheduler="xkaapi-locality-ws",
             eviction=ReadOnlyFirstPolicy.name,
             task_overhead=config.XKAAPI_TASK_OVERHEAD,
-            kernel_streams=config.DEFAULT_KERNEL_STREAMS,
+            pipeline_window=8,
             overlap=True,
         )
 

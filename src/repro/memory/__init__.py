@@ -18,7 +18,6 @@ from repro.memory.cache import (
 )
 from repro.memory.layout import (
     BlockCyclicDistribution,
-    Layout,
     TilePartition,
     layout_conversion_time,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "DeviceCache",
     "EvictionPolicy",
     "InFlight",
-    "Layout",
     "LruPolicy",
     "Matrix",
     "MemoryView",

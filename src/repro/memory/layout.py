@@ -17,20 +17,12 @@ Three layout-related facilities:
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 
 from repro import config
 from repro.errors import MemoryViewError
 from repro.memory.matrix import Matrix
 from repro.memory.tile import Tile, TileKey
-
-
-class Layout(enum.Enum):
-    """Host storage layout of a matrix."""
-
-    LAPACK = "lapack"  # single column-major allocation with ld
-    TILE = "tile"  # contiguous nb*nb blocks (PLASMA/Chameleon internal)
 
 
 class TilePartition:

@@ -28,8 +28,8 @@ class Matrix:
     m, n:
         Dimensions.
     wordsize:
-        Element width in bytes (8 => FP64, 4 => FP32); ignored when ``data``
-        is given (taken from the dtype).
+        Element width in bytes (8 for float64), sizing the matrix's bytes;
+        ignored when ``data`` is given (taken from the dtype).
     data:
         Optional backing array; converted to Fortran order if needed, since
         LAPACK layout is column-major.

@@ -38,7 +38,7 @@ from repro.runtime.executor import Executor
 from repro.runtime.fabric import Fabric
 from repro.runtime.policies import SourcePolicy
 from repro.runtime.scheduler import SCHEDULERS, LocalityWorkStealing
-from repro.runtime.task import Task
+from repro.runtime.task import FlushTask, Task
 from repro.runtime.transfer import TransferManager
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
@@ -60,10 +60,11 @@ class RuntimeOptions:
     task_overhead: float = config.XKAAPI_TASK_OVERHEAD
     #: per-pop scheduling overhead, seconds.
     pop_overhead: float = config.SCHEDULE_POP_OVERHEAD
-    #: concurrent kernel streams per device.
-    kernel_streams: int = config.DEFAULT_KERNEL_STREAMS
-    #: max tasks in flight per device (lookahead/prefetch depth).
-    pipeline_window: int | None = None
+    #: max tasks in flight per device: the lookahead window through which a
+    #: library's several kernel streams per GPU show up, since the device's
+    #: one compute engine runs one kernel at a time.  Queued tasks' input
+    #: transfers overlap the running kernel.
+    pipeline_window: int = 8
     #: False serializes copies and kernels per stream (no overlap).
     overlap: bool = True
     #: False drops clean input replicas right after each task (batched-
@@ -171,7 +172,6 @@ class Runtime:
             trace=self.trace,
             task_overhead=opts.task_overhead,
             pop_overhead=opts.pop_overhead,
-            kernel_streams=opts.kernel_streams,
             pipeline_window=opts.pipeline_window,
             overlap=opts.overlap,
             retain_inputs=opts.retain_inputs,
@@ -220,21 +220,17 @@ class Runtime:
     def memory_coherent_async(self, matrix: Matrix, nb: int | None = None) -> None:
         """Schedule host write-backs of a matrix's tiles (lazy coherence).
 
-        Each tile gets a reads-only flush task depending on its last writer,
-        so D2H transfers start "as soon as tile results are computed" (§IV-F)
-        and overlap the remaining computation.
+        Each tile gets a reads-only :class:`FlushTask` depending on its last
+        writer, so D2H transfers start "as soon as tile results are computed"
+        (§IV-F) and overlap the remaining computation.
         """
         part = self._partitions.get(matrix.id)
         if part is None:
             part = self.partition(matrix, nb or config.DEFAULT_TILE_SIZE)
         for tile in part:
-            task = Task(
-                name="flush",
-                accesses=[tile.read_access],
-                flops=0.0,
-                dim=tile.m,
+            self.executor.submit(
+                FlushTask(name="flush", accesses=[tile.read_access], flops=0.0, dim=tile.m)
             )
-            self.executor.submit(task, is_flush=True)
 
     # -------------------------------------------------------- data-on-device
 

@@ -42,9 +42,11 @@ class DataStore:
         decision derived from it (the no-topo pseudo-random source pick)
         would make a run's outcome depend on process history.  Registration
         order is a pure function of the submitted task graph, so this index
-        is what decision code must mix instead.
+        is what decision code must mix instead.  Only registered matrices
+        have one: a ``KeyError`` here is a transfer decision taken before its
+        tile was registered.
         """
-        return self._matrix_index.get(matrix_id, matrix_id)
+        return self._matrix_index[matrix_id]
 
     def tile(self, key: TileKey) -> Tile:
         return self._tiles[key]

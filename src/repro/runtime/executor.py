@@ -17,9 +17,10 @@ The :class:`Executor` drives the whole machine inside virtual time:
   arrays, written tiles are registered with the coherence directory, and
   newly-ready successors wake the workers.
 
-Host-flush tasks (reads-only tasks created by ``memory_coherent_async``) skip
-the device scheduler entirely: when schedulable they trigger a D2H write-back,
-implementing XKBLAS's lazy coherence (§IV-F).
+Host flushes (the :class:`~repro.runtime.task.FlushTask` objects that
+``memory_coherent_async`` submits) skip the device scheduler entirely: when
+schedulable they trigger a D2H write-back, implementing XKBLAS's lazy
+coherence (§IV-F).
 
 Submission comes in two shapes with identical virtual-time accounting:
 
@@ -88,7 +89,7 @@ from repro.errors import CoherenceError, SchedulingError
 from repro.memory.coherence import ReplicaState
 from repro.runtime.dataflow import TaskGraph
 from repro.runtime.scheduler.base import Scheduler, SchedulerContext
-from repro.runtime.task import Task
+from repro.runtime.task import FlushTask, Task
 from repro.runtime.transfer import TransferManager
 from repro.sim.engine import Simulator
 from repro.sim.stream import Stream
@@ -121,8 +122,7 @@ class Executor:
         trace: TraceRecorder,
         task_overhead: float,
         pop_overhead: float,
-        kernel_streams: int,
-        pipeline_window: int | None = None,
+        pipeline_window: int,
         overlap: bool = True,
         retain_inputs: bool = True,
         retain_tasks: bool = True,
@@ -138,7 +138,6 @@ class Executor:
         self.pop_overhead = pop_overhead
         self.overlap = overlap
         self.retain_inputs = retain_inputs
-        window = pipeline_window if pipeline_window is not None else 2 * kernel_streams
         # One *compute engine* per device: concurrent kernel streams on a real
         # GPU share the SMs, so throughput never exceeds one kernel's rate.
         # Multiple logical streams show up as the lookahead window (transfers
@@ -147,8 +146,8 @@ class Executor:
             _Worker(
                 device=dev,
                 stream=Stream(sim, name=f"gpu{dev}-compute"),
-                window=window,
-                steal_threshold=max(2, window // 3),
+                window=pipeline_window,
+                steal_threshold=max(2, pipeline_window // 3),
             )
             for dev in platform.device_ids()
         ]
@@ -162,11 +161,10 @@ class Executor:
         )
         self._submit_clock = 0.0
         self._wake_origin = 0
-        #: queued task sources for streaming submission, drained in order:
-        #: each entry is ``(iterator, is_flush)``.  While a drain is active,
-        #: direct ``submit()`` calls append behind it so the host thread's
-        #: submission order (and its per-task overhead charges) match the
-        #: materialized path exactly.
+        #: queued task iterators for streaming submission, drained in order.
+        #: While a drain is active, direct ``submit()`` calls append behind
+        #: it so the host thread's submission order (and its per-task
+        #: overhead charges) match the materialized path exactly.
         self._pending_streams: deque = deque()
         self._stream_active = False
         #: admission window for streamed submission: while this many tasks
@@ -178,8 +176,6 @@ class Executor:
         #: graphs trade exact submission instants for flat memory.
         self._stream_window = stream_window
         self._stream_paused = False
-        self._completed = 0
-        self._flush_tasks: set[int] = set()
         #: pending submissions: ``(time, seq, task, streamed)`` in
         #: nondecreasing ``(time, seq)`` order.  Only the head owns a heap
         #: entry; the pump folds the rest inline when the engine would have
@@ -217,7 +213,7 @@ class Executor:
 
     # ------------------------------------------------------------ submission
 
-    def submit(self, task: Task, is_flush: bool = False) -> Task:
+    def submit(self, task: Task) -> Task:
         """Add ``task`` to the graph and schedule its submission instant.
 
         While a streamed drain is active the task is queued behind it (the
@@ -225,12 +221,12 @@ class Executor:
         interleaving ``submit_stream`` and ``submit`` keeps program order.
         """
         if self._stream_active:
-            self._pending_streams.append((iter((task,)), is_flush))
+            self._pending_streams.append(iter((task,)))
             return task
-        self._admit(task, is_flush, streamed=False)
+        self._admit(task, streamed=False)
         return task
 
-    def submit_stream(self, tasks, is_flush: bool = False) -> None:
+    def submit_stream(self, tasks) -> None:
         """Submit tasks from an iterable, pulling them lazily.
 
         Only one task of the stream is materialized ahead of the simulation:
@@ -240,7 +236,7 @@ class Executor:
         engine event count are identical to :meth:`submit` over the
         materialized list.
         """
-        self._pending_streams.append((iter(tasks), is_flush))
+        self._pending_streams.append(iter(tasks))
         if not self._stream_active:
             self._stream_active = True
             self._pull_next()
@@ -256,16 +252,15 @@ class Executor:
             return
         streams = self._pending_streams
         while streams:
-            it, is_flush = streams[0]
-            task = next(it, None)
+            task = next(streams[0], None)
             if task is None:
                 streams.popleft()
                 continue
-            self._admit(task, is_flush, streamed=True)
+            self._admit(task, streamed=True)
             return
         self._stream_active = False
 
-    def _admit(self, task: Task, is_flush: bool, streamed: bool) -> None:
+    def _admit(self, task: Task, streamed: bool) -> None:
         """Add ``task`` to the graph and queue its submission instant.
 
         The instant follows the host thread's ``max(submit_clock, now) +
@@ -273,8 +268,6 @@ class Executor:
         the pump is armed if no submission is pending.
         """
         self.graph.add(task)
-        if is_flush:
-            self._flush_tasks.add(task.uid)
         sim = self.sim
         clock = self._submit_clock
         now = sim.now
@@ -339,7 +332,7 @@ class Executor:
 
     def _enqueue(self, task: Task) -> None:
         """Task is schedulable: hand to the scheduler (or run a host flush)."""
-        if task.uid in self._flush_tasks:
+        if type(task) is FlushTask:
             self._run_flush(task)
             return
         self._wake_clean_at = -1.0  # new work: the next wake must scan
@@ -351,7 +344,7 @@ class Executor:
     def _run_flush(self, task: Task) -> None:
         end = self.sim.now
         for access in task.accesses:
-            end = max(end, self.transfer.ensure_host_valid(access.tile, self.sim.now))
+            end = max(end, self.transfer.ensure_host_valid(access.tile))
         task.device = None
         task.start_time = self.sim.now
         task.state = "running"
@@ -588,21 +581,13 @@ class Executor:
         task.run_numeric(arrays)
 
     def _finish(self, task: Task) -> None:
-        self._completed += 1
-        graph = self.graph
-        newly_ready = graph.complete(task)
-        if not graph.retain_tasks:
-            # Reclaiming mode: the graph just retired the task; drop the
-            # executor's own bookkeeping so the uid sets stay bounded by the
-            # in-flight window instead of growing with the whole run.  (The
-            # submitted flag lives on the task itself and is reclaimed with
-            # it — only the flush set needs trimming.)
-            self._flush_tasks.discard(task.uid)
+        newly_ready = self.graph.complete(task)
         if self._stream_paused:
-            window = self._stream_window
-            if window is None or graph.num_tasks - graph.num_done < window:
-                self._stream_paused = False
-                self._pull_next()
+            # The pull chain paused with a full window and nothing was
+            # admitted since, so this completion made room; _pull_next
+            # re-checks the window anyway.
+            self._stream_paused = False
+            self._pull_next()
         for succ in newly_ready:
             if succ.submitted:
                 self._enqueue(succ)
@@ -634,4 +619,4 @@ class Executor:
 
     @property
     def completed_tasks(self) -> int:
-        return self._completed
+        return self.graph.num_done

@@ -16,8 +16,6 @@ Maps the :class:`~repro.topology.platform.Platform` description onto
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import TopologyError
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
@@ -30,7 +28,7 @@ class Fabric:
 
     Besides the channels, the fabric owns every precomputed routing table the
     transfer heuristics consult per transfer: per-route latency/bandwidth
-    vectors (for :meth:`estimate`), per-destination link-performance rank
+    lists (for :meth:`estimate`), per-destination link-performance rank
     keys, raw link bandwidths, and — on platforms small enough to enumerate —
     the full candidate-mask source-selection tables (:attr:`mask_members`,
     :attr:`best_source_by_mask`), which collapse the topology-aware argmin
@@ -112,16 +110,12 @@ class Fabric:
             for dev in range(n)
         }
         # Effective (latency, bandwidth) of every directed route, flattened to
-        # ``(src + 1) * (n + 1) + (dst + 1)`` (HOST = -1 maps to slot 0).  The
-        # topology is immutable, so :meth:`estimate`'s *duration* term — which
-        # mirrors ``Channel.transfer_time`` — is a pure function of (route,
-        # nbytes); :meth:`_durations` turns these arrays into a per-size table
-        # for every route at once in one numpy pass.  Unused slots (host-host,
-        # local) get bandwidth 1.0 so the vector division stays clean; nothing
-        # reads them.
+        # ``(src + 1) * (n + 1) + (dst + 1)`` (HOST = -1 maps to slot 0), for
+        # :meth:`estimate`'s duration term.  Nothing reads the unused slots
+        # (host-host, local).
         stride = n + 1
-        lat = np.zeros(stride * stride, dtype=np.float64)
-        bw = np.ones(stride * stride, dtype=np.float64)
+        lat = [0.0] * (stride * stride)
+        bw = [1.0] * (stride * stride)
         for dst in range(n):
             h2d = self._h2d[dst]
             lat[dst + 1] = h2d.latency
@@ -145,10 +139,6 @@ class Fabric:
         self._route_latency = lat
         self._route_bandwidth = bw
         self._route_stride = stride
-        #: nbytes -> flat per-route duration table (Python floats — `.tolist()`
-        #: is value-preserving, so entries are bit-identical to the scalar
-        #: ``latency + nbytes / bandwidth`` the channels would compute).
-        self._duration_tables: dict[int, list[float]] = {}
         #: per-route tuple of the channels whose FIFO backlog gates a transfer
         #: on that route, same flat indexing as the latency/bandwidth tables —
         #: :meth:`estimate` maxes their ``busy_until`` in one walk instead of
@@ -273,37 +263,18 @@ class Fabric:
 
     # ------------------------------------------------------------ estimating
 
-    def _durations(self, nbytes: int) -> list[float]:
-        """Per-route transfer durations for ``nbytes``, built vectorized.
-
-        One numpy pass computes ``latency + nbytes / bandwidth`` for *every*
-        directed route at once (the ``Channel.transfer_time`` formula over the
-        tables precomputed in ``__init__``); tiled runs move a handful of
-        distinct sizes, so after the first transfer of each size every
-        estimate is a list index instead of scalar arithmetic.
-        """
-        table = self._duration_tables.get(nbytes)
-        if table is None:
-            table = (
-                self._route_latency + nbytes / self._route_bandwidth
-            ).tolist()
-            self._duration_tables[nbytes] = table
-        return table
-
     def estimate(self, src: int, dst: int, nbytes: int, earliest: float) -> float:
         """Estimated completion time of a transfer, without reserving.
 
         Accounts for the current FIFO backlog of the channels involved; used
         by source-selection policies to compare candidate routes.  The
-        duration term comes from the vectorized per-size route table
-        (:meth:`_durations`) and the backlog term from the precomputed
-        per-route channel tuple — both bit-identical to walking the route
-        shape by hand (a max over the same operands in the same order).
+        duration is the ``Channel.transfer_time`` formula over the route's
+        precomputed latency and bandwidth, and the backlog term comes from
+        the precomputed per-route channel tuple — both bit-identical to
+        walking the route shape by hand (a max over the same operands in the
+        same order).
         """
         idx = (src + 1) * self._route_stride + dst + 1
-        table = self._duration_tables.get(nbytes)
-        if table is None:
-            table = self._durations(nbytes)
         start = self.sim.now
         if earliest > start:
             start = earliest
@@ -311,7 +282,7 @@ class Fabric:
             busy = chan.busy_until
             if busy > start:
                 start = busy
-        return start + table[idx]
+        return start + (self._route_latency[idx] + nbytes / self._route_bandwidth[idx])
 
     # ------------------------------------------------------------ inspection
 

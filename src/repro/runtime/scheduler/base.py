@@ -57,10 +57,9 @@ class SchedulerContext:
         shape = task.kt_shape
         row: tuple[float, ...] | None = self.kernel_times.get(shape)
         if row is None:
-            flops, dim, wordsize, regularity = shape
+            flops, dim, regularity = shape
             row = self.kernel_times[shape] = tuple(
-                gpu.kernel_time(flops, dim, wordsize=wordsize, regularity=regularity)
-                for gpu in self.platform.gpus
+                gpu.kernel_time(flops, dim, regularity) for gpu in self.platform.gpus
             )
         return row
 

@@ -122,9 +122,9 @@ class Task:
         #: the first written tile (first access for reads-only tasks) — the
         #: owner-computes anchor the schedulers read on every push.
         self.output_tile: Tile | None = out
-        #: ``(flops, dim, wordsize, regularity)`` — the key of the runtime's
-        #: one kernel-time table (:attr:`SchedulerContext.kernel_times`).
-        self.kt_shape: tuple = (flops, dim, out.wordsize, regularity)
+        #: ``(flops, dim, regularity)`` — the key of the runtime's one
+        #: kernel-time table (:attr:`SchedulerContext.kernel_times`).
+        self.kt_shape: tuple = (flops, dim, regularity)
 
     # -------------------------------------------------------------- queries
 
@@ -153,6 +153,14 @@ class Task:
 
     def __repr__(self) -> str:
         return f"Task#{self.uid}({self.name}, {list(self.accesses)!r})"
+
+
+class FlushTask(Task):
+    """A host flush of ``Runtime.memory_coherent_async``: reads its one tile
+    and, once schedulable, writes it back to the host instead of entering a
+    device scheduler (lazy coherence, §IV-F)."""
+
+    __slots__ = ()
 
 
 def make_access_list(

@@ -519,18 +519,17 @@ class TransferManager:
 
     # ----------------------------------------------------------- host flush
 
-    def ensure_host_valid(self, tile: Tile, earliest: float | None = None) -> float:
+    def ensure_host_valid(self, tile: Tile) -> float:
         """Make the host copy of ``tile`` valid (D2H write-back); return time.
 
         The user-facing flush of ``memory_coherent_async`` (lazy coherence,
-        §IV-F), no earlier than ``earliest``; :meth:`_host_ready` decides.
+        §IV-F), from now on; :meth:`_host_ready` decides.
         """
-        now = self.sim.now if earliest is None else max(self.sim.now, earliest)
         key = tile.key
         tid = self._dir_ids.get(key)
         if tid is None:
             tid = self.directory.lookup(key)
-        return self._host_ready(key, tid, now)
+        return self._host_ready(key, tid, self.sim.now)
 
     def _host_ready(self, key: TileKey, tid: int, now: float) -> float:
         """When the host copy of ``key`` is valid, from ``now`` on.

@@ -29,11 +29,9 @@ _TRACK = {
 }
 
 
-def to_chrome_trace(trace: TraceRecorder, time_unit: float = 1e6) -> str:
-    """Serialize a trace as Chrome trace-event JSON (complete 'X' events).
-
-    ``time_unit`` scales virtual seconds to the format's microseconds.
-    """
+def to_chrome_trace(trace: TraceRecorder) -> str:
+    """Serialize a trace as Chrome trace-event JSON (complete 'X' events),
+    virtual seconds scaled to the format's microseconds."""
     events = []
     for iv in trace:
         events.append(
@@ -41,8 +39,8 @@ def to_chrome_trace(trace: TraceRecorder, time_unit: float = 1e6) -> str:
                 "name": iv.label or iv.category.value,
                 "cat": iv.category.value,
                 "ph": "X",
-                "ts": iv.start * time_unit,
-                "dur": iv.duration * time_unit,
+                "ts": iv.start * 1e6,
+                "dur": iv.duration * 1e6,
                 "pid": 0,
                 "tid": f"gpu{iv.device}/{_TRACK[iv.category]}"
                 if iv.device >= 0

@@ -25,7 +25,8 @@ class GpuSpec:
     name:
         Marketing name, e.g. ``"V100-SXM2-32GB"``.
     fp64_peak:
-        Peak FP64 rate in flop/s.
+        Peak FP64 rate in flop/s.  The paper measures FP64 only, so every
+        kernel is timed against this rate.
     memory_bytes:
         Device memory capacity.
     launch_latency:
@@ -39,14 +40,12 @@ class GpuSpec:
 
     name: str = "V100-SXM2-32GB"
     fp64_peak: float = config.V100_FP64_PEAK
-    fp32_peak: float = config.V100_FP32_PEAK
     memory_bytes: int = config.V100_MEMORY_BYTES
     launch_latency: float = config.KERNEL_LAUNCH_LATENCY
     # Calibrated so DGEMM reaches ~90% of peak at 2048-wide tiles and ~92.5%
     # at 4096 — the paper measures 91.2% of aggregate peak at best (§IV-D).
     half_efficiency_dim: int = 114
     max_efficiency: float = 0.95
-    kernel_streams: int = config.DEFAULT_KERNEL_STREAMS
     #: Aggregate NVLink injection/ejection bandwidth of the device (all
     #: bricks combined).  The fabric sizes its per-device NVLink engines from
     #: this, so heterogeneous platforms can mix devices with different NVLink
@@ -54,18 +53,14 @@ class GpuSpec:
     nvlink_aggregate_bw: float = config.NVLINK_AGGREGATE_BW
 
     def __post_init__(self) -> None:
-        if self.fp64_peak <= 0 or self.fp32_peak <= 0:
-            raise TopologyError("GPU peak rates must be positive")
+        if self.fp64_peak <= 0:
+            raise TopologyError("GPU peak rate must be positive")
         if self.nvlink_aggregate_bw <= 0:
             raise TopologyError("NVLink aggregate bandwidth must be positive")
         if self.memory_bytes <= 0:
             raise TopologyError("GPU memory must be positive")
         if not 0 < self.max_efficiency <= 1:
             raise TopologyError("max_efficiency must be in (0, 1]")
-
-    def peak(self, wordsize: int) -> float:
-        """Peak flop rate for the given element width (8 => FP64, 4 => FP32)."""
-        return self.fp64_peak if wordsize >= 8 else self.fp32_peak
 
     def efficiency(self, dim: int, regularity: float = 1.0) -> float:
         """Fraction of peak achieved by a kernel of characteristic size ``dim``.
@@ -81,13 +76,7 @@ class GpuSpec:
         sat = dim / (dim + self.half_efficiency_dim)
         return self.max_efficiency * regularity * sat
 
-    def kernel_time(
-        self,
-        flops: float,
-        dim: int,
-        wordsize: int = 8,
-        regularity: float = 1.0,
-    ) -> float:
+    def kernel_time(self, flops: float, dim: int, regularity: float = 1.0) -> float:
         """Duration of a kernel performing ``flops`` with characteristic ``dim``."""
         if flops < 0:
             raise TopologyError(f"negative flop count: {flops}")
@@ -97,7 +86,7 @@ class GpuSpec:
         if eff <= 0:
             # Degenerate 1-element kernels: pure launch latency.
             return self.launch_latency
-        return self.launch_latency + flops / (self.peak(wordsize) * eff)
+        return self.launch_latency + flops / (self.fp64_peak * eff)
 
     def fits(self, nbytes: int) -> bool:
         """Whether a working set of ``nbytes`` fits in device memory."""

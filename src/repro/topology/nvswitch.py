@@ -23,7 +23,7 @@ from repro.topology.platform import Platform
 NVSWITCH_PAIR_BW = 150.0 * config.GB
 
 
-def make_nvswitch_node(num_gpus: int = 16, gpu: GpuSpec | None = None) -> Platform:
+def make_nvswitch_node(num_gpus: int = 16) -> Platform:
     """Build a DGX-2-like node: uniform all-to-all NVLink via NVSwitch.
 
     Every GPU pair gets the same link class and bandwidth; host links stay
@@ -31,7 +31,6 @@ def make_nvswitch_node(num_gpus: int = 16, gpu: GpuSpec | None = None) -> Platfo
     """
     if not 1 <= num_gpus <= 16:
         raise ValueError(f"NVSwitch node supports 1..16 GPUs, requested {num_gpus}")
-    spec = gpu if gpu is not None else GpuSpec()
     links = [
         Link(i, j, LinkKind.NVLINK_DOUBLE, bandwidth=NVSWITCH_PAIR_BW)
         for i, j in itertools.permutations(range(num_gpus), 2)
@@ -42,7 +41,7 @@ def make_nvswitch_node(num_gpus: int = 16, gpu: GpuSpec | None = None) -> Platfo
     ]
     return Platform(
         name=f"NVSwitch node ({num_gpus} GPUs)",
-        gpus=[spec] * num_gpus,
+        gpus=[GpuSpec()] * num_gpus,
         cpus=[CpuSpec(), CpuSpec()],
         links=links,
         pcie_switch_groups=[g for g in groups if g],

@@ -25,7 +25,7 @@ SUMMIT_PEER_NVLINK_BW = 50.0 * config.GB
 SUMMIT_XBUS_BW = 12.0 * config.GB
 
 
-def make_summit_node(num_gpus: int = 6, gpu: GpuSpec | None = None) -> Platform:
+def make_summit_node(num_gpus: int = 6) -> Platform:
     """Build a Summit-like node: 2 sockets × 3 GPUs, NVLink host links.
 
     GPUs 0-2 attach to socket 0, GPUs 3-5 to socket 1.  Within a triplet the
@@ -35,9 +35,7 @@ def make_summit_node(num_gpus: int = 6, gpu: GpuSpec | None = None) -> Platform:
     """
     if not 1 <= num_gpus <= 6:
         raise ValueError(f"Summit node has 1..6 GPUs, requested {num_gpus}")
-    if gpu is None:
-        gpu = GpuSpec(name="V100-SXM2-16GB", memory_bytes=int(16 * config.GB))
-    spec = gpu
+    spec = GpuSpec(name="V100-SXM2-16GB", memory_bytes=int(16 * config.GB))
     links: list[Link] = []
     for i, j in itertools.permutations(range(num_gpus), 2):
         same_socket = (i < 3) == (j < 3)

@@ -287,11 +287,17 @@ def _smoke_warm_process(store_path: str, query: TuneQuery) -> bool:
         )
         client_mod.shutdown_sync(host, int(port))
         proc.wait(timeout=60)
+        output = proc.stdout.read()
+        clean = "Traceback" not in output
+        ok &= _check(clean, "second server process exited without a traceback")
+        if not clean:
+            print(output, end="")
         return ok
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
 
 
 def _check(condition: bool, message: str) -> bool:

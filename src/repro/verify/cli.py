@@ -57,6 +57,12 @@ from repro.verify.trace_lint import lint_trace
 
 #: the six tiled BLAS-3 routines of the paper's Fig. 5, plus the composition.
 ROUTINES = ("gemm", "symm", "syrk", "syr2k", "trmm", "trsm", "composition")
+#: ``(matrix order, tile size)`` of the graph and runtime stages; ``--fast``
+#: halves both, keeping a 4x4 tile grid.
+PROBLEM = (256, 64)
+FAST_PROBLEM = (128, 32)
+#: simulated GPUs of the runtime stages.
+GPUS = 4
 
 
 def _partition(n: int, nb: int, name: str) -> TilePartition:
@@ -229,9 +235,6 @@ def main(argv: list[str] | None = None) -> int:
         default=Path(repro.__file__).parent,
         help="package root to lint (default: the installed repro package)",
     )
-    parser.add_argument("--n", type=int, default=256, help="matrix order")
-    parser.add_argument("--nb", type=int, default=64, help="tile size")
-    parser.add_argument("--gpus", type=int, default=4, help="simulated GPUs")
     parser.add_argument("--skip-graph", action="store_true")
     parser.add_argument("--skip-runtime", action="store_true")
     parser.add_argument(
@@ -250,9 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         help="emit GitHub Actions ::error annotations per finding",
     )
     args = parser.parse_args(argv)
-    n, nb = (128, 32) if args.fast else (args.n, args.nb)
-    if n <= 0 or nb <= 0 or args.gpus <= 0:
-        parser.error(f"--n, --nb and --gpus must be positive (got {n}, {nb}, {args.gpus})")
+    n, nb = FAST_PROBLEM if args.fast else PROBLEM
     if not args.src.is_dir():
         parser.error(f"--src {args.src} is not a directory")
 
@@ -274,15 +275,15 @@ def main(argv: list[str] | None = None) -> int:
     if not args.skip_runtime:
         runtime: list[Finding] = []
         for routine in ROUTINES:
-            runtime += verify_executed_run(routine, n, nb, args.gpus)
-        runtime += verify_distribution_phase(n, nb, args.gpus)
+            runtime += verify_executed_run(routine, n, nb, GPUS)
+        runtime += verify_distribution_phase(n, nb, GPUS)
         print(
             f"runtime: {len(runtime)} finding(s) over {len(ROUTINES)} "
-            f"sanitized runs + distribution phase ({args.gpus} GPUs)"
+            f"sanitized runs + distribution phase ({GPUS} GPUs)"
         )
         findings += runtime
-        streaming = verify_streaming_run("gemm", n, nb, args.gpus)
-        streaming += verify_streaming_run("composition", n, nb, args.gpus)
+        streaming = verify_streaming_run("gemm", n, nb, GPUS)
+        streaming += verify_streaming_run("composition", n, nb, GPUS)
         print(
             f"streaming: {len(streaming)} finding(s) over 2 reclaiming "
             "streamed runs"

@@ -162,7 +162,8 @@ class CoherenceSanitizer:
 
     Cheap by construction: each hook call re-checks only the tile that was
     touched (O(replicas + flights) per transition).  :meth:`check_all` runs
-    the full sweep, used by the CLI after a run drains.
+    the full sweep and raises on a violation; the CLI sweeps a drained run
+    with :func:`check_directory` instead, which returns the findings.
     """
 
     def __init__(

@@ -1,11 +1,11 @@
 """Dependency-free terminal visualization.
 
-The environment has no plotting stack, so the figures are rendered as ASCII:
-line charts for the TFlop/s-vs-N sweeps (Figs. 3-5, 8), bar charts for the
-trace breakdowns (Fig. 6), and the Gantt renderer already used by Fig. 9.
-``python -m repro.bench <fig> --plot`` attaches the chart to the report.
+The environment has no plotting stack, so ``python -m repro.bench <fig>
+--plot`` renders each size sweep (a result whose first column is N, such as
+Figs. 3-5) as an ASCII line chart.  The Fig. 9 Gantt chart is drawn by its
+experiment, :mod:`repro.bench.experiments.fig9_gantt`.
 """
 
-from repro.viz.ascii import bar_chart, line_chart, sparkline
+from repro.viz.ascii import line_chart
 
-__all__ = ["bar_chart", "line_chart", "sparkline"]
+__all__ = ["line_chart"]

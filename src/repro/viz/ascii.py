@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 #: Distinct plotting glyphs, one per series.
 GLYPHS = "ox+*#@%&"
@@ -60,35 +60,3 @@ def line_chart(
     )
     lines.append(f"          {legend}  ('?' = overplot)")
     return "\n".join(lines)
-
-
-def bar_chart(
-    values: Mapping[str, float],
-    width: int = 50,
-    title: str = "",
-    unit: str = "",
-) -> str:
-    """Horizontal bar chart of labelled values."""
-    if not values:
-        return "(no data)"
-    top = max(values.values()) or 1.0
-    label_w = max(len(str(k)) for k in values)
-    lines = [title] if title else []
-    for name, value in values.items():
-        bar = "#" * max(1 if value > 0 else 0, int(value / top * width))
-        lines.append(f"{str(name):>{label_w}} |{bar:<{width}} {value:.2f}{unit}")
-    return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line trend of a numeric sequence."""
-    blocks = "▁▂▃▄▅▆▇█"
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return ""
-    lo, hi = min(vals), max(vals)
-    span = (hi - lo) or 1.0
-    return "".join(
-        blocks[int((v - lo) / span * (len(blocks) - 1))] if v is not None else " "
-        for v in values
-    )

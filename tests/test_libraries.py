@@ -51,6 +51,27 @@ def test_xkblas_labels_map_to_source_policies(dgx1_small):
     )
 
 
+def test_library_pipeline_windows(dgx1_small):
+    # The lookahead window (tasks in flight per GPU) through which each
+    # library's kernel streams show up on the device's one compute engine.
+    windows = {
+        "xkblas": 8,
+        "xkblas-no-heuristic": 8,
+        "xkblas-no-heuristic-no-topo": 8,
+        "dplasma": 6,
+        "blasx": 4,
+        "chameleon-tile": 4,
+        "chameleon-lapack": 4,
+        "cublas-mg": 4,
+        "cublas-xt": 3,
+        "slate": 2,
+    }
+    assert {
+        key: make_library(key, dgx1_small).runtime_options().pipeline_window
+        for key in LIBRARIES
+    } == windows
+
+
 # ------------------------------------------------------------- correctness
 
 

@@ -20,6 +20,18 @@ def store_and_tiles():
     return store, part, mat
 
 
+def test_matrix_index_counts_registered_matrices_only(store_and_tiles):
+    store, part, mat = store_and_tiles
+    other = TilePartition(Matrix.meta(64, 64), 32)
+    store.register(other[(0, 0)])
+    assert store.matrix_index(mat.id) == 0
+    assert store.matrix_index(other.matrix.id) == 1
+    # An unregistered matrix has no run-local index; its process-global id
+    # must not stand in for one.
+    with pytest.raises(KeyError):
+        store.matrix_index(Matrix.meta(8, 8).id)
+
+
 def test_host_view_is_a_view(store_and_tiles):
     store, part, mat = store_and_tiles
     view = store.host_view(part[(0, 0)])

@@ -104,7 +104,7 @@ def test_positional_and_keyword_construction_agree(tiles, layout):
     assert positional.write_accesses == tuple(a for a in accesses if a.writes)
     anchor = tiles[1] if layout == "mixed" else tiles[3]
     assert positional.output_tile is anchor
-    assert positional.kt_shape == (10.0, 32, anchor.wordsize, 0.9)
+    assert positional.kt_shape == (10.0, 32, 0.9)
     for task in (positional, keyword):
         assert (task.priority, task.owner_hint, task.state) == (0, None, "created")
         assert task.successors == [] and not task.submitted

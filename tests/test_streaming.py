@@ -27,6 +27,7 @@ from repro.errors import TaskGraphError
 from repro.libraries import make_library
 from repro.memory.matrix import Matrix
 from repro.runtime.api import Runtime, RuntimeOptions
+from repro.runtime.task import FlushTask
 from repro.topology.dgx1 import make_dgx1
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_makespans.json"
@@ -129,11 +130,35 @@ def test_reclamation_drops_task_references():
     assert graph.all_done()
     with pytest.raises(TaskGraphError):
         graph.tasks
-    # The executor's uid bookkeeping drained along with the graph (the
+    # The executor's pending submissions drained along with the graph (the
     # submitted flag lives on the tasks themselves and is reclaimed with
-    # them; only the flush set is executor-side state).
-    assert rt.executor._flush_tasks == set()
+    # them).
     assert not rt.executor._submissions
+
+
+def test_host_flushes_are_flushtasks_and_reclaiming_streams_complete():
+    n, nb = 2048, 512
+    nt = n // nb
+    eager = _run_gemm("xkaapi-locality-ws", streaming=False, n=n, nb=nb)
+    rt = Runtime(make_dgx1(8), RuntimeOptions(streaming=True, retain_tasks=False))
+    a, b, c = (Matrix.meta(n, n) for _ in range(3))
+    pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
+    rt.submit_stream(build_gemm(1.0, pa, pb, 0.5, pc))
+    flushes = []
+    submit = rt.executor.submit
+
+    def record(task):
+        flushes.append(task)
+        return submit(task)
+
+    rt.executor.submit = record
+    rt.memory_coherent_async(c, nb)
+    assert len(flushes) == nt * nt
+    assert all(type(task) is FlushTask for task in flushes)
+    rt.sync()
+    assert rt.executor.completed_tasks == eager["tasks"] == nt**3 + nt**2
+    # Each flush ran as a host write-back, not as a device task.
+    assert all(rt.directory.host_valid(rt.directory.lookup(t.key)) for t in pc)
 
 
 def test_reclaimed_task_is_garbage_collected():

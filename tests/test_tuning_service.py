@@ -514,3 +514,21 @@ def test_cli_smoke_end_to_end(tmp_path):
 
     store = tmp_path / "smoke.sqlite"
     assert main(["smoke", "--clients", "3", "--store", str(store)]) == 0
+
+
+def test_cli_smoke_closes_the_second_server_pipe(tmp_path):
+    # The warm-restart phase reads the second server process's output: it
+    # must close that pipe, not leave it to the garbage collector.
+    import gc
+    import warnings
+
+    from repro.tuning.service.__main__ import main
+
+    gc.collect()  # earlier tests' garbage warns outside the block
+    store = tmp_path / "smoke.sqlite"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["smoke", "--clients", "2", "--store", str(store)]) == 0
+        gc.collect()
+    leaks = [str(w.message) for w in caught if w.category is ResourceWarning]
+    assert leaks == []

@@ -1,6 +1,6 @@
 """Tests for the ASCII chart renderers."""
 
-from repro.viz import bar_chart, line_chart, sparkline
+from repro.viz import line_chart
 
 
 def test_line_chart_basic():
@@ -34,25 +34,3 @@ def test_line_chart_x_scaling_proportional():
     # Point at x=100 must sit near the left (10% of span), not the middle.
     mid = row.replace("o", " ", 1).index("o") if row.count("o") > 2 else None
     assert last - first > 30  # full span used
-
-
-def test_bar_chart():
-    chart = bar_chart({"xkblas": 50.0, "slate": 10.0}, width=20, unit=" TF")
-    lines = chart.splitlines()
-    assert lines[0].count("#") == 20
-    assert 0 < lines[1].count("#") <= 5
-    assert "50.00 TF" in lines[0]
-
-
-def test_bar_chart_empty_and_zero():
-    assert bar_chart({}) == "(no data)"
-    chart = bar_chart({"z": 0.0})
-    assert "z" in chart
-
-
-def test_sparkline():
-    line = sparkline([0, 1, 2, 3])
-    assert len(line) == 4
-    assert line[0] == "▁" and line[-1] == "█"
-    assert sparkline([]) == ""
-    assert len(sparkline([5.0, None, 6.0])) == 3
