@@ -30,10 +30,12 @@ Usage::
 
 Every runtime row — the macro points, the streamed macro point and both
 large rows — comes from one helper, :func:`measure_run`: a timed run with
-the event recorder off and the cyclic GC paused, plus untimed replays for
-the peak-memory column (``tracemalloc``) and the layer columns (exclusive
-host ms per layer plus ``other``, from :class:`repro.bench.layers.LayerTracer`).
-Neither the recorder nor the tracer changes what is simulated.
+the cyclic GC paused, plus untimed replays for the peak-memory column
+(``tracemalloc``) and the layer columns (exclusive host ms per layer plus
+``other``, from :class:`repro.bench.layers.LayerTracer`).  No row records an
+event trace: the macro rows call the library through a session that does
+not keep its runtime, and the large rows build theirs with ``trace=False``.
+The tracer does not change what is simulated.
 
 The large-N tier (perf-mode GEMM N=131072, a 262k-task graph) exists to prove
 the streaming/reclamation path scales: it is recorded with peak-memory
@@ -44,7 +46,6 @@ never on speed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import gc
@@ -55,9 +56,10 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from repro import config
-from repro.bench.harness import run_point
 from repro.bench.layers import LayerTracer
+from repro.bench.workloads import matrices_for
+from repro.blas.routines import ROUTINES
+from repro.libraries.registry import make_library
 from repro.sim.engine import Simulator
 from repro.topology.dgx1 import make_dgx1
 
@@ -211,25 +213,14 @@ def _timed(run, wrap) -> tuple:
         gc.enable()
 
 
-@contextlib.contextmanager
-def _recorder_off():
-    """Event recorder off for every runtime built inside the block."""
-    prev = config.TRACE_EVENTS
-    config.TRACE_EVENTS = False
-    try:
-        yield
-    finally:
-        config.TRACE_EVENTS = prev
-
-
 def measure_run(name: str, kind: str, routine: str, n: int, nb: int,
                 run) -> BenchResult:
     """Record one runtime row; every macro and large row comes from here.
 
     ``run(wrap)`` simulates the point once on a fresh runtime and returns
     ``(makespan, runtime)``; ``wrap`` is applied to the task stream before
-    submission (``iter`` leaves it as is).  Three runs, all with the event
-    recorder off:
+    submission (``iter`` leaves it as is).  Three runs of that untraced
+    runtime:
 
     * the timed run, with the cyclic GC paused — ``wall_s`` and every
       virtual-time field;
@@ -240,18 +231,17 @@ def measure_run(name: str, kind: str, routine: str, n: int, nb: int,
     The simulation is deterministic, so each replay is the same run; the
     traced replay must reproduce the timed run's makespan and event count.
     """
-    with _recorder_off():
-        wall, (makespan, rt) = _timed(run, iter)
-        events = rt.sim.events_fired
-        tasks = rt.executor.completed_tasks
-        transfers = rt.transfer.stats()
-        del rt  # drop the kept runtime before anchoring the peak
-        peak = _traced_peak(lambda: run(iter))
-        tracer = LayerTracer()
-        with tracer:
-            traced_wall, (traced_makespan, rt) = _timed(run, tracer.tasks)
-        traced_events = rt.sim.events_fired
-        del rt
+    wall, (makespan, rt) = _timed(run, iter)
+    events = rt.sim.events_fired
+    tasks = rt.executor.completed_tasks
+    transfers = rt.transfer.stats()
+    del rt  # drop the kept runtime before anchoring the peak
+    peak = _traced_peak(lambda: run(iter))
+    tracer = LayerTracer()
+    with tracer:
+        traced_wall, (traced_makespan, rt) = _timed(run, tracer.tasks)
+    traced_events = rt.sim.events_fired
+    del rt
     if (traced_makespan, traced_events) != (makespan, events):
         raise RuntimeError(
             f"{name}: the traced replay gave makespan {traced_makespan!r} in "
@@ -272,11 +262,14 @@ def measure_run(name: str, kind: str, routine: str, n: int, nb: int,
 
 def _run_macro(routine: str, n: int, nb: int, wrap) -> tuple:
     """One XKBLAS library call on the simulated 8-GPU DGX-1 (see
-    :func:`measure_run`).  The library builds and submits its own tasks,
+    :func:`measure_run`), through a session that does not keep its runtime
+    and so records no trace.  The library builds and submits its own tasks,
     so ``wrap`` goes unused and task building is billed to ``other``."""
-    res = run_point(routine=routine, library="xkblas", n=n, nb=nb,
-                    platform=make_dgx1(8), keep_runtime=True)
-    return res.seconds, res.runtime
+    session = make_library("xkblas", make_dgx1(8)).session()
+    args = {**ROUTINES[routine].defaults, **matrices_for(routine, n)}
+    output = session.call_async(routine, nb, **args)
+    flops = ROUTINES[routine].flops(**args)
+    return session.finish(routine, flops, nb, "host", output).seconds, session.runtime
 
 
 def bench_macro(name: str, routine: str, n: int, nb: int) -> BenchResult:
@@ -617,10 +610,9 @@ def profile_macro(point: str | None = None, fast: bool = False) -> str:
         )
     run = functools.partial(_run_macro, routine, n, nb)
     prof = cProfile.Profile()
-    with _recorder_off():
-        prof.enable()
-        _timed(run, iter)
-        prof.disable()
+    prof.enable()
+    _timed(run, iter)
+    prof.disable()
     out = io.StringIO()
     stats = pstats.Stats(prof, stream=out).sort_stats("tottime")
     stats.print_stats(30)

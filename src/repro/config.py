@@ -1,4 +1,4 @@
-"""Global configuration constants for the simulated platform and runtime.
+"""Model constants of the simulated platform and runtime.
 
 The numeric values below are calibrated against the figures reported in the
 paper for the NVIDIA DGX-1 testbed ("Gemini", Table I):
@@ -10,7 +10,9 @@ paper for the NVIDIA DGX-1 testbed ("Gemini", Table I):
 
 They are defaults, not hard-coded behaviour: every model object accepts
 explicit parameters so tests and ablation benchmarks can build platforms with
-different characteristics.
+different characteristics.  The module holds no switch: how one run behaves
+(tracing included) is set per runtime, in
+:class:`repro.runtime.api.RuntimeOptions`.
 """
 
 from __future__ import annotations
@@ -72,16 +74,6 @@ DEFAULT_TILE_SIZE = 2048
 PAPER_TILE_SIZES = (1024, 2048, 4096)
 #: Extended tile sizes used for cuBLAS-XT and SLATE in the paper.
 PAPER_TILE_SIZES_EXTENDED = (1024, 2048, 4096, 8192, 16384)
-
-# --- tracing -------------------------------------------------------------------
-
-#: Default of ``RuntimeOptions.trace``: record the nvprof-like interval trace.
-#: On by default (traces feed the verification suite and golden recordings).
-#: Tracing only observes — traced and untraced runs dispatch through the same
-#: submission pump and fire the same events — so perfbench flips the module
-#: flag around every run of its runtime rows merely to leave the
-#: per-interval append out of the measured path.
-TRACE_EVENTS = True
 
 # --- host model ----------------------------------------------------------------
 

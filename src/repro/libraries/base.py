@@ -114,7 +114,10 @@ class SimulatedLibrary:
     # ----------------------------------------------------------- public API
 
     def session(self, keep_runtime: bool = False) -> "Session":
-        """Open a composition session (one shared runtime across calls)."""
+        """Open a composition session (one shared runtime across calls).
+
+        The runtime records an nvprof-like trace only with ``keep_runtime``:
+        a caller that drops it could not read one."""
         return Session(self, keep_runtime=keep_runtime)
 
     def call(self, routine: str, nb: int, scenario: str = "host",
@@ -196,7 +199,11 @@ class Session:
 
     def __init__(self, library: SimulatedLibrary, keep_runtime: bool = False) -> None:
         self.library = library
-        self.runtime = Runtime(library.platform, library.runtime_options())
+        options = library.runtime_options()
+        # Only a caller that keeps the runtime can read its trace, so a
+        # session whose runtime is dropped records none.
+        options.trace = keep_runtime
+        self.runtime = Runtime(library.platform, options)
         self.keep_runtime = keep_runtime
         self._calls = 0
         self._extra_host_seconds = 0.0
@@ -308,25 +315,9 @@ class Session:
         self.call_async("syr2k", nb, scenario, uplo=uplo, trans=trans, alpha=alpha,
                         a=a, b=b, beta=beta, c=c)
 
-    def trmm_async(self, side, uplo, transa, diag, alpha, a, b, nb, scenario="host") -> None:
-        self.call_async("trmm", nb, scenario, side=side, uplo=uplo, transa=transa,
-                        diag=diag, alpha=alpha, a=a, b=b)
-
     def trsm_async(self, side, uplo, transa, diag, alpha, a, b, nb, scenario="host") -> None:
         self.call_async("trsm", nb, scenario, side=side, uplo=uplo, transa=transa,
                         diag=diag, alpha=alpha, a=a, b=b)
-
-    def hemm_async(self, side, uplo, alpha, a, b, beta, c, nb, scenario="host") -> None:
-        self.call_async("hemm", nb, scenario, side=side, uplo=uplo, alpha=alpha,
-                        a=a, b=b, beta=beta, c=c)
-
-    def herk_async(self, uplo, trans, alpha, a, beta, c, nb, scenario="host") -> None:
-        self.call_async("herk", nb, scenario, uplo=uplo, trans=trans, alpha=alpha,
-                        a=a, beta=beta, c=c)
-
-    def her2k_async(self, uplo, trans, alpha, a, b, beta, c, nb, scenario="host") -> None:
-        self.call_async("her2k", nb, scenario, uplo=uplo, trans=trans, alpha=alpha,
-                        a=a, b=b, beta=beta, c=c)
 
     def memory_coherent_async(self, matrix: Matrix, nb: int | None = None) -> None:
         self.runtime.memory_coherent_async(matrix, nb)

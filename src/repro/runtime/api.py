@@ -73,14 +73,12 @@ class RuntimeOptions:
     retain_inputs: bool = True
     #: fraction of device memory usable as software cache.
     cache_fraction: float = 0.92
-    #: record an nvprof-like trace (disable for the largest sweeps).  The
-    #: recorder only observes: a traced run dispatches exactly what an
-    #: untraced one does (same submission pump, same event count), it just
-    #: also keeps the intervals.  The default follows
-    #: :data:`repro.config.TRACE_EVENTS` at construction, so benchmarks can
-    #: skip the per-interval append by flipping the module flag without
-    #: threading an argument through every library surface.
-    trace: bool = dataclasses.field(default_factory=lambda: config.TRACE_EVENTS)
+    #: record an nvprof-like trace.  The recorder only observes: a traced run
+    #: dispatches exactly what an untraced one does (same submission pump,
+    #: same event count), it just also keeps the intervals.  A library
+    #: session sets it to whether its caller keeps the runtime
+    #: (``keep_runtime``), the only way a library call's trace can be read.
+    trace: bool = True
     #: submit library calls through the streaming intake
     #: (:meth:`Runtime.submit_stream`): tasks are pulled from the tiled
     #: builders' generators one at a time during the run instead of being
@@ -118,6 +116,12 @@ class Runtime:
         self.platform = platform
         self.options = options or RuntimeOptions()
         opts = self.options
+        for field, window in (("pipeline_window", opts.pipeline_window),
+                              ("stream_window", opts.stream_window)):
+            if window is not None and window < 1:
+                raise SchedulingError(
+                    f"{field}={window!r} admits no task; it must be at least 1"
+                )
         self.sim = Simulator()
         self.trace = TraceRecorder(enabled=opts.trace)
         self.directory = CoherenceDirectory()

@@ -202,9 +202,6 @@ class Executor:
         #: bitmask of workers whose pipeline window is full — maintained by
         #: launch/completion so a wake scan skips them without a visit.
         self._full_mask = 0
-        for w in self.workers:
-            if w.inflight >= w.window:  # window == 0 (degenerate config)
-                self._full_mask |= 1 << w.device
         self._loads_buf = [0.0] * len(self.workers)
         #: virtual time of the last wake that completed with the wake-visible
         #: state unchanged since (-1.0 = dirty).  See _wake_all for the

@@ -7,8 +7,10 @@ information from the simulator: every timed operation is recorded as an
 :class:`Interval` with a category, a device and a label.
 
 The summaries implemented here (:meth:`TraceRecorder.cumulative_by_category`,
-:meth:`TraceRecorder.per_device_breakdown`, :meth:`TraceRecorder.gantt_rows`)
-are exactly the reductions needed to regenerate the paper's trace figures.
+:meth:`TraceRecorder.per_device_breakdown`, :meth:`TraceRecorder.idle_gaps`)
+and the per-device selection of :meth:`TraceRecorder.filter` (the Gantt
+rows) are exactly the reductions needed to regenerate the paper's trace
+figures.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import defaultdict
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 
 class TraceCategory(enum.Enum):
@@ -78,18 +80,14 @@ class TraceRecorder:
         ``label`` may be a zero-argument callable producing the label string;
         it is only invoked when the trace is *read* (summaries, accessors),
         never on the recording path.  Interval materialization is deferred the
-        same way: recording is a bounds check plus a tuple append, so enabling
-        traces costs sweeps almost nothing until they ask for the analysis.
+        same way: recording is a bounds check plus a tuple append, so a traced
+        run pays for the analysis only when it is read.
         """
         if not self.enabled:
             return
         if end < start:
             raise ValueError(f"interval ends before it starts: [{start}, {end})")
         self._intervals.append((category, device, start, end, label, nbytes))
-
-    def clear(self) -> None:
-        self._intervals.clear()
-        self._cooked = 0
 
     def _materialized(self) -> list[Interval]:
         """Convert any still-raw entries; returns the interval list."""
@@ -112,10 +110,6 @@ class TraceRecorder:
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self._materialized())
-
-    @property
-    def intervals(self) -> list[Interval]:
-        return list(self._materialized())
 
     def filter(
         self,
@@ -195,11 +189,6 @@ class TraceRecorder:
         if cur_start is not None:
             busy += cur_end - cur_start
         return busy
-
-    def gantt_rows(self, devices: Iterable[int]) -> dict[int, list[Interval]]:
-        """Per-device interval lists sorted by start time (paper Fig. 9)."""
-        rows = {dev: self.filter(device=dev) for dev in devices}
-        return {dev: sorted(ivs, key=lambda iv: iv.start) for dev, ivs in rows.items()}
 
     def idle_gaps(self, device: int, min_gap: float = 0.0) -> list[tuple[float, float]]:
         """Gaps between consecutive operations on ``device``.

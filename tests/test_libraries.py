@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bench.workloads import matrices_for
 from repro.blas.params import Diag, Side, Trans, Uplo
 from repro.blas.reference import ref_gemm
+from repro.blas.routines import ROUTINES
 from repro.errors import LibraryError
 from repro.libraries import LIBRARIES, make_library
 from repro.libraries.registry import FIG5_LIBRARIES, XKBLAS_VARIANTS
@@ -118,6 +120,37 @@ def test_keep_runtime_enables_trace_analysis(dgx1_small):
     a, b, c = gemm_operands()
     res = make_library("xkblas", dgx1_small).gemm(1.0, a, b, 0.0, c, nb=64, keep_runtime=True)
     assert 0.0 < res.transfer_share() < 1.0
+
+
+@pytest.mark.parametrize("scenario", ["host", "device"])
+@pytest.mark.parametrize(
+    "library,routine",
+    [
+        ("xkblas", "gemm"),
+        ("xkblas", "syr2k"),
+        ("chameleon-tile", "trsm"),
+        ("cublas-xt", "symm"),
+        ("blasx", "gemm"),
+        ("slate", "herk"),
+    ],
+)
+def test_only_a_kept_runtime_records_a_trace(dgx1_small, library, routine, scenario):
+    """A session traces exactly when it keeps its runtime, and the untraced
+    run simulates the same schedule as the traced one."""
+    n, nb = 2048, 512
+    runs = {}
+    for keep in (False, True):
+        session = make_library(library, dgx1_small).session(keep_runtime=keep)
+        args = {**ROUTINES[routine].defaults, **matrices_for(routine, n)}
+        output = session.call_async(routine, nb, scenario, **args)
+        res = session.finish(routine, ROUTINES[routine].flops(**args), nb, scenario, output)
+        rt = session.runtime
+        runs[keep] = (
+            res.seconds.hex(), rt.sim.events_fired, rt.transfer.stats(), len(rt.trace)
+        )
+    assert runs[False][3] == 0
+    assert runs[True][3] > 0
+    assert runs[False][:3] == runs[True][:3]
 
 
 # ---------------------------------------------------------------- semantics

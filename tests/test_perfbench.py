@@ -31,6 +31,14 @@ def test_macro_records_virtual_time_fields():
     assert res.events > 0
 
 
+def test_macro_runner_records_no_trace():
+    """The macro rows time a library call whose session drops its runtime,
+    so the runtime they hand back holds no trace."""
+    makespan, rt = perfbench._run_macro("gemm", 2048, 512, iter)
+    assert makespan > 0.0 and rt.executor.completed_tasks > 0
+    assert len(rt.trace) == 0
+
+
 def test_full_suite_contains_the_fast_names(monkeypatch):
     """A committed full baseline must contain every name CI's --fast checks."""
     recorded = []

@@ -1,7 +1,10 @@
 """Tests for RuntimeOptions knobs not covered elsewhere."""
 
+import pytest
+
 from repro import Runtime, RuntimeOptions
 from repro.blas.tiled import build_gemm
+from repro.errors import SchedulingError
 from repro.memory.matrix import Matrix
 
 
@@ -36,6 +39,15 @@ def test_pipeline_window_one_serializes_per_device(dgx1_small):
     shallow = run_gemm(dgx1_small, pipeline_window=1)
     # Without lookahead, transfers cannot prefetch behind the running kernel.
     assert shallow.sim.now >= deep.sim.now
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("field", ["pipeline_window", "stream_window"])
+def test_window_below_one_is_refused(dgx1_small, field, value):
+    """A window that admits no task is refused when the runtime is built,
+    not after a run that completes nothing."""
+    with pytest.raises(SchedulingError, match=f"{field}={value}"):
+        Runtime(dgx1_small, RuntimeOptions(**{field: value}))
 
 
 def test_task_overhead_shifts_start_times(dgx1_small):

@@ -111,14 +111,6 @@ def test_idle_gaps():
     assert tr.idle_gaps(0, min_gap=0.01) == [(1.0, 3.0), (4.0, 4.05)]
 
 
-def test_gantt_rows_sorted():
-    tr = make_trace()
-    rows = tr.gantt_rows([0, 1])
-    for ivs in rows.values():
-        starts = [iv.start for iv in ivs]
-        assert starts == sorted(starts)
-
-
 def test_is_transfer_classification():
     assert TraceCategory.MEMCPY_PTOP.is_transfer
     assert not TraceCategory.KERNEL.is_transfer

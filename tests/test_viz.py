@@ -1,5 +1,7 @@
 """Tests for the ASCII chart renderers."""
 
+import pytest
+
 from repro.viz import line_chart
 
 
@@ -28,9 +30,8 @@ def test_line_chart_overplot_marker():
 
 def test_line_chart_x_scaling_proportional():
     chart = line_chart({"a": {0: 1.0, 100: 1.0, 1000: 1.0}}, width=50, height=4)
-    rows = [l for l in chart.splitlines() if "o" in l]
-    row = rows[0]
-    first, last = row.index("o"), row.rindex("o")
-    # Point at x=100 must sit near the left (10% of span), not the middle.
-    mid = row.replace("o", " ", 1).index("o") if row.count("o") > 2 else None
+    row = next(line for line in chart.splitlines() if "o" in line)
+    first, mid, last = [col for col, ch in enumerate(row) if ch == "o"]
     assert last - first > 30  # full span used
+    # Point at x=100 must sit near the left (10% of span), not the middle.
+    assert (mid - first) / (last - first) == pytest.approx(0.1, abs=0.05)
