@@ -24,7 +24,6 @@ import numpy as np
 from repro import Matrix, make_dgx1
 from repro.bench.experiments.fig8_composition import run_composition
 from repro.bench.experiments.fig9_gantt import gantt_ascii
-from repro.blas.params import Diag, Side, Trans, Uplo
 from repro.libraries import make_library
 
 
@@ -38,8 +37,8 @@ def verify_numerically(platform) -> None:
     d = Matrix.zeros(n, n, name="D")
     b0 = b.to_array().copy()
     session = make_library("xkblas", platform).session()
-    session.trsm_async(Side.LEFT, Uplo.LOWER, Trans.NOTRANS, Diag.NONUNIT, 1.0, a, b, nb)
-    session.gemm_async(1.0, b, c, 0.0, d, nb)
+    session.call_async("trsm", nb, a=a, b=b)
+    session.call_async("gemm", nb, a=b, b=c, c=d)
     session.memory_coherent_async(d, nb)
     session.sync()
     x = np.linalg.solve(np.tril(a.to_array()), b0)

@@ -38,7 +38,7 @@ def main(sizes: list[int]) -> None:
         nb = dod_tile_size(n, platform.num_gpus)
         lib = make_library("xkblas", platform)
         a, b, c = (Matrix.meta(n, n, name=x) for x in "ABC")
-        res = lib.gemm(1.0, a, b, 0.0, c, nb=nb, scenario="device", keep_runtime=True)
+        res = lib.call("gemm", nb, "device", keep_runtime=True, a=a, b=b, c=c)
         pcie_mb = res.runtime.fabric.host_bytes_total() / 1e6
         gain = res.tflops / host - 1
         print(f"{n:7d} {host:10.1f} {res.tflops:10.1f} {nb:9d} "

@@ -24,8 +24,7 @@ from __future__ import annotations
 import sys
 
 from repro import Matrix, make_dgx1
-from repro.blas import flops as fl
-from repro.blas.params import Side, Trans, Uplo
+from repro.blas.params import Trans
 from repro.libraries import make_library
 
 
@@ -39,19 +38,14 @@ def pipeline_seconds(key: str, platform, n: int, nb: int) -> tuple[float, float]
     x = Matrix.meta(n, n // 4, name="X")
     y = Matrix.meta(n, n // 4, name="Y")
     session = lib.session()
-    session.syrk_async(Uplo.LOWER, Trans.TRANS, 1.0, a, 0.0, s, nb)
-    session.syr2k_async(Uplo.LOWER, Trans.TRANS, 1.0, b, c, 1.0, s, nb)
-    session.symm_async(Side.LEFT, Uplo.LOWER, 1.0, s, x, 0.0, y, nb)
+    session.call_async("syrk", nb, trans=Trans.TRANS, a=a, c=s)
+    session.call_async("syr2k", nb, trans=Trans.TRANS, a=b, b=c, beta=1.0, c=s)
+    session.call_async("symm", nb, a=s, b=x, c=y)
     session.memory_coherent_async(y, nb)
     session.memory_coherent_async(s, nb)
     seconds = session.sync()
     seconds += session.extra_host_seconds  # Chameleon-LAPACK conversions
-    flops = (
-        fl.syrk_flops(n, n)
-        + fl.syr2k_flops(n, n)
-        + fl.symm_flops(True, n, n // 4)
-    )
-    return seconds, flops / 1e12
+    return seconds, session.flops / 1e12
 
 
 def main(n: int = 16384, nb: int = 2048) -> None:

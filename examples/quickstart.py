@@ -33,7 +33,7 @@ def main(n: int = 1024, nb: int = 256) -> None:
     c0 = c.to_array().copy()
 
     lib = XkBlas(platform)
-    result = lib.gemm(1.0, a, b, 0.5, c, nb=nb, keep_runtime=True)
+    result = lib.call("gemm", nb, keep_runtime=True, a=a, b=b, c=c, beta=0.5)
 
     expected = 1.0 * (a.to_array() @ b.to_array()) + 0.5 * c0
     error = float(np.max(np.abs(c.to_array() - expected)))

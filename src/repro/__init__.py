@@ -20,7 +20,7 @@ Quickstart::
     A = Matrix.random(4096, 4096, seed=0, name="A")
     B = Matrix.random(4096, 4096, seed=1, name="B")
     C = Matrix.zeros(4096, 4096, name="C")
-    result = lib.gemm(1.0, A, B, 0.0, C, nb=1024)
+    result = lib.call("gemm", 1024, a=A, b=B, c=C)  # alpha=1, beta=0 by default
     print(f"{result.gflops:.1f} simulated GFlop/s in {result.seconds:.4f} s")
 """
 

@@ -15,8 +15,6 @@ from repro.bench.cellspec import CellSpec, PlatformHandle, as_handle
 from repro.bench.executor import SweepExecutor, default_executor
 from repro.bench.harness import ExperimentResult
 from repro.bench.workloads import matrices_for, paper_sizes
-from repro.blas import flops as fl
-from repro.blas.params import Diag, Side, Trans, Uplo
 from repro.libraries.registry import make_library
 from repro.memory.matrix import Matrix
 from repro.topology.platform import Platform
@@ -36,12 +34,11 @@ def run_composition(
     c = Matrix.meta(n, n, name="C")
     d = Matrix.meta(n, n, name="D")
     session = lib.session(keep_runtime=keep_runtime)
-    session.trsm_async(Side.LEFT, Uplo.LOWER, Trans.NOTRANS, Diag.NONUNIT, 1.0, a, b, nb)
-    session.gemm_async(1.0, b, c, 0.0, d, nb)
+    session.call_async("trsm", nb, a=a, b=b)
+    session.call_async("gemm", nb, a=b, b=c, c=d)
     session.memory_coherent_async(d, nb)
     seconds = session.sync()
-    flops = fl.trsm_flops(True, n, n) + fl.gemm_flops(n, n, n)
-    return flops / seconds / 1e12, session
+    return session.flops / seconds / 1e12, session
 
 
 def run(

@@ -25,7 +25,6 @@ from repro import config
 from repro.bench.cellspec import CellOutcome, CellSpec, PlatformHandle, as_handle
 from repro.bench.executor import SweepExecutor, default_executor
 from repro.bench.workloads import matrices_for
-from repro.blas.routines import ROUTINES
 from repro.errors import BenchmarkError
 from repro.libraries.base import LibraryResult
 from repro.libraries.registry import make_library
@@ -53,10 +52,7 @@ def run_point(
         platform = as_handle(platform).build()
     lib = make_library(library, platform)
     routine = routine.lower()
-    mats = matrices_for(routine, n)
-    return lib.call(
-        routine, nb, scenario, keep_runtime, **ROUTINES[routine].defaults, **mats
-    )
+    return lib.call(routine, nb, scenario, keep_runtime, **matrices_for(routine, n))
 
 
 #: One best-tile point: ``(library, routine, N, scenario)``.
@@ -69,7 +65,6 @@ class BestTileResult:
 
     spec: CellSpec
     outcome: CellOutcome
-    tried: dict[int, float]  # nb -> TFlop/s of every cell that succeeded
 
     @property
     def nb(self) -> int:
@@ -218,7 +213,6 @@ def best_tiles(
         best[point] = None if winner is None else BestTileResult(
             spec=next(s for s, o in ranked.items() if o is winner),
             outcome=winner,
-            tried={s.nb: o.tflops for s, o in ranked.items() if o.ok},
         )
     return best
 

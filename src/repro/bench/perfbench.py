@@ -10,7 +10,7 @@ baseline to catch hot-path regressions.
 
 Two invariants make these numbers meaningful:
 
-* **perf mode** — matrices are metadata-only (``numeric=False``), so the
+* **perf mode** — matrices are metadata-only (``Matrix.meta``), so the
   wall time is pure simulation overhead (event heap, transfer manager,
   scheduler), not numpy kernels;
 * **determinism** — every optimization validated with this harness must keep
@@ -58,7 +58,6 @@ from pathlib import Path
 
 from repro.bench.layers import LayerTracer
 from repro.bench.workloads import matrices_for
-from repro.blas.routines import ROUTINES
 from repro.libraries.registry import make_library
 from repro.sim.engine import Simulator
 from repro.topology.dgx1 import make_dgx1
@@ -266,10 +265,8 @@ def _run_macro(routine: str, n: int, nb: int, wrap) -> tuple:
     and so records no trace.  The library builds and submits its own tasks,
     so ``wrap`` goes unused and task building is billed to ``other``."""
     session = make_library("xkblas", make_dgx1(8)).session()
-    args = {**ROUTINES[routine].defaults, **matrices_for(routine, n)}
-    output = session.call_async(routine, nb, **args)
-    flops = ROUTINES[routine].flops(**args)
-    return session.finish(routine, flops, nb, "host", output).seconds, session.runtime
+    output = session.call_async(routine, nb, **matrices_for(routine, n))
+    return session.finish(routine, nb, "host", output).seconds, session.runtime
 
 
 def bench_macro(name: str, routine: str, n: int, nb: int) -> BenchResult:

@@ -7,8 +7,6 @@ LAPACK-layout sub-matrix views (§III).  This subpackage provides:
   kernel (the perf-mode compute model and the GFlop/s denominators);
 * :mod:`repro.blas.kernels` — NumPy implementations of the tile kernels with
   BLAS reference semantics (triangle-only updates, unit diagonals...);
-* :mod:`repro.blas.reference` — whole-matrix reference routines used to
-  validate every tiled algorithm numerically;
 * :mod:`repro.blas.tiled` — task-graph builders for GEMM, SYMM, SYR2K, SYRK,
   TRMM, TRSM and the Hermitian variants HEMM, HER2K, HERK (the paper's "9
   standard BLAS subroutines", §IV-D);

@@ -2,7 +2,9 @@
 
 :class:`SimulatedLibrary` turns a library description (runtime options +
 per-call semantics + supported routines) into the BLAS-3 calls of the
-routine table (:mod:`repro.blas.routines`) the paper benchmarks.  Every call
+routine table (:mod:`repro.blas.routines`) the paper benchmarks:
+``lib.call(routine, nb, **args)`` takes the operands and any parameter that
+differs from the row's defaults, by BLAS name.  Every call
 follows the paper's data-on-host methodology by default — operands start on
 the host, the measured time includes moving the result back (§IV-A) — and a
 ``scenario="device"`` variant implements the data-on-device methodology of
@@ -21,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Iterator
 
-from repro.blas.params import Diag, Side, Trans, Uplo
 from repro.blas.routines import ROUTINES
 from repro.errors import LibraryError
 from repro.memory.layout import BlockCyclicDistribution, default_grid
@@ -124,74 +125,13 @@ class SimulatedLibrary:
              keep_runtime: bool = False, **args) -> LibraryResult:
         """One routine call in its own session, measured per the scenario.
 
-        ``args`` are the call's BLAS arguments by name (see
-        :data:`~repro.blas.routines.ROUTINES`); the named methods below are
-        this call with their positional BLAS signatures.
+        ``args`` are the call's operands and the BLAS parameters it changes
+        from its row's defaults in :data:`~repro.blas.routines.ROUTINES`, by
+        their BLAS names.
         """
         session = self.session(keep_runtime=keep_runtime)
         output = session.call_async(routine, nb, scenario, **args)
-        flops = ROUTINES[routine].flops(**args)
-        return session.finish(routine, flops, nb, scenario, output)
-
-    def gemm(
-        self,
-        alpha: float,
-        a: Matrix,
-        b: Matrix,
-        beta: float,
-        c: Matrix,
-        nb: int,
-        transa: Trans = Trans.NOTRANS,
-        transb: Trans = Trans.NOTRANS,
-        scenario: str = "host",
-        keep_runtime: bool = False,
-    ) -> LibraryResult:
-        """``C = alpha op(A) op(B) + beta C`` on the simulated platform."""
-        return self.call("gemm", nb, scenario, keep_runtime, alpha=alpha, a=a, b=b,
-                         beta=beta, c=c, transa=transa, transb=transb)
-
-    def symm(self, side: Side, uplo: Uplo, alpha, a, b, beta, c, nb,
-             scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        return self.call("symm", nb, scenario, keep_runtime, side=side, uplo=uplo,
-                         alpha=alpha, a=a, b=b, beta=beta, c=c)
-
-    def syrk(self, uplo: Uplo, trans: Trans, alpha, a, beta, c, nb,
-             scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        return self.call("syrk", nb, scenario, keep_runtime, uplo=uplo, trans=trans,
-                         alpha=alpha, a=a, beta=beta, c=c)
-
-    def syr2k(self, uplo: Uplo, trans: Trans, alpha, a, b, beta, c, nb,
-              scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        return self.call("syr2k", nb, scenario, keep_runtime, uplo=uplo, trans=trans,
-                         alpha=alpha, a=a, b=b, beta=beta, c=c)
-
-    def trmm(self, side: Side, uplo: Uplo, transa: Trans, diag: Diag, alpha, a, b, nb,
-             scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        return self.call("trmm", nb, scenario, keep_runtime, side=side, uplo=uplo,
-                         transa=transa, diag=diag, alpha=alpha, a=a, b=b)
-
-    def trsm(self, side: Side, uplo: Uplo, transa: Trans, diag: Diag, alpha, a, b, nb,
-             scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        return self.call("trsm", nb, scenario, keep_runtime, side=side, uplo=uplo,
-                         transa=transa, diag=diag, alpha=alpha, a=a, b=b)
-
-    def hemm(self, side: Side, uplo: Uplo, alpha, a, b, beta, c, nb,
-             scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        """Hermitian SYMM (one of the 9 standard routines, §IV-D)."""
-        return self.call("hemm", nb, scenario, keep_runtime, side=side, uplo=uplo,
-                         alpha=alpha, a=a, b=b, beta=beta, c=c)
-
-    def herk(self, uplo: Uplo, trans: Trans, alpha, a, beta, c, nb,
-             scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        """Hermitian SYRK."""
-        return self.call("herk", nb, scenario, keep_runtime, uplo=uplo, trans=trans,
-                         alpha=alpha, a=a, beta=beta, c=c)
-
-    def her2k(self, uplo: Uplo, trans: Trans, alpha, a, b, beta, c, nb,
-              scenario: str = "host", keep_runtime: bool = False) -> LibraryResult:
-        """Hermitian SYR2K."""
-        return self.call("her2k", nb, scenario, keep_runtime, uplo=uplo, trans=trans,
-                         alpha=alpha, a=a, b=b, beta=beta, c=c)
+        return session.finish(routine, nb, scenario, output)
 
 
 class Session:
@@ -207,6 +147,8 @@ class Session:
         self.keep_runtime = keep_runtime
         self._calls = 0
         self._extra_host_seconds = 0.0
+        #: standard flop count of the calls submitted so far.
+        self.flops = 0.0
 
     # ------------------------------------------------------------- plumbing
 
@@ -278,12 +220,16 @@ class Session:
     # -------------------------------------------------------- async methods
 
     def call_async(self, routine: str, nb: int, scenario: str = "host", **args) -> Matrix:
-        """Submit one routine call (BLAS arguments by name); returns the
-        matrix it writes."""
+        """Submit one routine call and add its flops to :attr:`flops`;
+        returns the matrix it writes.
+
+        ``args`` are the operands and the parameters that differ from the
+        row's defaults, by their BLAS names."""
         lib = self.library
         if routine not in lib.routines:
             raise LibraryError(f"{lib.name} does not implement {routine.upper()}")
         row = ROUTINES[routine]
+        args = {**row.defaults, **args}
         matrices = [args[name] for name in row.operands]
         if lib.max_dimension is not None:
             big = max(max(m.m, m.n) for m in matrices)
@@ -295,29 +241,8 @@ class Session:
         parts = self._prepare(matrices, nb, scenario)
         tasks = row.build(**{**args, **dict(zip(row.operands, parts))})
         self._submit(tasks, parts[-1].shape, matrices[-1], nb)
+        self.flops += row.flops(**args)
         return matrices[-1]
-
-    def gemm_async(self, alpha, a, b, beta, c, nb,
-                   transa: Trans = Trans.NOTRANS, transb: Trans = Trans.NOTRANS,
-                   scenario: str = "host") -> None:
-        self.call_async("gemm", nb, scenario, alpha=alpha, a=a, b=b, beta=beta, c=c,
-                        transa=transa, transb=transb)
-
-    def symm_async(self, side, uplo, alpha, a, b, beta, c, nb, scenario="host") -> None:
-        self.call_async("symm", nb, scenario, side=side, uplo=uplo, alpha=alpha,
-                        a=a, b=b, beta=beta, c=c)
-
-    def syrk_async(self, uplo, trans, alpha, a, beta, c, nb, scenario="host") -> None:
-        self.call_async("syrk", nb, scenario, uplo=uplo, trans=trans, alpha=alpha,
-                        a=a, beta=beta, c=c)
-
-    def syr2k_async(self, uplo, trans, alpha, a, b, beta, c, nb, scenario="host") -> None:
-        self.call_async("syr2k", nb, scenario, uplo=uplo, trans=trans, alpha=alpha,
-                        a=a, b=b, beta=beta, c=c)
-
-    def trsm_async(self, side, uplo, transa, diag, alpha, a, b, nb, scenario="host") -> None:
-        self.call_async("trsm", nb, scenario, side=side, uplo=uplo, transa=transa,
-                        diag=diag, alpha=alpha, a=a, b=b)
 
     def memory_coherent_async(self, matrix: Matrix, nb: int | None = None) -> None:
         self.runtime.memory_coherent_async(matrix, nb)
@@ -337,9 +262,10 @@ class Session:
 
     # ---------------------------------------------------------- measurement
 
-    def finish(self, routine: str, flops: float, nb: int, scenario: str,
+    def finish(self, routine: str, nb: int, scenario: str,
                output: Matrix) -> LibraryResult:
-        """Flush the result home (host scenario), sync, and build the result."""
+        """Flush the result home (host scenario), sync, and build the result
+        over the session's flop total."""
         lib = self.library
         if scenario == "host" and not lib.synchronous:
             self.runtime.memory_coherent_async(output, nb)
@@ -352,7 +278,7 @@ class Session:
             n=output.n,
             nb=nb,
             seconds=seconds,
-            flops=flops,
+            flops=self.flops,
             scenario=scenario,
             runtime=self.runtime if self.keep_runtime else None,
         )

@@ -78,10 +78,6 @@ class DeviceCache:
     # ------------------------------------------------------------- residency
 
     @property
-    def used(self) -> int:
-        return self._used
-
-    @property
     def free(self) -> int:
         return self.capacity - self._used
 
@@ -204,9 +200,6 @@ class DeviceCache:
             # two-level order; see mark_dirty for why decreases re-stamp.
             if self.policy.rank_uses_shared:
                 self._stamp(entry)
-
-    def is_dirty(self, key: TileKey) -> bool:
-        return self._resident[key].dirty
 
     # --------------------------------------------------------------- lookups
 

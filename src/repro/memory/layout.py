@@ -68,23 +68,11 @@ class TilePartition:
     def shape(self) -> tuple[int, int]:
         return (self.mt, self.nt)
 
-    def tiles(self) -> list[Tile]:
-        return list(self._tiles.values())
-
     def row(self, i: int) -> list[Tile]:
         return [self._tiles[(i, j)] for j in range(self.nt)]
 
     def col(self, j: int) -> list[Tile]:
         return [self._tiles[(i, j)] for i in range(self.mt)]
-
-    def lower(self, include_diagonal: bool = True) -> list[Tile]:
-        """Tiles of the lower triangle (block-level), for SYRK-family updates."""
-        out = []
-        for i in range(self.mt):
-            stop = i + 1 if include_diagonal else i
-            for j in range(min(stop, self.nt)):
-                out.append(self._tiles[(i, j)])
-        return out
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -124,13 +112,6 @@ class BlockCyclicDistribution:
         p = (i // self.block_i) % self.grid_p
         q = (j // self.block_j) % self.grid_q
         return p * self.grid_q + q
-
-    def load_per_device(self, partition: TilePartition) -> dict[int, int]:
-        """Tile count per device — block-cyclic keeps this balanced."""
-        counts = {d: 0 for d in range(self.num_devices)}
-        for t in partition:
-            counts[self.owner(t.i, t.j)] += 1
-        return counts
 
 
 def default_grid(num_devices: int) -> tuple[int, int]:

@@ -71,11 +71,6 @@ class MemoryView:
             return 0
         return ((self.n - 1) * self.ld + self.m) * self.wordsize
 
-    @property
-    def is_compact(self) -> bool:
-        """True when the view is a dense tile (``ld == m``), the GPU form."""
-        return self.ld == self.m or self.m == 0
-
     # ----------------------------------------------------------- operations
 
     def subview(self, row: int, col: int, m: int, n: int) -> "MemoryView":
@@ -96,16 +91,6 @@ class MemoryView:
             wordsize=self.wordsize,
             offset=self.offset + col * self.ld + row,
         )
-
-    def compacted(self) -> "MemoryView":
-        """The dense-tile form ``(m, n, m, wordsize)`` used on devices."""
-        return MemoryView(m=self.m, n=self.n, ld=max(self.m, 1), wordsize=self.wordsize)
-
-    def element_offset(self, row: int, col: int) -> int:
-        """Element offset of entry ``(row, col)`` in the underlying allocation."""
-        if not (0 <= row < self.m and 0 <= col < self.n):
-            raise MemoryViewError(f"element ({row}, {col}) outside {self.shape}")
-        return self.offset + col * self.ld + row
 
     def overlaps(self, other: "MemoryView") -> bool:
         """Conservative column-range overlap test for views of one allocation.

@@ -116,12 +116,27 @@ class Runtime:
         self.platform = platform
         self.options = options or RuntimeOptions()
         opts = self.options
+        # Refuse options that cannot run here, not mid-run or after a run
+        # that completes nothing.
         for field, window in (("pipeline_window", opts.pipeline_window),
                               ("stream_window", opts.stream_window)):
             if window is not None and window < 1:
                 raise SchedulingError(
                     f"{field}={window!r} admits no task; it must be at least 1"
                 )
+        if not 0.0 < opts.cache_fraction <= 1.0:
+            raise SchedulingError(
+                f"cache_fraction={opts.cache_fraction!r} must be in (0, 1]"
+            )
+        for field, overhead in (("task_overhead", opts.task_overhead),
+                                ("pop_overhead", opts.pop_overhead)):
+            if not overhead >= 0.0:
+                raise SchedulingError(f"{field}={overhead!r} must be at least 0")
+        pinning = opts.pinning_bandwidth
+        if pinning is not None and not pinning > 0.0:
+            raise SchedulingError(
+                f"pinning_bandwidth={pinning!r} must be None or positive"
+            )
         self.sim = Simulator()
         self.trace = TraceRecorder(enabled=opts.trace)
         self.directory = CoherenceDirectory()

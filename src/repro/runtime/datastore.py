@@ -68,9 +68,6 @@ class DataStore:
         except KeyError:
             raise CoherenceError(f"no array for {key} on device {device}") from None
 
-    def has_device_array(self, device: int, key: TileKey) -> bool:
-        return (device, key) in self._device_arrays
-
     # -------------------------------------------------------------- movement
 
     def copy_tile(self, tile: Tile, src: int, dst: int) -> None:
@@ -117,11 +114,6 @@ class DataStore:
         return [self.device_array(device, t.key) for t in tiles]
 
     # ------------------------------------------------------------ inspection
-
-    def device_bytes(self, device: int) -> int:
-        return sum(
-            a.nbytes for (dev, _), a in self._device_arrays.items() if dev == device
-        )
 
     def __len__(self) -> int:
         return len(self._device_arrays)

@@ -267,12 +267,13 @@ class Fabric:
         """Estimated completion time of a transfer, without reserving.
 
         Accounts for the current FIFO backlog of the channels involved; used
-        by source-selection policies to compare candidate routes.  The
-        duration is the ``Channel.transfer_time`` formula over the route's
-        precomputed latency and bandwidth, and the backlog term comes from
-        the precomputed per-route channel tuple — both bit-identical to
-        walking the route shape by hand (a max over the same operands in the
-        same order).
+        by source-selection policies to compare candidate routes.  The end
+        is ``start + (latency + nbytes / bandwidth)`` over the route's
+        precomputed latency and bandwidth, parenthesized as
+        :meth:`Channel.reserve` computes it so an estimate rounds like the
+        reservation it predicts; the backlog term comes from the precomputed
+        per-route channel tuple — both bit-identical to walking the route
+        shape by hand (a max over the same operands in the same order).
         """
         idx = (src + 1) * self._route_stride + dst + 1
         start = self.sim.now
@@ -285,23 +286,6 @@ class Fabric:
         return start + (self._route_latency[idx] + nbytes / self._route_bandwidth[idx])
 
     # ------------------------------------------------------------ inspection
-
-    def host_channel_stats(self) -> dict[str, dict[str, float]]:
-        """Per-switch traffic summary (bytes and transfer counts).
-
-        Shared-channel topologies map several device slots to one channel
-        object; channels are deduplicated by :attr:`name` (unique per
-        channel — it is also the output key) rather than object identity.
-        """
-        out: dict[str, dict[str, float]] = {}
-        for chan in list(self._h2d.values()) + list(self._d2h.values()):
-            if chan.name in out:
-                continue
-            out[chan.name] = {
-                "bytes": chan.bytes_moved,
-                "transfers": chan.transfer_count,
-            }
-        return out
 
     def p2p_bytes_total(self) -> int:
         return sum(c.bytes_moved for c in self._p2p.values())

@@ -184,6 +184,3 @@ class LocalityWorkStealing(Scheduler):
             if len(self._deques[dev]) > 1 or ctx.device_load(dev) > 0.0:
                 return True
         return False
-
-    def queue_sizes(self) -> list[int]:
-        return [len(d) for d in self._deques]

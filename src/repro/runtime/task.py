@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import TaskGraphError
 from repro.memory.tile import Tile
-from repro.runtime.access import Access, AccessMode
+from repro.runtime.access import Access
 
 _task_ids = itertools.count()
 
@@ -136,11 +136,6 @@ class Task:
     def writes(self) -> list[Tile]:
         return [a.tile for a in self.accesses if a.writes]
 
-    @property
-    def input_bytes(self) -> int:
-        """Bytes a device must hold valid before the kernel can start."""
-        return sum(a.tile.nbytes for a in self.accesses if a.reads)
-
     def run_numeric(self, arrays: Sequence[np.ndarray]) -> None:
         """Execute the numeric kernel over the device arrays."""
         if self.kernel is None:
@@ -161,15 +156,3 @@ class FlushTask(Task):
     device scheduler (lazy coherence, §IV-F)."""
 
     __slots__ = ()
-
-
-def make_access_list(
-    reads: Sequence[Tile] = (),
-    writes: Sequence[Tile] = (),
-    readwrites: Sequence[Tile] = (),
-) -> list[Access]:
-    """Convenience builder for access lists (reads, then writes, then RW)."""
-    out = [Access(t, AccessMode.READ) for t in reads]
-    out += [Access(t, AccessMode.WRITE) for t in writes]
-    out += [Access(t, AccessMode.READWRITE) for t in readwrites]
-    return out

@@ -56,12 +56,6 @@ class Channel:
 
     # ------------------------------------------------------------------ model
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Duration of a transfer of ``nbytes`` once it owns the channel."""
-        if nbytes < 0:
-            raise SimulationError(f"channel {self.name!r}: negative size {nbytes}")
-        return self.latency + nbytes / self.bandwidth
-
     def reserve(self, nbytes: int, earliest: float | None = None) -> tuple[float, float]:
         """Reserve the channel for ``nbytes`` and return ``(start, end)``.
 
@@ -73,15 +67,16 @@ class Channel:
         """
         if nbytes < 0:
             raise SimulationError(f"channel {self.name!r}: negative size {nbytes}")
-        # transfer_time and the two max() calls, inlined: reservations happen
-        # per simulated DMA and the call overhead was visible in large runs.
+        # The two max() calls are inlined: reservations happen per simulated
+        # DMA and the call overhead was visible in large runs.
         now = self.sim.now
         if earliest is not None and earliest > now:
             now = earliest
         busy = self.busy_until
         start = busy if busy > now else now
-        # Parenthesized like transfer_time() so the rounding (and thus every
-        # recorded makespan bit) is unchanged: start + (latency + size/bw).
+        # Parenthesized as start + (latency + size/bw): the duration is
+        # rounded before it is added, and every recorded makespan bit (and
+        # Fabric.estimate, which predicts this end) depends on that order.
         end = start + (self.latency + nbytes / self.bandwidth)
         self.busy_until = end
         self.bytes_moved += nbytes
@@ -149,12 +144,6 @@ class Channel:
         self.transfer_count += 1
 
     # ------------------------------------------------------------- inspection
-
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` spent moving bytes (upper bound)."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, (self.bytes_moved / self.bandwidth) / horizon)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -223,21 +223,3 @@ class Simulator:
         finally:
             self._running = False
             self.inline_horizon = _INF
-
-    @property
-    def pending(self) -> int:
-        """Number of queued heap entries.
-
-        A fused dispatch loop's single queued entry may stand for a whole
-        batch of pending actions (the runtime's submission pump), so this is
-        a lower bound on outstanding work.
-        """
-        return len(self._heap)
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        self._heap.clear()
-        self.now = 0.0
-        self.inline_horizon = _INF
-        self._seq = 0
-        self._events_fired = 0

@@ -6,8 +6,7 @@ open elsewhere:
 * :func:`to_chrome_trace` — Chrome/Perfetto trace-event JSON (open in
   ``chrome://tracing`` or https://ui.perfetto.dev), the closest analogue of
   the paper's nvprof timelines (Figs. 6/7/9);
-* :func:`to_csv` — a flat CSV of intervals for spreadsheet/pandas analysis;
-* :func:`summary_dict` — machine-readable per-category/per-device summary.
+* :func:`to_csv` — a flat CSV of intervals for spreadsheet/pandas analysis.
 """
 
 from __future__ import annotations
@@ -62,24 +61,6 @@ def to_csv(trace: TraceRecorder) -> str:
              f"{iv.duration:.9f}", iv.nbytes, iv.label]
         )
     return buf.getvalue()
-
-
-def summary_dict(trace: TraceRecorder) -> dict:
-    """Machine-readable Fig. 6/7-style summary of one trace."""
-    return {
-        "makespan_s": trace.makespan(),
-        "cumulative_s": {
-            cat.value: t for cat, t in trace.cumulative_by_category().items()
-        },
-        "normalized": {
-            cat.value: r for cat, r in trace.normalized_by_category().items()
-        },
-        "transfer_share": trace.transfer_share(),
-        "per_device_s": {
-            dev: {cat.value: t for cat, t in cats.items()}
-            for dev, cats in trace.per_device_breakdown().items()
-        },
-    }
 
 
 def write_chrome_trace(trace: TraceRecorder, path: str) -> None:

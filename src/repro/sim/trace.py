@@ -20,6 +20,8 @@ import enum
 from collections import defaultdict
 from typing import Callable, Iterator
 
+from repro.errors import SimulationError
+
 
 class TraceCategory(enum.Enum):
     """Operation categories matching the paper's nvprof legend."""
@@ -53,7 +55,11 @@ class Interval:
 
 
 class TraceRecorder:
-    """Accumulates :class:`Interval` records and computes paper-style summaries."""
+    """Accumulates :class:`Interval` records and computes paper-style summaries.
+
+    A disabled recorder (``enabled=False``) drops every record and raises
+    :class:`~repro.errors.SimulationError` from every read but ``len()``.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
@@ -90,7 +96,15 @@ class TraceRecorder:
         self._intervals.append((category, device, start, end, label, nbytes))
 
     def _materialized(self) -> list[Interval]:
-        """Convert any still-raw entries; returns the interval list."""
+        """Convert any still-raw entries; returns the interval list.
+
+        Every read goes through here, so a disabled recorder refuses them
+        all: its empty list would read as a run that did nothing."""
+        if not self.enabled:
+            raise SimulationError(
+                "the run recorded no trace: a library session records one only "
+                "with keep_runtime=True (a bare Runtime with RuntimeOptions.trace)"
+            )
         ivs = self._intervals
         cooked = self._cooked
         total = len(ivs)
@@ -127,7 +141,7 @@ class TraceRecorder:
         return out
 
     def makespan(self) -> float:
-        """End time of the last interval (0 for an empty trace)."""
+        """End time of the last interval (0 for an empty enabled trace)."""
         return max((iv.end for iv in self._materialized()), default=0.0)
 
     # ------------------------------------------------------------- summaries

@@ -10,7 +10,6 @@ paper measures 91.2% of the 8-GPU aggregate peak at best).
 from __future__ import annotations
 
 import dataclasses
-import math
 
 from repro import config
 from repro.errors import TopologyError
@@ -88,10 +87,6 @@ class GpuSpec:
             return self.launch_latency
         return self.launch_latency + flops / (self.fp64_peak * eff)
 
-    def fits(self, nbytes: int) -> bool:
-        """Whether a working set of ``nbytes`` fits in device memory."""
-        return nbytes <= self.memory_bytes
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class CpuSpec:
@@ -120,11 +115,3 @@ def characteristic_dim(m: int, n: int, k: int | None = None) -> int:
     for d in dims:
         prod *= float(d)
     return max(1, int(round(prod ** (1.0 / len(dims)))))
-
-
-def occupancy_tiles(memory_bytes: int, tile_dim: int, wordsize: int = 8) -> int:
-    """How many ``tile_dim``² tiles fit in ``memory_bytes`` (cache sizing)."""
-    tile_bytes = tile_dim * tile_dim * wordsize
-    if tile_bytes <= 0:
-        raise TopologyError("tile size must be positive")
-    return int(math.floor(memory_bytes / tile_bytes))

@@ -76,11 +76,7 @@ def _pair_kind(i: int, j: int) -> LinkKind:
     return LinkKind.PCIE_PEER
 
 
-def make_dgx1(
-    num_gpus: int = 8,
-    use_measured_bandwidths: bool = True,
-    gpu: GpuSpec | None = None,
-) -> Platform:
+def make_dgx1(num_gpus: int = 8, gpu: GpuSpec | None = None) -> Platform:
     """Build the DGX-1 platform of Table I ("Gemini").
 
     Parameters
@@ -88,9 +84,6 @@ def make_dgx1(
     num_gpus:
         Number of GPUs exposed (1..8); smaller counts keep the wiring of the
         first ``num_gpus`` devices, matching ``CUDA_VISIBLE_DEVICES`` pruning.
-    use_measured_bandwidths:
-        When true, per-pair bandwidths come from the paper's measured Fig. 2
-        matrix; otherwise the nominal class bandwidths are used.
     gpu:
         Override the GPU spec (default: V100-SXM2 32 GB).
     """
@@ -102,13 +95,8 @@ def make_dgx1(
         for j in range(num_gpus):
             if i == j:
                 continue
-            kind = _pair_kind(i, j)
-            bw = (
-                DGX1_MEASURED_BANDWIDTH_GBPS[i][j] * config.GB
-                if use_measured_bandwidths
-                else kind.default_bandwidth
-            )
-            links.append(Link(i, j, kind, bandwidth=bw))
+            bw = DGX1_MEASURED_BANDWIDTH_GBPS[i][j] * config.GB
+            links.append(Link(i, j, _pair_kind(i, j), bandwidth=bw))
     groups = tuple(
         tuple(d for d in group if d < num_gpus)
         for group in DGX1_PCIE_SWITCH_GROUPS

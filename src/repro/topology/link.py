@@ -44,15 +44,6 @@ class LinkKind(enum.Enum):
             LinkKind.NVLINK_HOST,
         )
 
-    @property
-    def is_peer(self) -> bool:
-        """True for direct device-to-device classes (P2P capable)."""
-        return self in (
-            LinkKind.NVLINK_DOUBLE,
-            LinkKind.NVLINK_SINGLE,
-            LinkKind.PCIE_PEER,
-        )
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class Link:

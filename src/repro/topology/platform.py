@@ -6,8 +6,7 @@ runtime heuristics need:
 
 * :meth:`Platform.p2p_performance_rank` — the simulated equivalent of CUDA's
   ``cuDeviceGetP2PAttribute(..., PERFORMANCE_RANK, src, dst)``, which the
-  paper's XKBLAS extension calls at library initialization (§III-B);
-* :meth:`Platform.bandwidth_matrix` — the Fig. 2 measurement.
+  paper's XKBLAS extension calls at library initialization (§III-B).
 """
 
 from __future__ import annotations
@@ -155,11 +154,6 @@ class Platform:
 
     # ------------------------------------------------------------- summaries
 
-    def bandwidth_matrix(self) -> list[list[float]]:
-        """GPU×GPU bandwidth matrix in bytes/s (the model behind Fig. 2)."""
-        n = self.num_gpus
-        return [[self.link(i, j).bandwidth for j in range(n)] for i in range(n)]
-
     def link_inventory(self) -> Mapping[LinkKind, int]:
         """Count of directed device-device links per class (excluding LOCAL)."""
         counts: dict[LinkKind, int] = {}
@@ -188,15 +182,3 @@ class Platform:
         }
         edges = hop_distances(adjacency, src).get(dst)
         return None if edges is None else edges - 1
-
-    def validate(self) -> None:
-        """Consistency checks beyond construction (symmetric link classes)."""
-        n = self.num_gpus
-        for i in range(n):
-            for j in range(i + 1, n):
-                kij = self.link(i, j).kind
-                kji = self.link(j, i).kind
-                if kij is not kji:
-                    raise TopologyError(
-                        f"asymmetric link classes between {i} and {j}: {kij} vs {kji}"
-                    )

@@ -148,6 +148,11 @@ class TuneQuery:
                 tiles = tuple(int(t) for t in tiles_raw)
             except (TypeError, ValueError):
                 raise BenchmarkError(f"bad tiles {tiles_raw!r}") from None
+            for raw, nb in zip(tiles_raw, tiles):
+                if nb <= 0:
+                    raise BenchmarkError(
+                        f"tune query needs tile sizes > 0, got {raw!r}"
+                    )
         return cls(
             routine=routine,
             n=n,

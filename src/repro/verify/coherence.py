@@ -161,9 +161,8 @@ class CoherenceSanitizer:
     """Runtime hook validating the directory at every state transition.
 
     Cheap by construction: each hook call re-checks only the tile that was
-    touched (O(replicas + flights) per transition).  :meth:`check_all` runs
-    the full sweep and raises on a violation; the CLI sweeps a drained run
-    with :func:`check_directory` instead, which returns the findings.
+    touched (O(replicas + flights) per transition).  The CLI sweeps a
+    drained run with :func:`check_directory`, which returns the findings.
     """
 
     def __init__(
@@ -178,10 +177,4 @@ class CoherenceSanitizer:
         raise_on_findings(
             check_tile(self.directory, key, self.platform),
             "coherence sanitizer",
-        )
-
-    def check_all(self) -> None:
-        self.checks += 1
-        raise_on_findings(
-            check_directory(self.directory, self.platform), "coherence sanitizer"
         )

@@ -5,9 +5,10 @@ import pytest
 from repro import Runtime
 from repro.bench.harness import run_point
 from repro.memory.matrix import Matrix
-from repro.runtime.task import Task, make_access_list
+from repro.runtime.task import Task
 from repro.sim.analysis import analyze, critical_path, load_imbalance, overlap_efficiency
 from repro.sim.trace import TraceCategory, TraceRecorder
+from tests.access_lists import make_access_list
 
 
 def chain_runtime(dgx1_small, length=5):

@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from repro.bench.cellspec import PlatformHandle
+from repro.bench.executor import SweepExecutor
 from repro.bench.harness import (
     BestTileResult,
     ExperimentResult,
@@ -19,7 +20,6 @@ from repro.bench.harness import (
 from repro.bench.workloads import matrices_for, paper_sizes
 from repro.blas.routines import ROUTINES as BLAS3
 from repro.errors import BenchmarkError
-from repro.libraries.base import Session, SimulatedLibrary
 from repro.topology.dgx1 import make_dgx1
 
 
@@ -46,28 +46,17 @@ def test_matrices_for_all_routines(routine):
     assert list(mats) == list(BLAS3[routine].operands)
     assert all(not m.numeric and (m.m, m.n) == (256, 256) for m in mats.values())
     assert "alpha" in BLAS3[routine].defaults
-    numeric = matrices_for(routine, 64, numeric=True)
-    assert all(m.numeric for m in numeric.values())
 
 
 @pytest.mark.parametrize("routine", ROUTINES)
 def test_routine_parameter_names_match_workload_keys(routine):
-    """Each routine-table row's builder binds its defaults plus operands, and
-    the library's named sync methods and the session's named ``_async``
-    methods take the same names: the named methods, ``call``/``call_async``,
-    ``run_point`` and ``repro.verify``'s graph builder all pass them by
-    keyword.  A session names only the calls something composes (TRMM and
-    the Hermitian routines go through ``call_async``)."""
+    """Each routine-table row's builder binds its defaults plus operands, the
+    names ``call_async`` and ``repro.verify``'s graph builder pass by keyword,
+    and its flop count reads them."""
     row = BLAS3[routine]
     names = dict.fromkeys([*row.defaults, *row.operands])
     inspect.signature(row.build).bind(**names)
-    inspect.signature(getattr(SimulatedLibrary, routine)).bind(
-        None, **names, nb=64, scenario="host", keep_runtime=False
-    )
-    composed = getattr(Session, f"{routine}_async", None)
-    assert (composed is None) == (routine in ("trmm", "hemm", "herk", "her2k"))
-    if composed is not None:
-        inspect.signature(composed).bind(None, **names, nb=64, scenario="host")
+    assert row.flops(**{**row.defaults, **matrices_for(routine, 64)}) > 0
 
 
 def test_matrices_for_unknown_routine():
@@ -105,11 +94,13 @@ def test_tile_candidates_extended_for_streaming_libraries():
 
 
 def test_best_over_tiles_picks_the_fastest(plat):
-    best = best_over_tiles("xkblas", "gemm", 8192, plat, tiles=(1024, 2048))
+    with SweepExecutor(jobs=1) as ex:
+        best = best_over_tiles("xkblas", "gemm", 8192, plat, tiles=(1024, 2048), executor=ex)
+        tried = ex.evaluate(tile_specs("xkblas", "gemm", 8192, plat, tiles=(1024, 2048)))
     assert isinstance(best, BestTileResult)
-    assert set(best.tried) == {1024, 2048}
-    assert best.tflops == max(best.tried.values())
-    assert best.nb in best.tried
+    assert [spec.nb for spec in tried] == [1024, 2048]
+    assert best.tflops == max(o.tflops for o in tried.values())
+    assert tried[best.spec] == best.outcome
     assert best.spec.nb == best.nb and best.outcome.ok
 
 
@@ -117,8 +108,9 @@ def test_best_over_tiles_prunes_oversized_and_overfine(plat):
     # nb >= n pruned entirely -> a missing point when nothing remains
     assert best_over_tiles("xkblas", "gemm", 512, plat, tiles=(1024,)) is None
     # n/nb > 32 pruned for tractability
-    best = best_over_tiles("xkblas", "gemm", 40960, plat, tiles=(1024, 2048))
-    assert 1024 not in best.tried
+    specs = tile_specs("xkblas", "gemm", 40960, plat, tiles=(1024, 2048))
+    assert [spec.nb for spec in specs] == [2048]
+    assert best_over_tiles("xkblas", "gemm", 40960, plat, tiles=(1024, 2048)).nb == 2048
 
 
 def test_best_tiles_unsupported_routine_is_a_missing_point(plat):

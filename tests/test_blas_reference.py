@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.blas import reference as ref
 from repro.blas.params import Diag, Side, Trans, Uplo
 from repro.errors import BlasValidationError
+from tests import blas_reference as ref
 
 RNG = np.random.default_rng(99)
 

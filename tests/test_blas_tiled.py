@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from repro import Runtime
-from repro.blas import reference as ref
 from repro.blas import tiled
 from repro.blas.params import Diag, Side, Trans, Uplo
 from repro.memory.matrix import Matrix
+from tests import blas_reference as ref
 
 NB = 24
 M, N, K = 70, 55, 41  # deliberately ragged vs NB

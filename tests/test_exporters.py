@@ -6,7 +6,7 @@ import json
 
 from repro.bench.harness import ExperimentResult
 from repro.bench.report import combined_markdown, to_csv as result_csv, to_markdown
-from repro.sim.export import summary_dict, to_chrome_trace, to_csv, write_chrome_trace
+from repro.sim.export import to_chrome_trace, to_csv, write_chrome_trace
 from repro.sim.trace import TraceCategory, TraceRecorder
 
 
@@ -43,14 +43,6 @@ def test_csv_export_parses():
     assert rows[0]["category"] == "CUDA memcpy HtoD"
     assert float(rows[1]["duration_s"]) == 2e-3
     assert int(rows[2]["bytes"]) == 512
-
-
-def test_summary_dict_consistent_with_trace():
-    tr = sample_trace()
-    summary = summary_dict(tr)
-    assert summary["makespan_s"] == tr.makespan()
-    assert summary["transfer_share"] == tr.transfer_share()
-    assert set(summary["per_device_s"]) == {0, 1}
 
 
 def sample_result():

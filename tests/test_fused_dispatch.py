@@ -41,8 +41,9 @@ from repro.lapack.solve import build_potrs
 from repro.libraries.registry import LIBRARIES
 from repro.memory.matrix import Matrix
 from repro.runtime.api import Runtime, RuntimeOptions
-from repro.runtime.task import Task, make_access_list
+from repro.runtime.task import Task
 from repro.topology.dgx1 import make_dgx1
+from tests.access_lists import make_access_list
 
 SCHEDULERS = ("xkaapi-locality-ws", "starpu-dmdas", "owner-computes")
 

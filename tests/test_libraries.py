@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import matrices_for
-from repro.blas.params import Diag, Side, Trans, Uplo
-from repro.blas.reference import ref_gemm
-from repro.blas.routines import ROUTINES
 from repro.errors import LibraryError
 from repro.libraries import LIBRARIES, make_library
 from repro.libraries.registry import FIG5_LIBRARIES, XKBLAS_VARIANTS
 from repro.memory.matrix import Matrix
 from repro.runtime.policies import SourcePolicy
+from tests.blas_reference import ref_gemm
 from tests.directory_views import valid_devices
 
 
@@ -82,7 +80,7 @@ def test_every_library_computes_correct_gemm(dgx1_small, key):
     a, b, c = gemm_operands()
     c0 = c.to_array().copy()
     lib = make_library(key, dgx1_small)
-    res = lib.gemm(1.5, a, b, -0.5, c, nb=64)
+    res = lib.call("gemm", 64, alpha=1.5, a=a, b=b, beta=-0.5, c=c)
     expect = ref_gemm(1.5, a.to_array(), b.to_array(), -0.5, c0)
     np.testing.assert_allclose(c.to_array(), expect, atol=1e-10)
     assert res.seconds > 0 and res.gflops > 0
@@ -94,7 +92,7 @@ def test_gemm_only_libraries_reject_other_routines(dgx1_small):
         a = Matrix.meta(256, 256)
         c = Matrix.meta(256, 256)
         with pytest.raises(LibraryError):
-            lib.syrk(Uplo.LOWER, Trans.NOTRANS, 1.0, a, 0.0, c, nb=64)
+            lib.call("syrk", 64, a=a, c=c)
 
 
 def test_blasx_fails_above_45000(dgx1):
@@ -103,12 +101,12 @@ def test_blasx_fails_above_45000(dgx1):
     b = Matrix.meta(46080, 46080)
     c = Matrix.meta(46080, 46080)
     with pytest.raises(LibraryError, match="allocation"):
-        lib.gemm(1.0, a, b, 0.0, c, nb=2048)
+        lib.call("gemm", 2048, a=a, b=b, c=c)
 
 
 def test_library_result_metrics(dgx1_small):
     a, b, c = gemm_operands()
-    res = make_library("xkblas", dgx1_small).gemm(1.0, a, b, 0.0, c, nb=64)
+    res = make_library("xkblas", dgx1_small).call("gemm", 64, a=a, b=b, c=c)
     assert res.flops == 2.0 * 192**3
     assert res.tflops == pytest.approx(res.gflops / 1e3)
     assert res.routine == "gemm" and res.library == "XKBlas"
@@ -118,7 +116,9 @@ def test_library_result_metrics(dgx1_small):
 
 def test_keep_runtime_enables_trace_analysis(dgx1_small):
     a, b, c = gemm_operands()
-    res = make_library("xkblas", dgx1_small).gemm(1.0, a, b, 0.0, c, nb=64, keep_runtime=True)
+    res = make_library("xkblas", dgx1_small).call(
+        "gemm", 64, keep_runtime=True, a=a, b=b, c=c
+    )
     assert 0.0 < res.transfer_share() < 1.0
 
 
@@ -141,9 +141,8 @@ def test_only_a_kept_runtime_records_a_trace(dgx1_small, library, routine, scena
     runs = {}
     for keep in (False, True):
         session = make_library(library, dgx1_small).session(keep_runtime=keep)
-        args = {**ROUTINES[routine].defaults, **matrices_for(routine, n)}
-        output = session.call_async(routine, nb, scenario, **args)
-        res = session.finish(routine, ROUTINES[routine].flops(**args), nb, scenario, output)
+        output = session.call_async(routine, nb, scenario, **matrices_for(routine, n))
+        res = session.finish(routine, nb, scenario, output)
         rt = session.runtime
         runs[keep] = (
             res.seconds.hex(), rt.sim.events_fired, rt.transfer.stats(), len(rt.trace)
@@ -161,7 +160,7 @@ def test_synchronous_library_restores_host_after_each_call(dgx1_small):
     are dropped (data back and forth, §IV-F)."""
     a, b, c = gemm_operands()
     lib = make_library("cublas-xt", dgx1_small)
-    res = lib.gemm(1.0, a, b, 0.0, c, nb=64, keep_runtime=True)
+    res = lib.call("gemm", 64, keep_runtime=True, a=a, b=b, c=c)
     rt = res.runtime
     part = rt._partitions[c.id]
     d = rt.directory
@@ -174,7 +173,7 @@ def test_synchronous_library_restores_host_after_each_call(dgx1_small):
 def test_xkblas_lazy_coherence_leaves_replicas_on_device(dgx1_small):
     a, b, c = gemm_operands()
     lib = make_library("xkblas", dgx1_small)
-    res = lib.gemm(1.0, a, b, 0.0, c, nb=64, keep_runtime=True)
+    res = lib.call("gemm", 64, keep_runtime=True, a=a, b=b, c=c)
     rt = res.runtime
     d = rt.directory
     tids = [d.lookup(t.key) for t in rt._partitions[c.id]]
@@ -194,8 +193,8 @@ def test_composition_is_numerically_correct(dgx1_small):
     b0 = b.to_array().copy()
     lib = make_library("xkblas", dgx1_small)
     s = lib.session()
-    s.trsm_async(Side.LEFT, Uplo.LOWER, Trans.NOTRANS, Diag.NONUNIT, 1.0, a, b, nb=48)
-    s.gemm_async(1.0, b, c, 0.0, d, nb=48)
+    s.call_async("trsm", 48, a=a, b=b)
+    s.call_async("gemm", 48, a=b, b=c, c=d)
     s.memory_coherent_async(b, 48)
     s.memory_coherent_async(d, 48)
     s.sync()
@@ -216,8 +215,8 @@ def test_composition_faster_than_synchronous_sequence(dgx1_small):
         c = Matrix.meta(n, n, name="C")
         d = Matrix.meta(n, n, name="D")
         s = lib.session()
-        s.trsm_async(Side.LEFT, Uplo.LOWER, Trans.NOTRANS, Diag.NONUNIT, 1.0, a, b, nb)
-        s.gemm_async(1.0, b, c, 0.0, d, nb)
+        s.call_async("trsm", nb, a=a, b=b)
+        s.call_async("gemm", nb, a=b, b=c, c=d)
         s.memory_coherent_async(d, nb)
         return s.sync()
 
@@ -226,9 +225,9 @@ def test_composition_faster_than_synchronous_sequence(dgx1_small):
 
 def test_chameleon_lapack_charges_conversions(dgx1_small):
     a, b, c = (Matrix.meta(4096, 4096, name=n) for n in "ABC")
-    tile = make_library("chameleon-tile", dgx1_small).gemm(1.0, a, b, 0.0, c, nb=1024)
+    tile = make_library("chameleon-tile", dgx1_small).call("gemm", 1024, a=a, b=b, c=c)
     a, b, c = (Matrix.meta(4096, 4096, name=n) for n in "ABC")
-    lapack = make_library("chameleon-lapack", dgx1_small).gemm(1.0, a, b, 0.0, c, nb=1024)
+    lapack = make_library("chameleon-lapack", dgx1_small).call("gemm", 1024, a=a, b=b, c=c)
     assert lapack.seconds > tile.seconds
     # conversion of A, B once and C twice at host copy bandwidth
     from repro.memory.layout import layout_conversion_time
@@ -239,8 +238,8 @@ def test_chameleon_lapack_charges_conversions(dgx1_small):
 
 def test_dod_scenario_leaves_result_on_device(dgx1_small):
     a, b, c = gemm_operands()
-    res = make_library("xkblas", dgx1_small).gemm(
-        1.0, a, b, 0.0, c, nb=64, scenario="device", keep_runtime=True
+    res = make_library("xkblas", dgx1_small).call(
+        "gemm", 64, "device", keep_runtime=True, a=a, b=b, c=c
     )
     rt = res.runtime
     d = rt.directory
@@ -253,7 +252,7 @@ def test_dod_numeric_correctness_via_explicit_flush(dgx1_small):
     c0 = c.to_array().copy()
     lib = make_library("xkblas", dgx1_small)
     s = lib.session()
-    s.gemm_async(2.0, a, b, 1.0, c, nb=64, scenario="device")
+    s.call_async("gemm", 64, "device", alpha=2.0, a=a, b=b, beta=1.0, c=c)
     s.memory_coherent_async(c, 64)
     s.sync()
     expect = ref_gemm(2.0, a.to_array(), b.to_array(), 1.0, c0)

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.blas import reference as ref
 from repro.blas.params import Side, Trans, Uplo
 from repro.errors import LibraryError
 from repro.libraries import make_library
 from repro.libraries.base import ALL_ROUTINES
 from repro.memory.matrix import Matrix
+from tests import blas_reference as ref
 
 
 def cmat(m, n, seed, name=""):
@@ -36,7 +36,7 @@ def test_gemm_only_libraries_reject_hermitian(dgx1_small):
     lib = make_library("blasx", dgx1_small)
     a, c = cmat(64, 64, 1), cmat(64, 64, 2)
     with pytest.raises(LibraryError):
-        lib.herk(Uplo.LOWER, Trans.NOTRANS, 1.0, a, 0.0, c, nb=32)
+        lib.call("herk", 32, a=a, c=c)
 
 
 def test_hemm_numeric(dgx1_small):
@@ -44,7 +44,7 @@ def test_hemm_numeric(dgx1_small):
     a, b, c = cmat(n, n, 1, "A"), cmat(n, n, 2, "B"), cmat(n, n, 3, "C")
     c0 = c.to_array().copy()
     lib = make_library("xkblas", dgx1_small)
-    res = lib.hemm(Side.LEFT, Uplo.LOWER, 1.0 + 1.0j, a, b, 0.5, c, nb=32)
+    res = lib.call("hemm", 32, alpha=1.0 + 1.0j, a=a, b=b, beta=0.5, c=c)
     expect = ref.ref_hemm(Side.LEFT, Uplo.LOWER, 1.0 + 1.0j, a.to_array(), b.to_array(), 0.5, c0)
     np.testing.assert_allclose(c.to_array(), expect, atol=1e-10)
     assert res.routine == "hemm" and res.flops > 0
@@ -58,7 +58,7 @@ def test_herk_numeric(dgx1_small):
     arr[np.diag_indices(n)] = arr[np.diag_indices(n)].real
     c0 = arr.copy()
     lib = make_library("xkblas", dgx1_small)
-    lib.herk(Uplo.UPPER, Trans.NOTRANS, 2.0, a, 0.0, c, nb=32)
+    lib.call("herk", 32, uplo=Uplo.UPPER, alpha=2.0, a=a, c=c)
     expect = ref.ref_herk(Uplo.UPPER, Trans.NOTRANS, 2.0, a.to_array(), 0.0, c0)
     np.testing.assert_allclose(c.to_array(), expect, atol=1e-10)
 
@@ -71,7 +71,7 @@ def test_her2k_numeric(dgx1_small):
     arr[np.diag_indices(n)] = arr[np.diag_indices(n)].real
     c0 = arr.copy()
     lib = make_library("cublas-xt", dgx1_small)
-    lib.her2k(Uplo.LOWER, Trans.NOTRANS, 0.5 - 0.5j, a, b, 1.0, c, nb=32)
+    lib.call("her2k", 32, alpha=0.5 - 0.5j, a=a, b=b, beta=1.0, c=c)
     expect = ref.ref_her2k(
         Uplo.LOWER, Trans.NOTRANS, 0.5 - 0.5j, a.to_array(), b.to_array(), 1.0, c0
     )

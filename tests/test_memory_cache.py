@@ -34,9 +34,9 @@ def test_insert_remove_accounting():
     c = make_cache(100)
     c.insert(key(0), 40)
     c.insert(key(1), 30)
-    assert (c.used, c.free, len(c)) == (70, 30, 2)
+    assert (c._used, c.free, len(c)) == (70, 30, 2)
     assert c.remove(key(0)) == 40
-    assert c.used == 30
+    assert c._used == 30
 
 
 def test_double_insert_rejected():
@@ -122,7 +122,7 @@ def test_lru_evicts_oldest_first():
     setup_residents(c)  # free = 10
     assert take(c, needed=70) == [key(0), key(1)]  # deficit 60
     assert c.resident_keys() == [key(2)]
-    assert (c.used, c.evictions) == (30, 2)
+    assert (c._used, c.evictions) == (30, 2)
 
 
 def test_read_only_first_prefers_clean():
@@ -134,7 +134,7 @@ def test_read_only_first_prefers_clean():
     assert [(e.key, e.dirty) for e in taken] == [
         (key(0), False), (key(2), False), (key(1), True)
     ]
-    assert len(c) == 0 and c.used == 0
+    assert len(c) == 0 and c._used == 0
 
 
 def test_blasx_policy_keeps_shared_replicas_longer():
@@ -187,7 +187,7 @@ def test_oom_removes_nothing_and_restores_the_index():
     with pytest.raises(DeviceOutOfMemoryError, match="only 60 B evictable"):
         c.take_victims(needed=90)
     assert c.resident_keys() == [key(0), key(1), key(2)]
-    assert (c.used, c.evictions) == (90, 0)
+    assert (c._used, c.evictions) == (90, 0)
     assert sorted(item[2] for item in c._vheap) == [key(0), key(1), key(2)]
     c.unpin(key(2))
     assert take(c, needed=90) == [key(0), key(1), key(2)]
@@ -214,13 +214,13 @@ def test_property_victims_free_enough_and_are_resident(entries, policy_name):
         c.insert(key(i), size, now=float(i))
         if dirty:
             c.mark_dirty(key(i))
-    needed = c.used // 2 + c.free
-    used = c.used
+    needed = c._used // 2 + c.free
+    used = c._used
     taken = c.take_victims(needed=needed)
     keys = [e.key for e in taken]
     assert len(set(keys)) == len(keys)
     freed = sum(e.nbytes for e in taken)
-    assert c.used == used - freed
+    assert c._used == used - freed
     assert c.free >= needed
     assert c.evictions == len(taken)
     for k in keys:

@@ -1,5 +1,7 @@
 """Tests for matrices, tile partitions and block-cyclic distributions."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,7 +80,7 @@ def test_partition_tiles_cover_matrix_without_overlap():
     part = TilePartition(Matrix.meta(100, 70), nb=32)
     total = sum(t.m * t.n for t in part)
     assert total == 100 * 70
-    tiles = part.tiles()
+    tiles = list(part)
     for i, a in enumerate(tiles):
         for b in tiles[i + 1 :]:
             assert not a.view.overlaps(b.view), (a, b)
@@ -95,13 +97,10 @@ def test_partition_index_errors():
         part[(2, 0)]
 
 
-def test_partition_row_col_lower():
+def test_partition_row_col():
     part = TilePartition(Matrix.meta(96, 96), nb=32)
     assert [t.j for t in part.row(1)] == [0, 1, 2]
     assert [t.i for t in part.col(2)] == [0, 1, 2]
-    lower = part.lower()
-    assert len(lower) == 6  # 3x3 lower triangle incl. diagonal
-    assert len(part.lower(include_diagonal=False)) == 3
 
 
 def test_tile_host_slice_matches_view():
@@ -138,7 +137,8 @@ def test_block_cyclic_adjacent_tiles_different_gpus():
 def test_block_cyclic_balanced_load_square():
     dist = BlockCyclicDistribution(4, 2)
     part = TilePartition(Matrix.meta(8 * 32, 8 * 32), nb=32)
-    load = dist.load_per_device(part)
+    load = Counter(dist.owner(t.i, t.j) for t in part)
+    assert sorted(load) == list(range(8))
     assert set(load.values()) == {8}  # 64 tiles over 8 devices
 
 

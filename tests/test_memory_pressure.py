@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from repro import Runtime, RuntimeOptions
-from repro.blas.reference import ref_gemm
 from repro.blas.tiled import build_gemm
 from repro.errors import DeviceOutOfMemoryError
 from repro.memory.matrix import Matrix
 from repro.topology.device import GpuSpec
 from repro.topology.link import Link, LinkKind
 from repro.topology.platform import Platform
+from tests.blas_reference import ref_gemm
 
 
 def tiny_platform(memory_tiles: int, nb: int = 32, wordsize: int = 8):

@@ -13,16 +13,6 @@ def test_basic_geometry():
     assert v.nelems == 5000
     assert v.payload_bytes == 40000
     assert v.span_bytes == (49 * 200 + 100) * 8
-    assert not v.is_compact
-
-
-def test_compact_detection_and_compaction():
-    v = MemoryView(m=64, n=32, ld=64)
-    assert v.is_compact
-    sub = MemoryView(m=64, n=32, ld=128)
-    compact = sub.compacted()
-    assert compact.ld == compact.m == 64
-    assert compact.offset == 0
 
 
 def test_invalid_views_rejected():
@@ -60,9 +50,9 @@ def test_subview_bounds_checked():
 
 def test_element_offset():
     v = MemoryView(m=10, n=10, ld=20, offset=5)
-    assert v.element_offset(2, 3) == 5 + 3 * 20 + 2
+    assert v.subview(2, 3, 1, 1).offset == 5 + 3 * 20 + 2
     with pytest.raises(MemoryViewError):
-        v.element_offset(10, 0)
+        v.subview(10, 0, 1, 1)
 
 
 def test_overlap_detection_same_allocation():

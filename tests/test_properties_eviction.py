@@ -102,7 +102,7 @@ def _probe(cache, needed, protect):
     """take_victims against the model: the same victims, removed exactly,
     or the same error with nothing removed."""
     before = dict(cache._resident)
-    used, evictions = cache.used, cache.evictions
+    used, evictions = cache._used, cache.evictions
     try:
         expect = scan_victims(cache, needed, protect)
     except DeviceOutOfMemoryError as err:
@@ -110,13 +110,13 @@ def _probe(cache, needed, protect):
             cache.take_victims(needed, protect)
         assert str(caught.value) == str(err)
         assert cache._resident == before
-        assert (cache.used, cache.evictions) == (used, evictions)
+        assert (cache._used, cache.evictions) == (used, evictions)
         return None
     taken = cache.take_victims(needed, protect)
     assert [e.key for e in taken] == expect
     assert all(e is before[e.key] for e in taken)
     assert cache._resident == {k: e for k, e in before.items() if k not in expect}
-    assert cache.used == used - sum(e.nbytes for e in taken)
+    assert cache._used == used - sum(e.nbytes for e in taken)
     assert cache.evictions == evictions + len(taken)
     return expect
 

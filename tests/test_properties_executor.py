@@ -21,10 +21,11 @@ from repro import Runtime, RuntimeOptions
 from repro.memory.coherence import ReplicaState
 from repro.memory.matrix import Matrix
 from repro.runtime.policies import SourcePolicy
-from repro.runtime.task import Task, make_access_list
+from repro.runtime.task import Task
 from repro.sim.trace import TraceCategory
 from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST
+from tests.access_lists import make_access_list
 from tests.directory_views import is_valid
 
 PLATFORM = make_dgx1(4)
@@ -126,7 +127,7 @@ def test_property_random_graphs_complete_with_invariants(specs, policy, schedule
         assert d.host_valid(tid)
     # 5. every cache byte accounted
     for dev, cache in rt.caches.items():
-        assert 0 <= cache.used <= cache.capacity
+        assert 0 <= cache._used <= cache.capacity
 
 
 @settings(max_examples=15, deadline=None)

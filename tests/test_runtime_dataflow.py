@@ -12,9 +12,10 @@ from repro.memory.matrix import Matrix
 from repro.runtime.access import Access, AccessMode
 from repro.runtime.api import Runtime, RuntimeOptions
 from repro.runtime.dataflow import TaskGraph
-from repro.runtime.task import Task, make_access_list
+from repro.runtime.task import Task
 from repro.topology.dgx1 import make_dgx1
 from repro.verify.graph import verify_graph
+from tests.access_lists import make_access_list
 
 
 def tiles(n=4):

@@ -83,7 +83,7 @@ def test_perf_mode_is_noop():
     store = DataStore()
     tile = part[(0, 0)]
     store.copy_tile(tile, HOST, 0)
-    assert not store.has_device_array(0, tile.key)
+    assert len(store) == 0
     store.allocate_device_tile(tile, 0)
     assert len(store) == 0
 
@@ -105,16 +105,20 @@ def test_drop_device_tile(store_and_tiles):
     tile = part[(0, 0)]
     store.copy_tile(tile, HOST, 0)
     store.drop_device_tile(tile.key, 0)
-    assert not store.has_device_array(0, tile.key)
+    with pytest.raises(CoherenceError):
+        store.device_array(0, tile.key)
     store.drop_device_tile(tile.key, 0)  # idempotent
 
 
 def test_device_bytes_accounting(store_and_tiles):
     store, part, _ = store_and_tiles
-    store.copy_tile(part[(0, 0)], HOST, 0)
-    store.copy_tile(part[(0, 1)], HOST, 0)
-    assert store.device_bytes(0) == 2 * 32 * 32 * 8
-    assert store.device_bytes(1) == 0
+    tiles = (part[(0, 0)], part[(0, 1)])
+    for tile in tiles:
+        store.copy_tile(tile, HOST, 0)
+    assert len(store) == 2
+    assert sum(store.device_array(0, t.key).nbytes for t in tiles) == 2 * 32 * 32 * 8
+    with pytest.raises(CoherenceError):
+        store.device_array(1, tiles[0].key)
 
 
 def test_arrays_for_order(store_and_tiles):

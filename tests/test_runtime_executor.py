@@ -8,8 +8,9 @@ from repro.errors import SchedulingError
 from repro.memory.layout import BlockCyclicDistribution
 from repro.memory.matrix import Matrix
 from repro.runtime.access import Access, AccessMode
-from repro.runtime.task import Task, make_access_list
+from repro.runtime.task import Task
 from repro.sim.trace import TraceCategory
+from tests.access_lists import make_access_list
 from tests.directory_views import valid_devices
 
 

@@ -105,8 +105,6 @@ def test_traffic_accounting(fabric):
     fabric.reserve_p2p(0, 3, 25, 0.0)
     assert fabric.host_bytes_total() == 150
     assert fabric.p2p_bytes_total() == 25
-    stats = fabric.host_channel_stats()
-    assert sum(v["bytes"] for v in stats.values()) == 150
 
 
 def test_local_copy_channel(fabric):

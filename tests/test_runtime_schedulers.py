@@ -11,8 +11,9 @@ from repro.runtime.scheduler import (
     LocalityWorkStealing,
     OwnerComputesScheduler,
 )
-from repro.runtime.task import Task, make_access_list
+from repro.runtime.task import Task
 from repro.topology.dgx1 import make_dgx1
+from tests.access_lists import make_access_list
 
 
 @pytest.fixture()
@@ -42,7 +43,7 @@ def test_ws_fresh_tasks_go_to_host_queue(ctx):
     ws = LocalityWorkStealing(4)
     ws.push(make_task(part, 0, 0), c)
     assert ws.pending() == 1
-    assert ws.queue_sizes() == [0, 0, 0, 0]
+    assert [len(d) for d in ws._deques] == [0, 0, 0, 0]
 
 
 def test_ws_owner_computes_placement(ctx):
@@ -51,14 +52,14 @@ def test_ws_owner_computes_placement(ctx):
     rt.directory.seed_device(rt.directory.lookup(tile.key), 2, exclusive=True)
     ws = LocalityWorkStealing(4)
     ws.push(make_task(part, 0, 0), c)
-    assert ws.queue_sizes()[2] == 1
+    assert len(ws._deques[2]) == 1
 
 
 def test_ws_owner_hint_wins(ctx):
     rt, part, c = ctx
     ws = LocalityWorkStealing(4)
     ws.push(make_task(part, 0, 0, hint=3), c)
-    assert ws.queue_sizes()[3] == 1
+    assert len(ws._deques[3]) == 1
 
 
 def test_ws_own_deque_pops_lifo(ctx):

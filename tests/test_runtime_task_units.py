@@ -10,12 +10,13 @@ from repro.memory.layout import TilePartition
 from repro.memory.matrix import Matrix
 from repro.memory.tile import TileKey
 from repro.runtime.access import Access, AccessMode, R, RW, W
-from repro.runtime.task import Task, make_access_list
+from repro.runtime.task import Task
+from tests.access_lists import make_access_list
 
 
 @pytest.fixture()
 def tiles():
-    return TilePartition(Matrix.meta(64, 64), 32).tiles()
+    return list(TilePartition(Matrix.meta(64, 64), 32))
 
 
 def test_access_mode_flags():
@@ -51,8 +52,6 @@ def test_task_properties(tiles):
     assert t.reads == [tiles[0], tiles[1]]
     assert t.writes == [tiles[2]]
     assert t.output_tile is tiles[2]
-    # input bytes: the two read tiles (the W-only output is not read)
-    assert t.input_bytes == 2 * 32 * 32 * 8
 
 
 def test_rw_counts_as_input(tiles):
@@ -62,7 +61,7 @@ def test_rw_counts_as_input(tiles):
         flops=1.0,
         dim=32,
     )
-    assert t.input_bytes == tiles[0].nbytes
+    assert t.reads == t.writes == [tiles[0]]
     assert t.output_tile is tiles[0]
 
 

@@ -135,7 +135,7 @@ def test_write_invalidates_other_replicas():
     assert valid_devices(rt.directory, tid) == [0]
     assert not rt.directory.host_valid(tid)
     assert tile.key not in rt.caches[1]
-    assert rt.caches[0].is_dirty(tile.key)
+    assert rt.caches[0]._resident[tile.key].dirty
 
 
 def test_ensure_host_valid_writes_back_dirty_replica():
@@ -149,7 +149,7 @@ def test_ensure_host_valid_writes_back_dirty_replica():
     rt.sim.run()
     assert rt.directory.host_valid(rt.directory.lookup(tile.key))
     # Source replica downgraded to SHARED and no longer dirty.
-    assert not rt.caches[0].is_dirty(tile.key)
+    assert not rt.caches[0]._resident[tile.key].dirty
     assert rt.transfer.stats()["d2h"] == 1
 
 

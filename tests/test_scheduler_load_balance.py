@@ -6,8 +6,9 @@ import pytest
 from repro import Runtime
 from repro.memory.matrix import Matrix
 from repro.runtime.scheduler import LocalityWorkStealing
-from repro.runtime.task import Task, make_access_list
+from repro.runtime.task import Task
 from repro.topology.dgx1 import make_dgx1
+from tests.access_lists import make_access_list
 
 
 @pytest.fixture()
@@ -35,7 +36,7 @@ def test_shared_replica_does_not_bind(ctx4):
     rt.caches[2].insert(tile.key, tile.nbytes)
     ws = LocalityWorkStealing(4)
     ws.push(mk(part, 0, 0), c)
-    assert ws.queue_sizes() == [0, 0, 0, 0]  # went to the host queue
+    assert [len(d) for d in ws._deques] == [0, 0, 0, 0]  # went to the host queue
     assert ws.pending() == 1
 
 
@@ -46,7 +47,7 @@ def test_modified_replica_binds(ctx4):
     rt.caches[3].insert(tile.key, tile.nbytes)
     ws = LocalityWorkStealing(4)
     ws.push(mk(part, 1, 1), c)
-    assert ws.queue_sizes()[3] == 1
+    assert len(ws._deques[3]) == 1
 
 
 def test_loaded_owner_releases_to_shared_queue(ctx4):
@@ -61,7 +62,7 @@ def test_loaded_owner_releases_to_shared_queue(ctx4):
     c.device_loads = lambda: loads
     ws = LocalityWorkStealing(4)
     ws.push(mk(part, 0, 0), c)
-    assert ws.queue_sizes() == [0, 0, 0, 0]
+    assert [len(d) for d in ws._deques] == [0, 0, 0, 0]
     assert ws.pending() == 1  # stealable by the idle peers
 
 
@@ -74,7 +75,7 @@ def test_balanced_load_keeps_owner_binding(ctx4):
     c.device_loads = lambda: [1.0] * 4
     ws = LocalityWorkStealing(4)
     ws.push(mk(part, 0, 0), c)
-    assert ws.queue_sizes()[0] == 1
+    assert len(ws._deques[0]) == 1
 
 
 def test_trmm_no_longer_starves_devices(dgx1):

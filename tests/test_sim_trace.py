@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.bench.experiments.fig8_composition import run_composition
+from repro.errors import SimulationError
 from repro.sim.trace import TraceCategory, TraceRecorder
+from repro.topology.dgx1 import make_dgx1
 
 
 def make_trace():
@@ -25,6 +28,32 @@ def test_disabled_recorder_drops_everything():
     tr = TraceRecorder(enabled=False)
     tr.record(TraceCategory.KERNEL, 0, 0.0, 1.0)
     assert len(tr) == 0
+    # Every other read refuses: an empty answer would read as an idle run.
+    reads = (
+        lambda: list(tr),
+        lambda: tr.filter(device=0),
+        tr.makespan,
+        tr.cumulative_by_category,
+        tr.normalized_by_category,
+        tr.transfer_share,
+        tr.per_device_breakdown,
+        lambda: tr.device_busy_time(0),
+        lambda: tr.idle_gaps(0),
+    )
+    for read in reads:
+        with pytest.raises(SimulationError, match="keep_runtime=True"):
+            read()
+
+
+def test_dropped_session_trace_refuses_a_kept_one_reads():
+    # A composition whose runtime is dropped runs untraced: its trace must
+    # not answer makespan 0 while the simulated clock reads ~19 ms.
+    _, session = run_composition("xkblas", 4096, 1024, make_dgx1(8))
+    assert session.runtime.sim.now > 0.0
+    with pytest.raises(SimulationError, match="recorded no trace"):
+        session.runtime.trace.makespan()
+    _, kept = run_composition("xkblas", 4096, 1024, make_dgx1(8), keep_runtime=True)
+    assert kept.runtime.trace.makespan() == kept.runtime.sim.now
 
 
 def test_lazy_label_evaluated_when_enabled():

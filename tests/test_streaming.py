@@ -111,7 +111,7 @@ def test_session_streaming_equals_eager():
             dataclasses.replace(o, streaming=s)
         )
         a, b, c = (Matrix.meta(n, n) for _ in range(3))
-        res = lib.gemm(1.0, a, b, 0.0, c, nb=nb)
+        res = lib.call("gemm", nb, a=a, b=b, c=c)
         results[streaming] = res.seconds.hex()
     assert results[True] == results[False]
 

@@ -30,7 +30,9 @@ def test_dgx1_every_gpu_has_exactly_6_nvlink_lanes(dgx1):
 
 
 def test_dgx1_link_classes_symmetric(dgx1):
-    dgx1.validate()  # raises on asymmetry
+    for i in range(8):
+        for j in range(i + 1, 8):
+            assert dgx1.link(i, j).kind is dgx1.link(j, i).kind, (i, j)
 
 
 def test_dgx1_double_and_single_pairs_disjoint():
@@ -79,11 +81,6 @@ def test_dgx1_switch_groups(dgx1):
         (4, 5),
         (6, 7),
     ]
-
-
-def test_dgx1_nominal_bandwidth_option():
-    plat = make_dgx1(8, use_measured_bandwidths=False)
-    assert plat.link(0, 3).bandwidth == LinkKind.NVLINK_DOUBLE.default_bandwidth
 
 
 def test_dgx1_partial_gpu_counts():

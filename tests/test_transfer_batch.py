@@ -95,7 +95,7 @@ def _observable(rt):
         rt.transfer.stats(),
         {
             dev: (
-                cache.hits, cache.misses, cache.evictions, cache.used,
+                cache.hits, cache.misses, cache.evictions, cache._used,
                 [
                     (key, e.nbytes, e.last_use, e.pins, e.dirty, e.shared_elsewhere)
                     for key, e in cache._resident.items()
@@ -200,7 +200,7 @@ def reference_make_room(transfer, device, nbytes, now, protect=()):
     for vkey in victims:
         vtile = datastore.tile(vkey)
         tid = directory.lookup(vkey)
-        if not cache.is_dirty(vkey):
+        if not cache._resident[vkey].dirty:
             plans.append([vkey, vtile, False, tid, 0, HOST, now, now])
         elif transfer._dir_valid[tid] & _HOST_BIT:
             plans.append([vkey, vtile, True, tid, 1, HOST, now, now])
@@ -531,7 +531,7 @@ def test_make_room_single_dirty_victim_written_back():
         rt.transfer.ensure_resident(t, dst=0)
         rt.sim.run()
         rt.transfer.register_write(t, device=0, when=rt.sim.now)
-    assert rt.caches[0].is_dirty(t0.key) and rt.caches[0].is_dirty(t1.key)
+    assert rt.caches[0]._resident[t0.key].dirty and rt.caches[0]._resident[t1.key].dirty
     assert not rt.directory.host_valid(rt.directory.lookup(t0.key))
 
     rt.transfer.ensure_resident(t2, dst=0)
@@ -556,7 +556,7 @@ def test_make_room_all_resident_dirty_batches_writebacks():
         rt.transfer.ensure_resident(t, dst=0)
         rt.sim.run()
         rt.transfer.register_write(t, device=0, when=rt.sim.now)
-    assert all(rt.caches[0].is_dirty(t.key) for t in smalls)
+    assert all(rt.caches[0]._resident[t.key].dirty for t in smalls)
 
     # One 64x64 tile = four 32x32 tiles: fetching it must evict (and write
     # back) every resident dirty tile in one make-room call.

@@ -370,6 +370,26 @@ def test_tcp_error_event_raises_client_side():
         _tcp(scenario)
 
 
+@pytest.mark.parametrize("tile", [0, -1024])
+def test_tcp_non_positive_tile_answers_with_an_error(tile):
+    # A zero tile size used to kill the dispatch task (n / nb) and leave the
+    # client waiting for a terminal event that never came.
+    async def scenario(executor, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        query = {"routine": "gemm", "n": 4096, "tiles": [tile]}
+        writer.write(protocol.encode({"id": 1, "op": "tune", "query": query}))
+        await writer.drain()
+        event = protocol.decode(await asyncio.wait_for(reader.readline(), 5.0))
+        writer.close()
+        await writer.wait_closed()
+        return executor, event
+
+    executor, event = _tcp(scenario)
+    assert event["event"] == "error" and event["id"] == 1
+    assert event["message"].endswith(f"got {tile}")
+    assert executor.batches == []
+
+
 def test_tcp_unknown_op_and_bad_json_answer_with_errors():
     async def scenario(executor, host, port):
         reader, writer = await asyncio.open_connection(host, port)
@@ -489,7 +509,7 @@ def test_service_and_harness_pick_the_same_best_cell():
     # pick_best and best_over_tiles rank different types (CellReport on the
     # wire, CellOutcome in the harness) but must apply one rule: the first
     # strict maximum over the cells that succeeded, in enumeration order.
-    from repro.bench.harness import best_over_tiles
+    from repro.bench.harness import best_over_tiles, tile_specs
 
     handle = PlatformHandle("dgx1", 4)
     tiles = (1024, 2048, 4096)
@@ -500,8 +520,11 @@ def test_service_and_harness_pick_the_same_best_cell():
         best = best_over_tiles(
             "xkblas", "gemm", 8192, handle, tiles=tiles, executor=executor
         )
+        tried = executor.evaluate(tile_specs("xkblas", "gemm", 8192, handle, tiles=tiles))
     assert (reply.best.nb, reply.best.tflops) == (best.nb, best.tflops)
-    assert {c.nb: c.tflops for c in reply.cells if c.ok} == best.tried
+    assert {c.nb: c.tflops for c in reply.cells if c.ok} == {
+        spec.nb: o.tflops for spec, o in tried.items() if o.ok
+    }
     assert len(reply.cells) == len(tiles)
 
 

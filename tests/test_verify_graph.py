@@ -18,9 +18,10 @@ from repro.errors import VerificationError
 from repro.memory.layout import TilePartition
 from repro.memory.matrix import Matrix
 from repro.runtime.dataflow import TaskGraph
-from repro.runtime.task import Task, make_access_list
+from repro.runtime.task import Task
 from repro.topology.dgx1 import make_dgx1
 from repro.verify.graph import assert_graph_ok, verify_graph
+from tests.access_lists import make_access_list
 
 
 def graph_of(tasks):

@@ -22,7 +22,7 @@ RW = AccessMode.READ | AccessMode.WRITE
 
 def make_tile():
     part = TilePartition(Matrix.meta(64, 64, name="A"), 32)
-    return part.tiles()[0]
+    return part[(0, 0)]
 
 
 def make_done_task(tile, device, start, end, mode=RW):
@@ -151,7 +151,7 @@ def test_overlapping_same_device_streams_are_concurrent_not_ordered():
     # The unrelated transfer on device 0 ends early; its completion chains
     # to device 1 — but the kernel [0, 10) is still running.
     part2 = TilePartition(Matrix.meta(64, 64, name="B"), 32)
-    other_tile = part2.tiles()[0]
+    other_tile = part2[(0, 0)]
     trace.record(TraceCategory.KERNEL, 0, 0.0, 10.0, "dgemm")
     trace.record(TraceCategory.MEMCPY_PTOP, 1, 1.0, 2.0, f"p2p 0->1 {other_tile.key!r}")
     trace.record(TraceCategory.KERNEL, 1, 3.0, 4.0, "dgemm")
