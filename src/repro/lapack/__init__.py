@@ -22,7 +22,6 @@ from repro.lapack.potri import build_potri
 from repro.lapack.solve import (
     build_potrs,
     gesv_async,
-    getrf_async,
     posv_async,
     potrf_async,
     potri_async,
@@ -40,7 +39,6 @@ __all__ = [
     "build_potrs",
     "build_trtri",
     "gesv_async",
-    "getrf_async",
     "posv_async",
     "potrf_async",
     "potri_async",

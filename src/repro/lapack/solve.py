@@ -92,16 +92,6 @@ def potri_async(runtime: Runtime, uplo: Uplo, a: Matrix, nb: int) -> TilePartiti
     return part
 
 
-def getrf_async(runtime: Runtime, a: Matrix, nb: int) -> TilePartition:
-    """Submit an in-place unpivoted tiled LU factorization."""
-    from repro.lapack.getrf import build_getrf_nopiv
-
-    part = runtime.partition(a, nb)
-    for task in build_getrf_nopiv(part):
-        runtime.submit(task)
-    return part
-
-
 def gesv_async(runtime: Runtime, a: Matrix, b: Matrix, nb: int) -> TilePartition:
     """Submit an unpivoted LU solve of ``A X = B`` (factor + two solves)."""
     from repro.lapack.getrf import build_gesv_nopiv

@@ -36,6 +36,11 @@ from repro.topology.platform import Platform
 #: DPLASMA-CPU) expose all of them; each library class declares its subset.
 ALL_ROUTINES = tuple(ROUTINES)
 
+#: Where a call's operands start: on the host (§IV-A, the measured time
+#: includes moving the result back) or on their 2D block-cyclic owner GPUs
+#: (§IV-C).
+SCENARIOS = ("host", "device")
+
 
 @dataclasses.dataclass
 class LibraryResult:
@@ -226,6 +231,8 @@ class Session:
         ``args`` are the operands and the parameters that differ from the
         row's defaults, by their BLAS names."""
         lib = self.library
+        if scenario not in SCENARIOS:
+            raise LibraryError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
         if routine not in lib.routines:
             raise LibraryError(f"{lib.name} does not implement {routine.upper()}")
         row = ROUTINES[routine]

@@ -23,7 +23,7 @@ import dataclasses
 from typing import Iterable
 
 from repro import config
-from repro.errors import SchedulingError
+from repro.errors import MemoryViewError, SchedulingError
 from repro.memory.cache import (
     DeviceCache,
     EvictionPolicy,
@@ -86,13 +86,6 @@ class RuntimeOptions:
     #: eager path; combine with ``retain_tasks=False`` for bounded memory on
     #: million-task graphs.
     streaming: bool = False
-    #: admission window of the streaming intake: at most this many tasks live
-    #: (submitted, not yet retired) before the pull chain pauses until
-    #: completions make room — StarPU-style submission throttling.  Graphs
-    #: smaller than the window never pause, keeping virtual-time accounting
-    #: bit-identical to the eager path; ``None`` disables throttling (and with
-    #: it the flat-memory guarantee).
-    stream_window: int | None = 8192
     #: False lets the task graph *reclaim* finished tasks (references dropped,
     #: task list replaced by counters).  Required True for debug passes
     #: (``graph.tasks``, the verify subsystem) and for DMDAS, whose
@@ -118,12 +111,11 @@ class Runtime:
         opts = self.options
         # Refuse options that cannot run here, not mid-run or after a run
         # that completes nothing.
-        for field, window in (("pipeline_window", opts.pipeline_window),
-                              ("stream_window", opts.stream_window)):
-            if window is not None and window < 1:
-                raise SchedulingError(
-                    f"{field}={window!r} admits no task; it must be at least 1"
-                )
+        if opts.pipeline_window < 1:
+            raise SchedulingError(
+                f"pipeline_window={opts.pipeline_window!r} admits no task; "
+                "it must be at least 1"
+            )
         if not 0.0 < opts.cache_fraction <= 1.0:
             raise SchedulingError(
                 f"cache_fraction={opts.cache_fraction!r} must be in (0, 1]"
@@ -195,20 +187,29 @@ class Runtime:
             overlap=opts.overlap,
             retain_inputs=opts.retain_inputs,
             retain_tasks=opts.retain_tasks,
-            stream_window=opts.stream_window,
         )
         self._partitions: dict[int, TilePartition] = {}
 
     # ---------------------------------------------------------------- tiling
 
     def partition(self, matrix: Matrix, nb: int) -> TilePartition:
-        """Tile a matrix (cached per matrix; one tiling per runtime)."""
+        """Tile a matrix (cached per matrix; one tiling per runtime).
+
+        A second tile size for a matrix already tiled here raises
+        :class:`MemoryViewError`: its tiles would reuse the first tiling's
+        keys in the directory, the caches, the dependency history and the
+        data store."""
         part = self._partitions.get(matrix.id)
-        if part is None or part.nb != nb:
+        if part is None:
             part = TilePartition(matrix, nb)
             self._partitions[matrix.id] = part
             for tile in part:
                 self.datastore.register(tile)
+        elif part.nb != nb:
+            raise MemoryViewError(
+                f"matrix {matrix.name!r} is tiled at nb={part.nb} in this "
+                f"runtime; it cannot be re-tiled at nb={nb}"
+            )
         return part
 
     # ------------------------------------------------------------ submission
@@ -290,9 +291,9 @@ class Runtime:
 
     # ------------------------------------------------------------------ sync
 
-    def sync(self, max_events: int | None = None) -> float:
+    def sync(self) -> float:
         """Wait for all submitted work; returns the virtual makespan (s)."""
-        return self.executor.run_to_completion(max_events=max_events)
+        return self.executor.run_to_completion()
 
     # ------------------------------------------------------------ statistics
 

@@ -36,10 +36,10 @@ Submission comes in two shapes with identical virtual-time accounting:
   which is what lets million-task graphs run in flat memory (paired with
   ``TaskGraph(retain_tasks=False)`` reclamation).
 
-The ``stream_window`` admission bound makes the residency claim real: since
-per-task submission overhead (µs) is orders of magnitude below kernel times
-(ms), an unthrottled stream would materialize the whole graph in the opening
-instants of virtual time.  Once ``stream_window`` tasks are live the pull
+The :data:`STREAM_WINDOW` admission bound makes the residency claim real:
+since per-task submission overhead (µs) is orders of magnitude below kernel
+times (ms), an unthrottled stream would materialize the whole graph in the
+opening instants of virtual time.  Once that many tasks are live the pull
 chain pauses and completions resume it — exactly StarPU's task-window
 submission throttling.  Graphs that never reach the window (all golden-sized
 points) keep bit-identical accounting; beyond it, submission instants shift
@@ -56,17 +56,15 @@ tie-break is decided exactly as if one engine event had been posted per
 submission; but only the *first* pending submission owns a heap entry.  When
 the pump fires it processes its submission and then keeps folding
 consecutive pending submissions into the same engine event, for as long as
-(a) the next pending ``(time, seq)`` precedes everything on the heap — i.e.
-the engine would have dispatched it next anyway — and (b) it does not pass
-the engine's ``inline_horizon`` (a ``run(until=...)`` horizon).  Otherwise
-the pump re-arms a heap entry carrying the next pending submission's
-reserved key and yields.  ``run(max_events=...)`` sets the horizon to
-``-inf``, so the pump then dispatches once per submission: event budgets
-stay exact, and that *unfolded* run is the reference the folded one is
-tested against.  Folding changes no virtual-time observable (makespans,
-transfer stats, task start/end times, scheduler decisions); only
-:attr:`Simulator.events_fired` drops, which is the point — see perfbench's
-``events_per_task`` column.
+the next pending ``(time, seq)`` precedes everything on the heap — i.e. the
+engine would have dispatched it next anyway.  Otherwise the pump re-arms a
+heap entry carrying the next pending submission's reserved key and yields.
+Folding changes no virtual-time observable (makespans, transfer stats, task
+start/end times, scheduler decisions); only :attr:`Simulator.events_fired`
+drops, which is the point — see perfbench's ``events_per_task`` column.
+The test suite keeps the *unfolded* pump, one engine event per submission,
+as the reference the folded one is compared against
+(``tests/reference_dispatch.py``).
 
 Tracing observes the pump without changing it: intervals are recorded by
 kernel launches and the transfer path, never by a submission, so a traced
@@ -95,6 +93,15 @@ from repro.sim.engine import Simulator
 from repro.sim.stream import Stream
 from repro.sim.trace import TraceCategory, TraceRecorder
 from repro.topology.platform import Platform
+
+#: admission window of the streaming intake: while this many tasks are live
+#: (submitted, not yet retired), the pull chain pauses and resumes on
+#: completions — the bounded task window of real runtimes (StarPU's
+#: submission throttling, XKaapi's bounded frames).  Graphs smaller than the
+#: window never pause, so their virtual-time accounting is bit-identical to
+#: the materialized path; larger graphs trade exact submission instants for
+#: flat memory.
+STREAM_WINDOW = 8192
 
 
 @dataclasses.dataclass(slots=True)
@@ -126,7 +133,6 @@ class Executor:
         overlap: bool = True,
         retain_inputs: bool = True,
         retain_tasks: bool = True,
-        stream_window: int | None = 8192,
     ) -> None:
         self.sim = sim
         self.platform = platform
@@ -167,14 +173,8 @@ class Executor:
         #: overhead charges) match the materialized path exactly.
         self._pending_streams: deque = deque()
         self._stream_active = False
-        #: admission window for streamed submission: while this many tasks
-        #: are live (submitted, not yet retired), the pull chain pauses and
-        #: resumes on completions — the bounded task window of real runtimes
-        #: (StarPU's submission throttling, XKaapi's bounded frames).  Graphs
-        #: smaller than the window never pause, so their virtual-time
-        #: accounting is bit-identical to the materialized path; larger
-        #: graphs trade exact submission instants for flat memory.
-        self._stream_window = stream_window
+        #: live-task bound of the streaming intake (see STREAM_WINDOW).
+        self._admission_window = STREAM_WINDOW
         self._stream_paused = False
         #: pending submissions: ``(time, seq, task, streamed)`` in
         #: nondecreasing ``(time, seq)`` order.  Only the head owns a heap
@@ -240,11 +240,7 @@ class Executor:
 
     def _pull_next(self) -> None:
         """Pull one task from the pending streams; deactivate when drained."""
-        window = self._stream_window
-        if (
-            window is not None
-            and self.graph.num_tasks - self.graph.num_done >= window
-        ):
+        if self.graph.num_tasks - self.graph.num_done >= self._admission_window:
             self._stream_paused = True
             return
         streams = self._pending_streams
@@ -285,12 +281,11 @@ class Executor:
         same engine event exactly when the engine itself would have
         dispatched it next — its ``(time, seq)`` strictly precedes the heap
         top (reserved seqs make the comparison exact, including same-instant
-        ties) and does not pass ``inline_horizon``.  Otherwise it re-arms a
-        heap entry under the next submission's reserved key and returns.
-        Streamed entries pull their successor *before* being enqueued, so
-        the successor's submission is queued ahead of whatever this task's
-        enqueue posts — as in the materialized path, where every submission
-        pre-dates every launch and completion.
+        ties).  Otherwise it re-arms a heap entry under the next submission's
+        reserved key and returns.  Streamed entries pull their successor
+        *before* being enqueued, so the successor's submission is queued
+        ahead of whatever this task's enqueue posts — as in the materialized
+        path, where every submission pre-dates every launch and completion.
         """
         sim = self.sim
         # Engine-owned, never rebound; read-only ``heap[0]`` peek below.
@@ -299,8 +294,6 @@ class Executor:
         # comparisons, not a scan.
         heap = sim._heap
         pending = self._submissions
-        if not pending:  # pragma: no cover - defensive; invariant: armed ⇒ pending
-            return
         self._pumping = True
         try:
             while True:
@@ -315,9 +308,6 @@ class Executor:
                     return
                 head = pending[0]
                 t2 = head[0]
-                if t2 > sim.inline_horizon:
-                    sim.post_reserved(t2, head[1], self._pump)
-                    return
                 if heap:
                     top = heap[0]
                     tt = top[0]
@@ -593,13 +583,13 @@ class Executor:
 
     # ------------------------------------------------------------------ run
 
-    def run_to_completion(self, max_events: int | None = None) -> float:
+    def run_to_completion(self) -> float:
         """Drain the event heap; returns the makespan.
 
         Raises :class:`SchedulingError` if tasks remain unexecuted (a
         scheduling bug or an impossible mapping).
         """
-        self.sim.run(max_events=max_events)
+        self.sim.run()
         graph = self.graph
         if not graph.all_done():
             if graph.retain_tasks:

@@ -25,17 +25,12 @@ Inline event fusion
 External components may *fuse* events: process a chain of consecutive
 pending actions inside one engine event instead of round-tripping each
 through the heap (the runtime's submission pump does this — see
-``runtime/executor.py``).  Two engine-side contracts make that safe:
-
-* :meth:`reserve_seq` / :meth:`post_reserved` let a component draw sequence
-  numbers at *intent* time and post the heap entry later, so the engine's
-  ``seq`` stream — and therefore every tie-break — evolves exactly as if one
-  event had been posted per action;
-* :attr:`inline_horizon` bounds how far a fused chain may advance the clock
-  without consulting the heap.  It is ``+inf`` during a plain
-  run-to-exhaustion, ``until`` during :meth:`run` with a horizon, and
-  ``-inf`` when ``max_events`` is set — the latter disables fusion entirely
-  so the event budget counts every action, keeping the livelock valve exact.
+``runtime/executor.py``).  :meth:`reserve_seq` / :meth:`post_reserved` make
+that safe: a component draws sequence numbers at *intent* time and posts the
+heap entry later, so the engine's ``seq`` stream — and therefore every
+tie-break — evolves exactly as if one event had been posted per action.  A
+fused chain keeps going only while its next ``(time, seq)`` precedes the
+heap top, i.e. while the engine would have dispatched it next anyway.
 
 Fused actions do not increment :attr:`events_fired`: the counter reports
 engine dispatches, and collapsing bookkeeping chains into fewer dispatches
@@ -49,8 +44,6 @@ import heapq
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-
-_INF = float("inf")
 
 
 class Simulator:
@@ -76,10 +69,6 @@ class Simulator:
         #: docstring): the runtime reads the clock on every scheduling
         #: decision, where a property dispatch is measurable.
         self.now: float = 0.0
-        #: latest virtual time up to which external components may process
-        #: fused actions inline without going through the heap.  See module
-        #: docstring ("Inline event fusion").
-        self.inline_horizon: float = _INF
         self._seq: int = 0
         self._running = False
         self._events_fired = 0
@@ -128,13 +117,7 @@ class Simulator:
         self._seq = seq + 1
         return seq
 
-    def post_reserved(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple = (),
-    ) -> None:
+    def post_reserved(self, time: float, seq: int, callback: Callable[[], Any]) -> None:
         """Post an entry carrying a :meth:`reserve_seq`-drawn sequence number.
 
         The caller owns the ordering contract: ``seq`` must have been reserved
@@ -145,81 +128,28 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past: {time} < now={self.now}"
             )
-        heapq.heappush(self._heap, (time, seq, callback, args))
+        heapq.heappush(self._heap, (time, seq, callback, ()))
 
     # -------------------------------------------------------------------- run
 
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns ``False`` if the heap is empty."""
-        heap = self._heap
-        if not heap:
-            return False
-        entry = heapq.heappop(heap)
-        self.now = entry[0]
-        self._events_fired += 1
-        entry[2](*entry[3])
-        return True
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Run events until the heap is empty.
-
-        Parameters
-        ----------
-        until:
-            Optional virtual-time horizon; events strictly after it stay
-            queued and the clock is advanced to ``until`` — also when the heap
-            drains before the horizon is reached, so ``now == until`` holds on
-            return regardless of how much work was actually queued.  Fused
-            dispatch loops honour the same horizon via
-            :attr:`inline_horizon`.
-        max_events:
-            Optional safety valve for tests; raises :class:`SimulationError`
-            *before* firing the ``max_events + 1``-th event (a symptom of a
-            livelocked model), so a runaway model cannot mutate state past
-            the limit.  Setting it disables inline fusion for the duration of
-            the run (``inline_horizon = -inf``) so the budget counts every
-            action exactly.
-        """
+    def run(self) -> None:
+        """Run events until the heap is empty."""
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        if until is None and max_events is None:
-            # Run-to-exhaustion fast path (the shape every full simulation
-            # uses): the pop/dispatch of :meth:`step` inlined, saving a method
-            # call and a bounds re-check per event.
-            heap = self._heap
-            pop = heapq.heappop
-            # The dispatch counter is kept in a local and flushed once at the
-            # end: an attribute store per event is measurable at paper scale,
-            # and nothing observable reads ``events_fired`` mid-drain (the
-            # property documents end-of-run diagnostics).
-            fired = 0
-            try:
-                while heap:
-                    entry = pop(heap)
-                    self.now = entry[0]
-                    fired += 1
-                    entry[2](*entry[3])
-            finally:
-                self._events_fired += fired
-                self._running = False
-            return
-        self.inline_horizon = -_INF if max_events is not None else until
+        heap = self._heap
+        pop = heapq.heappop
+        # The dispatch counter is kept in a local and flushed once at the
+        # end: an attribute store per event is measurable at paper scale,
+        # and nothing observable reads ``events_fired`` mid-drain (the
+        # property documents end-of-run diagnostics).
         fired = 0
         try:
-            heap = self._heap
             while heap:
-                if until is not None and heap[0][0] > until:
-                    break
-                if max_events is not None and fired >= max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; model livelock?"
-                    )
-                if not self.step():
-                    break
+                entry = pop(heap)
+                self.now = entry[0]
                 fired += 1
-            if until is not None and self.now < until:
-                self.now = until
+                entry[2](*entry[3])
         finally:
+            self._events_fired += fired
             self._running = False
-            self.inline_horizon = _INF

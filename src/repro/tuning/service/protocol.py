@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import AsyncIterable, Callable
+from typing import AsyncIterable, Callable, Collection
 
 from repro.bench.cellspec import (
     DEFAULT_PLATFORM,
@@ -33,7 +33,10 @@ from repro.bench.cellspec import (
     PlatformHandle,
 )
 from repro.bench.harness import pick_best, point_cells
+from repro.blas.routines import ROUTINES
 from repro.errors import BenchmarkError, ReproError
+from repro.libraries.base import SCENARIOS
+from repro.libraries.registry import LIBRARIES
 
 #: Bumped on incompatible wire changes; servers echo it in ``pong`` events.
 PROTOCOL_VERSION = 1
@@ -69,12 +72,12 @@ def parse_platform(value: object) -> PlatformHandle:
             )
         return PlatformHandle(factory, int(gpus))
     if isinstance(value, dict):
-        try:
-            return PlatformHandle(
-                str(value.get("factory", "dgx1")), int(value.get("gpus", 8))
-            )
-        except (TypeError, ValueError) as exc:
-            raise BenchmarkError(f"bad platform {value!r}: {exc}") from None
+        factory, gpus = value.get("factory", "dgx1"), value.get("gpus", 8)
+        if isinstance(factory, str) and type(gpus) is int:
+            return PlatformHandle(factory, gpus)
+        raise BenchmarkError(
+            f"bad platform {value!r}; expected a factory name and an integer gpus"
+        )
     raise BenchmarkError(f"bad platform {value!r}")
 
 
@@ -128,50 +131,79 @@ class TuneQuery:
 
     @classmethod
     def from_json(cls, payload: object) -> TuneQuery:
+        """Parse a wire query, refusing (with :class:`BenchmarkError` naming
+        the field and its value) anything the harness could not run as asked:
+        the refusal costs the client nothing, a served wrong cell does."""
         if not isinstance(payload, dict):
             raise BenchmarkError(f"tune query must be an object, got {payload!r}")
-        try:
-            routine = str(payload["routine"])
-            n = int(payload["n"])
-        except (KeyError, TypeError, ValueError):
+        if "routine" not in payload or "n" not in payload:
             raise BenchmarkError(
                 f"tune query needs 'routine' and integer 'n', got {payload!r}"
-            ) from None
+            )
+        routine = payload["routine"]
+        if not isinstance(routine, str) or routine.lower() not in ROUTINES:
+            raise BenchmarkError(
+                f"unknown routine {routine!r}; choose from {sorted(ROUTINES)}"
+            )
+        n = _json_int(payload["n"], "n")
         if n <= 0:
             raise BenchmarkError(f"tune query needs n > 0, got n={n}")
-        libraries = _str_tuple(payload.get("libraries"), ("xkblas",), "libraries")
-        scenarios = _str_tuple(payload.get("scenarios"), ("host",), "scenarios")
+        libraries = _names(payload.get("libraries"), ("xkblas",), "libraries", LIBRARIES)
+        scenarios = _names(payload.get("scenarios"), ("host",), "scenarios", SCENARIOS)
         tiles_raw = payload.get("tiles")
         tiles: tuple[int, ...] | None = None
         if tiles_raw is not None:
-            try:
-                tiles = tuple(int(t) for t in tiles_raw)
-            except (TypeError, ValueError):
-                raise BenchmarkError(f"bad tiles {tiles_raw!r}") from None
-            for raw, nb in zip(tiles_raw, tiles):
+            if not isinstance(tiles_raw, list):
+                raise BenchmarkError(f"bad tiles {tiles_raw!r}; expected a list")
+            tiles = tuple(_json_int(t, "tiles") for t in tiles_raw)
+            for nb in tiles:
                 if nb <= 0:
                     raise BenchmarkError(
-                        f"tune query needs tile sizes > 0, got {raw!r}"
+                        f"tune query needs tile sizes > 0, got {nb!r}"
                     )
+        fast = payload.get("fast", False)
+        if not isinstance(fast, bool):
+            raise BenchmarkError(f"bad fast {fast!r}; expected a JSON boolean")
+        platform = parse_platform(payload.get("platform"))
+        try:
+            platform.build()
+        except ValueError as exc:
+            raise BenchmarkError(
+                f"bad platform {payload.get('platform')!r}: {exc}"
+            ) from None
         return cls(
-            routine=routine,
+            routine=routine.lower(),
             n=n,
             libraries=libraries,
             scenarios=scenarios,
-            platform=parse_platform(payload.get("platform")),
+            platform=platform,
             tiles=tiles,
-            fast=bool(payload.get("fast", False)),
+            fast=fast,
         )
 
 
-def _str_tuple(value: object, default: tuple[str, ...], field: str) -> tuple[str, ...]:
+def _names(value: object, default: tuple[str, ...], field: str,
+           known: Collection[str]) -> tuple[str, ...]:
+    """A name or non-empty list of names, each one of ``known``."""
     if value is None:
         return default
-    if isinstance(value, str):
-        return (value,)
-    if isinstance(value, (list, tuple)) and value:
-        return tuple(str(v) for v in value)
-    raise BenchmarkError(f"bad {field} {value!r}; expected a non-empty list")
+    names = [value] if isinstance(value, str) else value
+    if not isinstance(names, list) or not names:
+        raise BenchmarkError(f"bad {field} {value!r}; expected a non-empty list")
+    for name in names:
+        if not isinstance(name, str) or name not in known:
+            raise BenchmarkError(
+                f"unknown {field} entry {name!r}; choose from {sorted(known)}"
+            )
+    return tuple(names)
+
+
+def _json_int(value: object, field: str) -> int:
+    # ``bool`` is an ``int`` subclass, and ``int()`` would truncate a float
+    # or parse a string: only a JSON integer is one.
+    if type(value) is not int:
+        raise BenchmarkError(f"bad {field} {value!r}; expected a JSON integer")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)

@@ -33,8 +33,8 @@ from repro.verify.base import Finding, load_package, raise_on_findings, render_r
 from repro.verify.callgraph import CallGraph
 from repro.verify.coherence import CoherenceSanitizer, check_directory, check_tile
 from repro.verify.determinism import lint_determinism
-from repro.verify.graph import assert_graph_ok, verify_graph
-from repro.verify.lint import lint_package, lint_source
+from repro.verify.graph import verify_graph
+from repro.verify.lint import lint_package
 from repro.verify.races import detect_races
 from repro.verify.reclaim import lint_reclamation
 from repro.verify.trace_lint import lint_trace
@@ -43,14 +43,12 @@ __all__ = [
     "CallGraph",
     "CoherenceSanitizer",
     "Finding",
-    "assert_graph_ok",
     "check_directory",
     "check_tile",
     "detect_races",
     "lint_determinism",
     "lint_package",
     "lint_reclamation",
-    "lint_source",
     "lint_trace",
     "load_package",
     "raise_on_findings",

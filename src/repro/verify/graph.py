@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from repro.runtime.dataflow import TaskGraph
 from repro.runtime.task import Task
-from repro.verify.base import Finding, raise_on_findings
+from repro.verify.base import Finding
 
 _PASS = "graph"
 
@@ -251,7 +251,3 @@ def verify_graph(graph: TaskGraph) -> list[Finding]:
     findings += _race_findings(graph)
     return findings
 
-
-def assert_graph_ok(graph: TaskGraph, context: str = "task graph") -> None:
-    """Raise :class:`~repro.errors.VerificationError` on any graph finding."""
-    raise_on_findings(verify_graph(graph), context)

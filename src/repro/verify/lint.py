@@ -45,7 +45,7 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-from repro.verify.base import Finding, Module, _dotted, _in_scope, parse_module
+from repro.verify.base import Finding, Module, _dotted, _in_scope
 
 _PASS = "lint"
 
@@ -109,12 +109,6 @@ def _is_dataclass_decorator(dec: ast.expr) -> ast.Call | str | None:
     if dotted in ("dataclass", "dataclasses.dataclass"):
         return dec if isinstance(dec, ast.Call) else dotted
     return None
-
-
-def lint_source(source: str, rel_path: Path) -> list[Finding]:
-    """Per-file rules (L000–L004) over one module; ``rel_path`` is relative
-    to the package root."""
-    return _lint_module(parse_module(source, rel_path))
 
 
 def _lint_module(module: Module) -> list[Finding]:

@@ -25,9 +25,11 @@ import json
 from pathlib import Path
 
 from repro.bench.cellspec import CellSpec, PlatformHandle
-from repro.bench.experiments.fig8_composition import NB as FIG8_NB
-from repro.bench.experiments.fig8_composition import LIBRARIES as FIG8_LIBRARIES
-from repro.bench.experiments.fig8_composition import run_composition
+from repro.bench.experiments.fig8_composition import (
+    LIBRARIES as FIG8_LIBRARIES,
+    NB as FIG8_NB,
+    run_composition,
+)
 from repro.bench.workloads import matrices_for
 from repro.blas.routines import ROUTINES
 from repro.errors import LibraryError

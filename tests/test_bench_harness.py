@@ -19,7 +19,7 @@ from repro.bench.harness import (
 )
 from repro.bench.workloads import matrices_for, paper_sizes
 from repro.blas.routines import ROUTINES as BLAS3
-from repro.errors import BenchmarkError
+from repro.errors import BenchmarkError, LibraryError
 from repro.topology.dgx1 import make_dgx1
 
 
@@ -84,6 +84,12 @@ def test_run_point_returns_result(plat):
 def test_run_point_unknown_routine(plat):
     with pytest.raises(BenchmarkError):
         run_point("xkblas", "potrf", 4096, 1024, plat)
+
+
+def test_run_point_unknown_scenario(plat):
+    # It used to run as data-on-host with no final write-back.
+    with pytest.raises(LibraryError, match="unknown scenario 'moon'"):
+        run_point("xkblas", "gemm", 4096, 1024, plat, scenario="moon")
 
 
 def test_tile_candidates_extended_for_streaming_libraries():

@@ -5,11 +5,12 @@ nested helper — must be called from outside the test suite: its name must
 occur in ``src/`` outside its own ``def``, or anywhere in ``examples/``,
 ``benchmarks/`` or ``e2ebench/``, as a name, an attribute, an import or an
 identifier string (the layer hook tables name methods by string).  A name
-listed in ``__all__`` is exported, not called, so ``__all__`` entries do not
-count, and neither does any use under ``tests/``: a helper only tests call is
-untested dead weight in the package (this is how ``workloads.round_up``, the
-named BLAS wrappers and the whole-matrix NumPy oracles were caught and moved
-out or deleted).
+listed in ``__all__`` or imported by a package's ``__init__.py`` is
+exported, not called, so neither counts, and neither does any use under
+``tests/``: a helper only tests call is untested dead weight in the package
+(this is how ``workloads.round_up``, the named BLAS wrappers, the
+whole-matrix NumPy oracles and three package re-exports were caught and
+moved out or deleted).
 
 Two kinds of definition are called by name from outside the scan: dunder
 methods (the interpreter's protocols) and ``visit_<Node>`` methods, which
@@ -36,7 +37,9 @@ ALLOWED: dict[str, str] = {}
 class _Uses(ast.NodeVisitor):
     """Every name one module uses, with the definitions enclosing the use."""
 
-    def __init__(self) -> None:
+    def __init__(self, exports: bool) -> None:
+        #: the module is a package ``__init__``, whose imports export.
+        self.exports = exports
         self.defs: list[tuple[ast.AST, str]] = []
         self.uses: list[tuple[str, frozenset[int]]] = []
         self._enclosing: list[int] = []
@@ -78,6 +81,8 @@ class _Uses(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_alias(self, node: ast.alias) -> None:
+        if self.exports:
+            return
         self._use(node.name.rpartition(".")[2])
         if node.asname:
             self._use(node.asname)
@@ -88,7 +93,7 @@ class _Uses(ast.NodeVisitor):
 
 
 def _scan(path: Path) -> _Uses:
-    uses = _Uses()
+    uses = _Uses(exports=path.name == "__init__.py")
     uses.visit(ast.parse(path.read_text(encoding="utf-8")))
     return uses
 

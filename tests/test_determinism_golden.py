@@ -12,9 +12,9 @@ Two guarantees, both load-bearing for the performance work:
   is a correctness bug no wall-time win can justify.  ``events_fired`` counts
   the submission pump's folded dispatches; where a point records
   ``events_unfolded`` and the test builds the runtime itself, the same point
-  is replayed under ``sync(max_events=...)`` (folding off, one dispatch per
-  submission) and must fire exactly that many events with every other field
-  unchanged.
+  is replayed on the unfolded reference pump of ``tests/reference_dispatch.py``
+  (one dispatch per submission) and must fire exactly that many events with
+  every other field unchanged.
 
 When a *deliberate* model change shifts these numbers, re-record the golden
 file and say so in the commit — never loosen the comparison.
@@ -40,13 +40,11 @@ from repro.runtime.api import Runtime, RuntimeOptions
 from repro.runtime.policies import SourcePolicy
 from repro.runtime.task import Task
 from repro.topology.dgx1 import make_dgx1
+from tests.reference_dispatch import unfold
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_makespans.json"
 
 _RECORDED = ("makespan", "makespan_hex", "events_fired", "transfers", "tasks")
-
-#: event budget that only switches folding off (no golden point comes close).
-_UNFOLDED = 10**9
 
 
 def _outcome(rt: Runtime, makespan: float) -> dict:
@@ -83,7 +81,7 @@ def _observe_with_scheduler(
     n: int,
     nb: int,
     source_policy: SourcePolicy = SourcePolicy.TOPOLOGY_OPTIMISTIC,
-    max_events: int | None = None,
+    folded: bool = True,
 ) -> dict:
     """One GEMM point under a specific scheduling and source policy.
 
@@ -91,10 +89,12 @@ def _observe_with_scheduler(
     runs each task on the owner of its output tile under a 2x4 block-cyclic
     distribution (:func:`hint_block_cyclic_owners`), every other policy runs
     with its defaults.  Priorities are assigned exactly as ``Session.sync``
-    does.  A ``max_events`` budget turns submission folding off.
+    does.  ``folded=False`` runs it on the unfolded reference pump.
     """
     opts = RuntimeOptions(scheduler=scheduler, source_policy=source_policy)
     rt = Runtime(make_dgx1(8), opts)
+    if not folded:
+        unfold(rt)
     a, b, c = (Matrix.meta(n, n) for _ in range(3))
     pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
     tasks = build_gemm(1.0, pa, pb, 0.5, pc)
@@ -104,11 +104,11 @@ def _observe_with_scheduler(
         rt.submit(task)
     rt.memory_coherent_async(c, nb)
     rt.executor.graph.critical_path_priorities()
-    return _outcome(rt, rt.sync(max_events=max_events))
+    return _outcome(rt, rt.sync())
 
 
 def _unfolded(rec: dict) -> dict:
-    """What a ``sync(max_events=...)`` replay of ``rec`` must observe."""
+    """What an unfolded replay of ``rec`` must observe."""
     return {**{k: rec[k] for k in _RECORDED}, "events_fired": rec["events_unfolded"]}
 
 
@@ -142,7 +142,7 @@ def eviction_runtime(
     with B flushed back to the host, every device cache sized to hold
     ``cache_tiles`` tiles: the caches fill, so ``policy`` picks victims and
     dirty ones are written back mid-run.  ``mode`` is ``"eager"`` (graph
-    retained) or ``"streamed"`` (reclaiming, ``stream_window=512``).  At the
+    retained) or ``"streamed"`` (reclaiming, admission window 512).  At the
     recorded size the graph has 2,176 kernel tasks and 256 flushes, so the
     streamed run is past the admission window, where submission instants
     become completion-driven.
@@ -154,8 +154,8 @@ def eviction_runtime(
     )
     if mode == "streamed":
         opts.retain_tasks = False
-        opts.stream_window = 512
     rt = Runtime(make_dgx1(8), opts)
+    rt.executor._admission_window = 512
     a, b = Matrix.meta(n, n, name="A"), Matrix.meta(n, n, name="B")
     pa, pb = rt.partition(a, nb), rt.partition(b, nb)
     tasks = build_trsm(
@@ -237,7 +237,7 @@ def test_scheduler_parity_goldens(name):
         "changed; if deliberate, re-record tests/data/golden_makespans.json"
     )
     unfolded = _observe_with_scheduler(
-        rec["scheduler"], rec["n"], rec["nb"], max_events=_UNFOLDED
+        rec["scheduler"], rec["n"], rec["nb"], folded=False
     )
     assert unfolded == _unfolded(rec), f"{name}: unfolded replay drifted"
 
@@ -259,7 +259,7 @@ def test_dmdas_source_policy_goldens(name):
         "changed; if deliberate, re-record tests/data/golden_makespans.json"
     )
     unfolded = _observe_with_scheduler(
-        rec["scheduler"], rec["n"], rec["nb"], policy, max_events=_UNFOLDED
+        rec["scheduler"], rec["n"], rec["nb"], policy, folded=False
     )
     assert unfolded == _unfolded(rec), f"{name}: unfolded replay drifted"
 

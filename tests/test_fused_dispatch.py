@@ -3,10 +3,10 @@
 Every submission instant runs through one path, the executor's submission
 pump (``Executor._pump``), which folds consecutive pending submissions into
 one engine event whenever the engine would have dispatched them next anyway.
-``Runtime.sync(max_events=...)`` disables folding (``inline_horizon = -inf``),
-so the same pump then dispatches once per submission: the *unfolded* run is
-the reference the folded one is compared against ("fused"/"unfused" in the
-test names).  The contract, pinned here:
+The reference it is compared against is the *unfolded* pump of
+``tests/reference_dispatch.py`` (``unfold``), which dispatches once per
+submission ("fused"/"unfused" in the test names).  The contract, pinned
+here:
 
 * **bit-identity** — every virtual-time observable (makespan, per-task
   schedule, transfer stats, completed-task count) of a folded run equals the
@@ -44,13 +44,11 @@ from repro.runtime.api import Runtime, RuntimeOptions
 from repro.runtime.task import Task
 from repro.topology.dgx1 import make_dgx1
 from tests.access_lists import make_access_list
+from tests.reference_dispatch import unfold
 
 SCHEDULERS = ("xkaapi-locality-ws", "starpu-dmdas", "owner-computes")
 
 TRACE_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_traces.json"
-
-#: event budget large enough for every graph here: it only switches folding off.
-UNFOLDED = 10**9
 
 
 def _observe(rt: Runtime, makespan: float, tasks: list[Task]) -> dict:
@@ -67,12 +65,14 @@ def _observe(rt: Runtime, makespan: float, tasks: list[Task]) -> dict:
 
 def _gemm_runtime(scheduler: str, *, streaming: bool = False,
                   retain: bool = True, trace: bool = False, n: int = 4096,
-                  nb: int = 512) -> tuple[Runtime, list[Task]]:
+                  nb: int = 512, folded: bool = True) -> tuple[Runtime, list[Task]]:
     """One GEMM point submitted, not yet run (the golden
     ``scheduler_points`` recipe).  The task list is kept for the per-task
     schedule; holding it does not change what the runtime does."""
     opts = RuntimeOptions(scheduler=scheduler, retain_tasks=retain, trace=trace)
     rt = Runtime(make_dgx1(8), opts)
+    if not folded:
+        unfold(rt)
     a, b, c = (Matrix.meta(n, n) for _ in range(3))
     pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
     tasks = list(build_gemm(1.0, pa, pb, 0.5, pc))
@@ -109,10 +109,9 @@ def _traced_posv_runtime() -> Runtime:
     return rt
 
 
-def _run_gemm(scheduler: str, *, folded: bool, **kw) -> dict:
+def _run_gemm(scheduler: str, **kw) -> dict:
     rt, tasks = _gemm_runtime(scheduler, **kw)
-    makespan = rt.sync() if folded else rt.sync(max_events=UNFOLDED)
-    return _observe(rt, makespan, tasks)
+    return _observe(rt, rt.sync(), tasks)
 
 
 # ------------------------------------------------------------- bit-identity
@@ -239,6 +238,8 @@ def _run_specs(specs, scheduler, folded):
         PLATFORM4,
         RuntimeOptions(scheduler=scheduler, trace=False),
     )
+    if not folded:
+        unfold(rt)
     mat = Matrix.meta(TILES * 16, 16)
     part = rt.partition(mat, 16)
     tiles = part.col(0)
@@ -259,8 +260,7 @@ def _run_specs(specs, scheduler, folded):
             )
         )
     rt.memory_coherent_async(mat, 16)
-    # An event budget switches folding off, so only the unfolded side has one.
-    makespan = rt.sync() if folded else rt.sync(max_events=200_000)
+    makespan = rt.sync()
     schedule = sorted(
         (t.device, t.start_time.hex(), t.end_time.hex()) for t in tasks
     )

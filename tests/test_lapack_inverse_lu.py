@@ -6,10 +6,10 @@ import pytest
 from repro import Runtime
 from repro.blas.params import Diag, Uplo
 from repro.lapack import (
+    build_getrf_nopiv,
     build_lauum,
     build_trtri,
     gesv_async,
-    getrf_async,
     potri_async,
     trtri_async,
 )
@@ -110,7 +110,8 @@ def test_getrf_nopiv_factors(dgx1_small):
     a_full = rng.random((N, N)) + N * np.eye(N)  # diagonally dominant
     mat = Matrix(N, N, data=np.asfortranarray(a_full.copy()), name="A")
     rt = Runtime(dgx1_small)
-    getrf_async(rt, mat, NB)
+    for task in build_getrf_nopiv(rt.partition(mat, NB)):
+        rt.submit(task)
     rt.memory_coherent_async(mat, NB)
     rt.sync()
     lu = mat.to_array()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import matrices_for
-from repro.errors import LibraryError
+from repro.errors import LibraryError, MemoryViewError
 from repro.libraries import LIBRARIES, make_library
 from repro.libraries.registry import FIG5_LIBRARIES, XKBLAS_VARIANTS
 from repro.memory.matrix import Matrix
@@ -201,6 +201,21 @@ def test_composition_is_numerically_correct(dgx1_small):
     x = np.linalg.solve(np.tril(a_arr), b0)
     np.testing.assert_allclose(b.to_array(), x, atol=1e-8)
     np.testing.assert_allclose(d.to_array(), x @ c.to_array(), atol=1e-7)
+
+
+@pytest.mark.parametrize(("first", "second"), [(64, 128), (128, 64)])
+def test_session_refuses_a_second_tile_size(dgx1_small, first, second):
+    """Re-tiling a matrix inside one runtime would reuse its old tile keys
+    in the directory, caches, dependency history and data store (a finer
+    tiling then reads the coarser one's tiles), so it is refused, naming the
+    matrix and both sizes."""
+    a, b, c = gemm_operands()
+    s = make_library("xkblas", dgx1_small).session()
+    s.call_async("gemm", first, a=a, b=b, c=c)
+    with pytest.raises(
+        MemoryViewError, match=f"'A' is tiled at nb={first} .* nb={second}"
+    ):
+        s.call_async("gemm", second, a=a, b=b, beta=1.0, c=c)
 
 
 def test_composition_faster_than_synchronous_sequence(dgx1_small):

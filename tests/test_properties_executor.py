@@ -27,6 +27,7 @@ from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST
 from tests.access_lists import make_access_list
 from tests.directory_views import is_valid
+from tests.reference_dispatch import drain_within
 
 PLATFORM = make_dgx1(4)
 TILES = 6
@@ -84,7 +85,7 @@ def build_and_run(specs, policy, scheduler, numeric=False):
         )
         tasks.append(rt.submit(t))
     rt.memory_coherent_async(mat, 16)
-    rt.sync(max_events=200_000)
+    drain_within(rt, 200_000)
     return rt, mat, part, tasks
 
 

@@ -119,10 +119,8 @@ def test_reclaiming_run_releases_emptied_reader_and_flight_maps():
     """An emptied per-tile map gives back the table it grew to: after a
     streamed reclaiming GEMM, every reader map and every flight map is the
     size of a fresh ``{}``, not the size of its busiest moment."""
-    rt = Runtime(
-        make_dgx1(8),
-        RuntimeOptions(retain_tasks=False, stream_window=64, trace=False),
-    )
+    rt = Runtime(make_dgx1(8), RuntimeOptions(retain_tasks=False, trace=False))
+    rt.executor._admission_window = 64
     a, b, c = (Matrix.meta(2048, 2048) for _ in range(3))
     pa, pb, pc = (rt.partition(m, 256) for m in (a, b, c))
     rt.submit_stream(build_gemm(1.0, pa, pb, 0.5, pc))

@@ -50,8 +50,6 @@ def test_pipeline_window_one_serializes_per_device(dgx1_small):
     [
         ("pipeline_window", 0),
         ("pipeline_window", -1),
-        ("stream_window", 0),
-        ("stream_window", -1),
         ("cache_fraction", 1.5),
         ("cache_fraction", 0.0),
         ("task_overhead", -1e-3),
@@ -75,7 +73,6 @@ TILE = 256 * 256 * 8  # bytes of one of the 12 tiles of the 512x512 GEMM below
 @settings(max_examples=100, deadline=None)
 @given(
     pipeline_window=st.integers(-1, 8),
-    stream_window=st.none() | st.integers(-1, 16),
     streaming=st.booleans(),
     cache_fraction=st.floats(-0.25, 1.5),
     task_overhead=st.floats(-1e-4, 1e-3),

@@ -54,83 +54,6 @@ def test_events_scheduled_during_run_fire():
     assert sim.now == 5.0
 
 
-def test_run_until_horizon_leaves_future_events_queued():
-    sim = Simulator()
-    fired = []
-    sim.post(1.0, lambda: fired.append(1))
-    sim.post(10.0, lambda: fired.append(10))
-    sim.run(until=5.0)
-    assert fired == [1]
-    assert sim.now == 5.0
-    assert len(sim._heap) == 1
-    sim.run()
-    assert fired == [1, 10]
-
-
-def test_run_until_advances_clock_when_heap_drains_early():
-    # Regression (PR 2): ``run(until=T)`` used to leave the clock at the last
-    # event's time when the heap drained before the horizon, so a subsequent
-    # ``post(now + dt)`` could land in the caller's past.
-    sim = Simulator()
-    fired = []
-    sim.post(1.0, lambda: fired.append(1))
-    sim.run(until=5.0)
-    assert fired == [1]
-    assert sim.now == 5.0
-    sim.post(5.0, lambda: fired.append(5))  # horizon time is schedulable
-    sim.run()
-    assert fired == [1, 5]
-
-
-def test_run_until_with_empty_heap_advances_clock():
-    sim = Simulator()
-    sim.run(until=3.0)
-    assert sim.now == 3.0
-    sim.run(until=2.0)  # an earlier horizon never rewinds the clock
-    assert sim.now == 3.0
-
-
-def test_max_events_fires_exactly_the_budget():
-    # Regression (PR 2): the guard used to fire the N+1-th event and only
-    # then raise; the budget must be a hard cap on events *fired*.
-    sim = Simulator()
-    fired = []
-
-    def respawn():
-        fired.append(sim.now)
-        sim.post(sim.now + 1.0, respawn)
-
-    sim.post(0.0, respawn)
-    with pytest.raises(SimulationError, match="livelock"):
-        sim.run(max_events=7)
-    assert len(fired) == 7
-    assert sim.events_fired == 7
-
-
-def test_max_events_sufficient_budget_completes_without_error():
-    sim = Simulator()
-    fired = []
-    for i in range(5):
-        sim.post(float(i), lambda i=i: fired.append(i))
-    sim.run(max_events=5)
-    assert fired == [0, 1, 2, 3, 4]
-
-
-def test_max_events_guards_against_livelock():
-    sim = Simulator()
-
-    def respawn():
-        sim.post(sim.now + 1.0, respawn)
-
-    sim.post(0.0, respawn)
-    with pytest.raises(SimulationError, match="livelock"):
-        sim.run(max_events=100)
-
-
-def test_step_returns_false_when_empty():
-    assert Simulator().step() is False
-
-
 def test_run_not_reentrant():
     sim = Simulator()
     seen = []

@@ -27,6 +27,7 @@ from repro.errors import TaskGraphError
 from repro.libraries import make_library
 from repro.memory.matrix import Matrix
 from repro.runtime.api import Runtime, RuntimeOptions
+from repro.runtime.executor import STREAM_WINDOW
 from repro.runtime.task import FlushTask
 from repro.topology.dgx1 import make_dgx1
 
@@ -36,13 +37,13 @@ SCHEDULERS = ("xkaapi-locality-ws", "starpu-dmdas", "owner-computes")
 
 
 def _run_gemm(scheduler: str, *, streaming: bool, retain: bool = True,
-              n: int = 4096, nb: int = 512, stream_window: int | None = 8192,
+              n: int = 4096, nb: int = 512, window: int = STREAM_WINDOW,
               keep_runtime: bool = False):
-    """One GEMM point, mirroring the golden ``scheduler_points`` recipe."""
-    opts = RuntimeOptions(
-        scheduler=scheduler, retain_tasks=retain, stream_window=stream_window
-    )
+    """One GEMM point, mirroring the golden ``scheduler_points`` recipe,
+    streamed through an admission window of ``window`` tasks."""
+    opts = RuntimeOptions(scheduler=scheduler, retain_tasks=retain)
     rt = Runtime(make_dgx1(8), opts)
+    rt.executor._admission_window = window
     a, b, c = (Matrix.meta(n, n) for _ in range(3))
     pa, pb, pc = rt.partition(a, nb), rt.partition(b, nb), rt.partition(c, nb)
     tasks = build_gemm(1.0, pa, pb, 0.5, pc)
@@ -202,22 +203,13 @@ def test_admission_window_throttles_and_completes():
     eager = _run_gemm("xkaapi-locality-ws", streaming=False, n=2048, nb=256)
     throttled = _run_gemm(
         "xkaapi-locality-ws", streaming=True, retain=False,
-        n=2048, nb=256, stream_window=64,
+        n=2048, nb=256, window=64,
     )
     # Every task completes even though the stream paused many times…
     assert throttled["tasks"] == eager["tasks"]
     # …and the makespan stays in the same regime (bounded lookahead may
     # shift schedules, but not wreck them).
     assert throttled["makespan"] <= eager["makespan"] * 1.5
-
-
-def test_unbounded_window_still_bit_identical():
-    eager = _run_gemm("xkaapi-locality-ws", streaming=False, n=2048, nb=256)
-    unbounded = _run_gemm(
-        "xkaapi-locality-ws", streaming=True, n=2048, nb=256,
-        stream_window=None,
-    )
-    assert unbounded == eager
 
 
 def test_dmdas_streaming_falls_back_to_eager_materialization():

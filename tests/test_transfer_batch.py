@@ -25,6 +25,7 @@ from repro.topology.dgx1 import make_dgx1
 from repro.topology.link import HOST, Link, LinkKind
 from repro.topology.platform import Platform
 from tests.directory_views import is_valid
+from tests.reference_dispatch import advance
 from tests.test_properties_eviction import scan_victims
 
 #: bit of the host inside the directory's validity / in-flight masks.
@@ -170,7 +171,7 @@ def test_property_ensure_resident_matches_single_access_model(steps):
                     rt.transfer.register_write(part[coord], dev, rt.sim.now)
         else:
             for rt, _ in twins:
-                rt.sim.run(until=rt.sim.now + args[0])
+                advance(rt.sim, rt.sim.now + args[0])
         assert _observable(rt_r) == _observable(rt_m)
     for rt, _ in twins:
         rt.sim.run()
@@ -395,7 +396,7 @@ def test_property_make_room_matches_two_pass_model(steps, policy):
             assert ready[0] == ready[1]
         else:
             for rt, _ in twins:
-                rt.sim.run(until=rt.sim.now + args[0])
+                advance(rt.sim, rt.sim.now + args[0])
         assert state(rt_r) == state(rt_m)
     for rt, _ in twins:
         rt.sim.run()

@@ -390,6 +390,56 @@ def test_tcp_non_positive_tile_answers_with_an_error(tile):
     assert executor.batches == []
 
 
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("routine", "potrf"),
+        ("routine", 7),
+        ("n", 4096.7),
+        ("n", True),
+        ("n", "4096"),
+        ("libraries", ["mkl"]),
+        ("libraries", [["xkblas"]]),
+        ("scenarios", ["moon"]),
+        ("tiles", [1024.9]),
+        ("tiles", [True]),
+        ("tiles", ["1024"]),
+        ("fast", "false"),
+        ("platform", "dgx1x0"),
+        ("platform", {"factory": "moon"}),
+        ("platform", {"factory": "dgx1", "gpus": 4.7}),
+        ("platform", {"factory": "dgx1", "gpus": True}),
+    ],
+)
+def test_tcp_malformed_query_answers_with_an_error_and_simulates_nothing(field, value):
+    # Each of these used to run as something else (a truncated size, a
+    # string read as fast mode, an unknown scenario as data-on-host without
+    # a write-back) or to fail only inside the worker after simulating.
+    async def scenario(executor, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        query = {"routine": "gemm", "n": 4096, field: value}
+        writer.write(protocol.encode({"id": 1, "op": "tune", "query": query}))
+        await writer.drain()
+        event = protocol.decode(await asyncio.wait_for(reader.readline(), 5.0))
+        writer.close()
+        await writer.wait_closed()
+        async with await TuningClient.connect(host, port) as client:
+            stats = await client.stats()
+        return event, stats
+
+    event, stats = _tcp(scenario)
+    assert event["event"] == "error" and event["id"] == 1
+    assert event["kind"] == "BenchmarkError"
+    shown = value[0] if isinstance(value, list) else value
+    assert field in event["message"] and repr(shown) in event["message"]
+    assert stats["cells_simulated"] == 0
+
+
+def test_query_routine_is_case_insensitive_and_stored_lower():
+    query = TuneQuery.from_json({"routine": "GEMM", "n": 4096})
+    assert query.routine == "gemm"
+
+
 def test_tcp_unknown_op_and_bad_json_answer_with_errors():
     async def scenario(executor, host, port):
         reader, writer = await asyncio.open_connection(host, port)

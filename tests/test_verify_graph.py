@@ -20,7 +20,8 @@ from repro.memory.matrix import Matrix
 from repro.runtime.dataflow import TaskGraph
 from repro.runtime.task import Task
 from repro.topology.dgx1 import make_dgx1
-from repro.verify.graph import assert_graph_ok, verify_graph
+from repro.verify.base import raise_on_findings
+from repro.verify.graph import verify_graph
 from tests.access_lists import make_access_list
 
 
@@ -175,7 +176,7 @@ def test_missing_war_edge_detected_as_race():
     b.unfinished_predecessors -= 1
     assert codes(verify_graph(g)) == {"G001"}
     with pytest.raises(VerificationError):
-        assert_graph_ok(g)
+        raise_on_findings(verify_graph(g))
 
 
 def test_cycle_detected():
@@ -222,10 +223,10 @@ def test_done_before_predecessors_detected():
 
 def test_assert_graph_ok_passes_and_raises():
     g, a, b = war_graph()
-    assert_graph_ok(g)  # clean graph: no exception
+    raise_on_findings(verify_graph(g))  # clean graph: no exception
     a.successors.remove(b)
     b.unfinished_predecessors -= 1
     with pytest.raises(VerificationError) as exc:
-        assert_graph_ok(g, context="tampered")
+        raise_on_findings(verify_graph(g), context="tampered")
     assert "tampered" in str(exc.value)
     assert any(f.code == "G001" for f in exc.value.findings)

@@ -10,7 +10,7 @@ from pathlib import Path
 import repro
 from repro.verify import cli
 from repro.verify.base import load_package
-from repro.verify.lint import lint_package, lint_source
+from repro.verify.lint import lint_package
 
 
 def codes(findings):
@@ -20,6 +20,13 @@ def codes(findings):
 def lint_tree(root: Path):
     """Every lint rule over the package tree at ``root``."""
     return lint_package(load_package(root))
+
+
+def lint_module(root: Path, rel: str, source: str):
+    """Every lint rule over the package tree at ``root`` with ``source``
+    written at the relative path ``rel``."""
+    _seed(root, rel, source)
+    return lint_tree(root)
 
 
 def static_findings(root: Path, tmp_path: Path) -> list[tuple[str, str]]:
@@ -46,44 +53,44 @@ def test_repository_sources_lint_clean():
 # ------------------------------------------------------------ L001 wall clock
 
 
-def test_wall_clock_call_in_sim_detected():
+def test_wall_clock_call_in_sim_detected(tmp_path):
     src = "import time\n\ndef now():\n    return time.time()\n"
-    assert codes(lint_source(src, Path("sim/engine.py"))) == {"L001"}
+    assert codes(lint_module(tmp_path, "sim/engine.py", src)) == {"L001"}
 
 
-def test_wall_clock_variants_detected():
+def test_wall_clock_variants_detected(tmp_path):
     for call in ("time.monotonic()", "time.perf_counter_ns()",
                  "datetime.datetime.now()"):
         src = f"import time, datetime\n\ndef f():\n    return {call}\n"
-        assert codes(lint_source(src, Path("runtime/executor.py"))) == {"L001"}
+        assert codes(lint_module(tmp_path, "runtime/executor.py", src)) == {"L001"}
 
 
-def test_from_import_wall_clock_detected():
+def test_from_import_wall_clock_detected(tmp_path):
     src = "from time import perf_counter as pc\n\ndef f():\n    return pc()\n"
-    assert codes(lint_source(src, Path("sim/stream.py"))) == {"L001"}
+    assert codes(lint_module(tmp_path, "sim/stream.py", src)) == {"L001"}
 
 
-def test_aliased_module_wall_clock_detected():
+def test_aliased_module_wall_clock_detected(tmp_path):
     for imports, call in (
         ("import time as t", "t.time()"),
         ("from datetime import datetime as dt", "dt.now()"),
         ("from datetime import date", "date.today()"),
     ):
         src = f"{imports}\n\ndef f():\n    return {call}\n"
-        assert codes(lint_source(src, Path("runtime/executor.py"))) == {"L001"}, call
+        assert codes(lint_module(tmp_path, "runtime/executor.py", src)) == {"L001"}, call
 
 
-def test_non_clock_names_from_clock_modules_are_fine():
+def test_non_clock_names_from_clock_modules_are_fine(tmp_path):
     src = (
         "import time as t\nfrom datetime import timedelta\n\n"
         "def f():\n    return t.sleep, timedelta(seconds=1)\n"
     )
-    assert lint_source(src, Path("sim/engine.py")) == []
+    assert lint_module(tmp_path, "sim/engine.py", src) == []
 
 
-def test_wall_clock_outside_virtual_time_scope_is_fine():
+def test_wall_clock_outside_virtual_time_scope_is_fine(tmp_path):
     src = "import time\n\ndef now():\n    return time.time()\n"
-    assert lint_source(src, Path("bench/harness.py")) == []
+    assert lint_module(tmp_path, "bench/harness.py", src) == []
 
 
 def test_wall_clock_scope_memory_and_blas_yes_bench_no(tmp_path):
@@ -107,14 +114,14 @@ def test_wall_clock_scope_memory_and_blas_yes_bench_no(tmp_path):
 # ------------------------------------------------------------ L002 salted hash
 
 
-def test_builtin_hash_in_memory_detected():
+def test_builtin_hash_in_memory_detected(tmp_path):
     src = "def bucket(key):\n    return hash(key) % 7\n"
-    assert codes(lint_source(src, Path("memory/cache.py"))) == {"L002"}
+    assert codes(lint_module(tmp_path, "memory/cache.py", src)) == {"L002"}
 
 
-def test_builtin_hash_outside_scope_is_fine():
+def test_builtin_hash_outside_scope_is_fine(tmp_path):
     src = "def bucket(key):\n    return hash(key) % 7\n"
-    assert lint_source(src, Path("topology/platform.py")) == []
+    assert lint_module(tmp_path, "topology/platform.py", src) == []
 
 
 def test_hash_rule_covers_every_scope_once(tmp_path):
@@ -134,53 +141,53 @@ def test_hash_rule_covers_every_scope_once(tmp_path):
 # ---------------------------------------------------------------- L003 slots
 
 
-def test_dataclass_without_slots_detected():
+def test_dataclass_without_slots_detected(tmp_path):
     src = (
         "import dataclasses\n\n"
         "@dataclasses.dataclass\n"
         "class Hot:\n"
         "    x: int = 0\n"
     )
-    assert codes(lint_source(src, Path("runtime/task.py"))) == {"L003"}
+    assert codes(lint_module(tmp_path, "runtime/task.py", src)) == {"L003"}
 
 
-def test_bare_dataclass_decorator_detected():
+def test_bare_dataclass_decorator_detected(tmp_path):
     src = (
         "from dataclasses import dataclass\n\n"
         "@dataclass\n"
         "class Hot:\n"
         "    x: int = 0\n"
     )
-    assert codes(lint_source(src, Path("sim/event.py"))) == {"L003"}
+    assert codes(lint_module(tmp_path, "sim/event.py", src)) == {"L003"}
 
 
-def test_dataclass_with_slots_is_fine():
+def test_dataclass_with_slots_is_fine(tmp_path):
     src = (
         "import dataclasses\n\n"
         "@dataclasses.dataclass(frozen=True, slots=True)\n"
         "class Hot:\n"
         "    x: int = 0\n"
     )
-    assert lint_source(src, Path("memory/tile.py")) == []
+    assert lint_module(tmp_path, "memory/tile.py", src) == []
 
 
-def test_dataclass_outside_hot_scopes_is_fine():
+def test_dataclass_outside_hot_scopes_is_fine(tmp_path):
     src = "import dataclasses\n\n@dataclasses.dataclass\nclass Cfg:\n    x: int = 0\n"
-    assert lint_source(src, Path("bench/experiments/fig2.py")) == []
+    assert lint_module(tmp_path, "bench/experiments/fig2.py", src) == []
 
 
 # ------------------------------------------------------- L004 state ownership
 
 
-def test_state_mutation_outside_owners_detected():
+def test_state_mutation_outside_owners_detected(tmp_path):
     src = "def hack(task):\n    task.state = 'done'\n"
-    assert codes(lint_source(src, Path("runtime/scheduler/base.py"))) == {"L004"}
+    assert codes(lint_module(tmp_path, "runtime/scheduler/base.py", src)) == {"L004"}
 
 
-def test_state_mutation_in_owner_modules_is_fine():
+def test_state_mutation_in_owner_modules_is_fine(tmp_path):
     src = "def advance(task):\n    task.state = 'done'\n"
-    assert lint_source(src, Path("runtime/executor.py")) == []
-    assert lint_source(src, Path("runtime/dataflow.py")) == []
+    assert lint_module(tmp_path, "runtime/executor.py", src) == []
+    assert lint_module(tmp_path, "runtime/dataflow.py", src) == []
 
 
 # ------------------------------------------------- L005 unused private method
@@ -264,8 +271,8 @@ def test_class_body_alias_keeps_private_method_alive(tmp_path):
 # ------------------------------------------------------------------- plumbing
 
 
-def test_syntax_error_reported_not_raised():
-    assert codes(lint_source("def broken(:\n", Path("sim/x.py"))) == {"L000"}
+def test_syntax_error_reported_not_raised(tmp_path):
+    assert codes(lint_module(tmp_path, "sim/x.py", "def broken(:\n")) == {"L000"}
 
 
 def test_lint_path_walks_a_seeded_tree(tmp_path):
